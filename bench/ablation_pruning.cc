@@ -1,7 +1,7 @@
-// Ablation bench (DESIGN.md E10): isolates the design choices the paper
-// motivates but does not measure separately —
+// Ablation bench: isolates the design choices the paper motivates but
+// does not measure separately —
 //   * the Lemma 2 bounding-box pre-test in the TRAJ-DBSCAN neighbor check,
-//   * projected (paper Algorithm 3) vs full-window (exact) refinement,
+//   * all-pairs vs STR R-tree neighbor candidates,
 //   * time spent on CMC's virtual-point interpolation.
 
 #include "bench/bench_common.h"
@@ -59,31 +59,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  PrintHeader("Ablation B: projected vs full-window refinement (CuTS*)");
-  PrintRow({{"dataset", 12},
-            {"mode", 14},
-            {"refine(s)", 12},
-            {"total(s)", 12},
-            {"convoys", 10}});
-  PrintRule(60);
-  for (const BenchDataset* ds : {&truck, &car}) {
-    for (const RefineMode mode :
-         {RefineMode::kProjected, RefineMode::kFullWindow}) {
-      CutsFilterOptions options = FilterOptionsFor(*ds);
-      options.refine_mode = mode;
-      DiscoveryStats stats;
-      const auto result = RunVariant(*ds, CutsVariant::kCutsStar, &stats,
-                                     options);
-      PrintRow({{ds->data.name, 12},
-                {mode == RefineMode::kProjected ? "projected" : "full-window",
-                 14},
-                {Fmt(stats.refine_seconds, 3), 12},
-                {Fmt(stats.total_seconds, 3), 12},
-                {std::to_string(result.size()), 10}});
-    }
-  }
-
-  PrintHeader("Ablation C: CMC cost vs sampling density (TaxiLike)");
+  PrintHeader("Ablation B: CMC cost vs sampling density (TaxiLike)");
   PrintRow({{"keep prob", 12}, {"points", 12}, {"CMC(s)", 12},
             {"CuTS*(s)", 12}, {"speedup", 10}});
   PrintRule(58);
@@ -105,9 +81,8 @@ int main(int argc, char** argv) {
                10}});
   }
   std::cout << "\nshape: box pruning removes most segment-distance work; "
-               "projected\nrefinement is cheaper than full-window but may "
-               "report redundant\nnon-maximal convoys; CMC's relative cost "
-               "grows as sampling gets sparser\n(more virtual points to "
-               "interpolate), which is the paper's Car/Taxi story.\n";
+               "CMC's relative\ncost grows as sampling gets sparser (more "
+               "virtual points to\ninterpolate), which is the paper's "
+               "Car/Taxi story.\n";
   return 0;
 }

@@ -1,6 +1,7 @@
 #include "core/cmc.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "cluster/dbscan.h"
 #include "cluster/grid_index.h"
@@ -188,23 +189,55 @@ std::vector<Convoy> CmcRangeImpl(const ConvoyQuery& query, Tick begin_tick,
 
 }  // namespace
 
+std::vector<Convoy> CmcRangeRows(const TrajectoryDatabase& db,
+                                 const ConvoyQuery& query, Tick begin_tick,
+                                 Tick end_tick, const RowSelector& rows_at,
+                                 const CmcOptions& options,
+                                 DiscoveryStats* stats, const ExecHooks* hooks,
+                                 SnapshotScratch* scratch) {
+  SnapshotScratch local;
+  if (scratch == nullptr) scratch = &local;
+  TraceSession* const trace = TraceOf(hooks);
+  const std::vector<Trajectory>& rows = db.trajectories();
+  // One forward cursor per trajectory: the loop's ticks ascend, so each
+  // gather moves a cursor by a sample or two instead of binary-searching.
+  std::vector<size_t> cursors(rows.size(), 0);
+  return CmcRangeImpl(
+      query, begin_tick, end_tick, options, stats, hooks,
+      [&](Tick t, bool* clustered) {
+        ScopedSpan span(trace, "snapshot.cluster");
+        std::vector<Point>& points = scratch->points;
+        std::vector<ObjectId>& ids = scratch->ids;
+        points.clear();
+        ids.clear();
+        const auto gather = [&](size_t r) {
+          const std::optional<Point> pos =
+              InterpolateForward(rows[r], t, &cursors[r]);
+          if (!pos.has_value()) return;
+          points.push_back(*pos);
+          ids.push_back(rows[r].id());
+        };
+        const std::vector<uint32_t>* selected =
+            rows_at ? rows_at(t) : nullptr;
+        if (selected != nullptr) {
+          for (const uint32_t r : *selected) gather(r);
+        } else {
+          for (size_t r = 0; r < rows.size(); ++r) gather(r);
+        }
+        std::vector<std::vector<ObjectId>> clusters = ClusterSnapshot(
+            points, ids, query, clustered, &scratch->dbscan);
+        if (*clustered) TraceDbscanRun(trace, scratch->dbscan.tally);
+        return clusters;
+      });
+}
+
 std::vector<Convoy> CmcRange(const TrajectoryDatabase& db,
                              const ConvoyQuery& query, Tick begin_tick,
                              Tick end_tick, const CmcOptions& options,
                              DiscoveryStats* stats, const ExecHooks* hooks,
                              SnapshotScratch* scratch) {
-  SnapshotScratch local;
-  if (scratch == nullptr) scratch = &local;
-  TraceSession* const trace = TraceOf(hooks);
-  return CmcRangeImpl(
-      query, begin_tick, end_tick, options, stats, hooks,
-      [&](Tick t, bool* clustered) {
-        ScopedSpan span(trace, "snapshot.cluster");
-        std::vector<std::vector<ObjectId>> clusters =
-            SnapshotClusters(db, t, query, clustered, scratch);
-        if (*clustered) TraceDbscanRun(trace, scratch->dbscan.tally);
-        return clusters;
-      });
+  return CmcRangeRows(db, query, begin_tick, end_tick, RowSelector{},
+                      options, stats, hooks, scratch);
 }
 
 std::vector<Convoy> Cmc(const TrajectoryDatabase& db, const ConvoyQuery& query,

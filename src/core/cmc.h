@@ -1,6 +1,8 @@
 #ifndef CONVOY_CORE_CMC_H_
 #define CONVOY_CORE_CMC_H_
 
+#include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "cluster/dbscan.h"
@@ -54,15 +56,40 @@ std::vector<Convoy> Cmc(const TrajectoryDatabase& db, const ConvoyQuery& query,
                         const ExecHooks* hooks = nullptr,
                         SnapshotScratch* scratch = nullptr);
 
-/// CMC restricted to ticks [begin_tick, end_tick] — the refinement step of
-/// CuTS runs this on each candidate's objects and time interval
-/// (paper Algorithm 3).
+/// CMC restricted to ticks [begin_tick, end_tick]. Gathers each tick's
+/// snapshot from the rows through forward interpolation cursors
+/// (InterpolateForward), one per trajectory, so a tick costs no binary
+/// search; positions are bit-identical to InterpolateAt.
 std::vector<Convoy> CmcRange(const TrajectoryDatabase& db,
                              const ConvoyQuery& query, Tick begin_tick,
                              Tick end_tick, const CmcOptions& options = {},
                              DiscoveryStats* stats = nullptr,
                              const ExecHooks* hooks = nullptr,
                              SnapshotScratch* scratch = nullptr);
+
+/// Chooses which trajectories a CmcRangeRows run gathers at tick t: the
+/// database indices, ascending, or null for every trajectory alive at t.
+/// Called once per tick, at ascending ticks; the returned list must stay
+/// valid until the next call.
+using RowSelector = std::function<const std::vector<uint32_t>*(Tick t)>;
+
+/// CmcRange over a subset of the rows at each tick: tick t clusters only
+/// the trajectories `rows_at(t)` names (every alive one when `rows_at` is
+/// empty or returns null), in database order. The result equals
+/// CmcRange's whenever every dropped object is, at that tick, DBSCAN noise
+/// within e of no core point: such an object changes no core set and is
+/// in no neighbour list a cluster expands, so every cluster, its expansion
+/// order and its border tie-breaks stay the same. CuTS refinement
+/// (core/cuts_refine.h) selects the objects its filter clustered, which
+/// meets that condition. Clustering is skipped — and not counted — at
+/// ticks where fewer than m objects are selected.
+std::vector<Convoy> CmcRangeRows(const TrajectoryDatabase& db,
+                                 const ConvoyQuery& query, Tick begin_tick,
+                                 Tick end_tick, const RowSelector& rows_at,
+                                 const CmcOptions& options = {},
+                                 DiscoveryStats* stats = nullptr,
+                                 const ExecHooks* hooks = nullptr,
+                                 SnapshotScratch* scratch = nullptr);
 
 /// Store-backed CMC: identical to Cmc(db, ...) over the database the store
 /// was built from — the store's per-tick columnar views reproduce the
@@ -84,8 +111,8 @@ std::vector<Convoy> CmcRange(const SnapshotStore& store,
                              const ExecHooks* hooks = nullptr,
                              SnapshotScratch* scratch = nullptr);
 
-/// The per-tick unit of work of CMC, shared by the serial loop above and
-/// the snapshot-parallel runner (parallel/parallel_runner.h): every object
+/// One tick of row-path CMC, for callers that visit ticks out of order
+/// (the snapshot-parallel runner, parallel/parallel_runner.h): every object
 /// alive at `t` contributes its (possibly interpolated) position, the
 /// snapshot is clustered with DBSCAN(query.e, query.m) over a per-snapshot
 /// grid index, and each cluster comes back as a sorted object-id list.

@@ -44,7 +44,7 @@ std::vector<Convoy> Cuts(const TrajectoryDatabase& db,
   const CutsFilterOptions options = MakeFilterOptions(variant, base_options);
   const CutsFilterResult filtered = CutsFilter(db, query, options, stats);
   std::vector<Convoy> result =
-      CutsRefine(db, query, filtered.candidates, options.refine_mode, stats,
+      CutsRefine(db, query, filtered, stats,
                  ResolveWorkerThreads(options.refine_threads, query));
   if (stats != nullptr) {
     stats->total_seconds = total.ElapsedSeconds();

@@ -28,10 +28,11 @@ CutsFilterOptions MakeFilterOptions(CutsVariant variant,
 
 /// Convoy discovery with trajectory simplification (paper Sections 5-6):
 /// simplifies the trajectories, finds candidate convoys by clustering the
-/// simplified polylines per time partition, and refines each candidate with
-/// exact CMC. Returns exactly the convoys CMC returns on the same query —
-/// the filter's distance bounds guarantee no false dismissals, and the
-/// refinement removes all false hits.
+/// simplified polylines per time partition, and refines the candidates
+/// with CMC over their merged windows, clustering only the objects the
+/// filter clustered (CutsRefine). Returns exactly the convoys CMC returns
+/// on the same query — the filter's distance bounds guarantee no false
+/// dismissals, and the refinement removes all false hits.
 std::vector<Convoy> Cuts(const TrajectoryDatabase& db,
                          const ConvoyQuery& query,
                          CutsVariant variant = CutsVariant::kCutsStar,

@@ -153,6 +153,9 @@ CutsFilterResult CutsFilterPresimplified(
     partitions.emplace_back(part_start,
                             std::min<Tick>(part_start + lambda - 1, end));
   }
+  result.members.begin = begin;
+  result.members.length = lambda;
+  result.members.offsets.reserve(partitions.size() + 1);
 
   // Cluster the partitions (concurrently when asked to — partitions are
   // independent), then advance the candidate tracker sequentially in
@@ -181,6 +184,15 @@ CutsFilterResult CutsFilterPresimplified(
     tracker.Advance(part.cluster_objects, partitions[i].first,
                     partitions[i].second, /*step_weight=*/lambda,
                     &result.candidates);
+    // The partition's clusters are disjoint, so their union is their
+    // concatenation.
+    std::vector<ObjectId>& ids = result.members.ids;
+    const size_t first = ids.size();
+    for (const std::vector<ObjectId>& cluster : part.cluster_objects) {
+      ids.insert(ids.end(), cluster.begin(), cluster.end());
+    }
+    std::sort(ids.begin() + static_cast<std::ptrdiff_t>(first), ids.end());
+    result.members.offsets.push_back(ids.size());
     ReportProgress(hooks, "filter", i + 1, partitions.size());
   };
   if (threads > 1) {

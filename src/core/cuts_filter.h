@@ -1,6 +1,8 @@
 #ifndef CONVOY_CORE_CUTS_FILTER_H_
 #define CONVOY_CORE_CUTS_FILTER_H_
 
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "cluster/polyline_dbscan.h"
@@ -43,9 +45,8 @@ struct CutsFilterOptions {
   /// PolylineDbscanOptions::use_rtree). Identical results either way.
   bool use_rtree = false;
 
-  /// How the refinement step verifies candidates (consumed by Cuts(), which
-  /// forwards it to CutsRefine). kProjected is the paper's Algorithm 3;
-  /// kFullWindow guarantees exact equality with CMC on every input.
+  /// No effect (see RefineMode): CuTS has one refinement, exact on every
+  /// input. Kept so that callers which still set it compile.
   RefineMode refine_mode = RefineMode::kProjected;
 
   /// Worker threads for the filter phase: database simplification and the
@@ -55,8 +56,8 @@ struct CutsFilterOptions {
   /// 0 = inherit ConvoyQuery::num_threads.
   size_t num_threads = 0;
 
-  /// Worker threads for the refinement step (candidates / windows are
-  /// independent units of work). Results are identical regardless.
+  /// Worker threads for the refinement step (its merged candidate windows
+  /// are independent units of work). Results are identical regardless.
   /// 0 = inherit ConvoyQuery::num_threads.
   size_t refine_threads = 0;
 };
@@ -66,11 +67,43 @@ struct CutsFilterOptions {
 /// a final 0 means "all hardware threads". Never returns 0.
 size_t ResolveWorkerThreads(size_t phase_threads, const ConvoyQuery& query);
 
+/// Per time partition, the objects the partition's polyline DBSCAN placed
+/// in some cluster: the union of the partition's clusters, ascending. The
+/// filter hands these sets to the refinement as a semi-join reducer. An
+/// object outside partition p's set is DBSCAN noise, and within e of no
+/// core point, at every tick of p (the Lemma 1-3 bound: within e at a
+/// tick implies polyline neighbours in that tick's partition), so the
+/// refinement clusters only the set. Derived from the per-partition
+/// clusterings alone, so identical at every filter thread count.
+struct PartitionMembers {
+  Tick begin = 0;   ///< first tick of partition 0
+  Tick length = 1;  ///< ticks per partition (the last one may be shorter)
+  /// CSR: partition p's objects are ids[offsets[p], offsets[p + 1]).
+  std::vector<size_t> offsets{0};
+  std::vector<ObjectId> ids;
+
+  size_t NumPartitions() const { return offsets.size() - 1; }
+
+  /// The partition holding tick t; nullopt outside the partitioned domain.
+  std::optional<size_t> PartitionOf(Tick t) const {
+    if (t < begin) return std::nullopt;
+    const size_t p = static_cast<size_t>((t - begin) / length);
+    if (p >= NumPartitions()) return std::nullopt;
+    return p;
+  }
+
+  /// Partition p's objects, ascending. Precondition: p < NumPartitions().
+  std::span<const ObjectId> Of(size_t p) const {
+    return {ids.data() + offsets[p], offsets[p + 1] - offsets[p]};
+  }
+};
+
 /// Output of the filter step: candidate convoys (object sets with the tick
-/// span of the partitions that produced them) plus the simplified
-/// trajectories, so the refinement can reuse them if needed.
+/// span of the partitions that produced them), the objects each partition
+/// clustered, and the simplified trajectories.
 struct CutsFilterResult {
   std::vector<Candidate> candidates;
+  PartitionMembers members;
   std::vector<SimplifiedTrajectory> simplified;
   double delta_used = 0.0;
   Tick lambda_used = 0;
@@ -79,8 +112,10 @@ struct CutsFilterResult {
 /// Runs trajectory simplification and the partition-by-partition
 /// TRAJ-DBSCAN candidate generation of Algorithm 2. Every actual convoy is
 /// contained in some candidate (no false dismissal — the exactness the
-/// Lemma 1/2/3 bounds guarantee); candidates may be larger or spurious and
-/// are trimmed by the refinement step.
+/// Lemma 1/2/3 bounds guarantee); candidates may be larger or spurious.
+/// The result also records each partition's clustered objects
+/// (PartitionMembers). The refinement step, CutsRefine(db, query, result),
+/// turns both into exactly CMC's convoys.
 CutsFilterResult CutsFilter(const TrajectoryDatabase& db,
                             const ConvoyQuery& query,
                             const CutsFilterOptions& options,
@@ -89,8 +124,9 @@ CutsFilterResult CutsFilter(const TrajectoryDatabase& db,
 /// Gathers each object's sub-polyline for the partition
 /// [part_start, part_end]: the simplified segments whose time intervals
 /// intersect the partition (a segment spanning a boundary goes into both
-/// partitions, as in paper Figure 9(b)). The per-partition unit of work
-/// shared by the serial and parallel filter paths.
+/// partitions, as in paper Figure 9(b)). The reference form of the
+/// filter's per-partition input; the filter builds the same data in SoA
+/// form (BuildPolylineSoa), and tests compare the two.
 std::vector<PartitionPolyline> BuildPartitionPolylines(
     const std::vector<SimplifiedTrajectory>& simplified, Tick part_start,
     Tick part_end, bool use_actual_tolerance, double delta_used);

@@ -1,9 +1,12 @@
 #include "core/cuts_refine.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <optional>
+#include <utility>
 
 #include "core/cmc.h"
+#include "core/cuts_filter.h"
 #include "obs/trace.h"
 #include "parallel/parallel_for.h"
 #include "util/stopwatch.h"
@@ -77,44 +80,11 @@ std::vector<Convoy> Flatten(std::vector<std::vector<Convoy>> parts) {
   return all;
 }
 
-std::vector<Convoy> RefineProjected(const TrajectoryDatabase& db,
-                                    const ConvoyQuery& query,
-                                    const std::vector<Candidate>& candidates,
-                                    DiscoveryStats* stats, size_t threads,
-                                    const ExecHooks* hooks) {
-  CmcOptions cmc_options;
-  cmc_options.remove_dominated = false;  // pruned globally by the caller
-  // Stats are only threadable when single-threaded; CmcRange mutates them.
-  DiscoveryStats* per_run_stats = threads <= 1 ? stats : nullptr;
-  TraceSession* const trace = TraceOf(hooks);
-  // Trace-only hooks for the nested CMC runs: counters and spans flow, but
-  // the outer sink / progress / cancellation stay exclusively with the
-  // refine loop (a nested emit would double-report every convoy).
-  ExecHooks trace_hooks;
-  trace_hooks.trace = trace;
-  const ExecHooks* nested =
-      trace != nullptr ? &trace_hooks : nullptr;
-  auto parts = RefineMap(
-      candidates.size(), threads,
-      [&](size_t i) {
-        ScopedSpan span(trace, "refine.unit");
-        TraceCount(trace, TraceCounter::kRefineUnits, 1);
-        const Candidate& cand = candidates[i];
-        const TrajectoryDatabase subset = db.Project(cand.objects);
-        return CmcRange(subset, query, cand.start_tick, cand.end_tick,
-                        cmc_options, per_run_stats, nested);
-      },
-      hooks);
-  return Flatten(std::move(parts));
-}
-
-std::vector<Convoy> RefineFullWindow(const TrajectoryDatabase& db,
-                                     const ConvoyQuery& query,
-                                     const std::vector<Candidate>& candidates,
-                                     DiscoveryStats* stats, size_t threads,
-                                     const ExecHooks* hooks) {
-  // Merge candidate intervals into disjoint windows; every true convoy is
-  // contained in some candidate's interval, hence in some window.
+// Disjoint windows covering every candidate interval, ascending: sorted
+// intervals that overlap or touch merge, so no convoy straddles two
+// windows.
+std::vector<std::pair<Tick, Tick>> MergeWindows(
+    const std::vector<Candidate>& candidates) {
   std::vector<std::pair<Tick, Tick>> intervals;
   intervals.reserve(candidates.size());
   for (const Candidate& cand : candidates) {
@@ -129,45 +99,112 @@ std::vector<Convoy> RefineFullWindow(const TrajectoryDatabase& db,
       windows.push_back(iv);
     }
   }
+  return windows;
+}
 
+// One window's row selection: at tick t, the database indices (ascending,
+// i.e. database order) of the objects the filter clustered in t's
+// partition. Rebuilt once per partition, not per tick.
+class PartitionRows {
+ public:
+  PartitionRows(const TrajectoryDatabase& db, const PartitionMembers& members)
+      : db_(db), members_(members) {}
+
+  const std::vector<uint32_t>* At(Tick t) {
+    const std::optional<size_t> p = members_.PartitionOf(t);
+    // Candidates lie inside the partitioned domain; outside it, cluster
+    // every alive object, which is exact too.
+    if (!p.has_value()) return nullptr;
+    if (*p != partition_) {
+      partition_ = *p;
+      rows_.clear();
+      for (const ObjectId id : members_.Of(*p)) {
+        if (const std::optional<size_t> row = db_.IndexOf(id)) {
+          rows_.push_back(static_cast<uint32_t>(*row));
+        }
+      }
+      std::sort(rows_.begin(), rows_.end());
+    }
+    return &rows_;
+  }
+
+ private:
+  const TrajectoryDatabase& db_;
+  const PartitionMembers& members_;
+  std::optional<size_t> partition_;
+  std::vector<uint32_t> rows_;
+};
+
+// Runs CMC's per-tick loop once over each merged window, pruned to the
+// filter's member sets when `members` is given, and dominance-prunes the
+// windows' convoys into the result.
+std::vector<Convoy> RefineWindows(const TrajectoryDatabase& db,
+                                  const ConvoyQuery& query,
+                                  const std::vector<Candidate>& candidates,
+                                  const PartitionMembers* members,
+                                  DiscoveryStats* stats, size_t threads,
+                                  const ExecHooks* hooks) {
+  Stopwatch phase;
+  const std::vector<std::pair<Tick, Tick>> windows = MergeWindows(candidates);
   CmcOptions cmc_options;
-  cmc_options.remove_dominated = false;
-  DiscoveryStats* per_run_stats = threads <= 1 ? stats : nullptr;
+  cmc_options.remove_dominated = false;  // pruned globally below
   TraceSession* const trace = TraceOf(hooks);
+  // Trace-only hooks for the nested CMC runs: counters and spans flow, but
+  // the outer sink / progress / cancellation stay exclusively with the
+  // refine loop (a nested emit would double-report every convoy).
   ExecHooks trace_hooks;
   trace_hooks.trace = trace;
-  const ExecHooks* nested =
-      trace != nullptr ? &trace_hooks : nullptr;
+  const ExecHooks* nested = trace != nullptr ? &trace_hooks : nullptr;
+  // Each window counts its own clusterings into its own slot; summed in
+  // window order afterwards, so the total is the same at every thread
+  // count.
+  std::vector<size_t> clusterings(windows.size(), 0);
   auto parts = RefineMap(
       windows.size(), threads,
       [&](size_t i) {
         ScopedSpan span(trace, "refine.unit");
         TraceCount(trace, TraceCounter::kRefineUnits, 1);
-        return CmcRange(db, query, windows[i].first, windows[i].second,
-                        cmc_options, per_run_stats, nested);
+        std::optional<PartitionRows> rows;
+        RowSelector rows_at;
+        if (members != nullptr) {
+          rows.emplace(db, *members);
+          rows_at = [&rows](Tick t) { return rows->At(t); };
+        }
+        DiscoveryStats unit_stats;
+        std::vector<Convoy> convoys =
+            CmcRangeRows(db, query, windows[i].first, windows[i].second,
+                         rows_at, cmc_options, &unit_stats, nested);
+        clusterings[i] = unit_stats.num_clusterings;
+        return convoys;
       },
       hooks);
-  return Flatten(std::move(parts));
+  std::vector<Convoy> result = RemoveDominated(Flatten(std::move(parts)));
+  if (stats != nullptr) {
+    for (const size_t n : clusterings) stats->num_clusterings += n;
+    stats->refine_seconds += phase.ElapsedSeconds();
+    stats->num_convoys = result.size();
+  }
+  return result;
 }
 
 }  // namespace
 
 std::vector<Convoy> CutsRefine(const TrajectoryDatabase& db,
                                const ConvoyQuery& query,
+                               const CutsFilterResult& filtered,
+                               DiscoveryStats* stats, size_t threads,
+                               const ExecHooks* hooks) {
+  return RefineWindows(db, query, filtered.candidates, &filtered.members,
+                       stats, threads, hooks);
+}
+
+std::vector<Convoy> CutsRefine(const TrajectoryDatabase& db,
+                               const ConvoyQuery& query,
                                const std::vector<Candidate>& candidates,
-                               RefineMode mode, DiscoveryStats* stats,
+                               RefineMode /*mode*/, DiscoveryStats* stats,
                                size_t threads, const ExecHooks* hooks) {
-  Stopwatch phase;
-  std::vector<Convoy> all =
-      mode == RefineMode::kProjected
-          ? RefineProjected(db, query, candidates, stats, threads, hooks)
-          : RefineFullWindow(db, query, candidates, stats, threads, hooks);
-  std::vector<Convoy> result = RemoveDominated(std::move(all));
-  if (stats != nullptr) {
-    stats->refine_seconds += phase.ElapsedSeconds();
-    stats->num_convoys = result.size();
-  }
-  return result;
+  return RefineWindows(db, query, candidates, /*members=*/nullptr, stats,
+                       threads, hooks);
 }
 
 }  // namespace convoy

@@ -11,37 +11,56 @@
 
 namespace convoy {
 
-/// How the refinement step verifies candidates.
-enum class RefineMode {
-  /// Paper Algorithm 3: per candidate, run exact CMC over the *candidate's
-  /// objects only*, restricted to the candidate's time interval. Fast, and
-  /// what the paper benchmarks. Sound (never reports a false convoy), but in
-  /// rare adversarial inputs a convoy whose density chain passes through an
-  /// object outside the candidate's intersection set can be missed (see
-  /// DESIGN.md).
-  kProjected,
+struct CutsFilterResult;
 
-  /// Exact mode: merge the candidates' time intervals into disjoint windows
-  /// and run full-database CMC over each window. Guarantees result-set
-  /// equality with CMC on every input; degrades toward CMC's cost when the
-  /// filter is ineffective (huge windows), which is the correct trade-off.
+/// No effect. CuTS has one refinement (CutsRefine below), exact on every
+/// input; this enum and CutsFilterOptions::refine_mode remain only so that
+/// callers which still name a mode compile.
+enum class RefineMode {
+  kProjected,
   kFullWindow,
 };
 
-/// The refinement step of CuTS (paper Algorithm 3): trims the filter's
-/// candidate convoys down to actual convoys with exact CMC runs, then
-/// merges, deduplicates and dominance-prunes into the final convoy set.
+/// The refinement step of CuTS (paper Algorithm 3): turns the filter's
+/// candidates into exactly the convoys CMC finds, on every input.
 ///
-/// `threads` > 1 refines candidates (projected mode) or merged windows
-/// (full-window mode) concurrently; each unit of work is independent, so
-/// the merged result is identical to the sequential one (property-tested).
+///  1. The candidates' tick intervals merge into disjoint windows
+///     (overlapping or adjacent intervals join). Every CMC convoy lies in
+///     one candidate's interval — the filter's no-false-dismissal
+///     guarantee — so it lies whole inside one window.
+///  2. Each window runs CMC's per-tick loop once (CmcRangeRows), so no
+///     tick is clustered twice however many candidates overlap it.
+///  3. At each tick only the objects of `filtered.members` for the tick's
+///     partition are gathered and clustered. That pruning is exact: two
+///     objects within e at a tick are polyline neighbours in its partition
+///     (Lemmas 1-3), so an object in no polyline cluster has fewer than m
+///     neighbours and is within e of no core point at every tick of the
+///     partition. Dropping it changes no core set, no cluster and, since
+///     database order is kept, no border tie-break.
+///
+/// The windows' convoys are then dominance-pruned into the final set.
+/// Refinement never clusters a tick CMC would not, and never more objects.
+///
+/// `threads` > 1 refines windows concurrently; each window is independent
+/// and results are merged in window order, so the result — and every
+/// counter, DiscoveryStats::num_clusterings included — is identical at
+/// every thread count.
 ///
 /// `hooks` (optional, core/exec_hooks.h) adds a cancellation check per
-/// refinement unit, per-unit "refine" progress, and incremental emission:
-/// each unit's verified convoys are handed to the sink in unit order as
-/// soon as the unit completes — callers consume convoys while later units
-/// are still refining instead of waiting for full materialization. The
-/// returned (materialized) result is unaffected.
+/// window, per-window "refine" progress, and incremental emission: each
+/// window's convoys are handed to the sink in window order as soon as the
+/// window completes. The returned (materialized) result is unaffected.
+std::vector<Convoy> CutsRefine(const TrajectoryDatabase& db,
+                               const ConvoyQuery& query,
+                               const CutsFilterResult& filtered,
+                               DiscoveryStats* stats = nullptr,
+                               size_t threads = 1,
+                               const ExecHooks* hooks = nullptr);
+
+/// Refinement from the candidates alone, without the filter's member
+/// sets: the same windows, each clustering every alive object per tick.
+/// Same result as the overload above, at the cost of the pruning; `mode`
+/// is ignored.
 std::vector<Convoy> CutsRefine(const TrajectoryDatabase& db,
                                const ConvoyQuery& query,
                                const std::vector<Candidate>& candidates,

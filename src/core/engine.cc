@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "core/cuts_filter.h"
+#include "core/params.h"
 #include "core/validate.h"
 #include "obs/trace.h"
 #include "query/algorithm.h"
@@ -73,6 +74,26 @@ ConvoyEngine::SimplifiedFor(SimplifierKind kind, double delta, size_t threads,
   return it->second;  // entries are immutable; a hit is a pointer copy
 }
 
+double ConvoyEngine::DeltaFor(double e) const {
+  const uint64_t key = std::bit_cast<uint64_t>(e);
+  {
+    std::lock_guard<std::mutex> lock(cache_mu_);
+    if (const auto it = delta_cache_.find(key); it != delta_cache_.end()) {
+      // Relaxed: an independent monotone tally, like the
+      // simplification-cache counters; it orders nothing.
+      delta_cache_hits_.fetch_add(1, std::memory_order_relaxed);
+      return it->second;
+    }
+  }
+  // Computed outside the lock; a racing miss on the same e computes the
+  // same value, and the first insert wins.
+  const double delta = ComputeDelta(db_, e);
+  std::lock_guard<std::mutex> lock(cache_mu_);
+  // Relaxed: the same kind of tally as the hits above.
+  delta_cache_misses_.fetch_add(1, std::memory_order_relaxed);
+  return delta_cache_.emplace(key, delta).first->second;
+}
+
 const DatabaseStats& ConvoyEngine::CachedStats() const {
   std::lock_guard<std::mutex> lock(cache_mu_);
   if (!db_stats_.has_value() || db_stats_generation_ != db_.generation()) {
@@ -131,6 +152,8 @@ EngineStoreMetrics ConvoyEngine::StoreMetrics() const {
       simplify_cache_hits_.load(std::memory_order_relaxed);
   m.simplify_cache_misses =
       simplify_cache_misses_.load(std::memory_order_relaxed);
+  m.delta_cache_hits = delta_cache_hits_.load(std::memory_order_relaxed);
+  m.delta_cache_misses = delta_cache_misses_.load(std::memory_order_relaxed);
   return m;
 }
 
@@ -149,6 +172,7 @@ QueryPlan ConvoyEngine::MakePlan(const ConvoyQuery& query,
                          ResolveWorkerThreads(options.num_threads, query),
                          hit);
   };
+  planner_options.delta = [this](double e) { return DeltaFor(e); };
   planner_options.store = [this, &query, &options](bool build_if_missing,
                                                    bool* reused) {
     if (build_if_missing) {

@@ -35,6 +35,9 @@ struct EngineStoreMetrics {
   /// Simplification-cache hits/misses across Prepare/Execute/Discover.
   uint64_t simplify_cache_hits = 0;
   uint64_t simplify_cache_misses = 0;
+  /// Derived-delta memo hits/misses: a miss ran ComputeDelta.
+  uint64_t delta_cache_hits = 0;
+  uint64_t delta_cache_misses = 0;
 };
 
 /// High-level convoy query interface over a fixed trajectory database.
@@ -65,14 +68,14 @@ struct EngineStoreMetrics {
 /// (enforced by tests/query_exec_test.cc); prefer the v2 API in new code.
 ///
 /// Thread-safety: const after construction except for the internal
-/// simplification cache and memoized database statistics, which are
-/// mutex-guarded, so concurrent Prepare / Execute / Discover calls from
-/// different threads are safe without external synchronization. Two threads
-/// missing the same cache key may both compute the simplification; the
-/// first insert wins and the duplicate work is discarded (benign, and only
-/// on the first query of a sweep). Cache entries are immutable shared
-/// snapshots: readers hold a shared_ptr, and consumers that need ownership
-/// (the filter) copy the vector themselves.
+/// simplification cache, the delta memo and memoized database statistics,
+/// which are mutex-guarded, so concurrent Prepare / Execute / Discover
+/// calls from different threads are safe without external synchronization.
+/// Two threads missing the same cache key may both compute the
+/// simplification; the first insert wins and the duplicate work is
+/// discarded (benign, and only on the first query of a sweep). Cache
+/// entries are immutable shared snapshots: readers hold a shared_ptr, and
+/// consumers that need ownership (the filter) copy the vector themselves.
 class ConvoyEngine {
  public:
   explicit ConvoyEngine(TrajectoryDatabase db) : db_(std::move(db)) {}
@@ -194,6 +197,13 @@ class ConvoyEngine {
       SimplifierKind kind, double delta, size_t threads,
       bool* cache_hit) const;
 
+  /// ComputeDelta(db_, e), memoized per e (its exact bit pattern) for the
+  /// engine's lifetime: the delta guideline runs DP splits over a sample
+  /// of the trajectories, which a sweep over m and k would otherwise
+  /// repeat on every Prepare. The database never changes under an engine,
+  /// so entries never go stale.
+  double DeltaFor(double e) const;
+
   /// db_.Stats(), memoized and keyed on the database generation counter —
   /// the same counter the SnapshotStore uses — so repeated Prepare calls
   /// on an unchanged database never rescan the trajectories (guarded by
@@ -223,6 +233,8 @@ class ConvoyEngine {
   mutable std::map<CacheKey,
                    std::shared_ptr<const std::vector<SimplifiedTrajectory>>>
       cache_;                                  // GUARDED_BY(cache_mu_)
+  /// ComputeDelta results keyed on the bit pattern of e (see DeltaFor).
+  mutable std::map<uint64_t, double> delta_cache_;  // GUARDED_BY(cache_mu_)
   mutable std::optional<DatabaseStats> db_stats_;  // GUARDED_BY(cache_mu_)
   mutable uint64_t db_stats_generation_ = 0;   // GUARDED_BY(cache_mu_)
   /// The tick-partitioned store, built lazily and invalidated when its
@@ -242,6 +254,8 @@ class ConvoyEngine {
   /// after dropping the lock.
   mutable std::atomic<uint64_t> simplify_cache_hits_{0};
   mutable std::atomic<uint64_t> simplify_cache_misses_{0};
+  mutable std::atomic<uint64_t> delta_cache_hits_{0};
+  mutable std::atomic<uint64_t> delta_cache_misses_{0};
 };
 
 }  // namespace convoy

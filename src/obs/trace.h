@@ -43,7 +43,7 @@ enum class TraceCounter : uint32_t {
   kStoreTicksBuilt,          ///< ticks materialized by a store build
   kStorePointsBuilt,         ///< columnar points materialized by a build
   kFilterPartitions,         ///< CuTS filter partitions clustered
-  kRefineUnits,              ///< CuTS refinement units run
+  kRefineUnits,              ///< CuTS refinement windows run
   kConvoysEmitted,           ///< convoys handed to the incremental sink
   kServerBatchesAccepted,    ///< ingest batches the stream workers processed
   kServerBatchesRejected,    ///< batches NAKed (malformed/out-of-order/full)

@@ -82,8 +82,7 @@ class CutsAlgorithm final : public ConvoyAlgorithm {
     const CutsFilterResult filtered = CutsFilterPresimplified(
         *ctx.db, plan.query, options, std::move(simplified), plan.delta,
         ctx.stats, &ctx.hooks, ctx.store.get());
-    return CutsRefine(*ctx.db, plan.query, filtered.candidates,
-                      options.refine_mode, ctx.stats,
+    return CutsRefine(*ctx.db, plan.query, filtered, ctx.stats,
                       ResolveWorkerThreads(options.refine_threads, plan.query),
                       &ctx.hooks);
   }

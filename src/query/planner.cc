@@ -74,6 +74,7 @@ QueryPlanner::QueryPlanner(const TrajectoryDatabase& db,
                            PlannerOptions options)
     : db_(db),
       simplify_(std::move(options.simplify)),
+      delta_(std::move(options.delta)),
       store_(std::move(options.store)),
       trace_(options.trace) {
   db_stats_ = options.db_stats != nullptr ? *options.db_stats : db.Stats();
@@ -141,8 +142,11 @@ QueryPlan QueryPlanner::Plan(const ConvoyQuery& query, AlgorithmChoice choice,
   // bit-identical to the legacy single-call path.
   plan.filter = MakeFilterOptions(VariantFor(plan.algorithm), base_options);
   plan.delta_derived = !(plan.filter.delta > 0.0);
-  plan.delta = plan.delta_derived ? ComputeDelta(db_, query.e)
-                                  : plan.filter.delta;
+  if (!plan.delta_derived) {
+    plan.delta = plan.filter.delta;
+  } else {
+    plan.delta = delta_ ? delta_(query.e) : ComputeDelta(db_, query.e);
+  }
   plan.filter.delta = plan.delta;
 
   Stopwatch simplify_watch;

@@ -2,6 +2,7 @@
 #define CONVOY_QUERY_PLANNER_H_
 
 #include <cstddef>
+#include <functional>
 #include <string>
 
 #include "core/convoy_set.h"
@@ -110,6 +111,10 @@ struct PlannerOptions {
   /// directly (uncached) and report PlanCacheStatus::kNotApplicable.
   SimplificationProvider simplify;
 
+  /// Source of ComputeDelta(db, e) for CuTS plans that derive delta (the
+  /// engine's per-e memo). Empty: computed per plan.
+  std::function<double(double e)> delta;
+
   /// SnapshotStore source (the engine's generation-keyed cache). Empty:
   /// plans report store_cache = kNotApplicable and execution falls back
   /// to the legacy row-oriented path.
@@ -151,6 +156,7 @@ class QueryPlanner {
  private:
   const TrajectoryDatabase& db_;
   SimplificationProvider simplify_;
+  std::function<double(double e)> delta_;
   SnapshotStoreProvider store_;
   DatabaseStats db_stats_;
   TraceSession* trace_ = nullptr;

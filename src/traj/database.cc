@@ -72,23 +72,4 @@ DatabaseStats TrajectoryDatabase::Stats() const {
   return stats;
 }
 
-TrajectoryDatabase TrajectoryDatabase::Project(
-    const std::vector<ObjectId>& ids) const {
-  // Resolve through the id map instead of scanning all N trajectories:
-  // the CuTS refinement projects once per candidate, and candidates carry
-  // a handful of ids against databases of thousands of objects. Sorting
-  // the resolved indices preserves the historical database-order output.
-  std::vector<size_t> indices;
-  indices.reserve(ids.size());
-  for (const ObjectId id : ids) {
-    const auto idx = IndexOf(id);
-    if (idx.has_value()) indices.push_back(*idx);
-  }
-  std::sort(indices.begin(), indices.end());
-  indices.erase(std::unique(indices.begin(), indices.end()), indices.end());
-  TrajectoryDatabase out;
-  for (const size_t idx : indices) out.Add(trajectories_[idx]);
-  return out;
-}
-
 }  // namespace convoy

@@ -70,12 +70,6 @@ class TrajectoryDatabase {
   /// Computes Table 3-style statistics in one pass.
   DatabaseStats Stats() const;
 
-  /// Returns the subset database containing only the given objects, in
-  /// database order. Order of `ids` is irrelevant; unknown and duplicate
-  /// ids are ignored. O(|ids| log |ids|) via the id map — refinement calls
-  /// this once per candidate, so it must not rescan all N trajectories.
-  TrajectoryDatabase Project(const std::vector<ObjectId>& ids) const;
-
  private:
   std::vector<Trajectory> trajectories_;
   std::unordered_map<ObjectId, size_t> id_index_;

@@ -7,10 +7,7 @@ std::optional<Point> InterpolateAt(const Trajectory& traj, Tick t) {
   const auto idx = traj.IndexAtOrBefore(t);
   const TimedPoint& before = traj[*idx];
   if (before.t == t) return before.pos;
-  const TimedPoint& after = traj[*idx + 1];  // exists because t <= EndTick
-  const double frac = static_cast<double>(t - before.t) /
-                      static_cast<double>(after.t - before.t);
-  return before.pos + (after.pos - before.pos) * frac;
+  return InterpolateBetween(before, traj[*idx + 1], t);  // t <= EndTick
 }
 
 Trajectory Densify(const Trajectory& traj) {

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "parallel/parallel_for.h"
+#include "traj/interpolate.h"
 
 namespace convoy {
 
@@ -75,9 +76,9 @@ SnapshotStore SnapshotStore::Build(const TrajectoryDatabase& db,
   // the trajectories are visited in database order and each appends its
   // block overlap tick by tick, so every tick's points come out in
   // database order — the exact sequence the legacy row-oriented gather
-  // (and therefore DBSCAN downstream) sees. The interpolation below
-  // mirrors InterpolateAt step for step: identical operations on
-  // identical samples give bit-identical virtual points.
+  // (and therefore DBSCAN downstream) sees. The interpolation below is
+  // InterpolateAt's own arithmetic (InterpolateBetween), so virtual points
+  // are bit-identical.
   const auto fill_block = [&](Tick block_begin, Tick block_end) {
     std::vector<size_t> cursor(
         static_cast<size_t>(block_end - block_begin) + 1);
@@ -99,10 +100,7 @@ SnapshotStore SnapshotStore::Build(const TrajectoryDatabase& db,
           store.xs_[slot] = before.pos.x;
           store.ys_[slot] = before.pos.y;
         } else {
-          const TimedPoint& after = samples[idx + 1];
-          const double frac = static_cast<double>(t - before.t) /
-                              static_cast<double>(after.t - before.t);
-          const Point p = before.pos + (after.pos - before.pos) * frac;
+          const Point p = InterpolateBetween(before, samples[idx + 1], t);
           store.xs_[slot] = p.x;
           store.ys_[slot] = p.y;
           virtual_flags[slot] = 1;

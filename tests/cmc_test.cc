@@ -156,6 +156,41 @@ TEST(CmcRangeTest, RestrictsDiscoveryWindow) {
   EXPECT_EQ(result[0].end_tick, 5);
 }
 
+// CmcRangeRows: dropping an object that is noise at every tick (and
+// within e of no core point) leaves the result unchanged and skips its
+// gather; selecting fewer than m objects clusters nothing; the empty
+// selector is CmcRange itself.
+TEST(CmcRangeTest, RowSelectionDroppingNoiseKeepsResult) {
+  // Rows 0-2 move together 0.4 apart (0 and 2 only density-connected
+  // through 1); row 3 passes far away and is noise at every tick.
+  const auto db = FromXRows({{0, 1, 2, 3, 4, 5, 6, 7},
+                             {0, 1, 2, 3, 4, 5, 6, 7},
+                             {0, 1, 2, 3, 4, 5, 6, 7},
+                             {50, 40, 30, 20, 10, 0, -10, -20}},
+                            0.4);
+  const ConvoyQuery query{2, 4, 0.45};
+  DiscoveryStats full_stats;
+  const auto full = CmcRange(db, query, 0, 7, {}, &full_stats);
+  ASSERT_EQ(full.size(), 1u);
+  EXPECT_EQ(full.front().objects, (std::vector<ObjectId>{0, 1, 2}));
+
+  const std::vector<uint32_t> kept = {0, 1, 2};
+  DiscoveryStats pruned_stats;
+  EXPECT_EQ(CmcRangeRows(db, query, 0, 7,
+                         [&kept](Tick) { return &kept; }, {}, &pruned_stats),
+            full);
+  EXPECT_EQ(pruned_stats.num_clusterings, full_stats.num_clusterings);
+
+  EXPECT_EQ(CmcRangeRows(db, query, 0, 7, RowSelector{}), full);
+
+  const std::vector<uint32_t> one = {0};
+  DiscoveryStats one_stats;
+  EXPECT_TRUE(CmcRangeRows(db, query, 0, 7, [&one](Tick) { return &one; },
+                           {}, &one_stats)
+                  .empty());
+  EXPECT_EQ(one_stats.num_clusterings, 0u);
+}
+
 TEST(CmcTest, ResultsPassIndependentVerification) {
   const auto db = FromXRows({{0, 1, 2, 3, 4},
                              {0, 1, 2, 3, 4},

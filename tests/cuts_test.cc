@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <tuple>
 
 #include "core/cmc.h"
+#include "core/cuts_refine.h"
 #include "core/verify.h"
 #include "tests/test_util.h"
 
@@ -74,8 +77,7 @@ TEST(CutsTest, FilterProducesCandidatesAndStats) {
 // ---------------------------------------------------------------------------
 // The paper's central exactness guarantee: CuTS returns exactly CMC's
 // convoys. Randomized sweep over variants, internal parameters, and
-// workload shapes, using the exact full-window refinement (see DESIGN.md
-// for why the paper's projected refinement is only *almost* exact).
+// workload shapes, through the default refinement.
 // ---------------------------------------------------------------------------
 
 struct ExactnessCase {
@@ -104,7 +106,6 @@ TEST_P(CutsExactnessTest, MatchesCmcOnRandomWorkload) {
   options.lambda = param.lambda;
   options.use_actual_tolerance = param.actual_tolerance;
   options.use_box_pruning = param.box_pruning;
-  options.refine_mode = RefineMode::kFullWindow;
   const auto got = Cuts(db, query, param.variant, options);
 
   EXPECT_TRUE(SameResultSet(expected, got))
@@ -137,35 +138,136 @@ std::vector<ExactnessCase> MakeExactnessCases() {
 INSTANTIATE_TEST_SUITE_P(Sweep, CutsExactnessTest,
                          ::testing::ValuesIn(MakeExactnessCases()));
 
-// With the paper's projected refinement (Algorithm 3), soundness must still
-// hold on arbitrary inputs: every reported convoy verifies true and is
-// covered by a CMC convoy.
-class CutsProjectedSoundnessTest : public ::testing::TestWithParam<int> {};
+// The default options — auto delta and lambda — on gappy random inputs:
+// the result is CMC's, and every convoy verifies against Definition 3.
+class CutsDefaultRefinementTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(CutsProjectedSoundnessTest, ProjectedRefinementIsSound) {
+TEST_P(CutsDefaultRefinementTest, MatchesCmc) {
   Rng rng(static_cast<uint64_t>(GetParam()));
   const TrajectoryDatabase db =
       RandomClumpyDb(rng, 20, 50, 50.0, 0.8, 0.85);
   const ConvoyQuery query{3, 5, 4.0};
   const auto exact = Cmc(db, query);
 
-  CutsFilterOptions options;
-  options.refine_mode = RefineMode::kProjected;
   for (const auto variant :
        {CutsVariant::kCuts, CutsVariant::kCutsPlus, CutsVariant::kCutsStar}) {
-    const auto got = Cuts(db, query, variant, options);
+    const auto got = Cuts(db, query, variant);
+    EXPECT_TRUE(SameResultSet(exact, got))
+        << ToString(variant) << " seed=" << GetParam() << " got "
+        << got.size() << " vs " << exact.size();
     for (const Convoy& c : got) {
       EXPECT_TRUE(VerifyConvoy(db, query, c))
           << ToString(variant) << " reported false convoy " << ToString(c);
-      EXPECT_TRUE(Uncovered({c}, exact).empty())
-          << ToString(variant) << " reported convoy not covered by CMC: "
-          << ToString(c);
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, CutsProjectedSoundnessTest,
+INSTANTIATE_TEST_SUITE_P(Seeds, CutsDefaultRefinementTest,
                          ::testing::Range(500, 512));
+
+// A convoy {A, C} whose members are never within e of each other: at
+// every tick they are density-connected through a relay object sitting
+// between them, and the relay changes every three ticks. No relay stays
+// long enough to be in any candidate, so refining the candidate {A, C}
+// over its own objects finds nothing; the refinement must cluster the
+// relays too.
+TEST(CutsTest, DensityChainThroughObjectInNoCandidate) {
+  constexpr ObjectId kA = 0;
+  constexpr ObjectId kC = 1;
+  constexpr Tick kTicks = 12;
+  TrajectoryDatabase db;
+  Trajectory a(kA);
+  Trajectory c(kC);
+  for (Tick t = 0; t < kTicks; ++t) {
+    const double x = static_cast<double>(t);
+    a.Append(x, 0.0, t);
+    c.Append(x, 1.6, t);
+  }
+  db.Add(std::move(a));
+  db.Add(std::move(c));
+  // Relay r sits between A and C during ticks [3r, 3r + 2] and far away
+  // (each relay in its own lane) otherwise.
+  for (ObjectId r = 0; r < 4; ++r) {
+    Trajectory relay(2 + r);
+    for (Tick t = 0; t < kTicks; ++t) {
+      const bool relaying = t / 3 == static_cast<Tick>(r);
+      relay.Append(static_cast<double>(t),
+                   relaying ? 0.8 : 50.0 * static_cast<double>(r + 1), t);
+    }
+    db.Add(std::move(relay));
+  }
+  const ConvoyQuery query{2, 8, 1.0};
+
+  const std::vector<Convoy> expected = {Convoy{{kA, kC}, 0, kTicks - 1}};
+  ASSERT_TRUE(SameResultSet(Cmc(db, query), expected));
+  for (const auto variant :
+       {CutsVariant::kCuts, CutsVariant::kCutsPlus, CutsVariant::kCutsStar}) {
+    CutsFilterOptions options;
+    options.lambda = 2;
+    const CutsFilterResult filtered =
+        CutsFilter(db, query, MakeFilterOptions(variant, options));
+    for (const Candidate& cand : filtered.candidates) {
+      for (const ObjectId id : cand.objects) {
+        EXPECT_TRUE(id == kA || id == kC)
+            << ToString(variant) << ": relay " << id << " is in a candidate";
+      }
+    }
+    EXPECT_TRUE(SameResultSet(Cuts(db, query, variant, options), expected))
+        << ToString(variant);
+  }
+}
+
+// Eps-boundary inputs: coincident points, and a border point at exactly e
+// from a core point. Core A has coincident twin B and a neighbour C at
+// e/2; D sits at distance e from A (and from B), on the far side from C,
+// so with m = 4 D is a border point held in the cluster only by the
+// distance-equals-e case. Straight-line motion simplifies every object to
+// one segment with a tolerance of (at most rounding-level) zero, so the
+// filter's bound is met with no slack. In floating point the computed
+// distance may land a few ulps either side of e (CMC's answer changes
+// with the heading and e); whatever CMC decides, CuTS must decide the
+// same.
+TEST(CutsTest, EpsBoundaryCoincidentAndBorderAtExactlyE) {
+  const Point kHeadings[] = {Point(1.0, 0.0), Point(0.0, 1.0),
+                             Point(0.6, 0.8), Point(-0.28, 0.96)};
+  for (const double e : {1.0, 0.7, 2.5}) {
+    for (const Point& dir : kHeadings) {
+      for (const bool gappy : {false, true}) {
+        TrajectoryDatabase db;
+        const Point velocity(0.3, 0.1);
+        const Point offsets[] = {Point(0, 0), Point(0, 0), dir * (-e / 2),
+                                 dir * e};
+        for (ObjectId id = 0; id < 4; ++id) {
+          Trajectory traj(id);
+          for (Tick t = 0; t < 20; ++t) {
+            // Gappy sampling: interior ticks thinned, so most positions
+            // are virtual points interpolated by CMC.
+            if (gappy && t % 3 != 0 && t != 19) continue;
+            const Point p =
+                Point(10.1, -3.7) + velocity * static_cast<double>(t) +
+                offsets[id];
+            traj.Append(p.x, p.y, t);
+          }
+          db.Add(std::move(traj));
+        }
+        const ConvoyQuery query{4, 10, e};
+        const auto expected = Cmc(db, query);
+        for (const auto variant : {CutsVariant::kCuts, CutsVariant::kCutsPlus,
+                                   CutsVariant::kCutsStar}) {
+          for (const Tick lambda : {Tick{-1}, Tick{1}, Tick{4}}) {
+            CutsFilterOptions options;
+            options.lambda = lambda;
+            EXPECT_TRUE(
+                SameResultSet(expected, Cuts(db, query, variant, options)))
+                << ToString(variant) << " e=" << e << " dir=(" << dir.x
+                << "," << dir.y << ") gappy=" << gappy
+                << " lambda=" << lambda << " cmc=" << expected.size();
+          }
+        }
+      }
+    }
+  }
+}
 
 // Irregular sampling (taxi-style) stresses the interpolation-aware bounds.
 class CutsIrregularSamplingTest : public ::testing::TestWithParam<int> {};
@@ -177,11 +279,9 @@ TEST_P(CutsIrregularSamplingTest, ExactOnIrregularlySampledData) {
   const ConvoyQuery query{2, 8, 4.0};
   const auto expected = Cmc(db, query);
 
-  CutsFilterOptions options;
-  options.refine_mode = RefineMode::kFullWindow;
   for (const auto variant :
        {CutsVariant::kCuts, CutsVariant::kCutsPlus, CutsVariant::kCutsStar}) {
-    const auto got = Cuts(db, query, variant, options);
+    const auto got = Cuts(db, query, variant);
     EXPECT_TRUE(SameResultSet(expected, got))
         << ToString(variant) << " seed=" << GetParam();
   }
@@ -200,7 +300,6 @@ TEST(CutsTest, ExtremeLambdaStillExact) {
   for (const Tick lambda : {Tick{1}, Tick{2}, Tick{48}, Tick{100}}) {
     CutsFilterOptions options;
     options.lambda = lambda;
-    options.refine_mode = RefineMode::kFullWindow;
     const auto got = Cuts(db, query, CutsVariant::kCutsStar, options);
     EXPECT_TRUE(SameResultSet(expected, got)) << "lambda=" << lambda;
   }
@@ -215,7 +314,6 @@ TEST(CutsTest, HugeDeltaStillExact) {
   const auto expected = Cmc(db, query);
   CutsFilterOptions options;
   options.delta = 1000.0;
-  options.refine_mode = RefineMode::kFullWindow;
   const auto got = Cuts(db, query, CutsVariant::kCuts, options);
   EXPECT_TRUE(SameResultSet(expected, got));
 }
@@ -251,7 +349,6 @@ TEST(CutsTest, RtreeFilterGivesSameConvoys) {
        {CutsVariant::kCuts, CutsVariant::kCutsStar}) {
     CutsFilterOptions scan;
     scan.use_rtree = false;
-    scan.refine_mode = RefineMode::kFullWindow;
     CutsFilterOptions rtree = scan;
     rtree.use_rtree = true;
     EXPECT_TRUE(SameResultSet(Cuts(db, query, variant, scan),
@@ -264,17 +361,71 @@ TEST(CutsTest, ParallelRefinementGivesSameConvoys) {
   Rng rng(909);
   const TrajectoryDatabase db = RandomClumpyDb(rng, 24, 60, 50.0, 0.8);
   const ConvoyQuery query{2, 5, 4.0};
-  for (const RefineMode mode :
-       {RefineMode::kProjected, RefineMode::kFullWindow}) {
-    CutsFilterOptions sequential;
-    sequential.refine_mode = mode;
-    sequential.refine_threads = 1;
-    CutsFilterOptions parallel = sequential;
-    parallel.refine_threads = 4;
-    EXPECT_TRUE(SameResultSet(
-        Cuts(db, query, CutsVariant::kCutsStar, sequential),
-        Cuts(db, query, CutsVariant::kCutsStar, parallel)))
-        << (mode == RefineMode::kProjected ? "projected" : "full-window");
+  const auto exact = Cmc(db, query);
+  for (const size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+    CutsFilterOptions options;
+    options.refine_threads = threads;
+    EXPECT_TRUE(
+        SameResultSet(exact, Cuts(db, query, CutsVariant::kCutsStar, options)))
+        << threads << " refine thread(s)";
+  }
+}
+
+// The candidate-only overload (no member sets: every alive object per
+// window) returns the same convoys as the filter-result overload, and the
+// pruned refinement never clusters more ticks than the unpruned one.
+TEST(CutsTest, CandidateOnlyRefinementMatchesPrunedRefinement) {
+  Rng rng(4711);
+  const TrajectoryDatabase db = RandomClumpyDb(rng, 30, 80, 60.0, 0.8, 0.8);
+  const ConvoyQuery query{3, 6, 4.0};
+  for (const auto variant :
+       {CutsVariant::kCuts, CutsVariant::kCutsPlus, CutsVariant::kCutsStar}) {
+    const CutsFilterResult filtered =
+        CutsFilter(db, query, MakeFilterOptions(variant));
+    DiscoveryStats pruned_stats;
+    const auto pruned = CutsRefine(db, query, filtered, &pruned_stats);
+    DiscoveryStats full_stats;
+    const auto full = CutsRefine(db, query, filtered.candidates,
+                                 RefineMode::kProjected, &full_stats);
+    EXPECT_TRUE(SameResultSet(pruned, full)) << ToString(variant);
+    EXPECT_TRUE(SameResultSet(pruned, Cmc(db, query))) << ToString(variant);
+    EXPECT_LE(pruned_stats.num_clusterings, full_stats.num_clusterings)
+        << ToString(variant);
+  }
+}
+
+// The filter's member sets: one per partition, each ascending, and each
+// the union of the objects of the candidates' clusters — every object of
+// every candidate is a member of every partition the candidate spans.
+TEST(CutsTest, FilterRecordsPartitionMembers) {
+  Rng rng(5150);
+  const TrajectoryDatabase db = RandomClumpyDb(rng, 24, 60, 50.0, 0.8);
+  const ConvoyQuery query{3, 6, 4.0};
+  CutsFilterOptions options = MakeFilterOptions(CutsVariant::kCutsStar);
+  options.lambda = 4;
+  const CutsFilterResult filtered = CutsFilter(db, query, options);
+  const PartitionMembers& members = filtered.members;
+  EXPECT_EQ(members.begin, db.BeginTick());
+  EXPECT_EQ(members.length, 4);
+  EXPECT_EQ(members.NumPartitions(),
+            static_cast<size_t>((db.EndTick() - db.BeginTick()) / 4 + 1));
+  EXPECT_FALSE(members.PartitionOf(db.BeginTick() - 1).has_value());
+  EXPECT_FALSE(members.PartitionOf(db.EndTick() + 4).has_value());
+  for (size_t p = 0; p < members.NumPartitions(); ++p) {
+    const auto ids = members.Of(p);
+    EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end())) << p;
+    EXPECT_EQ(std::adjacent_find(ids.begin(), ids.end()), ids.end()) << p;
+  }
+  ASSERT_FALSE(filtered.candidates.empty());
+  for (const Candidate& cand : filtered.candidates) {
+    for (Tick t = cand.start_tick; t <= cand.end_tick; ++t) {
+      const std::optional<size_t> p = members.PartitionOf(t);
+      ASSERT_TRUE(p.has_value()) << t;
+      const auto ids = members.Of(*p);
+      EXPECT_TRUE(std::includes(ids.begin(), ids.end(), cand.objects.begin(),
+                                cand.objects.end()))
+          << "tick " << t;
+    }
   }
 }
 

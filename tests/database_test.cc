@@ -44,24 +44,6 @@ TEST(DatabaseTest, StatsMatchPaperTable3Shape) {
   EXPECT_DOUBLE_EQ(stats.avg_missing_ratio, 0.4);
 }
 
-TEST(DatabaseTest, ProjectKeepsOnlyRequestedObjects) {
-  const TrajectoryDatabase db = MakeDb();
-  const TrajectoryDatabase sub = db.Project({1});
-  EXPECT_EQ(sub.Size(), 1u);
-  EXPECT_EQ(sub[0].id(), 1u);
-}
-
-TEST(DatabaseTest, ProjectUnknownIdsIgnored) {
-  const TrajectoryDatabase db = MakeDb();
-  const TrajectoryDatabase sub = db.Project({1, 99});
-  EXPECT_EQ(sub.Size(), 1u);
-}
-
-TEST(DatabaseTest, ProjectEmptyList) {
-  const TrajectoryDatabase db = MakeDb();
-  EXPECT_TRUE(db.Project({}).Empty());
-}
-
 TEST(DatabaseTest, ConstructFromVector) {
   std::vector<Trajectory> trajs;
   trajs.emplace_back(5);
@@ -100,42 +82,6 @@ TEST(DatabaseTest, GenerationBumpsOnEveryAdd) {
   const uint64_t g1 = db.generation();
   db.Add(Trajectory(1));
   EXPECT_GT(db.generation(), g1);
-}
-
-// Regression for the O(ids x N)-shaped projection: on a large database,
-// projecting a handful of ids must return exactly the same subset (in
-// database order) the old full-scan implementation produced.
-TEST(DatabaseTest, ProjectOnLargeDatabaseMatchesFullScan) {
-  TrajectoryDatabase db;
-  constexpr size_t kObjects = 2000;
-  for (size_t i = 0; i < kObjects; ++i) {
-    // Non-monotonic ids so database order != id order.
-    const ObjectId id = static_cast<ObjectId>((i * 7919) % 30011);
-    Trajectory traj(id);
-    traj.Append(static_cast<double>(i), 0.0, 0);
-    traj.Append(static_cast<double>(i), 1.0, 5);
-    db.Add(std::move(traj));
-  }
-  const std::vector<ObjectId> wanted = {db[1500].id(), db[3].id(),
-                                        db[999].id(), db[3].id(),  // dup
-                                        4294967295u};              // unknown
-  const TrajectoryDatabase sub = db.Project(wanted);
-
-  // Reference: the old implementation — scan everything, keep members.
-  std::vector<ObjectId> expected_order;
-  for (const Trajectory& traj : db.trajectories()) {
-    for (const ObjectId id : wanted) {
-      if (traj.id() == id) {
-        expected_order.push_back(traj.id());
-        break;
-      }
-    }
-  }
-  ASSERT_EQ(sub.Size(), expected_order.size());
-  for (size_t i = 0; i < sub.Size(); ++i) {
-    EXPECT_EQ(sub[i].id(), expected_order[i]);
-    EXPECT_EQ(sub[i].Size(), 2u);
-  }
 }
 
 }  // namespace

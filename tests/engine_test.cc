@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "core/cmc.h"
+#include "core/params.h"
 #include "tests/test_util.h"
 
 namespace convoy {
@@ -110,12 +114,46 @@ TEST(EngineTest, CachedResultsStayCorrect) {
   ConvoyEngine engine = MakeEngine(5);
   CutsFilterOptions options;
   options.delta = 1.2;
-  options.refine_mode = RefineMode::kFullWindow;
   for (const double e : {3.0, 4.0, 5.0}) {
     const ConvoyQuery query{2, 5, e};
     const auto got = engine.Discover(query, CutsVariant::kCutsStar, options);
     EXPECT_TRUE(SameResultSet(got, Cmc(engine.db(), query))) << "e=" << e;
   }
+}
+
+// ComputeDelta runs once per e for the engine's lifetime: a second Prepare
+// at the same e — here with other m and k, as in an m/k sweep — reads the
+// memo and plans with the bit-identical delta.
+TEST(EngineTest, DerivedDeltaIsMemoizedPerE) {
+  const ConvoyEngine engine = MakeEngine(6);
+  const ConvoyQuery query{3, 6, 4.0};
+  const StatusOr<QueryPlan> first =
+      engine.Prepare(query, AlgorithmChoice::kCutsStar);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(first->delta_derived);
+  EXPECT_EQ(engine.StoreMetrics().delta_cache_misses, 1u);
+  EXPECT_EQ(engine.StoreMetrics().delta_cache_hits, 0u);
+  EXPECT_EQ(std::bit_cast<uint64_t>(first->delta),
+            std::bit_cast<uint64_t>(ComputeDelta(engine.db(), query.e)));
+
+  const StatusOr<QueryPlan> second =
+      engine.Prepare(ConvoyQuery{2, 9, 4.0}, AlgorithmChoice::kCuts);
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(engine.StoreMetrics().delta_cache_misses, 1u);
+  EXPECT_EQ(engine.StoreMetrics().delta_cache_hits, 1u);
+  EXPECT_EQ(std::bit_cast<uint64_t>(second->delta),
+            std::bit_cast<uint64_t>(first->delta));
+
+  // Another e is another key; a given delta bypasses the memo.
+  ASSERT_TRUE(
+      engine.Prepare(ConvoyQuery{3, 6, 5.0}, AlgorithmChoice::kCutsStar).ok());
+  EXPECT_EQ(engine.StoreMetrics().delta_cache_misses, 2u);
+  CutsFilterOptions given;
+  given.delta = 1.5;
+  ASSERT_TRUE(
+      engine.Prepare(query, AlgorithmChoice::kCutsStar, given).ok());
+  EXPECT_EQ(engine.StoreMetrics().delta_cache_misses, 2u);
+  EXPECT_EQ(engine.StoreMetrics().delta_cache_hits, 1u);
 }
 
 TEST(EngineTest, LongestConvoy) {

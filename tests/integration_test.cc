@@ -35,12 +35,10 @@ TEST_P(ScenarioIntegrationTest, AllAlgorithmsFindPlantedConvoysAndAgree) {
         << param.label << ": planted convoy missed " << ToString(expected);
   }
 
-  // (ii) CuTS variants agree with CMC (exact refinement mode).
-  CutsFilterOptions options;
-  options.refine_mode = RefineMode::kFullWindow;
+  // (ii) CuTS variants agree with CMC (default options).
   for (const auto variant :
        {CutsVariant::kCuts, CutsVariant::kCutsPlus, CutsVariant::kCutsStar}) {
-    const auto got = Cuts(data.db, query, variant, options);
+    const auto got = Cuts(data.db, query, variant);
     EXPECT_TRUE(SameResultSet(cmc, got))
         << param.label << ": " << ToString(variant) << " diverged ("
         << got.size() << " vs " << cmc.size() << " convoys)";

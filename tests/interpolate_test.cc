@@ -1,9 +1,41 @@
 #include "traj/interpolate.h"
 
+#include <bit>
+#include <cstdint>
+#include <optional>
+
 #include <gtest/gtest.h>
+
+#include "util/random.h"
 
 namespace convoy {
 namespace {
+
+// The forward cursor must reproduce InterpolateAt bit for bit — outside
+// the lifetime, on samples, between them — for every tick stride a caller
+// may take, including long jumps that skip many samples.
+TEST(InterpolateTest, ForwardCursorMatchesInterpolateAtBitForBit) {
+  Rng rng(77);
+  Trajectory traj(1);
+  Tick t = 5;
+  for (int i = 0; i < 200; ++i) {
+    traj.Append(rng.Uniform(-1e3, 1e3), rng.Uniform(-1e3, 1e3), t);
+    t += rng.UniformInt(1, 9);
+  }
+  for (const Tick stride : {Tick{1}, Tick{2}, Tick{7}, Tick{60}}) {
+    size_t cursor = 0;
+    for (Tick q = traj.BeginTick() - 3; q <= traj.EndTick() + 3; q += stride) {
+      const std::optional<Point> want = InterpolateAt(traj, q);
+      const std::optional<Point> got = InterpolateForward(traj, q, &cursor);
+      ASSERT_EQ(got.has_value(), want.has_value()) << "tick " << q;
+      if (!want.has_value()) continue;
+      EXPECT_EQ(std::bit_cast<uint64_t>(got->x), std::bit_cast<uint64_t>(want->x))
+          << "tick " << q << " stride " << stride;
+      EXPECT_EQ(std::bit_cast<uint64_t>(got->y), std::bit_cast<uint64_t>(want->y))
+          << "tick " << q << " stride " << stride;
+    }
+  }
+}
 
 TEST(InterpolateTest, ExactSampleReturned) {
   Trajectory traj(0);

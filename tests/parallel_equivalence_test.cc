@@ -76,6 +76,35 @@ TEST(ParallelEquivalenceTest, ParallelCmcStatsCountEveryClustering) {
   }
 }
 
+// CuTS counts the filter's partition clusterings plus refinement's
+// snapshot clusterings; refinement counts per window and sums in window
+// order, so the total does not depend on the refinement thread count.
+TEST(ParallelEquivalenceTest, ParallelCutsStatsCountEveryClustering) {
+  const TrajectoryDatabase db = MakeDb(9, /*keep_prob=*/0.8);
+  const ConvoyQuery query{3, 4, 5.0};
+  for (const auto variant :
+       {CutsVariant::kCuts, CutsVariant::kCutsPlus, CutsVariant::kCutsStar}) {
+    CutsFilterOptions options;
+    options.lambda = 3;  // short partitions: several refinement windows
+    DiscoveryStats serial_stats;
+    options.refine_threads = 1;
+    const auto serial = Cuts(db, query, variant, options, &serial_stats);
+    DiscoveryStats filter_stats;
+    (void)CutsFilter(db, query, MakeFilterOptions(variant, options),
+                     &filter_stats);
+    // Refinement clustered something, so a dropped count would show.
+    EXPECT_GT(serial_stats.num_clusterings, filter_stats.num_clusterings);
+    for (const size_t threads : kThreadCounts) {
+      options.refine_threads = threads;
+      DiscoveryStats stats;
+      EXPECT_EQ(Cuts(db, query, variant, options, &stats), serial);
+      EXPECT_EQ(stats.num_clusterings, serial_stats.num_clusterings)
+          << ToString(variant) << ", " << threads << " refine thread(s)";
+      EXPECT_EQ(stats.num_convoys, serial_stats.num_convoys);
+    }
+  }
+}
+
 TEST(ParallelEquivalenceTest, ParallelCutsFilterMatchesSerialExactly) {
   for (const uint64_t seed : {3u, 13u, 23u}) {
     // keep_prob < 1 produces irregular sampling, the harder filter input.
@@ -103,6 +132,10 @@ TEST(ParallelEquivalenceTest, ParallelCutsFilterMatchesSerialExactly) {
           EXPECT_EQ(parallel.candidates[i].lifetime,
                     serial.candidates[i].lifetime);
         }
+        EXPECT_EQ(parallel.members.begin, serial.members.begin);
+        EXPECT_EQ(parallel.members.length, serial.members.length);
+        EXPECT_EQ(parallel.members.offsets, serial.members.offsets);
+        EXPECT_EQ(parallel.members.ids, serial.members.ids);
         ASSERT_EQ(parallel.simplified.size(), serial.simplified.size());
         for (size_t i = 0; i < serial.simplified.size(); ++i) {
           EXPECT_EQ(parallel.simplified[i].NumVertices(),
@@ -117,25 +150,13 @@ TEST(ParallelEquivalenceTest, ParallelCutsMatchesSerialAndCmc) {
   for (const uint64_t seed : {17u, 29u}) {
     const TrajectoryDatabase db = MakeDb(seed);
     const ConvoyQuery query{3, 4, 5.0};
-    // kFullWindow is the refine mode that guarantees exact CMC equality on
-    // every input (kProjected is allowed to differ in corner cases).
-    CutsFilterOptions options;
-    options.refine_mode = RefineMode::kFullWindow;
     const auto exact = Cmc(db, query);
-    const auto serial = Cuts(db, query, CutsVariant::kCutsStar, options);
+    const auto serial = Cuts(db, query, CutsVariant::kCutsStar);
     EXPECT_TRUE(SameResultSet(serial, exact)) << "seed " << seed;
     for (const size_t threads : kThreadCounts) {
       const auto parallel = ParallelCuts(db, query, CutsVariant::kCutsStar,
-                                         options, nullptr, threads);
+                                         {}, nullptr, threads);
       EXPECT_EQ(parallel, serial)
-          << "seed " << seed << ", " << threads << " thread(s)";
-    }
-    // The default (projected) refine mode must also be thread-invariant.
-    const auto serial_projected = Cuts(db, query, CutsVariant::kCutsStar);
-    for (const size_t threads : kThreadCounts) {
-      EXPECT_EQ(ParallelCuts(db, query, CutsVariant::kCutsStar, {}, nullptr,
-                             threads),
-                serial_projected)
           << "seed " << seed << ", " << threads << " thread(s)";
     }
   }

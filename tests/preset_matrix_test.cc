@@ -1,9 +1,10 @@
 // Full preset x variant exactness matrix at small scale: every CuTS
 // variant against CMC on every dataset shape the paper evaluates,
-// including the R-tree candidate path and both refinement modes for the
-// recommended variant. Complements cuts_test.cc's random-workload sweep
-// with the actual workload *shapes* (short scattered trajectories, dense
-// herding, variable lengths, sparse sampling).
+// including the R-tree candidate path, through every default entry point
+// and at several refinement thread counts. Complements cuts_test.cc's
+// random-workload sweep with the actual workload *shapes* (short
+// scattered trajectories, dense herding, variable lengths, sparse
+// sampling).
 
 #include <gtest/gtest.h>
 
@@ -59,7 +60,6 @@ TEST_P(PresetMatrixTest, VariantMatchesCmcOnPresetShape) {
   const auto exact = Cmc(data.db, data.query);
 
   CutsFilterOptions options;
-  options.refine_mode = RefineMode::kFullWindow;
   options.use_rtree = param.rtree;
   const auto got = Cuts(data.db, data.query, param.variant, options);
   EXPECT_TRUE(SameResultSet(exact, got))
@@ -90,6 +90,114 @@ INSTANTIATE_TEST_SUITE_P(AllPresets, PresetMatrixTest,
                          [](const auto& param_info) {
                            return param_info.param.label;
                          });
+
+AlgorithmChoice ChoiceFor(CutsVariant variant) {
+  switch (variant) {
+    case CutsVariant::kCuts:
+      return AlgorithmChoice::kCuts;
+    case CutsVariant::kCutsPlus:
+      return AlgorithmChoice::kCutsPlus;
+    case CutsVariant::kCutsStar:
+      return AlgorithmChoice::kCutsStar;
+  }
+  return AlgorithmChoice::kCutsStar;
+}
+
+struct SeedCase {
+  std::string label;
+  int preset;
+  uint64_t seed;
+};
+
+class PresetSeedTest : public ::testing::TestWithParam<SeedCase> {};
+
+// Each preset at seeds 42 and 44, each variant through ConvoyEngine's
+// Execute, the free Cuts() and the legacy Discover shim, at 1, 2 and 8
+// refinement threads: every answer is CMC's, and refinement clusters no
+// more snapshots than CMC does.
+TEST_P(PresetSeedTest, DefaultPathsMatchCmc) {
+  const SeedCase& param = GetParam();
+  const ScenarioData data =
+      GenerateScenario(SmallPreset(param.preset), param.seed);
+  const ConvoyQuery& query = data.query;
+  const ConvoyEngine engine(data.db);
+
+  TraceSession cmc_trace;
+  const StatusOr<QueryPlan> cmc_plan =
+      engine.Prepare(query, AlgorithmChoice::kCmc);
+  ASSERT_TRUE(cmc_plan.ok());
+  ExecHooks cmc_hooks;
+  cmc_hooks.trace = &cmc_trace;
+  const StatusOr<ConvoyResultSet> cmc = engine.Execute(*cmc_plan, cmc_hooks);
+  ASSERT_TRUE(cmc.ok());
+  const std::vector<Convoy>& exact = cmc->convoys();
+  ASSERT_TRUE(SameResultSet(exact, Cmc(data.db, query)));
+  const uint64_t cmc_clusterings =
+      cmc_trace.counter(TraceCounter::kSnapshotsClustered);
+
+  for (const CutsVariant variant :
+       {CutsVariant::kCuts, CutsVariant::kCutsPlus, CutsVariant::kCutsStar}) {
+    for (const size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+      const std::string where = param.label + " " + ToString(variant) + " " +
+                                std::to_string(threads) + " thread(s)";
+      CutsFilterOptions options;
+      options.refine_threads = threads;
+
+      TraceSession trace;
+      const StatusOr<QueryPlan> plan =
+          engine.Prepare(query, ChoiceFor(variant), options);
+      ASSERT_TRUE(plan.ok()) << where;
+      ExecHooks hooks;
+      hooks.trace = &trace;
+      const StatusOr<ConvoyResultSet> executed = engine.Execute(*plan, hooks);
+      ASSERT_TRUE(executed.ok()) << where;
+      EXPECT_TRUE(SameResultSet(exact, executed->convoys()))
+          << where << ": Execute got " << executed->convoys().size()
+          << " vs " << exact.size();
+      // A CuTS execution clusters snapshots only in its refinement.
+      EXPECT_LE(trace.counter(TraceCounter::kSnapshotsClustered),
+                cmc_clusterings)
+          << where;
+
+      EXPECT_TRUE(SameResultSet(exact, Cuts(data.db, query, variant, options)))
+          << where << ": Cuts()";
+      EXPECT_TRUE(
+          SameResultSet(exact, engine.Discover(query, variant, options)))
+          << where << ": Discover";
+    }
+  }
+}
+
+std::vector<SeedCase> MakeSeedCases() {
+  static const char* kNames[] = {"truck", "cattle", "car", "taxi"};
+  std::vector<SeedCase> cases;
+  for (int preset = 0; preset < 4; ++preset) {
+    for (const uint64_t seed : {uint64_t{42}, uint64_t{44}}) {
+      cases.push_back(SeedCase{
+          std::string(kNames[preset]) + "_" + std::to_string(seed), preset,
+          seed});
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PresetSeedTest,
+                         ::testing::ValuesIn(MakeSeedCases()),
+                         [](const auto& param_info) {
+                           return param_info.param.label;
+                         });
+
+// Regression: TruckLike at bench scale (0.25), seed 44, CuTS+ with default
+// options. The former default refinement (CMC per candidate over the
+// candidate's objects only) returned a result different from CMC's here.
+TEST(PresetRegressionTest, TruckLikeSeed44CutsPlusMatchesCmc) {
+  const ScenarioData data = GenerateScenario(TruckLikeConfig(0.25), 44);
+  const auto exact = Cmc(data.db, data.query);
+  ASSERT_FALSE(exact.empty());
+  const auto got = Cuts(data.db, data.query, CutsVariant::kCutsPlus);
+  EXPECT_TRUE(SameResultSet(exact, got))
+      << "got " << got.size() << " vs " << exact.size();
+}
 
 }  // namespace
 }  // namespace convoy

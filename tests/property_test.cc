@@ -44,6 +44,23 @@ TEST_P(SoundnessTest, AllReportedConvoysVerifyTrue) {
   check(Cuts(db, query, CutsVariant::kCutsStar), "CuTS*");
 }
 
+// The exact algorithms agree: every CuTS variant returns CMC's convoys,
+// through the free function and through the engine's default plan.
+TEST_P(SoundnessTest, CutsFamilyEqualsCmc) {
+  Rng rng(static_cast<uint64_t>(GetParam()));
+  const TrajectoryDatabase db = RandomClumpyDb(rng, 16, 40, 40.0, 0.8, 0.9);
+  const ConvoyQuery query{2, 4, 4.0};
+  const auto exact = Cmc(db, query);
+  const ConvoyEngine engine(db);
+  for (const CutsVariant variant :
+       {CutsVariant::kCuts, CutsVariant::kCutsPlus, CutsVariant::kCutsStar}) {
+    EXPECT_TRUE(SameResultSet(exact, Cuts(db, query, variant)))
+        << ToString(variant);
+    EXPECT_TRUE(SameResultSet(exact, engine.Discover(query, variant)))
+        << ToString(variant);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, SoundnessTest, ::testing::Range(2000, 2010));
 
 class MaximalityTest : public ::testing::TestWithParam<int> {};

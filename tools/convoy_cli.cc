@@ -63,7 +63,6 @@ struct CliOptions {
   bool explain_analyze = false;
   bool verify = false;
   bool use_rtree = false;
-  bool exact_refine = false;
   // Cleaning (applied before discovery when any option is set).
   double clean_max_speed = -1.0;
   convoy::Tick clean_max_gap = -1;
@@ -84,7 +83,7 @@ void PrintUsage() {
       "             [--algo auto|cmc|cuts|cuts+|cuts*|mc2] [--delta D]\n"
       "             [--lambda L] [--theta T] [--threads N] [--explain]\n"
       "             [--explain-analyze] [--trace out.json] [--stats]\n"
-      "             [--verify] [--rtree] [--exact-refine]\n"
+      "             [--verify] [--rtree]\n"
       "             [--repeat N] [--results out.csv|out.json]\n"
       "             [--report out.json] [--clean-max-speed V]\n"
       "             [--clean-max-gap G] [--clean-stationary]\n\n"
@@ -175,8 +174,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* opts, double* theta) {
       opts->clean_stationary = true;
     } else if (arg == "--rtree") {
       opts->use_rtree = true;
-    } else if (arg == "--exact-refine") {
-      opts->exact_refine = true;
     } else if (arg == "--stats") {
       opts->print_stats = true;
     } else if (arg == "--explain") {
@@ -191,7 +188,7 @@ bool ParseArgs(int argc, char** argv, CliOptions* opts, double* theta) {
     }
     const bool flag_arg = arg == "--stats" || arg == "--verify" ||
                           arg == "--explain" || arg == "--explain-analyze" ||
-                          arg == "--rtree" || arg == "--exact-refine" ||
+                          arg == "--rtree" ||
                           arg == "--clean-stationary" || arg == "--serve";
     if (value == nullptr && arg.rfind("--", 0) == 0 && !flag_arg) {
       return false;
@@ -283,9 +280,6 @@ int main(int argc, char** argv) {
   filter_options.delta = opts.delta;
   filter_options.lambda = opts.lambda;
   filter_options.use_rtree = opts.use_rtree;
-  if (opts.exact_refine) {
-    filter_options.refine_mode = convoy::RefineMode::kFullWindow;
-  }
 
   // Reject out-of-contract parameters before touching the input — they are
   // knowable from argv alone, and a release build must fail loudly here,

@@ -28,6 +28,11 @@
 # 4. bench smoke: run the Release bench/scalability and require it to
 #    produce a well-formed BENCH_hotpath.json (the machine-readable perf
 #    trajectory tracked across PRs);
+# 4a. perfbench self-test: python3 perfbench/test_perfbench.py runs every
+#    benchmark workload at toy scale — it catches a library change that
+#    breaks the benchmark's build, its correctness gate, or its
+#    decomposed-pipeline check (the benchmark's own CutsRefine call must
+#    return Execute's convoys);
 # 4b. durable-ingest smoke: an fsync-policy sweep (none / interval /
 #    every_tick, each against its own WAL-backed daemon) plus a chaos run
 #    that SIGKILLs the daemon mid-ingest and requires the recovered
@@ -200,6 +205,13 @@ else
   echo "ok: schema marker and result rows present (python3 unavailable)"
 fi
 echo "ok: BENCH_hotpath.json produced and well-formed"
+
+echo "== perfbench self-test (toy workloads, gate, decomposed pipeline) =="
+if command -v python3 > /dev/null 2>&1; then
+  python3 "${REPO_ROOT}/perfbench/test_perfbench.py"
+else
+  echo "skip: python3 unavailable (CI runs it in the tier-1 job)"
+fi
 
 "${CLI}" --generate carlike --scale 0.1 --seed 99 \
          --output "${SMOKE_DIR}/data.csv" > /dev/null
