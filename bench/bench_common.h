@@ -55,8 +55,9 @@ inline BenchOptions ParseArgs(int argc, char** argv) {
   return opts;
 }
 
-/// Default bench-scale factors per preset (DESIGN.md section 1); --full
-/// raises all of them to 1.0 (the paper's Table 3 time domains).
+/// Default bench-scale factors per preset, chosen so each figure runs in
+/// seconds (README "Reproducing the paper's figures"); --full raises all
+/// of them to 1.0 (the paper's Table 3 time domains).
 struct ScaleSet {
   double truck = 0.25;
   double cattle = 0.125;

@@ -38,6 +38,7 @@
 #include "core/engine.h"
 #include "core/exec_hooks.h"
 #include "core/flock.h"
+#include "core/incremental_cmc.h"
 #include "core/mc2.h"
 #include "core/params.h"
 #include "core/streaming.h"

@@ -159,7 +159,9 @@ void CandidateTracker::Advance(
     }
     // Emit v when it dies — and also when every successor lost members
     // ("emit on shrink"): otherwise a maximal convoy whose subgroup keeps
-    // traveling would be narrowed away and never reported (see DESIGN.md).
+    // traveling would be narrowed away and never reported. The paper's
+    // Algorithm 1 drops v here; candidate_test's
+    // EmitOnShrinkReportsMaximalConvoy pins the correction.
     if (!continued_intact && v.lifetime >= k_) {
       completed->push_back(std::move(v));
     }

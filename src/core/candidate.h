@@ -98,13 +98,17 @@ struct TrackerTally {
 /// candidates that fail to continue are emitted when their lifetime reaches
 /// k, and clusters seed new candidates.
 ///
-/// Two deliberate deviations from the published pseudocode (see DESIGN.md):
+/// Two deliberate deviations from the published pseudocode, both needed
+/// to report every maximal convoy:
 ///  * a candidate intersecting several clusters (cluster split) spawns one
-///    successor per qualifying cluster instead of being updated in place;
+///    successor per qualifying cluster instead of being updated in place,
+///    so no lineage is lost when a group splits;
 ///  * every step cluster also *always* starts a fresh candidate, because a
 ///    convoy may begin at this step inside a cluster that happens to extend
 ///    an unrelated older candidate. Successor deduplication (by object set,
 ///    keeping the earliest start) keeps the candidate set small.
+/// tests/candidate_test.cc pins both (ClusterSplitSpawnsBothSuccessors,
+/// FreshClusterCandidateEvenWhenAssigned).
 ///
 /// Hot path: because a step's clusters are disjoint, each live candidate is
 /// intersected against all of them in one labeled pass (see ClusterLabeler),
@@ -130,6 +134,14 @@ class CandidateTracker {
   /// Ends the stream: every live candidate with lifetime >= k is appended
   /// to `completed`; the live set is cleared.
   void Flush(std::vector<Candidate>* completed);
+
+  /// Replaces the live set with `live`, a set some tracker of the same m
+  /// and k returned from live(). The tracker then advances exactly as that
+  /// one would have: the live set is the only state one Advance hands the
+  /// next — the labeler, buckets and dedup table are per-step scratch.
+  /// Tallies keep counting. Lets a caller checkpoint a CMC sweep and
+  /// resume it later (core/incremental_cmc.h).
+  void Restore(std::vector<Candidate> live) { live_ = std::move(live); }
 
   /// Number of currently live candidates.
   size_t LiveCount() const { return live_.size(); }

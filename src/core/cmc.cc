@@ -135,23 +135,19 @@ void TraceTrackerTally(TraceSession* trace, const TrackerTally& tally) {
 
 namespace {
 
-// The serial CMC loop, generic over how a tick's clusters are produced
+// CMC's per-tick loop, generic over how a tick's clusters are produced
 // (row-oriented re-derivation or the SnapshotStore's columnar views): the
-// candidate algebra is identical either way, so the two entry points can
+// candidate algebra is identical either way, so the entry points can
 // never diverge. `cluster_at(t, &clustered)` returns the tick's clusters.
 template <typename ClusterAt>
-std::vector<Convoy> CmcRangeImpl(const ConvoyQuery& query, Tick begin_tick,
-                                 Tick end_tick, const CmcOptions& options,
-                                 DiscoveryStats* stats, const ExecHooks* hooks,
-                                 ClusterAt&& cluster_at) {
-  Stopwatch total;
+void SweepImpl(Tick begin_tick, Tick end_tick, CmcSweep* sweep,
+               DiscoveryStats* stats, const ExecHooks* hooks,
+               ClusterAt&& cluster_at) {
   TraceSession* const trace = TraceOf(hooks);
-  CandidateTracker tracker(query.m, query.k);
-  std::vector<Candidate> completed;
   const size_t total_ticks =
       begin_tick <= end_tick ? static_cast<size_t>(end_tick - begin_tick) + 1
                              : 0;
-  size_t emitted = 0;
+  size_t emitted = sweep->completed.size();
 
   for (Tick t = begin_tick; t <= end_tick; ++t) {
     CheckCancelled(hooks);
@@ -165,36 +161,38 @@ std::vector<Convoy> CmcRangeImpl(const ConvoyQuery& query, Tick begin_tick,
     // Advancing with an empty cluster list retires every live candidate,
     // which is exactly what a tick with < m alive objects must do: the
     // "consecutive time points" requirement breaks there.
-    tracker.Advance(cluster_objects, t, t, /*step_weight=*/1, &completed);
-    emitted = EmitCompletedSince(completed, emitted, hooks);
+    sweep->tracker.Advance(cluster_objects, t, t, /*step_weight=*/1,
+                           &sweep->completed);
+    emitted = EmitCompletedSince(sweep->completed, emitted, hooks);
     ReportProgress(hooks, "cmc",
                    static_cast<size_t>(t - begin_tick) + 1, total_ticks);
   }
-  tracker.Flush(&completed);
-  EmitCompletedSince(completed, emitted, hooks);
-  TraceTrackerTally(trace, tracker.tally());
-
-  std::vector<Convoy> result;
-  {
-    ScopedSpan finalize_span(trace, "cmc.finalize");
-    result = FinalizeCmcResult(completed, options);
-  }
-
-  if (stats != nullptr) {
-    stats->total_seconds += total.ElapsedSeconds();
-    stats->num_convoys = result.size();
-  }
-  return result;
 }
 
 }  // namespace
 
-std::vector<Convoy> CmcRangeRows(const TrajectoryDatabase& db,
-                                 const ConvoyQuery& query, Tick begin_tick,
-                                 Tick end_tick, const RowSelector& rows_at,
-                                 const CmcOptions& options,
-                                 DiscoveryStats* stats, const ExecHooks* hooks,
-                                 SnapshotScratch* scratch) {
+std::vector<Convoy> FinishSweep(CmcSweep* sweep, const CmcOptions& options,
+                                DiscoveryStats* stats,
+                                const ExecHooks* hooks) {
+  TraceSession* const trace = TraceOf(hooks);
+  const size_t flushed_from = sweep->completed.size();
+  sweep->tracker.Flush(&sweep->completed);
+  EmitCompletedSince(sweep->completed, flushed_from, hooks);
+  TraceTrackerTally(trace, sweep->tracker.tally());
+
+  std::vector<Convoy> result;
+  {
+    ScopedSpan finalize_span(trace, "cmc.finalize");
+    result = FinalizeCmcResult(sweep->completed, options);
+  }
+  if (stats != nullptr) stats->num_convoys = result.size();
+  return result;
+}
+
+void SweepRows(const TrajectoryDatabase& db, const ConvoyQuery& query,
+               Tick begin_tick, Tick end_tick, const RowSelector& rows_at,
+               CmcSweep* sweep, DiscoveryStats* stats, const ExecHooks* hooks,
+               SnapshotScratch* scratch) {
   SnapshotScratch local;
   if (scratch == nullptr) scratch = &local;
   TraceSession* const trace = TraceOf(hooks);
@@ -202,8 +200,8 @@ std::vector<Convoy> CmcRangeRows(const TrajectoryDatabase& db,
   // One forward cursor per trajectory: the loop's ticks ascend, so each
   // gather moves a cursor by a sample or two instead of binary-searching.
   std::vector<size_t> cursors(rows.size(), 0);
-  return CmcRangeImpl(
-      query, begin_tick, end_tick, options, stats, hooks,
+  SweepImpl(
+      begin_tick, end_tick, sweep, stats, hooks,
       [&](Tick t, bool* clustered) {
         ScopedSpan span(trace, "snapshot.cluster");
         std::vector<Point>& points = scratch->points;
@@ -231,6 +229,21 @@ std::vector<Convoy> CmcRangeRows(const TrajectoryDatabase& db,
       });
 }
 
+std::vector<Convoy> CmcRangeRows(const TrajectoryDatabase& db,
+                                 const ConvoyQuery& query, Tick begin_tick,
+                                 Tick end_tick, const RowSelector& rows_at,
+                                 const CmcOptions& options,
+                                 DiscoveryStats* stats, const ExecHooks* hooks,
+                                 SnapshotScratch* scratch) {
+  Stopwatch total;
+  CmcSweep sweep(query.m, query.k);
+  SweepRows(db, query, begin_tick, end_tick, rows_at, &sweep, stats, hooks,
+            scratch);
+  std::vector<Convoy> result = FinishSweep(&sweep, options, stats, hooks);
+  if (stats != nullptr) stats->total_seconds += total.ElapsedSeconds();
+  return result;
+}
+
 std::vector<Convoy> CmcRange(const TrajectoryDatabase& db,
                              const ConvoyQuery& query, Tick begin_tick,
                              Tick end_tick, const CmcOptions& options,
@@ -256,8 +269,10 @@ std::vector<Convoy> CmcRange(const SnapshotStore& store,
   SnapshotScratch local;
   if (scratch == nullptr) scratch = &local;
   TraceSession* const trace = TraceOf(hooks);
-  return CmcRangeImpl(
-      query, begin_tick, end_tick, options, stats, hooks,
+  Stopwatch total;
+  CmcSweep sweep(query.m, query.k);
+  SweepImpl(
+      begin_tick, end_tick, &sweep, stats, hooks,
       [&](Tick t, bool* clustered) {
         ScopedSpan span(trace, "snapshot.cluster");
         bool grid_hit = false;
@@ -272,6 +287,9 @@ std::vector<Convoy> CmcRange(const SnapshotStore& store,
         }
         return clusters;
       });
+  std::vector<Convoy> result = FinishSweep(&sweep, options, stats, hooks);
+  if (stats != nullptr) stats->total_seconds += total.ElapsedSeconds();
+  return result;
 }
 
 std::vector<Convoy> Cmc(const SnapshotStore& store, const ConvoyQuery& query,

@@ -91,6 +91,38 @@ std::vector<Convoy> CmcRangeRows(const TrajectoryDatabase& db,
                                  const ExecHooks* hooks = nullptr,
                                  SnapshotScratch* scratch = nullptr);
 
+/// The state CMC's per-tick loop carries from one tick to the next: the
+/// candidate tracker and the candidates completed so far. Cmc, CmcRange
+/// and CmcRangeRows hold one for the length of a call. A caller holding
+/// its own can stop after any tick and continue later — or save
+/// (tracker.live(), completed.size()) as a checkpoint and resume from it
+/// through CandidateTracker::Restore, as IncrementalCmc does
+/// (core/incremental_cmc.h).
+struct CmcSweep {
+  CmcSweep(size_t m, Tick k) : tracker(m, k) {}
+  CandidateTracker tracker;
+  std::vector<Candidate> completed;
+};
+
+/// CMC's per-tick loop on the row path, over ticks [begin_tick, end_tick]
+/// of a caller-owned sweep: the loop CmcRangeRows runs between a fresh
+/// sweep and FinishSweep (`rows_at` as there). Candidates completed on the
+/// way go to the hooks' sink.
+void SweepRows(const TrajectoryDatabase& db, const ConvoyQuery& query,
+               Tick begin_tick, Tick end_tick, const RowSelector& rows_at,
+               CmcSweep* sweep, DiscoveryStats* stats = nullptr,
+               const ExecHooks* hooks = nullptr,
+               SnapshotScratch* scratch = nullptr);
+
+/// Ends a sweep as CMC ends: flushes the tracker into sweep->completed
+/// (live candidates with lifetime >= k complete), hands the flushed ones
+/// to the hooks' sink, folds the tracker's tally into the trace, and
+/// finalizes the completed list (FinalizeCmcResult). The sweep is left
+/// flushed, its completed list intact. Sets stats->num_convoys.
+std::vector<Convoy> FinishSweep(CmcSweep* sweep, const CmcOptions& options,
+                                DiscoveryStats* stats = nullptr,
+                                const ExecHooks* hooks = nullptr);
+
 /// Store-backed CMC: identical to Cmc(db, ...) over the database the store
 /// was built from — the store's per-tick columnar views reproduce the
 /// row-oriented snapshot gather bit for bit — but skips all per-tick

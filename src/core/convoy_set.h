@@ -58,7 +58,9 @@ bool Covers(const Convoy& big, const Convoy& small);
 void Canonicalize(std::vector<Convoy>* convoys);
 
 /// Removes every convoy that is covered by a different convoy in the set
-/// (the dominance pruning described in DESIGN.md). Also canonicalizes.
+/// (dominance pruning: the candidate algebra can emit a convoy and, from
+/// another lineage, a sub-convoy of it; only the maximal one is an
+/// answer). Also canonicalizes.
 /// When two convoys cover each other they are identical and one survives.
 std::vector<Convoy> RemoveDominated(std::vector<Convoy> convoys);
 

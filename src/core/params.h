@@ -29,7 +29,7 @@ double ComputeDelta(const TrajectoryDatabase& db, double e,
 /// The result is the average over objects, clamped to [2, max(2, k/4)]
 /// (pass k <= 0 to clamp to [2, T] instead) and rounded.
 ///
-/// Deviations from the text as published (documented in DESIGN.md): the
+/// Deviations from the text as published, and why: the
 /// correction is skipped for full-lifetime objects — applied literally it
 /// degenerates to lambda = 2 whenever tau = T, contradicting the paper's
 /// own Table 3 (lambda = 36 for Cattle, which matches the *uncorrected*

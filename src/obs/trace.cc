@@ -61,6 +61,8 @@ constexpr CounterInfo kCounterInfo[kNumTraceCounters] = {
     {"server.idle_reaped", false},
     {"server.events_dropped", false},
     {"server.load_shed", false},
+    {"server.live_queries", false},
+    {"server.live_ticks_clustered", false},
 };
 
 static_assert(kNumTraceCounters == kQueryMetricsCounters,

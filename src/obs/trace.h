@@ -62,6 +62,8 @@ enum class TraceCounter : uint32_t {
   kServerIdleReaped,         ///< connections reaped by the idle read timeout
   kServerEventsDropped,      ///< events dropped by the slow-subscriber policy
   kServerLoadShed,           ///< ingest items NAKed kRetryAfter (high water)
+  kServerLiveQueries,        ///< queries answered by the live incremental CMC
+  kServerLiveTicksClustered, ///< ticks those queries' refreshes clustered
   kNumTraceCounters          ///< sentinel, not a counter
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "core/candidate.h"
 #include "obs/trace.h"
 #include "parallel/parallel_for.h"
 #include "util/stopwatch.h"
@@ -28,8 +27,7 @@ std::vector<Convoy> ParallelCmcRangeImpl(const ConvoyQuery& query,
   Stopwatch total;
   TraceSession* const trace = TraceOf(hooks);
   ThreadPool pool(threads);
-  CandidateTracker tracker(query.m, query.k);
-  std::vector<Candidate> completed;
+  CmcSweep sweep(query.m, query.k);
 
   struct TickClusters {
     std::vector<std::vector<ObjectId>> clusters;
@@ -76,28 +74,18 @@ std::vector<Convoy> ParallelCmcRangeImpl(const ConvoyQuery& query,
         ++num_clusterings;
         TraceCount(trace, TraceCounter::kSnapshotsClustered, 1);
       }
-      tracker.Advance(per_tick[i].clusters, t, t, /*step_weight=*/1,
-                      &completed);
-      emitted = EmitCompletedSince(completed, emitted, hooks);
+      sweep.tracker.Advance(per_tick[i].clusters, t, t, /*step_weight=*/1,
+                            &sweep.completed);
+      emitted = EmitCompletedSince(sweep.completed, emitted, hooks);
       ReportProgress(hooks, "cmc", block_begin + i + 1, total_ticks);
     }
   }
-  tracker.Flush(&completed);
-  EmitCompletedSince(completed, emitted, hooks);
-  // The tracker only ever advances on this sequential pass, so its tally
-  // is read once here — bit-identical at every thread count.
-  TraceTrackerTally(trace, tracker.tally());
-
-  std::vector<Convoy> result;
-  {
-    ScopedSpan finalize_span(trace, "cmc.finalize");
-    result = FinalizeCmcResult(completed, options);
-  }
-
+  // The tracker only ever advances on this sequential pass, so the tally
+  // FinishSweep reads is bit-identical at every thread count.
+  std::vector<Convoy> result = FinishSweep(&sweep, options, stats, hooks);
   if (stats != nullptr) {
     stats->num_clusterings += num_clusterings;
     stats->total_seconds += total.ElapsedSeconds();
-    stats->num_convoys = result.size();
   }
   return result;
 }

@@ -138,8 +138,8 @@ struct QueryMsg {
   int64_t k = 2;
   double e = 1.0;
   uint8_t algo = 0;     ///< AlgorithmChoice as u8 (0 = auto)
-  uint8_t explain = 0;  ///< 1 = include QueryPlan::Explain() text
-  uint32_t threads = 1;
+  uint8_t explain = 0;  ///< 1 = include the EXPLAIN text
+  uint32_t threads = 1;  ///< engine path only; the live path is serial
 };
 
 struct StatsRequestMsg {
@@ -180,7 +180,9 @@ struct QueryResultMsg {
   uint64_t seq = 0;
   uint8_t code = 0;  ///< StatusCode as u8; 0 = OK
   std::string message;
-  std::string explain;  ///< QueryPlan::Explain() when requested
+  /// When requested: QueryPlan::Explain() on the engine path,
+  /// IncrementalReport::Explain() on the live path (kAuto, kCmc).
+  std::string explain;
   std::vector<Convoy> convoys;
 };
 

@@ -640,11 +640,12 @@ void ConvoyServer::HandleSubscribe(const std::shared_ptr<Connection>& conn,
       ::setsockopt(conn->fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
     }
   }
-  AckTo(conn, msg.seq, Status::Ok());
   if (msg.replay_closed != 0) {
     // Catch-up after the live registration above: an event emitted in
     // between may arrive twice (once live, once here) — subscribers
-    // dedup on event_index, which is stable across crash recovery.
+    // dedup on event_index, which is stable across crash recovery. It is
+    // queued before the ack, so every event caused by what the client
+    // does after Subscribe returns (its kStreamEnd included) follows it.
     const std::shared_ptr<IngestStream> stream = FindStream(msg.stream_id);
     if (stream != nullptr) {
       for (const EventMsg& ev : stream->ClosedEvents()) {
@@ -652,6 +653,7 @@ void ConvoyServer::HandleSubscribe(const std::shared_ptr<Connection>& conn,
       }
     }
   }
+  AckTo(conn, msg.seq, Status::Ok());
 }
 
 void ConvoyServer::HandleQuery(const std::shared_ptr<Connection>& conn,
@@ -679,27 +681,36 @@ void ConvoyServer::HandleQuery(const std::shared_ptr<Connection>& conn,
   query.e = msg.e;
   query.num_threads = msg.threads == 0 ? 1 : msg.threads;
 
-  // Queries run on the reader thread against an engine snapshot of the
-  // stream's accepted rows — ingest keeps flowing through the worker while
-  // this executes.
-  const std::shared_ptr<const ConvoyEngine> engine = stream->SnapshotEngine();
-  const StatusOr<QueryPlan> plan =
-      engine->Prepare(query, static_cast<AlgorithmChoice>(msg.algo));
-  if (!plan.ok()) {
-    result.code = static_cast<uint8_t>(plan.status().code());
-    result.message = plan.status().message();
+  // Queries run on the reader thread — ingest keeps flowing through the
+  // worker while this executes. kAuto and kCmc resume the stream's
+  // incremental CMC (exactly Cmc() over the accepted rows, at the cost of
+  // the ticks that changed); the other choices plan an engine snapshot of
+  // the rows, so they keep their own plans and EXPLAIN.
+  const auto fail = [&](const Status& status) {
+    result.code = static_cast<uint8_t>(status.code());
+    result.message = status.message();
     WriteTo(conn, Encode(result));
-    return;
+  };
+  const auto choice = static_cast<AlgorithmChoice>(msg.algo);
+  if (choice == AlgorithmChoice::kAuto || choice == AlgorithmChoice::kCmc) {
+    const Status valid = ValidateQuery(query).WithContext("Query");
+    if (!valid.ok()) return fail(valid);
+    LiveAnswer live = stream->LiveQuery(query);
+    if (msg.explain != 0) {
+      result.explain =
+          live.report.Explain(query, choice == AlgorithmChoice::kAuto);
+    }
+    result.convoys = std::move(live.convoys);
+  } else {
+    const std::shared_ptr<const ConvoyEngine> engine =
+        stream->SnapshotEngine();
+    const StatusOr<QueryPlan> plan = engine->Prepare(query, choice);
+    if (!plan.ok()) return fail(plan.status());
+    StatusOr<ConvoyResultSet> executed = engine->Execute(*plan);
+    if (!executed.ok()) return fail(executed.status());
+    if (msg.explain != 0) result.explain = plan->Explain();
+    result.convoys = std::move(*executed).TakeConvoys();
   }
-  StatusOr<ConvoyResultSet> executed = engine->Execute(*plan);
-  if (!executed.ok()) {
-    result.code = static_cast<uint8_t>(executed.status().code());
-    result.message = executed.status().message();
-    WriteTo(conn, Encode(result));
-    return;
-  }
-  if (msg.explain != 0) result.explain = plan->Explain();
-  result.convoys = std::move(*executed).TakeConvoys();
   std::string encoded = Encode(result);
   if (encoded.size() > kMaxFramePayload) {
     // WriteFrame refuses oversized frames and WriteTo would read that as a

@@ -73,8 +73,9 @@ struct ServerOptions {
 ///
 ///   acceptor ──> per-connection reader ──TryPush──> per-stream worker
 ///                     │    (decode, dispatch)            (StreamingCmc)
-///                     │── queries/stats run on the reader thread against
-///                     │   the stream's SnapshotEngine
+///                     │── queries/stats run on the reader thread: kAuto
+///                     │   and kCmc against the stream's incremental CMC
+///                     │   (LiveQuery), other choices its SnapshotEngine
 ///                     └── per-connection event sender drains the bounded
 ///                         subscription queue (slow subscribers shed, with
 ///                         kGap markers, instead of stalling workers)

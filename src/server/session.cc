@@ -1,5 +1,7 @@
 #include "server/session.h"
 
+#include <algorithm>
+#include <cstring>
 #include <string>
 #include <utility>
 
@@ -191,12 +193,13 @@ void IngestStream::ProcessBatch(const WorkItem& item) {
     }
     ++ack.accepted;
     accepted_rows.push_back(wal::WalRow{row.id, row.x, row.y});
+  }
+  if (!accepted_rows.empty()) {
+    // One lock per batch: queries see a batch's rows all at once or not
+    // at all.
     std::lock_guard<std::mutex> lock(rows_mu_);
-    std::vector<TimedPoint>& samples = rows_[row.id];
-    if (!samples.empty() && samples.back().t == item.tick) {
-      samples.back().pos = Point(row.x, row.y);  // last report wins
-    } else {
-      samples.emplace_back(row.x, row.y, item.tick);
+    for (const wal::WalRow& row : accepted_rows) {
+      AcceptReport(&rows_, row.id, Point(row.x, row.y), item.tick);
     }
     ++revision_;
   }
@@ -337,7 +340,7 @@ void IngestStream::EmitTickEvents(Tick tick,
 }
 
 std::shared_ptr<const ConvoyEngine> IngestStream::SnapshotEngine() {
-  std::map<ObjectId, std::vector<TimedPoint>> copy;
+  RowTable copy;
   uint64_t revision = 0;
   {
     std::lock_guard<std::mutex> lock(rows_mu_);
@@ -360,6 +363,53 @@ std::shared_ptr<const ConvoyEngine> IngestStream::SnapshotEngine() {
   engine_ = built;
   engine_revision_ = revision;
   return built;
+}
+
+std::shared_ptr<IngestStream::LiveState> IngestStream::LiveStateFor(
+    const ConvoyQuery& query) {
+  uint64_t e_bits = 0;
+  static_assert(sizeof(e_bits) == sizeof(query.e));
+  std::memcpy(&e_bits, &query.e, sizeof(e_bits));
+  std::lock_guard<std::mutex> lock(live_mu_);
+  ++live_clock_;
+  for (LiveSlot& slot : live_slots_) {
+    if (slot.m == query.m && slot.k == query.k && slot.e_bits == e_bits) {
+      slot.last_used = live_clock_;
+      return slot.state;
+    }
+  }
+  if (live_slots_.size() >= kMaxLiveStates) {
+    // A query still running on the evicted state keeps it alive through
+    // its shared_ptr; it is dropped when that query returns.
+    live_slots_.erase(std::min_element(
+        live_slots_.begin(), live_slots_.end(),
+        [](const LiveSlot& a, const LiveSlot& b) {
+          return a.last_used < b.last_used;
+        }));
+  }
+  LiveSlot slot{query.m, query.k, e_bits, live_clock_,
+                std::make_shared<LiveState>(query)};
+  live_slots_.push_back(slot);
+  return slot.state;
+}
+
+LiveAnswer IngestStream::LiveQuery(const ConvoyQuery& query) {
+  const std::shared_ptr<LiveState> state = LiveStateFor(query);
+  std::lock_guard<std::mutex> state_lock(state->mu);
+  IncrementalPlan plan;
+  {
+    // Only the dirty scan and the sample copy hold the row lock; the
+    // trajectories, the tail database and every clustering are built
+    // outside it.
+    std::lock_guard<std::mutex> lock(rows_mu_);
+    plan = state->cmc.Plan(rows_);
+  }
+  LiveAnswer answer;
+  answer.convoys = state->cmc.Refresh(std::move(plan), &answer.report);
+  TraceCount(trace_, TraceCounter::kServerLiveQueries, 1);
+  TraceCount(trace_, TraceCounter::kServerLiveTicksClustered,
+             answer.report.ticks_clustered);
+  return answer;
 }
 
 }  // namespace convoy::server

@@ -3,13 +3,13 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
 #include <vector>
 
 #include "core/engine.h"
+#include "core/incremental_cmc.h"
 #include "core/streaming.h"
 #include "parallel/service_thread.h"
 #include "server/protocol.h"
@@ -54,10 +54,18 @@ class StreamSink {
   virtual void SendEvent(const EventMsg& event) = 0;
 };
 
+/// A live query's answer: exactly Cmc() over the rows accepted when it
+/// ran, and what the incremental refresh did to get it (its EXPLAIN).
+struct LiveAnswer {
+  std::vector<Convoy> convoys;
+  IncrementalReport report;
+};
+
 /// One live ingest session: a BoundedRing of WorkItems consumed by a
 /// dedicated ServiceThread that drives a StreamingCmc, emits subscription
 /// events through the StreamSink, and records every accepted report into a
-/// row table that ad-hoc queries snapshot into a ConvoyEngine.
+/// row table that ad-hoc queries read — incrementally (LiveQuery) or as a
+/// ConvoyEngine snapshot (SnapshotEngine).
 ///
 /// Thread model:
 ///  * `Submit` is called by connection reader threads (any number); it only
@@ -66,6 +74,14 @@ class StreamSink {
 ///    explicit; nothing buffers without bound.
 ///  * the worker thread owns the StreamingCmc and all event bookkeeping
 ///    exclusively — no lock needed, FIFO order guaranteed by the ring.
+///  * the worker applies each accepted batch to the row table under
+///    `rows_mu_`, once per batch.
+///  * `LiveQuery` (query threads) keeps up to kMaxLiveStates incremental
+///    CMCs, one per (m, k, e), least recently used evicted. Each has its
+///    own mutex: same-key queries serialize on it, different keys run in
+///    parallel. Lock order is state mutex, then `rows_mu_`, which is held
+///    only to find the changed ticks and copy the samples they need; the
+///    clustering runs outside it. The worker never takes a state mutex.
 ///  * `SnapshotEngine` (query threads) copies the row table under its lock
 ///    and builds/caches an engine keyed on the table's revision, so
 ///    repeated queries between batches reuse the build.
@@ -131,6 +147,17 @@ class IngestStream {
   /// build. Never null; an empty stream yields an empty-database engine.
   std::shared_ptr<const ConvoyEngine> SnapshotEngine();
 
+  /// Answers `query` (valid per ValidateQuery) with exactly Cmc() over
+  /// every report accepted so far, from the incremental CMC kept for its
+  /// (m, k, e) (core/incremental_cmc.h): the work is the ticks the rows
+  /// accepted since that key's previous answer can change, not the
+  /// stream's history. Single-threaded whatever query.num_threads says.
+  /// Counts server.live_queries and server.live_ticks_clustered.
+  LiveAnswer LiveQuery(const ConvoyQuery& query);
+
+  /// Incremental CMC states kept per stream (one per (m, k, e)).
+  static constexpr size_t kMaxLiveStates = 4;
+
   // ------------------------------------------------------------ recovery
 
   /// Applies one WAL record on the recovery thread (kBegin records are
@@ -169,6 +196,16 @@ class IngestStream {
   bool LogApplied(wal::WalRecordKind kind, const WorkItem& item,
                   std::vector<wal::WalRow> rows);
   void Nak(uint64_t seq, const Status& status);
+
+  /// One (m, k, e)'s incremental CMC.
+  struct LiveState {
+    explicit LiveState(const ConvoyQuery& query) : cmc(query) {}
+    std::mutex mu;
+    IncrementalCmc cmc;  // GUARDED_BY(mu)
+  };
+  /// The state for `query`'s (m, k, e), created (evicting the least
+  /// recently used beyond kMaxLiveStates) on first use.
+  std::shared_ptr<LiveState> LiveStateFor(const ConvoyQuery& query);
   /// Sink sends, suppressed during replay (there is nobody to talk to and
   /// the counters must reflect live traffic only).
   void SendAckIfLive(const AckMsg& ack);
@@ -210,8 +247,19 @@ class IngestStream {
 
   // ---- row table shared with query threads ----
   mutable std::mutex rows_mu_;
-  std::map<ObjectId, std::vector<TimedPoint>> rows_;  // GUARDED_BY(rows_mu_)
-  uint64_t revision_ = 0;                             // GUARDED_BY(rows_mu_)
+  RowTable rows_;          // GUARDED_BY(rows_mu_)
+  uint64_t revision_ = 0;  // GUARDED_BY(rows_mu_)
+
+  struct LiveSlot {
+    size_t m = 0;
+    Tick k = 0;
+    uint64_t e_bits = 0;
+    uint64_t last_used = 0;
+    std::shared_ptr<LiveState> state;
+  };
+  std::mutex live_mu_;
+  std::vector<LiveSlot> live_slots_;  // GUARDED_BY(live_mu_)
+  uint64_t live_clock_ = 0;           // GUARDED_BY(live_mu_)
 
   mutable std::mutex engine_mu_;
   std::shared_ptr<const ConvoyEngine> engine_;  // GUARDED_BY(engine_mu_)

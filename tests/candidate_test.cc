@@ -93,7 +93,8 @@ TEST(CandidateTrackerTest, MergingClustersKeepBothLineages) {
 
 TEST(CandidateTrackerTest, FreshClusterCandidateEvenWhenAssigned) {
   // A convoy born inside a cluster that also extends an older candidate
-  // must not be lost (the always-add-cluster correction; see DESIGN.md).
+  // must not be lost (the always-add-cluster correction; see the
+  // CandidateTracker comment in core/candidate.h).
   CandidateTracker tracker(2, 3);
   std::vector<Candidate> done;
   // Old candidate {1,2} exists from t=0.
@@ -199,6 +200,39 @@ TEST(CandidateTrackerTest, IntersectionBelowMKillsLineage) {
   EXPECT_TRUE(done.empty());
   tracker.Flush(&done);
   EXPECT_TRUE(done.empty());  // fresh cluster lifetime 1 < k
+}
+
+// A tracker restored from another's live set advances exactly as the
+// original does: the live set is the whole state between steps.
+TEST(CandidateTrackerTest, RestoredTrackerContinuesIdentically) {
+  const std::vector<Clusters> steps = {
+      {{1, 2, 3, 4}, {7, 8}},  {{1, 2, 3}, {4, 7, 8}}, {{1, 2}, {3, 4, 7, 8}},
+      {{1, 2, 3, 4, 7}},       {{1, 2, 4}, {3, 7}},    {{1, 2, 4, 7}},
+      {{2, 4, 7}, {1, 3}},     {{2, 4, 7, 8}}};
+  for (size_t split = 0; split <= steps.size(); ++split) {
+    CandidateTracker reference(2, 2);
+    std::vector<Candidate> reference_done;
+    for (size_t i = 0; i < split; ++i) {
+      const Tick t = static_cast<Tick>(i);
+      reference.Advance(steps[i], t, t, 1, &reference_done);
+    }
+    CandidateTracker restored(2, 2);
+    restored.Restore(reference.live());
+    std::vector<Candidate> restored_done = reference_done;
+    for (size_t i = split; i < steps.size(); ++i) {
+      const Tick t = static_cast<Tick>(i);
+      reference.Advance(steps[i], t, t, 1, &reference_done);
+      restored.Advance(steps[i], t, t, 1, &restored_done);
+      ASSERT_EQ(restored.live().size(), reference.live().size());
+    }
+    reference.Flush(&reference_done);
+    restored.Flush(&restored_done);
+    ASSERT_EQ(restored_done.size(), reference_done.size()) << split;
+    for (size_t i = 0; i < reference_done.size(); ++i) {
+      EXPECT_EQ(restored_done[i].ToConvoy(), reference_done[i].ToConvoy());
+      EXPECT_EQ(restored_done[i].lifetime, reference_done[i].lifetime);
+    }
+  }
 }
 
 }  // namespace

@@ -191,6 +191,24 @@ TEST(CmcRangeTest, RowSelectionDroppingNoiseKeepsResult) {
   EXPECT_EQ(one_stats.num_clusterings, 0u);
 }
 
+// The per-tick loop split at any tick — SweepRows over [begin, c - 1],
+// then over [c, end] with fresh forward cursors, then FinishSweep — is
+// CmcRange itself.
+TEST(CmcRangeTest, SweepSplitAtAnyTickEqualsOneRun) {
+  Rng rng(20261017);
+  const TrajectoryDatabase db =
+      testutil::RandomClumpyDb(rng, 24, 40, 60.0, 0.8, 0.9);
+  const ConvoyQuery query{3, 6, 4.0};
+  const auto whole = CmcRange(db, query, db.BeginTick(), db.EndTick());
+  ASSERT_FALSE(whole.empty());
+  for (Tick split = db.BeginTick(); split <= db.EndTick() + 1; ++split) {
+    CmcSweep sweep(query.m, query.k);
+    SweepRows(db, query, db.BeginTick(), split - 1, RowSelector{}, &sweep);
+    SweepRows(db, query, split, db.EndTick(), RowSelector{}, &sweep);
+    EXPECT_EQ(FinishSweep(&sweep, {}), whole) << split;
+  }
+}
+
 TEST(CmcTest, ResultsPassIndependentVerification) {
   const auto db = FromXRows({{0, 1, 2, 3, 4},
                              {0, 1, 2, 3, 4},

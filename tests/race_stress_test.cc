@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "cluster/grid_index.h"
+#include "core/cmc.h"
 #include "core/cuts.h"
 #include "core/cuts_filter.h"
 #include "core/engine.h"
@@ -464,6 +465,130 @@ TEST(RaceStressTest, IngestStreamSnapshotQueriesVsWorker) {
   ASSERT_EQ(convoys.size(), 1u);
   EXPECT_EQ(convoys[0].start_tick, 0);
   EXPECT_EQ(convoys[0].end_tick, kTicks - 1);
+}
+
+// One IngestStream: its worker races live queries from five threads — two
+// on the stream's own (m, k, e), one each on two other keys, and one
+// cycling through more keys than the stream keeps, so states are evicted
+// under running queries. Rows only grow, so every answer must equal Cmc()
+// over some batch prefix of the feed, and one thread's successive answers
+// must come from non-decreasing prefixes.
+TEST(RaceStressTest, IngestStreamLiveQueriesVsWorker) {
+  StreamFeedConfig config;
+  config.num_objects = 12;
+  config.ticks = 40;
+  config.batch_rows = 4;
+  config.dropout = 0.1;
+  config.leave_prob = 0.05;
+  config.rejoin_prob = 0.3;
+  const StreamFeed feed = GenerateStreamFeed(config, 77);
+  std::vector<ConvoyQuery> keys;
+  for (int i = 0; i < 6; ++i) {
+    ConvoyQuery q = feed.query;
+    q.e = feed.query.e * (1.0 - 0.1 * i);
+    q.k = feed.query.k + i % 2;
+    keys.push_back(q);
+  }
+
+  // Cmc() over the rows after every batch prefix (prefix 0: no rows).
+  std::vector<std::vector<std::vector<Convoy>>> expected(keys.size());
+  {
+    RowTable rows;
+    const auto record = [&] {
+      const TrajectoryDatabase db = testutil::FromRowTable(rows);
+      for (size_t k = 0; k < keys.size(); ++k) {
+        expected[k].push_back(Cmc(db, keys[k]));
+      }
+    };
+    record();
+    for (const FeedTick& tick : feed.ticks) {
+      for (const auto& batch : tick.batches) {
+        for (const FeedRow& row : batch) {
+          AcceptReport(&rows, row.id, row.pos, tick.tick);
+        }
+        record();
+      }
+    }
+  }
+
+  server::IngestBeginMsg begin;
+  begin.stream_id = 1;
+  begin.m = static_cast<uint32_t>(feed.query.m);
+  begin.k = feed.query.k;
+  begin.e = feed.query.e;
+  class NullSink : public server::StreamSink {
+   public:
+    void SendAck(uint64_t, const server::AckMsg&) override {}
+    void SendEvent(const server::EventMsg&) override {}
+  };
+  NullSink sink;
+  TraceSession trace;
+  server::IngestStream stream(begin, /*ring_capacity=*/4, &sink, &trace);
+
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+  std::atomic<uint64_t> answers{0};
+  // Which keys each querier asks, in turn.
+  const std::vector<std::vector<size_t>> plans = {
+      {0}, {0}, {1}, {2}, {3, 4, 5, 0, 1}};
+  std::vector<std::thread> queriers;
+  for (const std::vector<size_t>& plan : plans) {
+    queriers.emplace_back([&, plan] {
+      std::vector<size_t> prefix(keys.size(), 0);
+      for (size_t round = 0; !done.load(); ++round) {
+        const size_t k = plan[round % plan.size()];
+        const server::LiveAnswer live = stream.LiveQuery(keys[k]);
+        size_t p = prefix[k];
+        while (p < expected[k].size() && expected[k][p] != live.convoys) ++p;
+        if (p == expected[k].size()) {
+          failures.fetch_add(1);
+          return;
+        }
+        prefix[k] = p;
+        answers.fetch_add(1);
+      }
+    });
+  }
+
+  uint64_t seq = 0;
+  const auto submit = [&](server::WorkItem item) {
+    while (stream.Submit(item) != server::PushResult::kAccepted) {
+      std::this_thread::yield();
+    }
+  };
+  for (const FeedTick& tick : feed.ticks) {
+    for (const auto& batch : tick.batches) {
+      server::WorkItem item;
+      item.kind = server::WorkItem::Kind::kBatch;
+      item.seq = ++seq;
+      item.tick = tick.tick;
+      for (const FeedRow& row : batch) {
+        item.rows.push_back({row.id, row.pos.x, row.pos.y});
+      }
+      submit(std::move(item));
+    }
+    server::WorkItem end;
+    end.kind = server::WorkItem::Kind::kEndTick;
+    end.seq = ++seq;
+    end.tick = tick.tick;
+    submit(end);
+  }
+  server::WorkItem finish;
+  finish.kind = server::WorkItem::Kind::kFinish;
+  finish.seq = ++seq;
+  submit(finish);
+  stream.Close();  // drains + joins the worker
+  done.store(true);
+  for (std::thread& th : queriers) th.join();
+
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GT(answers.load(), 0u);
+  // Quiescent: every key answers Cmc() over the whole feed.
+  for (size_t k = 0; k < keys.size(); ++k) {
+    EXPECT_EQ(stream.LiveQuery(keys[k]).convoys, expected[k].back()) << k;
+  }
+  EXPECT_GE(trace.counter(TraceCounter::kServerLiveQueries),
+            answers.load() + keys.size());
 }
 
 // Whole-server stress over real sockets: concurrent ingest streams with

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <condition_variable>
 #include <cstdlib>
+#include <filesystem>
 #include <limits>
 #include <map>
 #include <memory>
@@ -18,12 +19,16 @@
 #include <thread>
 #include <vector>
 
+#include "core/cmc.h"
 #include "core/engine.h"
+#include "core/incremental_cmc.h"
 #include "core/streaming.h"
 #include "datagen/stream_feed.h"
 #include "parallel/service_thread.h"
 #include "server/client.h"
 #include "server/session.h"
+#include "tests/test_util.h"
+#include "wal/wal.h"
 
 namespace convoy::server {
 namespace {
@@ -359,6 +364,195 @@ TEST(IngestStreamTest, SnapshotEngineMatchesAcceptedRows) {
   EXPECT_EQ(convoys[0].end_tick, 3);
 }
 
+/// Extracts one counter value from the server's StatsJson.
+uint64_t StatsCounter(const std::string& json, const std::string& name) {
+  const std::string key = "\"" + name + "\":";
+  const size_t pos = json.find(key);
+  if (pos == std::string::npos) return 0;
+  return std::strtoull(json.c_str() + pos + key.size(), nullptr, 10);
+}
+
+/// The rows a stream has accepted, mirrored on the test side.
+void AcceptRows(RowTable* rows, Tick tick, const std::vector<FeedRow>& batch) {
+  for (const FeedRow& row : batch) AcceptReport(rows, row.id, row.pos, tick);
+}
+
+/// Cmc() over a row table: the answer every live query must equal.
+std::vector<Convoy> CmcOver(const RowTable& rows, const ConvoyQuery& query) {
+  return Cmc(testutil::FromRowTable(rows), query);
+}
+
+/// A churning feed in which object 0 also falls silent for ticks
+/// [20, 95): its return rewinds the live sweep across two checkpoints.
+StreamFeed LiveFeed(Tick ticks, uint64_t seed) {
+  StreamFeedConfig config;
+  config.num_objects = 16;
+  config.ticks = ticks;
+  config.batch_rows = 5;
+  config.dropout = 0.08;
+  config.leave_prob = 0.03;
+  config.rejoin_prob = 0.3;
+  StreamFeed feed = GenerateStreamFeed(config, seed);
+  for (FeedTick& tick : feed.ticks) {
+    if (tick.tick < 20 || tick.tick >= 95) continue;
+    for (std::vector<FeedRow>& batch : tick.batches) {
+      batch.erase(std::remove_if(batch.begin(), batch.end(),
+                                 [](const FeedRow& r) { return r.id == 0; }),
+                  batch.end());
+    }
+  }
+  return feed;
+}
+
+struct LiveChecks {
+  size_t checks = 0;
+  Tick deepest_rewind = 0;  ///< max (end - resume) of the stream's query
+};
+
+/// Submits feed ticks [from, to) to `stream` item by item and, after every
+/// third item — between the batches of a tick as often as at its end —
+/// waits for the acks and checks LiveQuery against Cmc() over the rows
+/// accepted so far, for the stream's own query and a second (m, k, e).
+LiveChecks SubmitAndCheckLive(IngestStream& stream, RecordingSink& sink,
+                              const StreamFeed& feed, size_t from, size_t to,
+                              uint64_t* seq, size_t* acked,
+                              RowTable* accepted) {
+  const ConvoyQuery own = stream.query();
+  ConvoyQuery other = own;
+  other.e = own.e * 0.7;
+  other.k = own.k + 2;
+  size_t items = 0;
+  LiveChecks result;
+  const auto maybe_check = [&] {
+    if (++items % 3 != 0) return;
+    sink.WaitForAcks(*acked);
+    for (const ConvoyQuery& q : {own, other}) {
+      const LiveAnswer live = stream.LiveQuery(q);
+      EXPECT_EQ(live.convoys, CmcOver(*accepted, q))
+          << "after " << *acked << " items, e=" << q.e;
+      if (q.k == own.k) {
+        const RefreshWindow& w = live.report.window;
+        result.deepest_rewind =
+            std::max(result.deepest_rewind, w.end - w.resume);
+      }
+    }
+    ++result.checks;
+  };
+  for (size_t t = from; t < to && t < feed.ticks.size(); ++t) {
+    const FeedTick& tick = feed.ticks[t];
+    for (const auto& batch : tick.batches) {
+      MustSubmit(stream, BatchItem(++*seq, tick.tick, ToWire(batch)));
+      ++*acked;
+      AcceptRows(accepted, tick.tick, batch);
+      maybe_check();
+    }
+    MustSubmit(stream, EndTickItem(++*seq, tick.tick));
+    ++*acked;
+    maybe_check();
+  }
+  return result;
+}
+
+TEST(IngestStreamTest, LiveQueriesMatchCmcAfterEveryFewItems) {
+  const StreamFeed feed = LiveFeed(130, 5);
+  RecordingSink sink;
+  IngestStream stream(MakeBegin(1, static_cast<uint32_t>(feed.query.m),
+                                feed.query.k, feed.query.e),
+                      /*ring_capacity=*/8, &sink, nullptr);
+  uint64_t seq = 0;
+  size_t acked = 0;
+  RowTable accepted;
+  const LiveChecks checks = SubmitAndCheckLive(
+      stream, sink, feed, 0, feed.ticks.size(), &seq, &acked, &accepted);
+  EXPECT_GT(checks.checks, 100u);
+  // Object 0's return at tick 95 rewound to the checkpoint before tick 20.
+  EXPECT_GT(checks.deepest_rewind, 2 * IncrementalCmc::kCheckpointTicks);
+
+  MustSubmit(stream, FinishItem(++seq));
+  sink.WaitForAcks(++acked);
+  const LiveAnswer after_finish = stream.LiveQuery(stream.query());
+  EXPECT_EQ(after_finish.convoys, CmcOver(accepted, stream.query()));
+  EXPECT_FALSE(after_finish.convoys.empty());
+  // Finish adds no row: the refresh resumes from a checkpoint.
+  EXPECT_FALSE(after_finish.report.window.fresh);
+}
+
+TEST(IngestStreamTest, LiveQueriesMatchCmcAfterWalReplay) {
+  const StreamFeed feed = LiveFeed(130, 8);
+  const std::string dir = ::testing::TempDir() + "server_test_live_wal_" +
+                          std::to_string(::getpid());
+  wal::WalOptions options;
+  options.dir = dir;
+  const IngestBeginMsg begin = MakeBegin(
+      1, static_cast<uint32_t>(feed.query.m), feed.query.k, feed.query.e);
+  uint64_t seq = 0;
+  RowTable accepted;
+  {
+    auto writer = wal::WalWriter::Open(options, nullptr);
+    ASSERT_TRUE(writer.ok()) << writer.status();
+    RecordingSink sink;
+    IngestStream stream(begin, 8, &sink, nullptr, writer->get());
+    size_t acked = 0;
+    SubmitAndCheckLive(stream, sink, feed, 0, 70, &seq, &acked, &accepted);
+  }
+
+  // A new stream rebuilt from the log, as server recovery does: its first
+  // live query sweeps the replayed history from scratch.
+  RecordingSink sink;
+  IngestStream recovered(begin, 8, &sink, nullptr, nullptr,
+                         /*replaying=*/true);
+  wal::WalReadStats read_stats;
+  ASSERT_TRUE(wal::ReadWalDir(
+                  dir,
+                  [&recovered](const wal::WalRecord& record) {
+                    recovered.ReplayRecord(record);
+                    return Status::Ok();
+                  },
+                  &read_stats)
+                  .ok());
+  recovered.FinishReplay();
+  EXPECT_EQ(recovered.LastAppliedSeq(), seq);
+  const LiveAnswer replayed = recovered.LiveQuery(recovered.query());
+  EXPECT_TRUE(replayed.report.window.fresh);
+  EXPECT_EQ(replayed.convoys, CmcOver(accepted, recovered.query()));
+
+  // ...and it keeps answering incrementally as the stream continues.
+  size_t acked = 0;
+  SubmitAndCheckLive(recovered, sink, feed, 70, feed.ticks.size(), &seq,
+                     &acked, &accepted);
+  MustSubmit(recovered, FinishItem(++seq));
+  sink.WaitForAcks(++acked);
+  EXPECT_EQ(recovered.LiveQuery(recovered.query()).convoys,
+            CmcOver(accepted, recovered.query()));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(IngestStreamTest, LiveStatesEvictLeastRecentlyUsed) {
+  RecordingSink sink;
+  IngestStream stream(MakeBegin(1, 2, 2, 1.0), 8, &sink, nullptr);
+  MustSubmit(stream, BatchItem(1, 0, {{1, 0, 0}, {2, 0, 0.5}}));
+  MustSubmit(stream, EndTickItem(2, 0));
+  MustSubmit(stream, BatchItem(3, 1, {{1, 0, 0.1}, {2, 0, 0.6}}));
+  sink.WaitForAcks(3);
+  static_assert(IngestStream::kMaxLiveStates == 4);
+  const std::vector<double> es = {1.0, 1.1, 1.2, 1.3, 1.4};
+  const auto query_with_e = [](double e) { return ConvoyQuery{2, 2, e}; };
+  // The first answer per key sweeps fresh; a repeat resumes.
+  EXPECT_TRUE(stream.LiveQuery(query_with_e(es[0])).report.window.fresh);
+  EXPECT_FALSE(stream.LiveQuery(query_with_e(es[0])).report.window.fresh);
+  for (size_t i = 1; i < es.size(); ++i) {
+    EXPECT_TRUE(stream.LiveQuery(query_with_e(es[i])).report.window.fresh);
+  }
+  // e = 1.0 was the least recently used of five keys: evicted, so its
+  // next answer starts over; e = 1.4 is still cached.
+  EXPECT_TRUE(stream.LiveQuery(query_with_e(es[0])).report.window.fresh);
+  EXPECT_FALSE(stream.LiveQuery(query_with_e(es[4])).report.window.fresh);
+  const std::vector<Convoy> convoys =
+      stream.LiveQuery(query_with_e(es[0])).convoys;
+  ASSERT_EQ(convoys.size(), 1u);
+  EXPECT_EQ(convoys[0].end_tick, 1);
+}
+
 // ---------------------------------------------------------------------------
 // Full-stack tests over real sockets.
 
@@ -466,6 +660,76 @@ TEST_F(ServerTest, QueryMatchesLocalEngineAndExplains) {
   EXPECT_NE(ingest->Query(1, query, /*algo=*/200)->code, 0);
   // The connection still works afterwards.
   EXPECT_EQ(ingest->Query(1, query)->code, 0);
+}
+
+// kAuto and kCmc answer from the stream's incremental CMC; an explicit
+// CuTS* still plans an engine snapshot, with its own EXPLAIN. Both equal
+// Cmc() over the accepted rows, and the live path shows in the counters.
+TEST_F(ServerTest, AutoTakesLivePathExplicitCutsStarTakesEngine) {
+  StreamFeedConfig config;
+  config.num_objects = 16;
+  config.ticks = 40;
+  config.batch_rows = 6;
+  config.dropout = 0.05;
+  const StreamFeed feed = GenerateStreamFeed(config, 31);
+  auto ingest = Connect();
+  ASSERT_NE(ingest, nullptr);
+  ASSERT_TRUE(ingest->IngestBegin(2, feed.query).ok());
+  RowTable accepted;
+  for (const FeedTick& tick : feed.ticks) {
+    for (const auto& batch : tick.batches) {
+      ASSERT_EQ(ingest->ReportBatch(tick.tick, ToWire(batch), 100)->code, 0);
+      AcceptRows(&accepted, tick.tick, batch);
+    }
+    ASSERT_EQ(ingest->EndTick(tick.tick, 100)->code, 0);
+  }
+  const std::vector<Convoy> expected = CmcOver(accepted, feed.query);
+  ASSERT_FALSE(expected.empty());
+
+  const auto live = ingest->Query(2, feed.query, /*algo=*/0, /*explain=*/true);
+  ASSERT_TRUE(live.ok()) << live.status();
+  ASSERT_EQ(live->code, 0) << live->message;
+  EXPECT_EQ(live->convoys, expected);
+  EXPECT_NE(live->explain.find("CMC, live incremental (auto"),
+            std::string::npos)
+      << live->explain;
+  EXPECT_NE(live->explain.find("first refresh"), std::string::npos);
+  EXPECT_NE(live->explain.find("clustered:   40 of 40 ticks"),
+            std::string::npos)
+      << live->explain;
+
+  const auto cmc = ingest->Query(
+      2, feed.query, static_cast<uint8_t>(AlgorithmChoice::kCmc), true);
+  ASSERT_TRUE(cmc.ok());
+  ASSERT_EQ(cmc->code, 0) << cmc->message;
+  EXPECT_EQ(cmc->convoys, expected);
+  EXPECT_NE(cmc->explain.find("CMC, live incremental (explicit)"),
+            std::string::npos);
+  // Same key as the auto query, no new rows: it resumes from the last
+  // checkpoint, at tick 32, and re-clusters the 8 ticks after it.
+  EXPECT_NE(cmc->explain.find("resume:      tick 32 from checkpoint 1"),
+            std::string::npos)
+      << cmc->explain;
+  EXPECT_NE(cmc->explain.find("clustered:   8 of 40 ticks"),
+            std::string::npos);
+
+  const auto star = ingest->Query(
+      2, feed.query, static_cast<uint8_t>(AlgorithmChoice::kCutsStar), true);
+  ASSERT_TRUE(star.ok());
+  ASSERT_EQ(star->code, 0) << star->message;
+  EXPECT_EQ(star->convoys, expected);
+  EXPECT_NE(star->explain.find("algorithm:   CuTS* (explicit)"),
+            std::string::npos)
+      << star->explain;
+  EXPECT_EQ(star->explain.find("live incremental"), std::string::npos);
+
+  // An invalid query is refused before it reaches either path.
+  EXPECT_EQ(ingest->Query(2, ConvoyQuery{1, 3, 1.0})->code,
+            static_cast<uint8_t>(StatusCode::kInvalidArgument));
+
+  const std::string stats = server_->StatsJson();
+  EXPECT_EQ(StatsCounter(stats, "server.live_queries"), 2u);
+  EXPECT_EQ(StatsCounter(stats, "server.live_ticks_clustered"), 40u + 8u);
 }
 
 TEST_F(ServerTest, OneIngestStreamPerConnection) {
@@ -658,14 +922,6 @@ TEST_F(ServerTest, ShutdownWithLiveClientsIsClean) {
 // ---------------------------------------------------------------------------
 // Client/server resilience: deadlines, idle reaping, load shedding, slow
 // subscribers. These run their own servers with non-default options.
-
-/// Extracts one counter value from the server's StatsJson.
-uint64_t StatsCounter(const std::string& json, const std::string& name) {
-  const std::string key = "\"" + name + "\":";
-  const size_t pos = json.find(key);
-  if (pos == std::string::npos) return 0;
-  return std::strtoull(json.c_str() + pos + key.size(), nullptr, 10);
-}
 
 TEST(ClientDeadlineTest, ConnectDeadlineExpiresOnSilentServer) {
   // A listener that never accepts: the TCP handshake completes (backlog),

@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "core/incremental_cmc.h"
 #include "traj/database.h"
 #include "util/random.h"
 
@@ -62,6 +63,14 @@ inline TrajectoryDatabase RandomClumpyDb(Rng& rng, size_t num_objects,
     }
     db.Add(std::move(traj));
   }
+  return db;
+}
+
+/// A database over a row table (core/incremental_cmc.h): the input a
+/// live answer over those rows must match Cmc() on.
+inline TrajectoryDatabase FromRowTable(const RowTable& rows) {
+  TrajectoryDatabase db;
+  for (const auto& [id, samples] : rows) db.Add(Trajectory(id, samples));
   return db;
 }
 

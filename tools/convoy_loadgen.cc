@@ -19,7 +19,9 @@
 // flow-control NAK (ring full / load shed) backs off and resends, so the
 // accepted row set is exactly the generated feed. --verify replays every
 // feed through a local StreamingCmc and requires the subscriber's
-// closed-convoy events to match bit-identically.
+// closed-convoy events to match bit-identically, and requires each
+// stream's post-Finish kQuery (auto, answered by the server's live
+// incremental CMC) to equal a local Cmc() over the feed's rows.
 //
 // Sweep mode (--serverd --sweep-fsync): spawns its own daemon once per
 // WAL fsync policy (none, interval, every_tick), runs the load against
@@ -33,10 +35,10 @@
 // resume_seq (resent overlap is absorbed as duplicate acks), and after
 // the final restart the recovered closed-convoy history — fetched with a
 // replay_closed subscription and deduped by event_index — must match an
-// unfaulted local replay bit-identically, and an ad-hoc query against the
-// recovered stream must succeed. This is the end-to-end proof of the
-// crash-recovery invariant: acked ingest is never lost, never
-// double-applied.
+// unfaulted local replay bit-identically, and a kQuery (auto) against the
+// recovered stream must equal a local Cmc() over the feed's rows. This is
+// the end-to-end proof of the crash-recovery invariant: acked ingest is
+// never lost, never double-applied.
 //
 // --json writes BENCH_server.json ("convoy-bench-server-v2"): ingest
 // throughput, subscription/query latency quantiles, the verification
@@ -441,6 +443,51 @@ std::vector<convoy::Convoy> LocalReplay(const convoy::StreamFeed& feed,
   return closed;
 }
 
+/// Cmc() over the feed's rows, last report per (object, tick) winning —
+/// what the server's row table holds once the stream is finished, so the
+/// answer a post-Finish kQuery (auto) must return.
+std::vector<convoy::Convoy> LocalCmc(const convoy::StreamFeed& feed) {
+  convoy::RowTable rows;
+  for (const convoy::FeedTick& tick : feed.ticks) {
+    for (const auto& batch : tick.batches) {
+      for (const convoy::FeedRow& row : batch) {
+        convoy::AcceptReport(&rows, row.id, row.pos, tick.tick);
+      }
+    }
+  }
+  convoy::TrajectoryDatabase db;
+  for (auto& [id, samples] : rows) {
+    db.Add(convoy::Trajectory(id, std::move(samples)));
+  }
+  return convoy::Cmc(db, feed.query);
+}
+
+/// Asks a finished stream's live answer (kQuery, auto) and compares it
+/// with LocalCmc; prints the mismatch. `query_ms` (optional) receives the
+/// round trip.
+bool VerifyLiveQuery(ConvoyClient& client, uint64_t stream_id,
+                     const convoy::StreamFeed& feed, const char* label,
+                     std::vector<double>* query_ms = nullptr) {
+  const double start = NowMs();
+  const auto result = client.Query(stream_id, feed.query, /*algo=*/0);
+  if (!result.ok() || result->code != 0) {
+    std::cerr << label << " query failed for stream " << stream_id << ": "
+              << (result.ok() ? result->message : result.status().ToString())
+              << "\n";
+    return false;
+  }
+  if (query_ms != nullptr) query_ms->push_back(NowMs() - start);
+  const std::vector<convoy::Convoy> expected = LocalCmc(feed);
+  if (result->convoys != expected) {
+    std::cerr << label << " query MISMATCH for stream " << stream_id
+              << ": the live answer has " << result->convoys.size()
+              << " convoy(s), a local Cmc() over the feed "
+              << expected.size() << "\n";
+    return false;
+  }
+  return true;
+}
+
 convoy::StreamFeedConfig MakeFeedConfig(const LoadgenOptions& opts) {
   convoy::StreamFeedConfig config;
   config.num_objects = opts.objects;
@@ -467,7 +514,8 @@ struct LoadResult {
   std::vector<double> query_ms;
   bool ingest_ok = true;
   bool queries_ok = true;
-  size_t verified_ok = 0;
+  size_t verified_ok = 0;       ///< streams passing every --verify check
+  size_t live_queries_ok = 0;   ///< post-Finish kQuery == local Cmc()
   size_t streams = 0;
 };
 
@@ -535,17 +583,26 @@ LoadResult RunLoad(const LoadgenOptions& base_opts, uint16_t port) {
   result.queries_ok = queries_ok.load();
 
   if (opts.verify) {
+    auto connected = ConvoyClient::Connect(
+        opts.host, opts.port, MakeClientOptions(opts, 4000));
     for (const auto& run : runs) {
       const std::vector<convoy::Convoy> expected =
           LocalReplay(run->feed, opts.carry_forward);
-      if (expected == run->closed_events) {
-        ++result.verified_ok;
-      } else {
+      const bool events_ok = expected == run->closed_events;
+      if (!events_ok) {
         std::cerr << "verify FAILED for stream " << run->stream_id
                   << ": expected " << expected.size()
                   << " closed convoy event(s), got "
                   << run->closed_events.size() << "\n";
       }
+      const bool live_ok =
+          connected.ok() && run->ok &&
+          VerifyLiveQuery(**connected, run->stream_id, run->feed, "verify");
+      result.live_queries_ok += live_ok ? 1 : 0;
+      result.verified_ok += events_ok && live_ok ? 1 : 0;
+    }
+    if (!connected.ok()) {
+      std::cerr << "verify connect failed: " << connected.status() << "\n";
     }
   }
   result.rows_per_sec =
@@ -800,6 +857,7 @@ struct ChaosResult {
   double rows_per_sec = 0.0;
   std::vector<double> query_ms;
   size_t verified_ok = 0;
+  size_t live_queries_ok = 0;  ///< post-recovery kQuery == local Cmc()
   size_t streams = 0;
   bool spawn_ok = true;
   bool streams_ok = true;
@@ -936,13 +994,10 @@ ChaosResult RunChaos(const LoadgenOptions& opts) {
       result.streams_ok = false;
     }
 
-    const double query_start = NowMs();
-    const auto query = client->Query(run->stream_id, run->feed.query);
-    if (query.ok() && query->code == 0) {
-      result.query_ms.push_back(NowMs() - query_start);
+    if (VerifyLiveQuery(*client, run->stream_id, run->feed,
+                        "chaos post-recovery", &result.query_ms)) {
+      ++result.live_queries_ok;
     } else {
-      std::cerr << "chaos post-recovery query failed for stream "
-                << run->stream_id << "\n";
       result.streams_ok = false;
     }
   }
@@ -998,6 +1053,7 @@ void WriteJsonV2(std::ostream& out, const LoadgenOptions& opts,
   WriteQuantiles(out, load.query_ms);
   out << "},\"verify\":{\"enabled\":" << (opts.verify ? "true" : "false")
       << ",\"streams_ok\":" << load.verified_ok
+      << ",\"live_queries_ok\":" << load.live_queries_ok
       << ",\"streams_total\":" << load.streams << "},"
       << "\"fsync_sweep\":[";
   for (size_t i = 0; i < sweep.size(); ++i) {
@@ -1014,6 +1070,7 @@ void WriteJsonV2(std::ostream& out, const LoadgenOptions& opts,
         << ",\"duplicate_acks\":" << chaos->duplicate_acks
         << ",\"retryable_naks\":" << chaos->retry_naks
         << ",\"streams_ok\":" << chaos->verified_ok
+        << ",\"live_queries_ok\":" << chaos->live_queries_ok
         << ",\"streams_total\":" << chaos->streams;
   }
   out << "}}\n";
@@ -1064,7 +1121,9 @@ int main(int argc, char** argv) {
               << chaos.rows_accepted << " rows in " << chaos.seconds
               << " s\nchaos verify: " << chaos.verified_ok << "/"
               << chaos.streams
-              << " streams bit-identical to unfaulted replay\n";
+              << " streams bit-identical to unfaulted replay, "
+              << chaos.live_queries_ok << "/" << chaos.streams
+              << " live answers equal to local Cmc()\n";
     // The chaos run doubles as the primary ingest payload of the JSON.
     load.rows_accepted = chaos.rows_accepted;
     load.retry_naks = chaos.retry_naks;
@@ -1073,6 +1132,7 @@ int main(int argc, char** argv) {
     load.rows_per_sec = chaos.rows_per_sec;
     load.query_ms = chaos.query_ms;
     load.verified_ok = chaos.verified_ok;
+    load.live_queries_ok = chaos.live_queries_ok;
     load.streams = chaos.streams;
     load.ingest_ok = chaos.streams_ok;
   } else if (opts.sweep_fsync) {
@@ -1123,7 +1183,8 @@ int main(int argc, char** argv) {
               << "queries: " << load.query_ms.size() << " completed\n";
     if (opts.verify) {
       std::cout << "verify: " << load.verified_ok << "/" << load.streams
-                << " streams bit-identical to local replay\n";
+                << " streams verified; " << load.live_queries_ok << "/"
+                << load.streams << " live answers equal to local Cmc()\n";
     }
   }
 

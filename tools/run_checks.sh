@@ -37,7 +37,8 @@
 #    every_tick, each against its own WAL-backed daemon) plus a chaos run
 #    that SIGKILLs the daemon mid-ingest and requires the recovered
 #    closed-convoy events to be bit-identical to an unfaulted local
-#    replay — the crash-recovery property, end to end over processes;
+#    replay, and the recovered streams' live kQuery answers to equal a
+#    local Cmc() — the crash-recovery property, end to end over processes;
 # 5. generate a small synthetic dataset with convoy_cli;
 # 6. run CuTS* and CMC discovery with 1 and 2 worker threads and require
 #    byte-identical results (the parallel subsystem's core guarantee);
@@ -353,11 +354,12 @@ echo "ok: daemon listening on port ${SERVER_PORT}"
 
 # A bounded burst at the acceptance scale (8 ingest + 4 query clients),
 # with --verify: subscriber events must be bit-identical to a local
-# StreamingCmc replay of the same feed.
+# StreamingCmc replay of the same feed, and each stream's post-Finish
+# kQuery (auto, the live incremental CMC) must equal a local Cmc().
 "${RELEASE_BUILD_DIR}/convoy_loadgen" --port "${SERVER_PORT}" \
     --ingest 8 --query 4 --ticks 12 --objects 24 --batch-rows 8 \
     --verify --json "${BENCH_SERVER_JSON}"
-echo "ok: loadgen burst verified against local replay"
+echo "ok: loadgen burst verified against local replay and local Cmc()"
 
 kill -TERM "${SERVER_PID}"
 SERVER_EXIT=0
@@ -390,6 +392,7 @@ verify = doc["verify"]
 assert verify["enabled"] is True
 assert verify["streams_ok"] == verify["streams_total"] == \
     config["ingest_clients"]
+assert verify["live_queries_ok"] == verify["streams_total"], verify
 # v2 carries the durability sections even when this run used neither.
 assert isinstance(doc["fsync_sweep"], list)
 assert doc["chaos"]["enabled"] in (True, False)
@@ -443,7 +446,8 @@ echo "== crash-recovery smoke (chaos: SIGKILL mid-ingest, verify replay) =="
 CHAOS_JSON="${SMOKE_DIR}/BENCH_server_chaos.json"
 # Kills the daemon mid-ingest (twice), restarts it on the same WAL, and
 # exits 3 unless every recovered stream's closed-convoy events are
-# bit-identical to an unfaulted local replay — the PR's durability bar.
+# bit-identical to an unfaulted local replay and its kQuery (auto, the
+# live incremental CMC over the replayed rows) equals a local Cmc().
 "${RELEASE_BUILD_DIR}/convoy_loadgen" \
     --serverd "${RELEASE_BUILD_DIR}/convoy_serverd" --chaos --kills 2 \
     --wal-root "${SMOKE_DIR}/chaos-wal" \
@@ -457,9 +461,10 @@ chaos = doc["chaos"]
 assert chaos["enabled"] is True
 assert chaos["kills"] >= 1, chaos
 assert chaos["streams_ok"] == chaos["streams_total"] == 2, chaos
+assert chaos["live_queries_ok"] == chaos["streams_total"], chaos
 print(f"ok: {chaos['kills']} kills, {chaos['resumes']} resumes,"
       f" {chaos['streams_ok']}/{chaos['streams_total']} streams"
-      " bit-identical after recovery")
+      " bit-identical after recovery, live answers equal Cmc()")
 PYEOF
 else
   grep -q '"chaos":{"enabled":true' "${CHAOS_JSON}"
