@@ -554,8 +554,10 @@ int main(int argc, char** argv) {
   double cmc_serial = 0.0;
   double cuts_serial = 0.0;
   for (const size_t threads : sweep) {
+    ConvoyQuery threaded = ds.data.query;
+    threaded.num_threads = threads;
     DiscoveryStats cmc_stats;
-    (void)ParallelCmc(ds.data.db, ds.data.query, {}, &cmc_stats, threads);
+    (void)Cmc(ds.data.db, threaded, {}, &cmc_stats);
     const CutsFilterOptions options = FilterOptionsFor(ds, threads);
     DiscoveryStats stats;
     const auto result = RunVariant(ds, CutsVariant::kCuts, &stats, options);
@@ -574,24 +576,17 @@ int main(int argc, char** argv) {
               {std::to_string(result.size()), 9}});
   }
   // ------------------------------------------------------------------------
-  // Planner overhead: the v2 Prepare+Execute path vs. the legacy Discover
-  // shim on the same engine and seeded database, simplification cache warm
-  // for both, so the difference is pure planner/executor machinery. Tracked
-  // across PRs to keep the shim path effectively free.
+  // Planner overhead: Prepare+Execute per query vs. re-Executing one
+  // prepared plan, on the same engine and seeded database with the
+  // simplification cache warm, so the difference is the planning cost a
+  // reused plan no longer pays.
   PrintHeader("Planner overhead (cache warm, ms/query, " +
               std::string("N = 96, T = 800)"));
   const BenchDataset pds = PrepareDataset(BaseConfig(96, 800), opts.seed + 123);
   const ConvoyEngine engine(pds.data.db);
   const ConvoyQuery pq = pds.data.query;
-  (void)engine.Discover(pq);  // prime the simplification cache
+  (void)engine.Prepare(pq);  // prime the simplification cache
   const int iters = opts.full ? 20 : 8;
-
-  Stopwatch legacy_watch;
-  size_t legacy_convoys = 0;
-  for (int i = 0; i < iters; ++i) {
-    legacy_convoys = engine.Discover(pq).size();
-  }
-  const double legacy_ms = legacy_watch.ElapsedSeconds() * 1e3 / iters;
 
   Stopwatch prepare_watch;
   size_t planned_convoys = 0;
@@ -614,14 +609,11 @@ int main(int argc, char** argv) {
   PrintRow({{"path", 24}, {"ms/query", 12}, {"overhead", 12},
             {"convoys", 9}});
   PrintRule(57);
-  PrintRow({{"legacy Discover", 24}, {Fmt(legacy_ms, 3), 12}, {"-", 12},
-            {std::to_string(legacy_convoys), 9}});
   PrintRow({{"Prepare+Execute", 24}, {Fmt(planned_ms, 3), 12},
-            {Fmt(planned_ms - legacy_ms, 3), 12},
+            {Fmt(planned_ms - execute_ms, 3), 12},
             {std::to_string(planned_convoys), 9}});
   PrintRow({{"Execute (plan reused)", 24}, {Fmt(execute_ms, 3), 12},
-            {Fmt(execute_ms - legacy_ms, 3), 12},
-            {std::to_string(planned_convoys), 9}});
+            {"-", 12}, {std::to_string(planned_convoys), 9}});
 
   // ------------------------------------------------------------------------
   // Build-once, query-N: the SnapshotStore's reason to exist. The

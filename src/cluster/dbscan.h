@@ -72,10 +72,10 @@ Clustering Dbscan(const std::vector<Point>& points, double eps,
                   size_t min_pts);
 
 /// Variant taking a prebuilt GridIndex over the same `points` (built with a
-/// cell size >= eps). SnapshotClusters — the per-tick unit of work of CMC —
-/// builds the index itself and feeds it in, so under ParallelCmc the index
-/// builds run concurrently across snapshots; results are identical to the
-/// index-less overload. `scratch` (optional) supplies the reusable working
+/// cell size >= eps). ClusterSnapshot — CMC's per-tick unit of work on the
+/// rows — builds the index itself and feeds it in, so in a threaded CMC
+/// run the index builds run concurrently across snapshots; results are
+/// identical to the index-less overload. `scratch` (optional) supplies the reusable working
 /// set; without one, a call-local arena is used.
 Clustering Dbscan(const std::vector<Point>& points, const GridIndex& index,
                   double eps, size_t min_pts,

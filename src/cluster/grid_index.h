@@ -105,7 +105,7 @@ class GridIndex {
   /// Shared build: applies the degenerate-cell-size fallback and fills the
   /// CSR arrays, generic over how coordinate i is fetched so the
   /// row-oriented and columnar entry points cannot drift apart (their
-  /// identical internal state is what the store-vs-legacy parity contract
+  /// identical internal state is what the store-vs-rows parity contract
   /// rests on). Defined in the .cc; instantiated only there.
   template <typename XAt, typename YAt>
   void AssignImpl(size_t n, double cell_size, XAt&& x_at, YAt&& y_at);

@@ -57,7 +57,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "parallel/parallel_for.h"
-#include "parallel/parallel_runner.h"
 #include "parallel/service_thread.h"
 #include "parallel/thread_pool.h"
 #include "server/client.h"

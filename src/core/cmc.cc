@@ -6,6 +6,7 @@
 #include "cluster/dbscan.h"
 #include "cluster/grid_index.h"
 #include "obs/trace.h"
+#include "parallel/parallel_for.h"
 #include "traj/interpolate.h"
 #include "util/stopwatch.h"
 
@@ -50,26 +51,31 @@ std::vector<std::vector<ObjectId>> ClusterSnapshot(
   return ClustersToObjectIds(clustering, ids.data());
 }
 
-std::vector<std::vector<ObjectId>> SnapshotClusters(
-    const TrajectoryDatabase& db, Tick t, const ConvoyQuery& query,
-    bool* clustered, SnapshotScratch* scratch) {
-  SnapshotScratch local;
-  if (scratch == nullptr) scratch = &local;
-  std::vector<Point>& snapshot = scratch->points;
-  std::vector<ObjectId>& snapshot_ids = scratch->ids;
-  snapshot.clear();
-  snapshot_ids.clear();
+RowSnapshots::RowSnapshots(const TrajectoryDatabase& db)
+    : rows_(db.trajectories()), cursors_(rows_.size(), 0) {}
 
-  // O_t: every object alive at t contributes its (possibly virtual,
+std::vector<std::vector<ObjectId>> RowSnapshots::Cluster(
+    Tick t, const ConvoyQuery& query, const std::vector<uint32_t>* selected,
+    bool* clustered, SnapshotScratch* scratch) {
+  std::vector<Point>& points = scratch->points;
+  std::vector<ObjectId>& ids = scratch->ids;
+  points.clear();
+  ids.clear();
+  // O_t: every gathered object contributes its (possibly virtual,
   // linearly interpolated) location.
-  for (const Trajectory& traj : db.trajectories()) {
-    const auto pos = InterpolateAt(traj, t);
-    if (!pos.has_value()) continue;
-    snapshot.push_back(*pos);
-    snapshot_ids.push_back(traj.id());
+  const auto gather = [&](size_t r) {
+    const std::optional<Point> pos =
+        InterpolateForward(rows_[r], t, &cursors_[r]);
+    if (!pos.has_value()) return;
+    points.push_back(*pos);
+    ids.push_back(rows_[r].id());
+  };
+  if (selected != nullptr) {
+    for (const uint32_t r : *selected) gather(r);
+  } else {
+    for (size_t r = 0; r < rows_.size(); ++r) gather(r);
   }
-  return ClusterSnapshot(snapshot, snapshot_ids, query, clustered,
-                         &scratch->dbscan);
+  return ClusterSnapshot(points, ids, query, clustered, &scratch->dbscan);
 }
 
 std::vector<std::vector<ObjectId>> SnapshotClusters(
@@ -101,18 +107,6 @@ std::vector<Convoy> FinalizeCmcResult(const std::vector<Candidate>& completed,
   return result;
 }
 
-size_t EmitCompletedSince(const std::vector<Candidate>& completed, size_t from,
-                          const ExecHooks* hooks) {
-  if (hooks == nullptr || !hooks->sink) return completed.size();
-  std::vector<Convoy> batch;
-  batch.reserve(completed.size() - from);
-  for (size_t i = from; i < completed.size(); ++i) {
-    batch.push_back(completed[i].ToConvoy());
-  }
-  EmitConvoys(hooks, std::move(batch));
-  return completed.size();
-}
-
 void TraceDbscanRun(TraceSession* trace, const DbscanTally& tally) {
   if (trace == nullptr) return;
   trace->Count(TraceCounter::kDbscanPointsScanned, tally.points_scanned);
@@ -135,25 +129,48 @@ void TraceTrackerTally(TraceSession* trace, const TrackerTally& tally) {
 
 namespace {
 
-// CMC's per-tick loop, generic over how a tick's clusters are produced
-// (row-oriented re-derivation or the SnapshotStore's columnar views): the
-// candidate algebra is identical either way, so the entry points can
-// never diverge. `cluster_at(t, &clustered)` returns the tick's clusters.
-template <typename ClusterAt>
-void SweepImpl(Tick begin_tick, Tick end_tick, CmcSweep* sweep,
-               DiscoveryStats* stats, const ExecHooks* hooks,
-               ClusterAt&& cluster_at) {
+// Converts completed candidates [from, end) to convoys and hands them to
+// the hooks' incremental sink (no-op without one). Returns the new
+// emission watermark.
+size_t EmitCompletedSince(const std::vector<Candidate>& completed, size_t from,
+                          const ExecHooks* hooks) {
+  if (hooks == nullptr || !hooks->sink) return completed.size();
+  std::vector<Convoy> batch;
+  batch.reserve(completed.size() - from);
+  for (size_t i = from; i < completed.size(); ++i) {
+    batch.push_back(completed[i].ToConvoy());
+  }
+  EmitConvoys(hooks, std::move(batch));
+  return completed.size();
+}
+
+// CMC's per-tick loop — the one tracker loop of every batch CMC entry
+// point, generic over how a tick's clusters are produced (the row gather
+// or the SnapshotStore's columnar views), so the candidate algebra can
+// never diverge between them. `make_cluster_at(scratch)` returns a
+// clusterer `cluster_at(t, &clustered)` for ascending ticks, working in
+// `scratch`.
+//
+// At one thread one clusterer, in the caller's scratch, serves every tick
+// on the caller's thread. Otherwise ticks are clustered concurrently in
+// blocks on a ThreadPool — one clusterer and arena per contiguous worker
+// chunk — and each block is then consumed in tick order. Consumption (the
+// tracker, stats, the sink, progress) runs only on the caller's thread in
+// tick order, and the counters folded while clustering are per-tick
+// integer tallies, so every output and count is identical at every thread
+// count.
+template <typename MakeClusterAt>
+void SweepImpl(Tick begin_tick, Tick end_tick, size_t threads,
+               CmcSweep* sweep, DiscoveryStats* stats, const ExecHooks* hooks,
+               SnapshotScratch* scratch, MakeClusterAt&& make_cluster_at) {
   TraceSession* const trace = TraceOf(hooks);
   const size_t total_ticks =
       begin_tick <= end_tick ? static_cast<size_t>(end_tick - begin_tick) + 1
                              : 0;
   size_t emitted = sweep->completed.size();
-
-  for (Tick t = begin_tick; t <= end_tick; ++t) {
-    CheckCancelled(hooks);
-    bool clustered = false;
-    const std::vector<std::vector<ObjectId>> cluster_objects =
-        cluster_at(t, &clustered);
+  const auto consume = [&](Tick t,
+                           const std::vector<std::vector<ObjectId>>& clusters,
+                           bool clustered) {
     if (clustered) {
       if (stats != nullptr) ++stats->num_clusterings;
       TraceCount(trace, TraceCounter::kSnapshotsClustered, 1);
@@ -161,12 +178,114 @@ void SweepImpl(Tick begin_tick, Tick end_tick, CmcSweep* sweep,
     // Advancing with an empty cluster list retires every live candidate,
     // which is exactly what a tick with < m alive objects must do: the
     // "consecutive time points" requirement breaks there.
-    sweep->tracker.Advance(cluster_objects, t, t, /*step_weight=*/1,
+    sweep->tracker.Advance(clusters, t, t, /*step_weight=*/1,
                            &sweep->completed);
     emitted = EmitCompletedSince(sweep->completed, emitted, hooks);
     ReportProgress(hooks, "cmc",
                    static_cast<size_t>(t - begin_tick) + 1, total_ticks);
+  };
+
+  if (threads <= 1 || total_ticks <= 1) {
+    auto cluster_at = make_cluster_at(scratch);
+    for (Tick t = begin_tick; t <= end_tick; ++t) {
+      CheckCancelled(hooks);
+      bool clustered = false;
+      const std::vector<std::vector<ObjectId>> clusters =
+          cluster_at(t, &clustered);
+      consume(t, clusters, clustered);
+    }
+    return;
   }
+
+  struct TickClusters {
+    std::vector<std::vector<ObjectId>> clusters;
+    bool clustered = false;
+  };
+  ThreadPool pool(threads);
+  // Blocks bound peak memory to O(block * clusters-per-tick) instead of
+  // the whole time domain, and let the sink and progress run while later
+  // blocks are still clustering.
+  const size_t block = std::max<size_t>(threads * 16, 256);
+  for (size_t block_begin = 0; block_begin < total_ticks;
+       block_begin += block) {
+    const size_t block_size = std::min(block, total_ticks - block_begin);
+    const Tick block_tick = begin_tick + static_cast<Tick>(block_begin);
+    // Writes land in per-tick slots, keeping tick order; chunk boundaries
+    // are deterministic, and scratch contents never affect results.
+    std::vector<TickClusters> per_tick(block_size);
+    pool.ParallelFor(block_size, [&](size_t chunk_begin, size_t chunk_end) {
+      SnapshotScratch chunk_scratch;
+      auto cluster_at = make_cluster_at(&chunk_scratch);
+      for (size_t i = chunk_begin; i < chunk_end; ++i) {
+        CheckCancelled(hooks);
+        per_tick[i].clusters = cluster_at(block_tick + static_cast<Tick>(i),
+                                          &per_tick[i].clustered);
+      }
+    });
+    for (size_t i = 0; i < block_size; ++i) {
+      CheckCancelled(hooks);
+      consume(block_tick + static_cast<Tick>(i), per_tick[i].clusters,
+              per_tick[i].clustered);
+    }
+  }
+}
+
+// The row path's clusterers for SweepImpl: each gathers through a fresh
+// RowSnapshots, so a worker chunk restarts the cursors at its first tick.
+auto RowClusterers(const TrajectoryDatabase& db, const ConvoyQuery& query,
+                   const RowSelector& rows_at, TraceSession* trace) {
+  return [&db, &query, &rows_at, trace](SnapshotScratch* scratch) {
+    return [rows = RowSnapshots(db), &query, &rows_at, trace, scratch](
+               Tick t, bool* clustered) mutable {
+      ScopedSpan span(trace, "snapshot.cluster");
+      std::vector<std::vector<ObjectId>> clusters = rows.Cluster(
+          t, query, rows_at ? rows_at(t) : nullptr, clustered, scratch);
+      if (*clustered) TraceDbscanRun(trace, scratch->dbscan.tally);
+      return clusters;
+    };
+  };
+}
+
+// The store path's clusterers for SweepImpl: the store's columnar views
+// and cached grids, any tick in any order.
+auto StoreClusterers(const SnapshotStore& store, const ConvoyQuery& query,
+                     TraceSession* trace) {
+  return [&store, &query, trace](SnapshotScratch* scratch) {
+    return [&store, &query, trace, scratch](Tick t, bool* clustered) {
+      ScopedSpan span(trace, "snapshot.cluster");
+      bool grid_hit = false;
+      std::vector<std::vector<ObjectId>> clusters = SnapshotClusters(
+          store, t, query, clustered, &scratch->dbscan, &grid_hit);
+      if (*clustered) {
+        TraceDbscanRun(trace, scratch->dbscan.tally);
+        TraceCount(trace,
+                   grid_hit ? TraceCounter::kGridCacheHits
+                            : TraceCounter::kGridCacheMisses,
+                   1);
+      }
+      return clusters;
+    };
+  };
+}
+
+// One CMC run over [begin_tick, end_tick]: a fresh sweep through SweepImpl
+// at query.num_threads, finished as CMC ends, its wall time added to
+// stats->total_seconds.
+template <typename MakeClusterAt>
+std::vector<Convoy> RunCmc(const ConvoyQuery& query, Tick begin_tick,
+                           Tick end_tick, const CmcOptions& options,
+                           DiscoveryStats* stats, const ExecHooks* hooks,
+                           SnapshotScratch* scratch,
+                           MakeClusterAt&& make_cluster_at) {
+  Stopwatch total;
+  SnapshotScratch local;
+  CmcSweep sweep(query.m, query.k);
+  SweepImpl(begin_tick, end_tick, ResolveThreadCount(query.num_threads),
+            &sweep, stats, hooks, scratch != nullptr ? scratch : &local,
+            make_cluster_at);
+  std::vector<Convoy> result = FinishSweep(&sweep, options, stats, hooks);
+  if (stats != nullptr) stats->total_seconds += total.ElapsedSeconds();
+  return result;
 }
 
 }  // namespace
@@ -195,53 +314,8 @@ void SweepRows(const TrajectoryDatabase& db, const ConvoyQuery& query,
                SnapshotScratch* scratch) {
   SnapshotScratch local;
   if (scratch == nullptr) scratch = &local;
-  TraceSession* const trace = TraceOf(hooks);
-  const std::vector<Trajectory>& rows = db.trajectories();
-  // One forward cursor per trajectory: the loop's ticks ascend, so each
-  // gather moves a cursor by a sample or two instead of binary-searching.
-  std::vector<size_t> cursors(rows.size(), 0);
-  SweepImpl(
-      begin_tick, end_tick, sweep, stats, hooks,
-      [&](Tick t, bool* clustered) {
-        ScopedSpan span(trace, "snapshot.cluster");
-        std::vector<Point>& points = scratch->points;
-        std::vector<ObjectId>& ids = scratch->ids;
-        points.clear();
-        ids.clear();
-        const auto gather = [&](size_t r) {
-          const std::optional<Point> pos =
-              InterpolateForward(rows[r], t, &cursors[r]);
-          if (!pos.has_value()) return;
-          points.push_back(*pos);
-          ids.push_back(rows[r].id());
-        };
-        const std::vector<uint32_t>* selected =
-            rows_at ? rows_at(t) : nullptr;
-        if (selected != nullptr) {
-          for (const uint32_t r : *selected) gather(r);
-        } else {
-          for (size_t r = 0; r < rows.size(); ++r) gather(r);
-        }
-        std::vector<std::vector<ObjectId>> clusters = ClusterSnapshot(
-            points, ids, query, clustered, &scratch->dbscan);
-        if (*clustered) TraceDbscanRun(trace, scratch->dbscan.tally);
-        return clusters;
-      });
-}
-
-std::vector<Convoy> CmcRangeRows(const TrajectoryDatabase& db,
-                                 const ConvoyQuery& query, Tick begin_tick,
-                                 Tick end_tick, const RowSelector& rows_at,
-                                 const CmcOptions& options,
-                                 DiscoveryStats* stats, const ExecHooks* hooks,
-                                 SnapshotScratch* scratch) {
-  Stopwatch total;
-  CmcSweep sweep(query.m, query.k);
-  SweepRows(db, query, begin_tick, end_tick, rows_at, &sweep, stats, hooks,
-            scratch);
-  std::vector<Convoy> result = FinishSweep(&sweep, options, stats, hooks);
-  if (stats != nullptr) stats->total_seconds += total.ElapsedSeconds();
-  return result;
+  SweepImpl(begin_tick, end_tick, /*threads=*/1, sweep, stats, hooks, scratch,
+            RowClusterers(db, query, rows_at, TraceOf(hooks)));
 }
 
 std::vector<Convoy> CmcRange(const TrajectoryDatabase& db,
@@ -249,8 +323,9 @@ std::vector<Convoy> CmcRange(const TrajectoryDatabase& db,
                              Tick end_tick, const CmcOptions& options,
                              DiscoveryStats* stats, const ExecHooks* hooks,
                              SnapshotScratch* scratch) {
-  return CmcRangeRows(db, query, begin_tick, end_tick, RowSelector{},
-                      options, stats, hooks, scratch);
+  const RowSelector all_rows;
+  return RunCmc(query, begin_tick, end_tick, options, stats, hooks, scratch,
+                RowClusterers(db, query, all_rows, TraceOf(hooks)));
 }
 
 std::vector<Convoy> Cmc(const TrajectoryDatabase& db, const ConvoyQuery& query,
@@ -266,30 +341,8 @@ std::vector<Convoy> CmcRange(const SnapshotStore& store,
                              Tick end_tick, const CmcOptions& options,
                              DiscoveryStats* stats, const ExecHooks* hooks,
                              SnapshotScratch* scratch) {
-  SnapshotScratch local;
-  if (scratch == nullptr) scratch = &local;
-  TraceSession* const trace = TraceOf(hooks);
-  Stopwatch total;
-  CmcSweep sweep(query.m, query.k);
-  SweepImpl(
-      begin_tick, end_tick, &sweep, stats, hooks,
-      [&](Tick t, bool* clustered) {
-        ScopedSpan span(trace, "snapshot.cluster");
-        bool grid_hit = false;
-        std::vector<std::vector<ObjectId>> clusters = SnapshotClusters(
-            store, t, query, clustered, &scratch->dbscan, &grid_hit);
-        if (*clustered) {
-          TraceDbscanRun(trace, scratch->dbscan.tally);
-          TraceCount(trace,
-                     grid_hit ? TraceCounter::kGridCacheHits
-                              : TraceCounter::kGridCacheMisses,
-                     1);
-        }
-        return clusters;
-      });
-  std::vector<Convoy> result = FinishSweep(&sweep, options, stats, hooks);
-  if (stats != nullptr) stats->total_seconds += total.ElapsedSeconds();
-  return result;
+  return RunCmc(query, begin_tick, end_tick, options, stats, hooks, scratch,
+                StoreClusterers(store, query, TraceOf(hooks)));
 }
 
 std::vector<Convoy> Cmc(const SnapshotStore& store, const ConvoyQuery& query,

@@ -26,10 +26,10 @@ struct CmcOptions {
   bool remove_dominated = true;
 };
 
-/// Scratch buffers a caller may reuse across SnapshotClusters calls so the
-/// per-tick loops do not reallocate the snapshot, the grid index, or the
-/// DBSCAN working set every iteration. Serial loops hold one; the parallel
-/// runners hold one per worker chunk; the query executor carries one in its
+/// Scratch buffers a caller may reuse across ticks so the per-tick loops do
+/// not reallocate the snapshot, the grid index, or the DBSCAN working set
+/// every iteration. CMC's one-thread loop uses the caller's; its threaded
+/// loop holds one per worker chunk; the query executor carries one in its
 /// ExecContext. Contents never carry information between ticks (everything
 /// is reset per use), so reuse cannot change results.
 struct SnapshotScratch {
@@ -45,21 +45,29 @@ struct SnapshotScratch {
 /// from the previous tick; candidates that survive k consecutive ticks are
 /// convoys.
 ///
-/// Runs over the database's full time domain. `hooks` (optional) adds
-/// per-tick cancellation checks, progress reports, and incremental convoy
+/// Runs over the database's full time domain, gathering each tick's
+/// snapshot from the rows through forward interpolation cursors
+/// (RowSnapshots). query.num_threads sets the threads (0 = all hardware
+/// threads): at one, ticks are clustered one by one on the caller's
+/// thread; otherwise blocks of ticks are clustered concurrently on a
+/// ThreadPool, each worker chunk restarting the cursors, and the candidate
+/// tracker consumes every block sequentially in tick order. So the
+/// convoys, DiscoveryStats::num_clusterings, the traced counters and the
+/// sink and progress sequences are identical at every thread count.
+///
+/// `hooks` (optional) adds per-tick cancellation checks (in the workers
+/// and on the sequential pass), progress reports, and incremental convoy
 /// emission — see core/exec_hooks.h; results are unaffected. `scratch`
-/// (optional) supplies the per-tick arena; without one a call-local arena
-/// is used, so passing it only moves the allocation, never the result.
+/// (optional) supplies the per-tick arena of the one-thread loop; without
+/// one a call-local arena is used, so passing it only moves the
+/// allocation, never the result.
 std::vector<Convoy> Cmc(const TrajectoryDatabase& db, const ConvoyQuery& query,
                         const CmcOptions& options = {},
                         DiscoveryStats* stats = nullptr,
                         const ExecHooks* hooks = nullptr,
                         SnapshotScratch* scratch = nullptr);
 
-/// CMC restricted to ticks [begin_tick, end_tick]. Gathers each tick's
-/// snapshot from the rows through forward interpolation cursors
-/// (InterpolateForward), one per trajectory, so a tick costs no binary
-/// search; positions are bit-identical to InterpolateAt.
+/// Cmc restricted to ticks [begin_tick, end_tick].
 std::vector<Convoy> CmcRange(const TrajectoryDatabase& db,
                              const ConvoyQuery& query, Tick begin_tick,
                              Tick end_tick, const CmcOptions& options = {},
@@ -67,65 +75,9 @@ std::vector<Convoy> CmcRange(const TrajectoryDatabase& db,
                              const ExecHooks* hooks = nullptr,
                              SnapshotScratch* scratch = nullptr);
 
-/// Chooses which trajectories a CmcRangeRows run gathers at tick t: the
-/// database indices, ascending, or null for every trajectory alive at t.
-/// Called once per tick, at ascending ticks; the returned list must stay
-/// valid until the next call.
-using RowSelector = std::function<const std::vector<uint32_t>*(Tick t)>;
-
-/// CmcRange over a subset of the rows at each tick: tick t clusters only
-/// the trajectories `rows_at(t)` names (every alive one when `rows_at` is
-/// empty or returns null), in database order. The result equals
-/// CmcRange's whenever every dropped object is, at that tick, DBSCAN noise
-/// within e of no core point: such an object changes no core set and is
-/// in no neighbour list a cluster expands, so every cluster, its expansion
-/// order and its border tie-breaks stay the same. CuTS refinement
-/// (core/cuts_refine.h) selects the objects its filter clustered, which
-/// meets that condition. Clustering is skipped — and not counted — at
-/// ticks where fewer than m objects are selected.
-std::vector<Convoy> CmcRangeRows(const TrajectoryDatabase& db,
-                                 const ConvoyQuery& query, Tick begin_tick,
-                                 Tick end_tick, const RowSelector& rows_at,
-                                 const CmcOptions& options = {},
-                                 DiscoveryStats* stats = nullptr,
-                                 const ExecHooks* hooks = nullptr,
-                                 SnapshotScratch* scratch = nullptr);
-
-/// The state CMC's per-tick loop carries from one tick to the next: the
-/// candidate tracker and the candidates completed so far. Cmc, CmcRange
-/// and CmcRangeRows hold one for the length of a call. A caller holding
-/// its own can stop after any tick and continue later — or save
-/// (tracker.live(), completed.size()) as a checkpoint and resume from it
-/// through CandidateTracker::Restore, as IncrementalCmc does
-/// (core/incremental_cmc.h).
-struct CmcSweep {
-  CmcSweep(size_t m, Tick k) : tracker(m, k) {}
-  CandidateTracker tracker;
-  std::vector<Candidate> completed;
-};
-
-/// CMC's per-tick loop on the row path, over ticks [begin_tick, end_tick]
-/// of a caller-owned sweep: the loop CmcRangeRows runs between a fresh
-/// sweep and FinishSweep (`rows_at` as there). Candidates completed on the
-/// way go to the hooks' sink.
-void SweepRows(const TrajectoryDatabase& db, const ConvoyQuery& query,
-               Tick begin_tick, Tick end_tick, const RowSelector& rows_at,
-               CmcSweep* sweep, DiscoveryStats* stats = nullptr,
-               const ExecHooks* hooks = nullptr,
-               SnapshotScratch* scratch = nullptr);
-
-/// Ends a sweep as CMC ends: flushes the tracker into sweep->completed
-/// (live candidates with lifetime >= k complete), hands the flushed ones
-/// to the hooks' sink, folds the tracker's tally into the trace, and
-/// finalizes the completed list (FinalizeCmcResult). The sweep is left
-/// flushed, its completed list intact. Sets stats->num_convoys.
-std::vector<Convoy> FinishSweep(CmcSweep* sweep, const CmcOptions& options,
-                                DiscoveryStats* stats = nullptr,
-                                const ExecHooks* hooks = nullptr);
-
 /// Store-backed CMC: identical to Cmc(db, ...) over the database the store
-/// was built from — the store's per-tick columnar views reproduce the
-/// row-oriented snapshot gather bit for bit — but skips all per-tick
+/// was built from, at every thread count — the store's per-tick columnar
+/// views reproduce the row gather bit for bit — but skips all per-tick
 /// re-derivation (interpolation, alive-object scans) and reuses the
 /// store's cached per-tick grid indexes at query.e instead of rebuilding
 /// them every call.
@@ -143,22 +95,88 @@ std::vector<Convoy> CmcRange(const SnapshotStore& store,
                              const ExecHooks* hooks = nullptr,
                              SnapshotScratch* scratch = nullptr);
 
-/// One tick of row-path CMC, for callers that visit ticks out of order
-/// (the snapshot-parallel runner, parallel/parallel_runner.h): every object
-/// alive at `t` contributes its (possibly interpolated) position, the
-/// snapshot is clustered with DBSCAN(query.e, query.m) over a per-snapshot
-/// grid index, and each cluster comes back as a sorted object-id list.
-/// Snapshots with fewer than m alive objects return an empty list without
-/// clustering. `clustered` (optional) reports whether DBSCAN actually ran,
-/// for stats accounting; `scratch` (optional) supplies reusable snapshot
-/// buffers.
-std::vector<std::vector<ObjectId>> SnapshotClusters(
-    const TrajectoryDatabase& db, Tick t, const ConvoyQuery& query,
-    bool* clustered = nullptr, SnapshotScratch* scratch = nullptr);
+/// The state CMC's per-tick loop carries from one tick to the next: the
+/// candidate tracker and the candidates completed so far. Cmc and CmcRange
+/// hold one for the length of a call. A caller holding its own can stop
+/// after any tick and continue later — or save (tracker.live(),
+/// completed.size()) as a checkpoint and resume from it through
+/// CandidateTracker::Restore, as IncrementalCmc does
+/// (core/incremental_cmc.h).
+struct CmcSweep {
+  CmcSweep(size_t m, Tick k) : tracker(m, k) {}
+  CandidateTracker tracker;
+  std::vector<Candidate> completed;
+};
 
-/// Store-backed per-tick unit of work: clusters the store's columnar view
-/// of tick `t` over the store's cached grid index at query.e. Identical
-/// output to SnapshotClusters(db, t, ...) on the source database.
+/// Chooses which trajectories a SweepRows run gathers at tick t: the
+/// database indices, ascending, or null for every trajectory alive at t.
+/// Called once per tick, at ascending ticks; the returned list must stay
+/// valid until the next call.
+using RowSelector = std::function<const std::vector<uint32_t>*(Tick t)>;
+
+/// CMC's per-tick loop over the rows, for ticks [begin_tick, end_tick] of
+/// a caller-owned sweep; candidates completed on the way go to the hooks'
+/// sink, and FinishSweep ends the sweep as CmcRange would. It always runs
+/// on the caller's thread, whatever query.num_threads says: `rows_at` is
+/// stateful, and its callers — CuTS refinement (one sweep per window,
+/// windows in parallel) and the live path — bring their own parallelism
+/// or none.
+///
+/// Tick t clusters only the trajectories `rows_at(t)` names (every alive
+/// one when `rows_at` is empty or returns null), in database order. The
+/// result equals CmcRange's whenever every dropped object is, at that
+/// tick, DBSCAN noise within e of no core point: such an object changes no
+/// core set and is in no neighbour list a cluster expands, so every
+/// cluster, its expansion order and its border tie-breaks stay the same.
+/// CuTS refinement (core/cuts_refine.h) selects the objects its filter
+/// clustered, which meets that condition. Clustering is skipped — and not
+/// counted — at ticks where fewer than m objects are selected.
+void SweepRows(const TrajectoryDatabase& db, const ConvoyQuery& query,
+               Tick begin_tick, Tick end_tick, const RowSelector& rows_at,
+               CmcSweep* sweep, DiscoveryStats* stats = nullptr,
+               const ExecHooks* hooks = nullptr,
+               SnapshotScratch* scratch = nullptr);
+
+/// Ends a sweep as CMC ends: flushes the tracker into sweep->completed
+/// (live candidates with lifetime >= k complete), hands the flushed ones
+/// to the hooks' sink, folds the tracker's tally into the trace, and
+/// finalizes the completed list (FinalizeCmcResult). The sweep is left
+/// flushed, its completed list intact. Sets stats->num_convoys.
+std::vector<Convoy> FinishSweep(CmcSweep* sweep, const CmcOptions& options,
+                                DiscoveryStats* stats = nullptr,
+                                const ExecHooks* hooks = nullptr);
+
+/// The row gather of CMC and MC2: clusters a database's snapshots at
+/// ascending ticks, gathering each from the rows through one forward
+/// interpolation cursor per trajectory (InterpolateForward), so a tick
+/// costs no binary search; positions are bit-identical to InterpolateAt.
+/// A fresh instance may start at any tick (its first gather
+/// binary-searches), which is how each worker chunk of a threaded CMC run
+/// restarts it.
+class RowSnapshots {
+ public:
+  explicit RowSnapshots(const TrajectoryDatabase& db);
+
+  /// Clusters tick t (not before the previous call's tick) as
+  /// ClusterSnapshot does, over the trajectories `selected` names
+  /// (database indices, ascending) or, when null, over every trajectory
+  /// alive at t, in database order. The snapshot and the DBSCAN working
+  /// set live in `scratch`.
+  std::vector<std::vector<ObjectId>> Cluster(
+      Tick t, const ConvoyQuery& query, const std::vector<uint32_t>* selected,
+      bool* clustered, SnapshotScratch* scratch);
+
+ private:
+  const std::vector<Trajectory>& rows_;
+  std::vector<size_t> cursors_;
+};
+
+/// One tick of store-backed CMC, for any tick in any order: clusters the
+/// store's columnar view of tick `t` over the store's cached grid index at
+/// query.e, each cluster a sorted object-id list — identical output to
+/// RowSnapshots::Cluster on the source database. Snapshots with fewer
+/// than m objects return an empty list without clustering. `clustered`
+/// (optional) reports whether DBSCAN actually ran, for stats accounting;
 /// `scratch` (optional) supplies the reusable DBSCAN working set.
 /// `grid_cache_hit` (optional out) reports whether the store served the
 /// grid from its cache (meaningful only when `clustered` comes back true —
@@ -171,8 +189,9 @@ std::vector<std::vector<ObjectId>> SnapshotClusters(
 /// Clusters one already-materialized snapshot (`points` with aligned
 /// `ids`): DBSCAN(query.e, query.m) over a fresh grid index, clusters
 /// returned as sorted object-id lists, snapshots smaller than m skipped.
-/// The snapshot path shared by batch CMC, MC2, and StreamingCmc — one
-/// implementation, so their per-tick semantics can never drift apart.
+/// The snapshot path shared by RowSnapshots (batch CMC, MC2) and
+/// StreamingCmc — one implementation, so their per-tick semantics can
+/// never drift apart.
 /// With `scratch`, the grid index and DBSCAN working set build into the
 /// caller's arena instead of allocating per snapshot.
 std::vector<std::vector<ObjectId>> ClusterSnapshot(
@@ -185,17 +204,10 @@ std::vector<std::vector<ObjectId>> ClusterSnapshot(
 std::vector<Convoy> FinalizeCmcResult(const std::vector<Candidate>& completed,
                                       const CmcOptions& options);
 
-/// Converts completed candidates [from, end) to convoys and hands them to
-/// the hooks' incremental sink (no-op without one) — the emission tail
-/// shared by the serial and parallel CMC loops, so their sink streams
-/// cannot diverge. Returns the new emission watermark.
-size_t EmitCompletedSince(const std::vector<Candidate>& completed, size_t from,
-                          const ExecHooks* hooks);
-
 /// Folds one clustering run's DBSCAN tally into the trace — the shared
-/// counting step of the serial loop, the parallel runner, and the stream
-/// (one call per clustered tick, so a disabled trace costs one branch per
-/// tick). No-op on a null trace.
+/// counting step of CMC's loop (on whichever thread clusters the tick)
+/// and the stream (one call per clustered tick, so a disabled trace costs
+/// one branch per tick). No-op on a null trace.
 void TraceDbscanRun(TraceSession* trace, const DbscanTally& tally);
 
 /// Folds a tracker's lifetime tally into the trace, once per run on the

@@ -197,7 +197,7 @@ CutsFilterResult CutsFilterPresimplified(
   };
   if (threads > 1) {
     // Blocks bound peak memory to O(block) buffered partition results
-    // instead of the whole time domain (mirroring ParallelCmcRange).
+    // instead of the whole time domain (mirroring CMC's threaded loop).
     ThreadPool pool(threads);
     const size_t block = std::max<size_t>(threads * 16, 256);
     std::vector<PartitionClusters> per_partition;

@@ -27,8 +27,8 @@ std::vector<std::vector<Convoy>> RefineMap(size_t n, size_t threads,
                                            WorkFn work,
                                            const ExecHooks* hooks) {
   threads = std::max<size_t>(1, std::min(threads, n == 0 ? 1 : n));
-  // Without live hooks (the free functions, benches, shims without a
-  // token) the blocked machinery below buys nothing — keep the plain
+  // Without live hooks (the free functions, benches, trace-only hooks)
+  // the blocked machinery below buys nothing — keep the plain
   // single-pass paths and their performance.
   const bool live_hooks =
       hooks != nullptr && (hooks->sink || hooks->progress ||
@@ -171,11 +171,11 @@ std::vector<Convoy> RefineWindows(const TrajectoryDatabase& db,
           rows_at = [&rows](Tick t) { return rows->At(t); };
         }
         DiscoveryStats unit_stats;
-        std::vector<Convoy> convoys =
-            CmcRangeRows(db, query, windows[i].first, windows[i].second,
-                         rows_at, cmc_options, &unit_stats, nested);
+        CmcSweep sweep(query.m, query.k);
+        SweepRows(db, query, windows[i].first, windows[i].second, rows_at,
+                  &sweep, &unit_stats, nested);
         clusterings[i] = unit_stats.num_clusterings;
-        return convoys;
+        return FinishSweep(&sweep, cmc_options, &unit_stats, nested);
       },
       hooks);
   std::vector<Convoy> result = RemoveDominated(Flatten(std::move(parts)));

@@ -28,7 +28,7 @@ enum class RefineMode {
 ///     (overlapping or adjacent intervals join). Every CMC convoy lies in
 ///     one candidate's interval — the filter's no-false-dismissal
 ///     guarantee — so it lies whole inside one window.
-///  2. Each window runs CMC's per-tick loop once (CmcRangeRows), so no
+///  2. Each window runs CMC's per-tick loop once (SweepRows), so no
 ///     tick is clustered twice however many candidates overlap it.
 ///  3. At each tick only the objects of `filtered.members` for the tick's
 ///     partition are gathered and clustered. That pruning is exact: two

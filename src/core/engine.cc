@@ -15,18 +15,6 @@ namespace convoy {
 
 namespace {
 
-AlgorithmChoice ChoiceFor(CutsVariant variant) {
-  switch (variant) {
-    case CutsVariant::kCuts:
-      return AlgorithmChoice::kCuts;
-    case CutsVariant::kCutsPlus:
-      return AlgorithmChoice::kCutsPlus;
-    case CutsVariant::kCutsStar:
-      return AlgorithmChoice::kCutsStar;
-  }
-  return AlgorithmChoice::kCutsStar;
-}
-
 // Span name for the execution of one physical algorithm (string literals —
 // TraceEvent never copies names).
 const char* AlgorithmSpanName(AlgorithmId id) {
@@ -157,11 +145,14 @@ EngineStoreMetrics ConvoyEngine::StoreMetrics() const {
   return m;
 }
 
-QueryPlan ConvoyEngine::MakePlan(const ConvoyQuery& query,
-                                 AlgorithmChoice choice,
-                                 const CutsFilterOptions& options,
-                                 const Mc2Options& mc2,
-                                 TraceSession* trace) const {
+StatusOr<QueryPlan> ConvoyEngine::Prepare(const ConvoyQuery& query,
+                                          AlgorithmChoice choice,
+                                          const CutsFilterOptions& options,
+                                          const Mc2Options& mc2,
+                                          TraceSession* trace) const {
+  CONVOY_RETURN_IF_ERROR(ValidateQuery(query).WithContext("Prepare"));
+  CONVOY_RETURN_IF_ERROR(
+      ValidateFilterOptions(options).WithContext("Prepare"));
   PlannerOptions planner_options;
   planner_options.db_stats = &CachedStats();
   planner_options.trace = trace;
@@ -186,39 +177,18 @@ QueryPlan ConvoyEngine::MakePlan(const ConvoyQuery& query,
   return planner.Plan(query, choice, options, mc2);
 }
 
-StatusOr<QueryPlan> ConvoyEngine::Prepare(const ConvoyQuery& query,
-                                          AlgorithmChoice choice,
-                                          const CutsFilterOptions& options,
-                                          const Mc2Options& mc2,
-                                          TraceSession* trace) const {
-  CONVOY_RETURN_IF_ERROR(ValidateQuery(query).WithContext("Prepare"));
-  CONVOY_RETURN_IF_ERROR(
-      ValidateFilterOptions(options).WithContext("Prepare"));
-  return MakePlan(query, choice, options, mc2, trace);
-}
-
 ConvoyResultSet ConvoyEngine::RunPlan(const QueryPlan& plan,
-                                      const ExecHooks& hooks,
-                                      DiscoveryStats* external_stats) const {
+                                      const ExecHooks& hooks) const {
   Stopwatch total;
   hooks.cancel.ThrowIfCancelled();
 
-  // The legacy shims pass the caller's DiscoveryStats straight through so
-  // the algorithms' historical accumulate-vs-assign behavior per field is
-  // preserved exactly (phase times +=, num_convoys/num_candidates =, ...);
-  // the v2 Execute path uses a fresh struct reporting this execution only —
-  // a reused plan's one-time planning cost is not re-charged per run.
-  DiscoveryStats local;
-  DiscoveryStats* stats = external_stats != nullptr ? external_stats : &local;
-
+  DiscoveryStats stats;
   TraceSession* const trace = hooks.trace;
   ExecContext ctx;
   ctx.db = &db_;
   ctx.plan = &plan;
-  ctx.num_threads = ResolveWorkerThreads(0, plan.query);
   ctx.hooks = hooks;
-  ctx.stats = stats;
-  ctx.trace = trace;
+  ctx.stats = &stats;
   if (trace != nullptr && ctx.hooks.sink) {
     // Wrap the caller's sink with emission telemetry: time-to-first-convoy
     // and inter-emission delay (both measured from the execution, on the
@@ -246,10 +216,10 @@ ConvoyResultSet ConvoyEngine::RunPlan(const QueryPlan& plan,
   // steady state — Prepare already did it; a hand-built plan pays here);
   // the CuTS family only borrows an existing one for its time domain.
   ctx.store = GetAlgorithm(plan.algorithm).Capabilities().uses_snapshot_store
-                  ? Store(ctx.num_threads)
+                  ? Store(ResolveWorkerThreads(0, plan.query))
                   : PeekStore();
-  ctx.simplified = [this, &plan, stats](SimplifierKind kind, double delta,
-                                        bool* hit) {
+  ctx.simplified = [this, &plan, &stats](SimplifierKind kind, double delta,
+                                         bool* hit) {
     // Normally a cache hit (Prepare primed the entry); on a miss — a
     // hand-built plan, or an engine whose cache was raced — the time is
     // real simplification work of this execution.
@@ -260,7 +230,7 @@ ConvoyResultSet ConvoyEngine::RunPlan(const QueryPlan& plan,
             kind, delta,
             ResolveWorkerThreads(plan.filter.num_threads, plan.query),
             &local_hit);
-    if (!local_hit) stats->simplify_seconds += simplify_watch.ElapsedSeconds();
+    if (!local_hit) stats.simplify_seconds += simplify_watch.ElapsedSeconds();
     if (hit != nullptr) *hit = local_hit;
     return result;
   };
@@ -272,11 +242,9 @@ ConvoyResultSet ConvoyEngine::RunPlan(const QueryPlan& plan,
     convoys = GetAlgorithm(plan.algorithm).Run(ctx);
   }
 
-  if (external_stats == nullptr) {
-    stats->num_convoys = convoys.size();
-    stats->total_seconds = total.ElapsedSeconds();
-  }
-  ConvoyResultSet result(std::move(convoys), *stats, plan);
+  stats.num_convoys = convoys.size();
+  stats.total_seconds = total.ElapsedSeconds();
+  ConvoyResultSet result(std::move(convoys), stats, plan);
   // Snapshot the whole session — planning spans included when the caller
   // traced Prepare with the same session. The algorithm's workers have
   // joined by here, so the merge sees complete, quiescent buffers.
@@ -292,61 +260,6 @@ StatusOr<ConvoyResultSet> ConvoyEngine::Execute(const QueryPlan& plan,
     return Status::Cancelled("query cancelled by CancelToken (" +
                              std::string(ToString(plan.algorithm)) + ")");
   }
-}
-
-std::vector<Convoy> ConvoyEngine::Discover(const ConvoyQuery& query,
-                                           CutsVariant variant,
-                                           CutsFilterOptions options,
-                                           DiscoveryStats* stats) const {
-  Stopwatch total;
-  const QueryPlan plan = MakePlan(query, ChoiceFor(variant), options, {});
-  // Planning did the simplification (cache miss only): charge it to the
-  // caller's stats the way the old single-call body did.
-  if (stats != nullptr) stats->simplify_seconds += plan.simplify_seconds;
-  ConvoyResultSet result = RunPlan(plan, {}, stats);
-  if (stats != nullptr) {
-    stats->total_seconds = total.ElapsedSeconds();
-    stats->num_convoys = result.Count();
-  }
-  return std::move(result).TakeConvoys();
-}
-
-std::vector<Convoy> ConvoyEngine::DiscoverExact(const ConvoyQuery& query,
-                                                DiscoveryStats* stats) const {
-  const QueryPlan plan = MakePlan(query, AlgorithmChoice::kCmc, {}, {});
-  ConvoyResultSet result = RunPlan(plan, {}, stats);
-  return std::move(result).TakeConvoys();
-}
-
-StatusOr<std::vector<Convoy>> ConvoyEngine::TryDiscover(
-    const ConvoyQuery& query, CutsVariant variant, CutsFilterOptions options,
-    DiscoveryStats* stats) const {
-  CONVOY_RETURN_IF_ERROR(ValidateQuery(query).WithContext("TryDiscover"));
-  CONVOY_RETURN_IF_ERROR(
-      ValidateFilterOptions(options).WithContext("TryDiscover"));
-  return Discover(query, variant, options, stats);
-}
-
-StatusOr<std::vector<Convoy>> ConvoyEngine::TryDiscoverExact(
-    const ConvoyQuery& query, DiscoveryStats* stats) const {
-  CONVOY_RETURN_IF_ERROR(
-      ValidateQuery(query).WithContext("TryDiscoverExact"));
-  return DiscoverExact(query, stats);
-}
-
-std::optional<Convoy> ConvoyEngine::LongestConvoy(
-    const std::vector<Convoy>& result) {
-  return LongestConvoyOf(result);
-}
-
-std::vector<Convoy> ConvoyEngine::Involving(const std::vector<Convoy>& result,
-                                            ObjectId id) {
-  return ConvoysInvolving(result, id);
-}
-
-std::vector<Convoy> ConvoyEngine::During(const std::vector<Convoy>& result,
-                                         Tick from, Tick to) {
-  return ConvoysDuring(result, from, to);
 }
 
 }  // namespace convoy

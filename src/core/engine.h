@@ -32,7 +32,7 @@ struct EngineStoreMetrics {
   /// Grid-cache traffic of the engine's SnapshotStore (zero while no
   /// store has been built).
   StoreCacheMetrics store;
-  /// Simplification-cache hits/misses across Prepare/Execute/Discover.
+  /// Simplification-cache hits/misses across Prepare/Execute.
   uint64_t simplify_cache_hits = 0;
   uint64_t simplify_cache_misses = 0;
   /// Derived-delta memo hits/misses: a miss ran ComputeDelta.
@@ -63,14 +63,10 @@ struct EngineStoreMetrics {
 /// trajectory simplifications, which depend only on (simplifier, delta) —
 /// across such sweeps.
 ///
-/// The pre-v2 entry points (Discover, DiscoverExact, Try*) remain as thin
-/// forwarding shims over Prepare/Execute with bit-identical results
-/// (enforced by tests/query_exec_test.cc); prefer the v2 API in new code.
-///
 /// Thread-safety: const after construction except for the internal
 /// simplification cache, the delta memo and memoized database statistics,
-/// which are mutex-guarded, so concurrent Prepare / Execute / Discover
-/// calls from different threads are safe without external synchronization.
+/// which are mutex-guarded, so concurrent Prepare / Execute calls from
+/// different threads are safe without external synchronization.
 /// Two threads missing the same cache key may both compute the
 /// simplification; the first insert wins and the duplicate work is
 /// discarded (benign, and only on the first query of a sweep). Cache
@@ -81,8 +77,6 @@ class ConvoyEngine {
   explicit ConvoyEngine(TrajectoryDatabase db) : db_(std::move(db)) {}
 
   const TrajectoryDatabase& db() const { return db_; }
-
-  // ----------------------------------------------------------- v2 API ----
 
   /// Validates the query and filter options (ValidateQuery /
   /// ValidateFilterOptions; kInvalidArgument on violation) and resolves
@@ -112,59 +106,21 @@ class ConvoyEngine {
   StatusOr<ConvoyResultSet> Execute(const QueryPlan& plan,
                                     ExecHooks hooks = {}) const;
 
-  // -------------------------------------------- legacy API (shims) ------
-
-  /// Runs a convoy query with the given CuTS variant. Thin forwarding shim
-  /// over Prepare/Execute (minus validation: like the free functions, it
-  /// trusts its inputs, and degenerate queries get their
-  /// degenerate-but-defined answers). Servers handling untrusted query
-  /// parameters should call TryDiscover or Prepare, which validate first.
-  std::vector<Convoy> Discover(const ConvoyQuery& query,
-                               CutsVariant variant = CutsVariant::kCutsStar,
-                               CutsFilterOptions options = {},
-                               DiscoveryStats* stats = nullptr) const;
-
-  /// Runs the exact CMC baseline. Shim over the kCmc plan.
-  std::vector<Convoy> DiscoverExact(const ConvoyQuery& query,
-                                    DiscoveryStats* stats = nullptr) const;
-
-  /// Validating form of Discover: rejects out-of-contract queries and
-  /// filter options (ValidateQuery / ValidateFilterOptions — m < 2, k < 1,
-  /// non-positive or non-finite e, NaN delta, ...) with a descriptive
-  /// kInvalidArgument Status instead of computing a garbage answer. This is
-  /// the entry point for untrusted parameters (HTTP handlers, CLIs);
-  /// enforced in every build type, including NDEBUG.
-  StatusOr<std::vector<Convoy>> TryDiscover(
-      const ConvoyQuery& query, CutsVariant variant = CutsVariant::kCutsStar,
-      CutsFilterOptions options = {}, DiscoveryStats* stats = nullptr) const;
-
-  /// Validating form of DiscoverExact.
-  StatusOr<std::vector<Convoy>> TryDiscoverExact(
-      const ConvoyQuery& query, DiscoveryStats* stats = nullptr) const;
-
-  /// Legacy statics, forwarding to the query/result_set.h free helpers
-  /// (ConvoyResultSet offers the same operations as methods, plus TopK).
-  static std::optional<Convoy> LongestConvoy(
-      const std::vector<Convoy>& result);
-  static std::vector<Convoy> Involving(const std::vector<Convoy>& result,
-                                       ObjectId id);
-  static std::vector<Convoy> During(const std::vector<Convoy>& result,
-                                    Tick from, Tick to);
-
   /// Number of cached simplification sets (for tests / monitoring).
   size_t CacheSize() const {
     std::lock_guard<std::mutex> lock(cache_mu_);
     return cache_.size();
   }
 
-  /// The engine's cached SnapshotStore: built on first use (any Prepare,
-  /// Execute, or legacy Discover), then shared by every later query until
-  /// the database generation changes. `reused` (optional out) reports
-  /// whether the call was served from cache; `num_threads` sizes the build
-  /// pass on a miss (0 = all hardware threads). Thread-safe; the returned
-  /// pointer stays valid across a concurrent rebuild. Returns null — and
-  /// every query runs the legacy row-oriented path — when materializing
-  /// the database would exceed kSnapshotStoreSlotBudget.
+  /// The engine's cached SnapshotStore: built on first use by a
+  /// snapshot-consuming plan (CMC, MC2) in Prepare or Execute, then shared
+  /// by every later query until the database generation changes. `reused`
+  /// (optional out) reports whether the call was served from cache;
+  /// `num_threads` sizes the build pass on a miss (0 = all hardware
+  /// threads). Thread-safe; the returned pointer stays valid across a
+  /// concurrent rebuild. Returns null — and CMC / MC2 gather from the rows
+  /// instead — when materializing the database would exceed
+  /// kSnapshotStoreSlotBudget.
   std::shared_ptr<const SnapshotStore> Store(size_t num_threads = 0,
                                              bool* reused = nullptr) const;
 
@@ -210,19 +166,10 @@ class ConvoyEngine {
   /// cache_mu_).
   const DatabaseStats& CachedStats() const;
 
-  /// Prepare without validation — the permissive planning path the legacy
-  /// shims use.
-  QueryPlan MakePlan(const ConvoyQuery& query, AlgorithmChoice choice,
-                     const CutsFilterOptions& options, const Mc2Options& mc2,
-                     TraceSession* trace = nullptr) const;
-
   /// Execute's body; throws CancelledError instead of returning a Status
-  /// (Execute converts, the non-cancellable shims call it directly).
-  /// `external_stats` (legacy shims) routes the algorithms' instrumentation
-  /// into the caller's struct with the historical accumulate-vs-assign
-  /// semantics; null (v2 Execute) reports this execution in a fresh struct.
-  ConvoyResultSet RunPlan(const QueryPlan& plan, const ExecHooks& hooks,
-                          DiscoveryStats* external_stats = nullptr) const;
+  /// (Execute converts). Reports this execution in a fresh DiscoveryStats:
+  /// a reused plan's one-time planning cost is not re-charged per run.
+  ConvoyResultSet RunPlan(const QueryPlan& plan, const ExecHooks& hooks) const;
 
   TrajectoryDatabase db_;
   /// Guards cache_, db_stats_ (+ generation), and store_. The GUARDED_BY

@@ -51,9 +51,7 @@ struct ExecHooks {
   /// Optional per-execution trace (obs/trace.h). Null — the default —
   /// disables all instrumentation at a cost of one branch per phase.
   /// Counters recorded through it are deterministic at any thread count;
-  /// span timings are wall-clock. The engine mirrors this into
-  /// ExecContext::trace; deeper layers reached only through hooks read it
-  /// via TraceOf below.
+  /// span timings are wall-clock. Every layer reads it via TraceOf below.
   TraceSession* trace = nullptr;
 };
 

@@ -6,7 +6,6 @@
 #include "core/candidate.h"
 #include "core/cmc.h"
 #include "core/verify.h"
-#include "traj/interpolate.h"
 
 namespace convoy {
 
@@ -31,7 +30,7 @@ double Jaccard(const std::vector<ObjectId>& a,
 
 // The moving-cluster chaining loop, generic over how a tick's clusters are
 // produced so the row-oriented and store-backed entry points share one
-// implementation (and the same snapshot path as CMC — ClusterSnapshot /
+// implementation (and the same snapshot path as CMC — RowSnapshots /
 // the store's cached grid indexes).
 template <typename ClusterAt>
 std::vector<Convoy> Mc2Impl(Tick begin_tick, Tick end_tick,
@@ -142,18 +141,11 @@ std::vector<Convoy> Mc2Impl(Tick begin_tick, Tick end_tick,
 std::vector<Convoy> Mc2(const TrajectoryDatabase& db, const ConvoyQuery& query,
                         const Mc2Options& options) {
   if (db.Empty()) return {};
-  std::vector<Point> snapshot;
-  std::vector<ObjectId> snapshot_ids;
+  RowSnapshots rows(db);
+  SnapshotScratch scratch;
   return Mc2Impl(db.BeginTick(), db.EndTick(), options, [&](Tick t) {
-    snapshot.clear();
-    snapshot_ids.clear();
-    for (const Trajectory& traj : db.trajectories()) {
-      const auto pos = InterpolateAt(traj, t);
-      if (!pos.has_value()) continue;
-      snapshot.push_back(*pos);
-      snapshot_ids.push_back(traj.id());
-    }
-    return ClusterSnapshot(snapshot, snapshot_ids, query);
+    return rows.Cluster(t, query, /*selected=*/nullptr, /*clustered=*/nullptr,
+                        &scratch);
   });
 }
 

@@ -12,9 +12,9 @@ namespace convoy {
 ///  * k >= 1 (a lifetime of at least one tick),
 ///  * e > 0 and finite (the density range is a positive distance).
 ///
-/// The Status-returning entry points (`StreamingCmc`, the `ConvoyEngine`
-/// Try* overloads, `convoy_cli`) reject invalid queries up front with this.
-/// The legacy free functions (`Cmc`, `Cuts`, `Mc2`) deliberately stay
+/// The Status-returning entry points (`StreamingCmc`,
+/// `ConvoyEngine::Prepare`, `convoy_cli`) reject invalid queries up front
+/// with this. The free functions (`Cmc`, `Cuts`, `Mc2`) deliberately stay
 /// permissive — degenerate queries like m = 1 or e = 0 have well-defined
 /// (if rarely useful) semantics there, exercised by edge_cases_test.cc.
 Status ValidateQuery(const ConvoyQuery& query);

@@ -13,7 +13,7 @@
 namespace convoy {
 
 /// A fixed-size pool of worker threads with a chunk-based ParallelFor — the
-/// task-submission seam the parallel discovery runners are built on.
+/// task-submission seam the threaded discovery phases are built on.
 ///
 /// Design notes:
 ///  * No work stealing: ParallelFor splits [0, n) into at most num_threads()

@@ -8,16 +8,15 @@
 #include "core/cuts_filter.h"
 #include "core/cuts_refine.h"
 #include "core/mc2.h"
-#include "parallel/parallel_runner.h"
 #include "query/planner.h"
 
 namespace convoy {
 
 namespace {
 
-/// Exact CMC (paper Algorithm 1) behind the uniform interface. Delegates to
-/// ParallelCmc, which degenerates to the serial loop at one thread and is
-/// result-identical at any other count.
+/// Exact CMC (paper Algorithm 1) behind the uniform interface. Cmc takes
+/// its threads from the plan's query.num_threads and is result-identical
+/// at every count.
 class CmcAlgorithm final : public ConvoyAlgorithm {
  public:
   std::string_view Name() const override { return "CMC"; }
@@ -39,20 +38,18 @@ class CmcAlgorithm final : public ConvoyAlgorithm {
     // contexts) the row-oriented derivation runs. Bit-identical results
     // either way (tests/store_parity_test.cc).
     if (ctx.store != nullptr) {
-      return ParallelCmc(*ctx.store, ctx.plan->query, CmcOptions{}, ctx.stats,
-                         ctx.num_threads, &ctx.hooks, &ctx.scratch);
+      return Cmc(*ctx.store, ctx.plan->query, CmcOptions{}, ctx.stats,
+                 &ctx.hooks, &ctx.scratch);
     }
-    return ParallelCmc(*ctx.db, ctx.plan->query, CmcOptions{}, ctx.stats,
-                       ctx.num_threads, &ctx.hooks, &ctx.scratch);
+    return Cmc(*ctx.db, ctx.plan->query, CmcOptions{}, ctx.stats, &ctx.hooks,
+               &ctx.scratch);
   }
 };
 
 /// The CuTS filter-and-refine family (paper Algorithms 2-3); one instance
 /// per variant. Pulls the simplified trajectories from the context's
-/// provider (the engine's cache), then runs the same
-/// CutsFilterPresimplified + CutsRefine pipeline the legacy
-/// ConvoyEngine::Discover ran — results are bit-identical to it and to the
-/// free Cuts() function.
+/// provider (the engine's cache), then runs CutsFilterPresimplified +
+/// CutsRefine — results are bit-identical to the free Cuts() function.
 class CutsAlgorithm final : public ConvoyAlgorithm {
  public:
   CutsAlgorithm(std::string_view name, AlgorithmId id)

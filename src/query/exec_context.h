@@ -36,16 +36,16 @@ using SimplificationProvider =
 /// after; other plans (the CuTS family) only *peek*, reusing a store some
 /// earlier query built without ever triggering the materialization
 /// themselves. May return null (nothing built / over budget / no engine);
-/// algorithms then fall back to the legacy row-oriented per-tick
-/// derivation — results are bit-identical either way
-/// (tests/store_parity_test.cc).
+/// CMC and MC2 then gather each tick from the rows (RowSnapshots) —
+/// results are bit-identical either way (tests/store_parity_test.cc).
 using SnapshotStoreProvider = std::function<std::shared_ptr<
     const SnapshotStore>(bool build_if_missing, bool* reused)>;
 
 /// Everything a ConvoyAlgorithm::Run needs: the database, the resolved
-/// physical plan, the worker-thread count, execution hooks (cooperative
-/// CancelToken, optional progress callback, optional incremental convoy
-/// sink), per-run DiscoveryStats, and the engine's simplification cache.
+/// physical plan (its query.num_threads is the worker-thread count),
+/// execution hooks (cooperative CancelToken, optional progress callback,
+/// optional incremental convoy sink, optional trace), per-run
+/// DiscoveryStats, and the engine's simplification cache.
 ///
 /// Built by ConvoyEngine::Execute; algorithms treat it as read-only apart
 /// from `stats`.
@@ -53,36 +53,26 @@ struct ExecContext {
   const TrajectoryDatabase* db = nullptr;
   const QueryPlan* plan = nullptr;
 
-  /// Resolved worker-thread count (never 0; 1 = serial).
-  size_t num_threads = 1;
-
   /// Cancellation, progress, incremental delivery (core/exec_hooks.h).
   ExecHooks hooks;
 
   /// Per-run instrumentation; may be null.
   DiscoveryStats* stats = nullptr;
 
-  /// The execution's TraceSession (obs/trace.h), mirroring hooks.trace so
-  /// algorithms can record spans and counters without reaching through the
-  /// hooks struct. Null — the default — disables tracing at one branch per
-  /// phase.
-  TraceSession* trace = nullptr;
-
   /// Simplification source for the CuTS family; unused by CMC / MC2.
   SimplificationProvider simplified;
 
-  /// The engine's cached SnapshotStore for `db` (null: algorithms use the
-  /// legacy row-oriented path). CMC / MC2 read per-tick columnar views and
-  /// cached grid indexes from it; the CuTS filter takes its precomputed
-  /// time domain.
+  /// The engine's cached SnapshotStore for `db` (null: CMC / MC2 gather
+  /// from the rows). CMC / MC2 read per-tick columnar views and cached
+  /// grid indexes from it; the CuTS filter takes its precomputed time
+  /// domain.
   std::shared_ptr<const SnapshotStore> store;
 
   /// Per-execution snapshot/DBSCAN arena (labels, neighbor buffer,
-  /// frontier, grid-build buffers). Algorithms whose serial loops run on
-  /// the executor's thread reuse it across their ticks instead of
-  /// allocating per call; mutable because a context is handed to Run()
-  /// const while the arena is by nature written to. Contents never affect
-  /// results (fully reset per use).
+  /// frontier, grid-build buffers). CMC's one-thread loop reuses it across
+  /// its ticks instead of allocating per call; mutable because a context
+  /// is handed to Run() const while the arena is by nature written to.
+  /// Contents never affect results (fully reset per use).
   mutable SnapshotScratch scratch;
 };
 

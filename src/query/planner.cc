@@ -135,11 +135,11 @@ QueryPlan QueryPlanner::Plan(const ConvoyQuery& query, AlgorithmChoice choice,
   }
 
   // Resolve the variant's filter configuration, then the two Section 7.4
-  // tunables. Resolution order matches the legacy Discover path exactly:
-  // delta first (ComputeDelta, unless given), then the simplification (via
-  // the cache when one is bound), then lambda over the simplified
-  // trajectories (ComputeLambda, unless given) — so a plan's execution is
-  // bit-identical to the legacy single-call path.
+  // tunables in the order the free Cuts() resolves them: delta first
+  // (ComputeDelta, unless given), then the simplification (via the cache
+  // when one is bound), then lambda over the simplified trajectories
+  // (ComputeLambda, unless given) — so a plan's execution is bit-identical
+  // to Cuts().
   plan.filter = MakeFilterOptions(VariantFor(plan.algorithm), base_options);
   plan.delta_derived = !(plan.filter.delta > 0.0);
   if (!plan.delta_derived) {
@@ -149,7 +149,6 @@ QueryPlan QueryPlanner::Plan(const ConvoyQuery& query, AlgorithmChoice choice,
   }
   plan.filter.delta = plan.delta;
 
-  Stopwatch simplify_watch;
   std::shared_ptr<const std::vector<SimplifiedTrajectory>> simplified;
   bool cache_hit = false;
   {
@@ -170,7 +169,6 @@ QueryPlan QueryPlanner::Plan(const ConvoyQuery& query, AlgorithmChoice choice,
                                                 query)));
     }
   }
-  if (!cache_hit) plan.simplify_seconds = simplify_watch.ElapsedSeconds();
 
   plan.lambda_derived = plan.filter.lambda <= 0;
   plan.lambda = plan.lambda_derived

@@ -81,12 +81,6 @@ struct QueryPlan {
   size_t store_ticks = 0;
   size_t store_points = 0;
 
-  /// Planning-time simplification cost in seconds (0 on a cache hit). The
-  /// legacy single-call shims fold it into their DiscoveryStats; a v2
-  /// Execute reports only work done during that execution, so re-running a
-  /// prepared plan does not re-charge the one-time planning cost.
-  double simplify_seconds = 0.0;
-
   /// The cheap statistics the auto-policy decided on (N, T, point count).
   DatabaseStats db_stats;
 
@@ -116,8 +110,8 @@ struct PlannerOptions {
   std::function<double(double e)> delta;
 
   /// SnapshotStore source (the engine's generation-keyed cache). Empty:
-  /// plans report store_cache = kNotApplicable and execution falls back
-  /// to the legacy row-oriented path.
+  /// plans report store_cache = kNotApplicable and CMC / MC2 gather from
+  /// the rows.
   SnapshotStoreProvider store;
 
   /// Precomputed database statistics; null: computed on construction.
@@ -141,7 +135,8 @@ class QueryPlanner {
                         PlannerOptions options = {});
 
   /// Builds the plan. Deterministic: same database, query, choice, and
-  /// options always produce the same plan (modulo simplify_seconds/cache).
+  /// options always produce the same plan (modulo cache and store
+  /// provenance).
   QueryPlan Plan(const ConvoyQuery& query,
                  AlgorithmChoice choice = AlgorithmChoice::kAuto,
                  const CutsFilterOptions& base_options = {},

@@ -14,9 +14,9 @@
 
 namespace convoy {
 
-/// Free result-inspection helpers shared by ConvoyResultSet and the legacy
-/// ConvoyEngine statics (which forward here). They operate on any convoy
-/// vector, so results from the free algorithm functions work too.
+/// Free result-inspection helpers behind ConvoyResultSet's methods. They
+/// operate on any convoy vector, so results from the free algorithm
+/// functions work too.
 
 /// The convoy with the longest lifetime (ties: more objects, then the
 /// canonical order of the input). nullopt for an empty result.
@@ -78,8 +78,8 @@ class ConvoyResultSet {
     return TopKConvoys(convoys_, k);
   }
 
-  /// Moves the convoys out (for callers that only want the vector, e.g. the
-  /// legacy Discover shims). The result set is left empty.
+  /// Moves the convoys out (for callers that only want the vector). The
+  /// result set is left empty.
   std::vector<Convoy> TakeConvoys() && { return std::move(convoys_); }
 
   /// Observability snapshot of the execution that produced this result:

@@ -75,7 +75,7 @@ SnapshotStore SnapshotStore::Build(const TrajectoryDatabase& db,
   // Pass 2 — fill, parallelized over disjoint tick blocks. Within a block
   // the trajectories are visited in database order and each appends its
   // block overlap tick by tick, so every tick's points come out in
-  // database order — the exact sequence the legacy row-oriented gather
+  // database order — the exact sequence the row gather (RowSnapshots)
   // (and therefore DBSCAN downstream) sees. The interpolation below is
   // InterpolateAt's own arithmetic (InterpolateBetween), so virtual points
   // are bit-identical.

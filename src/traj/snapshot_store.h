@@ -29,7 +29,7 @@ inline constexpr size_t kSnapshotStoreSlotBudget = size_t{1} << 24;
 
 /// One tick's snapshot in the store's columnar layout: parallel coordinate
 /// arrays plus the aligned object ids, in database (trajectory) order — the
-/// exact sequence the legacy row-oriented gather produces for that tick.
+/// exact sequence the row gather (RowSnapshots) produces for that tick.
 /// Borrowed from a SnapshotStore; valid while the store lives.
 struct SnapshotView {
   const double* xs = nullptr;
@@ -78,7 +78,7 @@ struct StoreCacheMetrics {
 /// engine keys its cached store on this (see ConvoyEngine).
 ///
 /// Thread-safety: immutable after Build apart from the mutex-guarded grid
-/// cache, so concurrent readers (ParallelCmc workers, concurrent engine
+/// cache, so concurrent readers (threaded CMC's workers, concurrent engine
 /// queries) need no external synchronization.
 class SnapshotStore {
  public:

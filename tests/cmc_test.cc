@@ -156,10 +156,10 @@ TEST(CmcRangeTest, RestrictsDiscoveryWindow) {
   EXPECT_EQ(result[0].end_tick, 5);
 }
 
-// CmcRangeRows: dropping an object that is noise at every tick (and
-// within e of no core point) leaves the result unchanged and skips its
-// gather; selecting fewer than m objects clusters nothing; the empty
-// selector is CmcRange itself.
+// SweepRows with a row selection: dropping an object that is noise at
+// every tick (and within e of no core point) leaves the result unchanged
+// and skips its gather; selecting fewer than m objects clusters nothing;
+// the empty selector is CmcRange itself.
 TEST(CmcRangeTest, RowSelectionDroppingNoiseKeepsResult) {
   // Rows 0-2 move together 0.4 apart (0 and 2 only density-connected
   // through 1); row 3 passes far away and is noise at every tick.
@@ -174,20 +174,23 @@ TEST(CmcRangeTest, RowSelectionDroppingNoiseKeepsResult) {
   ASSERT_EQ(full.size(), 1u);
   EXPECT_EQ(full.front().objects, (std::vector<ObjectId>{0, 1, 2}));
 
+  const auto sweep_rows = [&](const RowSelector& rows_at,
+                              DiscoveryStats* stats) {
+    CmcSweep sweep(query.m, query.k);
+    SweepRows(db, query, 0, 7, rows_at, &sweep, stats);
+    return FinishSweep(&sweep, {}, stats);
+  };
+
   const std::vector<uint32_t> kept = {0, 1, 2};
   DiscoveryStats pruned_stats;
-  EXPECT_EQ(CmcRangeRows(db, query, 0, 7,
-                         [&kept](Tick) { return &kept; }, {}, &pruned_stats),
-            full);
+  EXPECT_EQ(sweep_rows([&kept](Tick) { return &kept; }, &pruned_stats), full);
   EXPECT_EQ(pruned_stats.num_clusterings, full_stats.num_clusterings);
 
-  EXPECT_EQ(CmcRangeRows(db, query, 0, 7, RowSelector{}), full);
+  EXPECT_EQ(sweep_rows(RowSelector{}, nullptr), full);
 
   const std::vector<uint32_t> one = {0};
   DiscoveryStats one_stats;
-  EXPECT_TRUE(CmcRangeRows(db, query, 0, 7, [&one](Tick) { return &one; },
-                           {}, &one_stats)
-                  .empty());
+  EXPECT_TRUE(sweep_rows([&one](Tick) { return &one; }, &one_stats).empty());
   EXPECT_EQ(one_stats.num_clusterings, 0u);
 }
 

@@ -13,44 +13,49 @@ namespace convoy {
 namespace {
 
 using testutil::RandomClumpyDb;
+using testutil::RunQuery;
 
 ConvoyEngine MakeEngine(uint64_t seed) {
   Rng rng(seed);
   return ConvoyEngine(RandomClumpyDb(rng, 20, 60, 50.0, 0.8));
 }
 
-TEST(EngineTest, DiscoverMatchesFreestandingCuts) {
+TEST(EngineTest, ExecuteCutsStarMatchesFreestandingCuts) {
   ConvoyEngine engine = MakeEngine(1);
   const ConvoyQuery query{3, 6, 4.0};
-  const auto via_engine = engine.Discover(query, CutsVariant::kCutsStar);
+  const auto via_engine =
+      RunQuery(engine, query, AlgorithmChoice::kCutsStar).convoys();
   const auto direct = Cuts(engine.db(), query, CutsVariant::kCutsStar);
   EXPECT_TRUE(SameResultSet(via_engine, direct));
 }
 
-TEST(EngineTest, DiscoverExactMatchesCmc) {
+TEST(EngineTest, ExecuteCmcMatchesCmc) {
   ConvoyEngine engine = MakeEngine(2);
   const ConvoyQuery query{3, 6, 4.0};
   EXPECT_TRUE(
-      SameResultSet(engine.DiscoverExact(query), Cmc(engine.db(), query)));
+      SameResultSet(RunQuery(engine, query, AlgorithmChoice::kCmc).convoys(),
+                    Cmc(engine.db(), query)));
 }
 
 TEST(EngineTest, CacheReusedAcrossQueriesWithSameDelta) {
   ConvoyEngine engine = MakeEngine(3);
   CutsFilterOptions options;
   options.delta = 1.5;
-  (void)engine.Discover(ConvoyQuery{3, 6, 4.0}, CutsVariant::kCutsStar,
-                        options);
+  (void)RunQuery(engine, ConvoyQuery{3, 6, 4.0}, AlgorithmChoice::kCutsStar,
+                 options);
   EXPECT_EQ(engine.CacheSize(), 1u);
   // Different m/k/e, same simplifier+delta: no new cache entry.
-  (void)engine.Discover(ConvoyQuery{2, 10, 3.0}, CutsVariant::kCutsStar,
-                        options);
+  (void)RunQuery(engine, ConvoyQuery{2, 10, 3.0}, AlgorithmChoice::kCutsStar,
+                 options);
   EXPECT_EQ(engine.CacheSize(), 1u);
   // Different variant -> different simplifier -> new entry.
-  (void)engine.Discover(ConvoyQuery{3, 6, 4.0}, CutsVariant::kCuts, options);
+  (void)RunQuery(engine, ConvoyQuery{3, 6, 4.0}, AlgorithmChoice::kCuts,
+                 options);
   EXPECT_EQ(engine.CacheSize(), 2u);
   // Different delta -> new entry.
   options.delta = 2.5;
-  (void)engine.Discover(ConvoyQuery{3, 6, 4.0}, CutsVariant::kCuts, options);
+  (void)RunQuery(engine, ConvoyQuery{3, 6, 4.0}, AlgorithmChoice::kCuts,
+                 options);
   EXPECT_EQ(engine.CacheSize(), 3u);
 }
 
@@ -65,16 +70,16 @@ TEST(EngineTest, CacheKeySeparatesDeltasWithinOneMicroUnit) {
   CutsFilterOptions options;
 
   options.delta = 0.5;
-  (void)engine.Discover(query, CutsVariant::kCutsStar, options);
+  (void)RunQuery(engine, query, AlgorithmChoice::kCutsStar, options);
   options.delta = 0.5000004;  // same micro-unit bucket as 0.5
-  (void)engine.Discover(query, CutsVariant::kCutsStar, options);
+  (void)RunQuery(engine, query, AlgorithmChoice::kCutsStar, options);
   EXPECT_EQ(engine.CacheSize(), 2u);
 
   // Sub-micro-unit deltas used to collapse onto bucket 0 too.
   options.delta = 1e-7;
-  (void)engine.Discover(query, CutsVariant::kCutsStar, options);
+  (void)RunQuery(engine, query, AlgorithmChoice::kCutsStar, options);
   options.delta = 2e-7;
-  (void)engine.Discover(query, CutsVariant::kCutsStar, options);
+  (void)RunQuery(engine, query, AlgorithmChoice::kCutsStar, options);
   EXPECT_EQ(engine.CacheSize(), 4u);
 }
 
@@ -102,12 +107,14 @@ TEST(EngineTest, CachedRunSkipsSimplifyTime) {
   CutsFilterOptions options;
   options.delta = 1.5;
   const ConvoyQuery query{3, 6, 4.0};
-  DiscoveryStats first;
-  (void)engine.Discover(query, CutsVariant::kCutsStar, options, &first);
-  DiscoveryStats second;
-  (void)engine.Discover(query, CutsVariant::kCutsStar, options, &second);
-  EXPECT_EQ(second.simplify_seconds, 0.0);
-  EXPECT_GT(first.total_seconds, 0.0);
+  const ConvoyResultSet first =
+      RunQuery(engine, query, AlgorithmChoice::kCutsStar, options);
+  const ConvoyResultSet second =
+      RunQuery(engine, query, AlgorithmChoice::kCutsStar, options);
+  EXPECT_EQ(first.plan().cache, PlanCacheStatus::kMiss);
+  EXPECT_EQ(second.plan().cache, PlanCacheStatus::kHit);
+  EXPECT_EQ(second.stats().simplify_seconds, 0.0);
+  EXPECT_GT(first.stats().total_seconds, 0.0);
 }
 
 TEST(EngineTest, CachedResultsStayCorrect) {
@@ -116,7 +123,8 @@ TEST(EngineTest, CachedResultsStayCorrect) {
   options.delta = 1.2;
   for (const double e : {3.0, 4.0, 5.0}) {
     const ConvoyQuery query{2, 5, e};
-    const auto got = engine.Discover(query, CutsVariant::kCutsStar, options);
+    const auto got =
+        RunQuery(engine, query, AlgorithmChoice::kCutsStar, options).convoys();
     EXPECT_TRUE(SameResultSet(got, Cmc(engine.db(), query))) << "e=" << e;
   }
 }
@@ -154,48 +162,6 @@ TEST(EngineTest, DerivedDeltaIsMemoizedPerE) {
       engine.Prepare(query, AlgorithmChoice::kCutsStar, given).ok());
   EXPECT_EQ(engine.StoreMetrics().delta_cache_misses, 2u);
   EXPECT_EQ(engine.StoreMetrics().delta_cache_hits, 1u);
-}
-
-TEST(EngineTest, LongestConvoy) {
-  const std::vector<Convoy> result = {
-      Convoy{{1, 2}, 0, 9},       // lifetime 10
-      Convoy{{3, 4, 5}, 20, 25},  // lifetime 6
-  };
-  const auto longest = ConvoyEngine::LongestConvoy(result);
-  ASSERT_TRUE(longest.has_value());
-  EXPECT_EQ(longest->objects, (std::vector<ObjectId>{1, 2}));
-  EXPECT_FALSE(ConvoyEngine::LongestConvoy({}).has_value());
-}
-
-TEST(EngineTest, LongestConvoyTieBreaksOnSize) {
-  const std::vector<Convoy> result = {
-      Convoy{{1, 2}, 0, 9},
-      Convoy{{3, 4, 5}, 10, 19},
-  };
-  const auto longest = ConvoyEngine::LongestConvoy(result);
-  ASSERT_TRUE(longest.has_value());
-  EXPECT_EQ(longest->objects.size(), 3u);
-}
-
-TEST(EngineTest, InvolvingFiltersByObject) {
-  const std::vector<Convoy> result = {
-      Convoy{{1, 2}, 0, 9},
-      Convoy{{2, 3}, 5, 14},
-      Convoy{{4, 5}, 0, 9},
-  };
-  const auto involving2 = ConvoyEngine::Involving(result, 2);
-  EXPECT_EQ(involving2.size(), 2u);
-  EXPECT_TRUE(ConvoyEngine::Involving(result, 9).empty());
-}
-
-TEST(EngineTest, DuringFiltersByInterval) {
-  const std::vector<Convoy> result = {
-      Convoy{{1, 2}, 0, 9},
-      Convoy{{2, 3}, 20, 30},
-  };
-  EXPECT_EQ(ConvoyEngine::During(result, 5, 25).size(), 2u);
-  EXPECT_EQ(ConvoyEngine::During(result, 10, 19).size(), 0u);
-  EXPECT_EQ(ConvoyEngine::During(result, 9, 9).size(), 1u);
 }
 
 }  // namespace

@@ -162,35 +162,6 @@ TEST(ErrorHandlingTest, StreamingInvalidQueryReportedAtBeginTick) {
   EXPECT_NE(s.message().find("query.m"), std::string::npos);
 }
 
-// ---------------------------------------------------------------- engine --
-
-TEST(ErrorHandlingTest, TryDiscoverRejectsInvalidQuery) {
-  ConvoyEngine engine(FromXRows({{0, 1, 2}, {0, 1, 2}}, 0.1));
-  const auto bad_m = engine.TryDiscover(ConvoyQuery{1, 2, 1.0});
-  EXPECT_EQ(bad_m.status().code(), StatusCode::kInvalidArgument);
-  const auto bad_e = engine.TryDiscover(ConvoyQuery{2, 2, std::nan("")});
-  EXPECT_EQ(bad_e.status().code(), StatusCode::kInvalidArgument);
-  const auto bad_exact = engine.TryDiscoverExact(ConvoyQuery{2, 0, 1.0});
-  EXPECT_EQ(bad_exact.status().code(), StatusCode::kInvalidArgument);
-
-  CutsFilterOptions nan_delta;
-  nan_delta.delta = std::nan("");
-  const auto bad_opts = engine.TryDiscover(ConvoyQuery{2, 2, 1.0},
-                                           CutsVariant::kCutsStar, nan_delta);
-  EXPECT_EQ(bad_opts.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(ErrorHandlingTest, TryDiscoverMatchesDiscoverOnValidQueries) {
-  ConvoyEngine engine(FromXRows({{0, 1, 2, 3}, {0, 1, 2, 3}}, 0.1));
-  const ConvoyQuery query{2, 4, 1.0};
-  const auto tried = engine.TryDiscover(query);
-  ASSERT_TRUE(tried.ok());
-  EXPECT_TRUE(SameResultSet(*tried, engine.Discover(query)));
-  const auto tried_exact = engine.TryDiscoverExact(query);
-  ASSERT_TRUE(tried_exact.ok());
-  EXPECT_TRUE(SameResultSet(*tried_exact, engine.DiscoverExact(query)));
-}
-
 // ------------------------------------------------------------ grid index --
 
 TEST(ErrorHandlingTest, GridRadiusBeyondCellSizeIsComplete) {
@@ -289,14 +260,18 @@ TEST(ErrorHandlingTest, MessyFeedEndToEnd) {
 
   ConvoyEngine engine(loaded.db);
   const ConvoyQuery query{3, 8, 1.0};
-  const auto result = engine.TryDiscover(query);
+  const auto plan = engine.Prepare(query, AlgorithmChoice::kCutsStar);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  const auto result = engine.Execute(*plan);
   ASSERT_TRUE(result.ok()) << result.status();
-  ASSERT_EQ(result->size(), 1u);
+  ASSERT_EQ(result->Count(), 1u);
   EXPECT_EQ((*result)[0].objects.size(), 4u);
   for (const Convoy& c : *result) {
     EXPECT_TRUE(VerifyConvoy(loaded.db, query, c));
   }
-  EXPECT_TRUE(SameResultSet(*result, *engine.TryDiscoverExact(query)));
+  EXPECT_TRUE(SameResultSet(
+      result->convoys(),
+      testutil::RunQuery(engine, query, AlgorithmChoice::kCmc).convoys()));
 }
 
 }  // namespace

@@ -13,7 +13,6 @@
 #include "cluster/dbscan.h"
 #include "cluster/grid_index.h"
 #include "core/cmc.h"
-#include "parallel/parallel_runner.h"
 #include "tests/reference_impl.h"
 #include "tests/test_util.h"
 #include "traj/interpolate.h"
@@ -294,9 +293,9 @@ std::vector<Convoy> ReferenceCmc(const TrajectoryDatabase& db,
 }
 
 TEST(HotpathParityTest, CmcMatchesReferenceAtOneTwoAndEightThreads) {
-  // Adversarial databases, including interpolation gaps, run through every
-  // CMC entry point (serial, parallel row path, parallel store path) at 1,
-  // 2, and 8 threads — all must equal the reference result exactly.
+  // Adversarial databases, including interpolation gaps, run through both
+  // CMC entry points (row path, store path) at 1, 2, and 8 threads — all
+  // must equal the reference result exactly.
   Rng rng(2025);
   for (int round = 0; round < 4; ++round) {
     const TrajectoryDatabase db = testutil::RandomClumpyDb(
@@ -313,9 +312,10 @@ TEST(HotpathParityTest, CmcMatchesReferenceAtOneTwoAndEightThreads) {
     EXPECT_EQ(Cmc(store, query), want) << "serial store path, round "
                                        << round;
     for (const size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-      EXPECT_EQ(ParallelCmc(db, query, {}, nullptr, threads), want)
+      query.num_threads = threads;
+      EXPECT_EQ(Cmc(db, query), want)
           << "row path, " << threads << " threads, round " << round;
-      EXPECT_EQ(ParallelCmc(store, query, {}, nullptr, threads), want)
+      EXPECT_EQ(Cmc(store, query), want)
           << "store path, " << threads << " threads, round " << round;
     }
   }

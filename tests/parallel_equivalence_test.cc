@@ -1,21 +1,27 @@
-// Property tests of the parallel execution subsystem: every parallel runner
-// must produce output *identical* (not merely equivalent) to its serial
-// counterpart, across seeded random databases and 1/2/8 worker threads.
+// Property tests of the parallel execution subsystem: every algorithm must
+// produce output *identical* (not merely equivalent) at every
+// ConvoyQuery::num_threads, across seeded random databases and 1/2/8
+// worker threads.
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
 #include <thread>
+#include <tuple>
 
 #include "core/cmc.h"
 #include "core/cuts.h"
 #include "core/engine.h"
-#include "parallel/parallel_runner.h"
+#include "obs/trace.h"
 #include "tests/test_util.h"
+#include "traj/snapshot_store.h"
 
 namespace convoy {
 namespace {
 
 using testutil::RandomClumpyDb;
+using testutil::RunQuery;
 
 constexpr size_t kThreadCounts[] = {1, 2, 8};
 
@@ -25,54 +31,162 @@ TrajectoryDatabase MakeDb(uint64_t seed, double keep_prob = 1.0) {
                         /*world=*/60.0, /*step=*/1.0, keep_prob);
 }
 
-TEST(ParallelEquivalenceTest, ParallelCmcMatchesSerialExactly) {
+TEST(ParallelEquivalenceTest, CmcMatchesSerialExactly) {
   for (const uint64_t seed : {11u, 22u, 33u, 44u}) {
     const TrajectoryDatabase db = MakeDb(seed);
-    const ConvoyQuery query{3, 4, 5.0};
+    ConvoyQuery query{3, 4, 5.0};
     const auto serial = Cmc(db, query);
     for (const size_t threads : kThreadCounts) {
-      const auto parallel =
-          ParallelCmc(db, query, {}, nullptr, threads);
-      EXPECT_EQ(parallel, serial)
+      query.num_threads = threads;
+      EXPECT_EQ(Cmc(db, query), serial)
           << "seed " << seed << ", " << threads << " thread(s)";
     }
   }
 }
 
-TEST(ParallelEquivalenceTest, ParallelCmcMatchesWithRawCandidates) {
+TEST(ParallelEquivalenceTest, CmcMatchesWithRawCandidates) {
   // remove_dominated = false exercises the other finalization branch.
   const TrajectoryDatabase db = MakeDb(7);
-  const ConvoyQuery query{2, 3, 5.0};
+  ConvoyQuery query{2, 3, 5.0};
   CmcOptions options;
   options.remove_dominated = false;
   const auto serial = Cmc(db, query, options);
   for (const size_t threads : kThreadCounts) {
-    EXPECT_EQ(ParallelCmc(db, query, options, nullptr, threads), serial);
+    query.num_threads = threads;
+    EXPECT_EQ(Cmc(db, query, options), serial);
   }
 }
 
-TEST(ParallelEquivalenceTest, ParallelCmcRangeMatchesSerial) {
+TEST(ParallelEquivalenceTest, CmcRangeMatchesSerial) {
   const TrajectoryDatabase db = MakeDb(5);
-  const ConvoyQuery query{2, 3, 5.0};
+  ConvoyQuery query{2, 3, 5.0};
   const Tick begin = db.BeginTick() + 5;
   const Tick end = db.EndTick() - 5;
   const auto serial = CmcRange(db, query, begin, end);
   for (const size_t threads : kThreadCounts) {
-    EXPECT_EQ(ParallelCmcRange(db, query, begin, end, {}, nullptr, threads),
-              serial);
+    query.num_threads = threads;
+    EXPECT_EQ(CmcRange(db, query, begin, end), serial);
   }
 }
 
-TEST(ParallelEquivalenceTest, ParallelCmcStatsCountEveryClustering) {
+TEST(ParallelEquivalenceTest, CmcStatsCountEveryClustering) {
   const TrajectoryDatabase db = MakeDb(9);
-  const ConvoyQuery query{3, 4, 5.0};
+  ConvoyQuery query{3, 4, 5.0};
   DiscoveryStats serial_stats;
   (void)Cmc(db, query, {}, &serial_stats);
   for (const size_t threads : kThreadCounts) {
+    query.num_threads = threads;
     DiscoveryStats stats;
-    (void)ParallelCmc(db, query, {}, &stats, threads);
+    (void)Cmc(db, query, {}, &stats);
     EXPECT_EQ(stats.num_clusterings, serial_stats.num_clusterings);
     EXPECT_EQ(stats.num_convoys, serial_stats.num_convoys);
+  }
+}
+
+// Everything a CMC run hands its caller, compared across thread counts.
+struct ObservedCmc {
+  std::vector<Convoy> convoys;
+  std::vector<std::vector<Convoy>> batches;
+  std::vector<std::tuple<std::string, size_t, size_t>> progress;
+  size_t clusterings = 0;
+  std::vector<uint64_t> counters;
+};
+
+// Runs `run(&stats, &hooks)` with a sink, a progress hook and a trace
+// attached, and records what they saw.
+template <typename RunFn>
+ObservedCmc ObserveCmc(RunFn&& run) {
+  ObservedCmc out;
+  TraceSession trace;
+  ExecHooks hooks;
+  hooks.trace = &trace;
+  hooks.sink = [&out](std::vector<Convoy>&& batch) {
+    out.batches.push_back(std::move(batch));
+  };
+  hooks.progress = [&out](const ProgressUpdate& update) {
+    out.progress.emplace_back(update.phase, update.done, update.total);
+  };
+  DiscoveryStats stats;
+  out.convoys = run(&stats, &hooks);
+  out.clusterings = stats.num_clusterings;
+  for (size_t c = 0; c < kNumTraceCounters; ++c) {
+    out.counters.push_back(trace.counter(static_cast<TraceCounter>(c)));
+  }
+  return out;
+}
+
+void ExpectSameObservation(const ObservedCmc& got, const ObservedCmc& want,
+                           const std::string& what) {
+  EXPECT_EQ(got.convoys, want.convoys) << what;
+  EXPECT_EQ(got.batches, want.batches) << what;
+  EXPECT_EQ(got.progress, want.progress) << what;
+  EXPECT_EQ(got.clusterings, want.clusterings) << what;
+  for (size_t c = 0; c < kNumTraceCounters; ++c) {
+    EXPECT_EQ(got.counters[c], want.counters[c])
+        << what << ", counter " << ToString(static_cast<TraceCounter>(c));
+  }
+}
+
+// The threaded loop clusters blocks of 256 ticks, each worker chunk
+// restarting the row cursors at its first tick. A gappy database of 700
+// ticks crosses two block boundaries, and the range below begins inside a
+// sampling gap. Over the rows and over the store, every thread count must
+// hand the caller exactly what one thread does: convoys, sink batches,
+// progress, clusterings and every traced counter.
+TEST(ParallelEquivalenceTest, CmcAcrossBlocksAndGapsIsIdentical) {
+  Rng rng(606);
+  const TrajectoryDatabase db =
+      RandomClumpyDb(rng, /*num_objects=*/24, /*ticks=*/700, /*world=*/40.0,
+                     /*step=*/0.5, /*keep_prob=*/0.3);
+  std::optional<Tick> gap_tick;
+  for (const Trajectory& traj : db.trajectories()) {
+    const std::vector<TimedPoint>& samples = traj.samples();
+    for (size_t i = 0; i + 1 < samples.size() && !gap_tick; ++i) {
+      if (samples[i].t >= db.BeginTick() + 50 &&
+          samples[i + 1].t > samples[i].t + 1) {
+        gap_tick = samples[i].t + 1;
+      }
+    }
+    if (gap_tick) break;
+  }
+  ASSERT_TRUE(gap_tick.has_value());
+  const Tick range_begin = *gap_tick;
+  const Tick range_end = db.EndTick() - 5;
+  ASSERT_GT(range_end - range_begin, 2 * 256);
+
+  ConvoyQuery query{3, 4, 4.0};
+  const auto observe_all = [&](bool use_store) {
+    return std::pair{
+        ObserveCmc([&](DiscoveryStats* stats, const ExecHooks* hooks) {
+          // A fresh store per run, so its grid cache starts cold and the
+          // hit/miss counters compare across runs.
+          if (use_store) {
+            return Cmc(SnapshotStore::Build(db), query, {}, stats, hooks);
+          }
+          return Cmc(db, query, {}, stats, hooks);
+        }),
+        ObserveCmc([&](DiscoveryStats* stats, const ExecHooks* hooks) {
+          if (use_store) {
+            return CmcRange(SnapshotStore::Build(db), query, range_begin,
+                            range_end, {}, stats, hooks);
+          }
+          return CmcRange(db, query, range_begin, range_end, {}, stats,
+                          hooks);
+        })};
+  };
+  for (const bool use_store : {false, true}) {
+    query.num_threads = 1;
+    const auto [full, range] = observe_all(use_store);
+    EXPECT_FALSE(full.batches.empty());
+    EXPECT_FALSE(range.batches.empty());
+    for (const size_t threads : kThreadCounts) {
+      query.num_threads = threads;
+      const auto [got_full, got_range] = observe_all(use_store);
+      const std::string where = std::string(use_store ? "store" : "rows") +
+                                ", " + std::to_string(threads) + " thread(s)";
+      ExpectSameObservation(got_full, full, "Cmc over " + where);
+      ExpectSameObservation(got_range, range, "CmcRange over " + where);
+    }
   }
 }
 
@@ -105,18 +219,19 @@ TEST(ParallelEquivalenceTest, ParallelCutsStatsCountEveryClustering) {
   }
 }
 
-TEST(ParallelEquivalenceTest, ParallelCutsFilterMatchesSerialExactly) {
+TEST(ParallelEquivalenceTest, CutsFilterMatchesSerialExactly) {
   for (const uint64_t seed : {3u, 13u, 23u}) {
     // keep_prob < 1 produces irregular sampling, the harder filter input.
     const TrajectoryDatabase db = MakeDb(seed, /*keep_prob=*/0.8);
-    const ConvoyQuery query{3, 4, 5.0};
+    ConvoyQuery query{3, 4, 5.0};
     for (const auto variant :
          {CutsVariant::kCuts, CutsVariant::kCutsStar}) {
       const CutsFilterOptions options = MakeFilterOptions(variant);
+      query.num_threads = 1;
       const CutsFilterResult serial = CutsFilter(db, query, options);
       for (const size_t threads : kThreadCounts) {
-        const CutsFilterResult parallel =
-            ParallelCutsFilter(db, query, options, nullptr, threads);
+        query.num_threads = threads;
+        const CutsFilterResult parallel = CutsFilter(db, query, options);
         EXPECT_EQ(parallel.delta_used, serial.delta_used);
         EXPECT_EQ(parallel.lambda_used, serial.lambda_used);
         ASSERT_EQ(parallel.candidates.size(), serial.candidates.size())
@@ -146,16 +261,16 @@ TEST(ParallelEquivalenceTest, ParallelCutsFilterMatchesSerialExactly) {
   }
 }
 
-TEST(ParallelEquivalenceTest, ParallelCutsMatchesSerialAndCmc) {
+TEST(ParallelEquivalenceTest, CutsMatchesSerialAndCmc) {
   for (const uint64_t seed : {17u, 29u}) {
     const TrajectoryDatabase db = MakeDb(seed);
-    const ConvoyQuery query{3, 4, 5.0};
+    ConvoyQuery query{3, 4, 5.0};
     const auto exact = Cmc(db, query);
     const auto serial = Cuts(db, query, CutsVariant::kCutsStar);
     EXPECT_TRUE(SameResultSet(serial, exact)) << "seed " << seed;
     for (const size_t threads : kThreadCounts) {
-      const auto parallel = ParallelCuts(db, query, CutsVariant::kCutsStar,
-                                         {}, nullptr, threads);
+      query.num_threads = threads;
+      const auto parallel = Cuts(db, query, CutsVariant::kCutsStar);
       EXPECT_EQ(parallel, serial)
           << "seed " << seed << ", " << threads << " thread(s)";
     }
@@ -166,14 +281,15 @@ TEST(ParallelEquivalenceTest, QueryNumThreadsKnobIsResultInvariant) {
   const TrajectoryDatabase db = MakeDb(41);
   ConvoyQuery query{3, 4, 5.0};
   const auto baseline = Cuts(db, query, CutsVariant::kCutsPlus);
+  const auto exact = Cmc(db, query);
   for (const size_t threads : kThreadCounts) {
     query.num_threads = threads;
     EXPECT_EQ(Cuts(db, query, CutsVariant::kCutsPlus), baseline);
-    EXPECT_EQ(ParallelCmc(db, query), Cmc(db, query));
+    EXPECT_EQ(Cmc(db, query), exact);
   }
 }
 
-TEST(ParallelEquivalenceTest, EngineConcurrentDiscoverIsSafeAndIdentical) {
+TEST(ParallelEquivalenceTest, EngineConcurrentExecuteIsSafeAndIdentical) {
   const TrajectoryDatabase db = MakeDb(55);
   const ConvoyQuery query{3, 4, 5.0};
   ConvoyEngine engine(db);
@@ -185,7 +301,8 @@ TEST(ParallelEquivalenceTest, EngineConcurrentDiscoverIsSafeAndIdentical) {
   callers.reserve(kCallers);
   for (size_t i = 0; i < kCallers; ++i) {
     callers.emplace_back([&engine, &results, &query, i] {
-      results[i] = engine.Discover(query, CutsVariant::kCutsStar);
+      results[i] =
+          RunQuery(engine, query, AlgorithmChoice::kCutsStar).convoys();
     });
   }
   for (std::thread& t : callers) t.join();

@@ -112,9 +112,9 @@ struct SeedCase {
 class PresetSeedTest : public ::testing::TestWithParam<SeedCase> {};
 
 // Each preset at seeds 42 and 44, each variant through ConvoyEngine's
-// Execute, the free Cuts() and the legacy Discover shim, at 1, 2 and 8
-// refinement threads: every answer is CMC's, and refinement clusters no
-// more snapshots than CMC does.
+// Execute and the free Cuts(), at 1, 2 and 8 refinement threads: every
+// answer is CMC's, and refinement clusters no more snapshots than CMC
+// does.
 TEST_P(PresetSeedTest, DefaultPathsMatchCmc) {
   const SeedCase& param = GetParam();
   const ScenarioData data =
@@ -161,9 +161,6 @@ TEST_P(PresetSeedTest, DefaultPathsMatchCmc) {
 
       EXPECT_TRUE(SameResultSet(exact, Cuts(data.db, query, variant, options)))
           << where << ": Cuts()";
-      EXPECT_TRUE(
-          SameResultSet(exact, engine.Discover(query, variant, options)))
-          << where << ": Discover";
     }
   }
 }

@@ -45,18 +45,21 @@ TEST_P(SoundnessTest, AllReportedConvoysVerifyTrue) {
 }
 
 // The exact algorithms agree: every CuTS variant returns CMC's convoys,
-// through the free function and through the engine's default plan.
+// through the free function and through the engine's plan for it.
 TEST_P(SoundnessTest, CutsFamilyEqualsCmc) {
   Rng rng(static_cast<uint64_t>(GetParam()));
   const TrajectoryDatabase db = RandomClumpyDb(rng, 16, 40, 40.0, 0.8, 0.9);
   const ConvoyQuery query{2, 4, 4.0};
   const auto exact = Cmc(db, query);
   const ConvoyEngine engine(db);
-  for (const CutsVariant variant :
-       {CutsVariant::kCuts, CutsVariant::kCutsPlus, CutsVariant::kCutsStar}) {
+  for (const auto& [variant, choice] :
+       {std::pair{CutsVariant::kCuts, AlgorithmChoice::kCuts},
+        std::pair{CutsVariant::kCutsPlus, AlgorithmChoice::kCutsPlus},
+        std::pair{CutsVariant::kCutsStar, AlgorithmChoice::kCutsStar}}) {
     EXPECT_TRUE(SameResultSet(exact, Cuts(db, query, variant)))
         << ToString(variant);
-    EXPECT_TRUE(SameResultSet(exact, engine.Discover(query, variant)))
+    EXPECT_TRUE(SameResultSet(
+        exact, testutil::RunQuery(engine, query, choice).convoys()))
         << ToString(variant);
   }
 }

@@ -39,8 +39,8 @@ AlgorithmChoice ChoiceFor(CutsVariant variant) {
 
 // The acceptance property: Execute(Prepare(q)) returns *bit-identical*
 // convoys (EXPECT_EQ on the vectors, not just set equality) to the free
-// functions and to the legacy Discover shims, for every variant and for
-// exact CMC, over seeded random databases.
+// functions, for every variant and for exact CMC, over seeded random
+// databases.
 TEST(QueryExecTest, ExecutePrepareMatchesFreeFunctionsBitIdentical) {
   for (const uint64_t seed : {11u, 22u, 33u}) {
     const ConvoyEngine engine(SeededDb(seed));
@@ -56,8 +56,6 @@ TEST(QueryExecTest, ExecutePrepareMatchesFreeFunctionsBitIdentical) {
       const std::vector<Convoy> direct = Cuts(engine.db(), query, variant);
       EXPECT_EQ(executed->convoys(), direct)
           << "seed " << seed << " variant " << ToString(variant);
-      const std::vector<Convoy> shim = engine.Discover(query, variant);
-      EXPECT_EQ(executed->convoys(), shim);
     }
 
     const auto plan = engine.Prepare(query, AlgorithmChoice::kCmc);
@@ -65,7 +63,6 @@ TEST(QueryExecTest, ExecutePrepareMatchesFreeFunctionsBitIdentical) {
     const auto executed = engine.Execute(*plan);
     ASSERT_TRUE(executed.ok());
     EXPECT_EQ(executed->convoys(), Cmc(engine.db(), query)) << seed;
-    EXPECT_EQ(executed->convoys(), engine.DiscoverExact(query));
   }
 }
 

@@ -49,10 +49,11 @@ std::string Fingerprint(const std::vector<Convoy>& convoys) {
   return out.str();
 }
 
-// Many threads sharing one ConvoyEngine: concurrent Prepare/Execute and
-// legacy Discover calls race on the simplification cache, the memoized
-// stats, and the lazily built SnapshotStore. Every thread must get the
-// bit-identical result the engine produces single-threaded.
+// Many threads sharing one ConvoyEngine: concurrent Prepare/Execute of an
+// auto plan (CMC at this size) and an explicit CuTS* plan race on the
+// simplification cache, the memoized stats, and the lazily built
+// SnapshotStore. Every thread must get the bit-identical result the engine
+// produces single-threaded.
 TEST(RaceStressTest, ConcurrentPrepareExecuteDiscoverOneEngine) {
   Rng rng(20260807);
   ConvoyEngine engine(RandomClumpyDb(rng, 30, 24, 50.0, 1.0));
@@ -62,16 +63,18 @@ TEST(RaceStressTest, ConcurrentPrepareExecuteDiscoverOneEngine) {
   {
     const auto plan = engine.Prepare(query);
     ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    ASSERT_EQ(plan->algorithm, AlgorithmId::kCmc);
     const auto result = engine.Execute(*plan);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     expected_exec = Fingerprint(result->convoys());
   }
-  const std::string expected_discover = Fingerprint(engine.Discover(query));
+  const std::string expected_cuts = Fingerprint(
+      testutil::RunQuery(engine, query, AlgorithmChoice::kCutsStar).convoys());
 
   constexpr int kThreads = 4;
   constexpr int kItersPerThread = 8;
   std::vector<std::string> exec_prints(kThreads);
-  std::vector<std::string> discover_prints(kThreads);
+  std::vector<std::string> cuts_prints(kThreads);
   std::atomic<int> failures{0};
   {
     std::vector<std::thread> threads;
@@ -90,8 +93,19 @@ TEST(RaceStressTest, ConcurrentPrepareExecuteDiscoverOneEngine) {
           }
           exec_prints[static_cast<size_t>(t)] =
               Fingerprint(result->convoys());
-          discover_prints[static_cast<size_t>(t)] =
-              Fingerprint(engine.Discover(query));
+          const auto cuts_plan =
+              engine.Prepare(query, AlgorithmChoice::kCutsStar);
+          if (!cuts_plan.ok()) {
+            failures.fetch_add(1);
+            return;
+          }
+          const auto cuts_result = engine.Execute(*cuts_plan);
+          if (!cuts_result.ok()) {
+            failures.fetch_add(1);
+            return;
+          }
+          cuts_prints[static_cast<size_t>(t)] =
+              Fingerprint(cuts_result->convoys());
           // Metrics reads racing the queries above (from sibling threads)
           // must be safe and monotone-consistent.
           const EngineStoreMetrics m = engine.StoreMetrics();
@@ -108,7 +122,7 @@ TEST(RaceStressTest, ConcurrentPrepareExecuteDiscoverOneEngine) {
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_EQ(exec_prints[static_cast<size_t>(t)], expected_exec)
         << "thread " << t;
-    EXPECT_EQ(discover_prints[static_cast<size_t>(t)], expected_discover)
+    EXPECT_EQ(cuts_prints[static_cast<size_t>(t)], expected_cuts)
         << "thread " << t;
   }
 }
@@ -330,9 +344,9 @@ TEST(RaceStressTest, StreamingTicksVsTraceReads) {
 }
 
 // StoreMetrics readers racing first-use store construction: the very
-// first Discover builds the SnapshotStore while other threads poll the
+// first CMC queries build the SnapshotStore while other threads poll the
 // engine's metrics surface and PeekStore.
-TEST(RaceStressTest, StoreMetricsVsFirstDiscover) {
+TEST(RaceStressTest, StoreMetricsVsFirstQuery) {
   Rng rng(7);
   ConvoyEngine engine(RandomClumpyDb(rng, 25, 20, 40.0, 1.0));
   const ConvoyQuery query{3, 4, 4.0};
@@ -354,7 +368,8 @@ TEST(RaceStressTest, StoreMetricsVsFirstDiscover) {
   std::vector<std::string> prints(3);
   for (int t = 0; t < 3; ++t) {
     workers.emplace_back([&, t] {
-      prints[static_cast<size_t>(t)] = Fingerprint(engine.Discover(query));
+      prints[static_cast<size_t>(t)] = Fingerprint(
+          testutil::RunQuery(engine, query, AlgorithmChoice::kCmc).convoys());
     });
   }
   for (std::thread& th : workers) th.join();

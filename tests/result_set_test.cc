@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/engine.h"
 
 namespace convoy {
 namespace {
@@ -37,16 +36,58 @@ TEST(ResultSetTest, CountEmptyAndIteration) {
   EXPECT_EQ(ConvoyResultSet().Count(), 0u);
 }
 
-TEST(ResultSetTest, HelpersMatchLegacyEngineStatics) {
+TEST(ResultSetTest, HelpersMatchFreeFunctions) {
   const std::vector<Convoy> convoys = SampleConvoys();
   const ConvoyResultSet result = SampleResultSet();
 
-  EXPECT_EQ(result.Longest(), ConvoyEngine::LongestConvoy(convoys));
+  EXPECT_EQ(result.Longest(), LongestConvoyOf(convoys));
   for (const ObjectId id : {ObjectId{2}, ObjectId{5}, ObjectId{9}}) {
-    EXPECT_EQ(result.Involving(id), ConvoyEngine::Involving(convoys, id));
+    EXPECT_EQ(result.Involving(id), ConvoysInvolving(convoys, id));
   }
-  EXPECT_EQ(result.During(5, 25), ConvoyEngine::During(convoys, 5, 25));
-  EXPECT_EQ(result.During(40, 50), ConvoyEngine::During(convoys, 40, 50));
+  EXPECT_EQ(result.During(5, 25), ConvoysDuring(convoys, 5, 25));
+  EXPECT_EQ(result.During(40, 50), ConvoysDuring(convoys, 40, 50));
+}
+
+TEST(ResultSetTest, LongestConvoyOf) {
+  const std::vector<Convoy> result = {
+      Convoy{{1, 2}, 0, 9},       // lifetime 10
+      Convoy{{3, 4, 5}, 20, 25},  // lifetime 6
+  };
+  const auto longest = LongestConvoyOf(result);
+  ASSERT_TRUE(longest.has_value());
+  EXPECT_EQ(longest->objects, (std::vector<ObjectId>{1, 2}));
+  EXPECT_FALSE(LongestConvoyOf({}).has_value());
+}
+
+TEST(ResultSetTest, LongestConvoyOfTieBreaksOnSize) {
+  const std::vector<Convoy> result = {
+      Convoy{{1, 2}, 0, 9},
+      Convoy{{3, 4, 5}, 10, 19},
+  };
+  const auto longest = LongestConvoyOf(result);
+  ASSERT_TRUE(longest.has_value());
+  EXPECT_EQ(longest->objects.size(), 3u);
+}
+
+TEST(ResultSetTest, ConvoysInvolvingFiltersByObject) {
+  const std::vector<Convoy> result = {
+      Convoy{{1, 2}, 0, 9},
+      Convoy{{2, 3}, 5, 14},
+      Convoy{{4, 5}, 0, 9},
+  };
+  const auto involving2 = ConvoysInvolving(result, 2);
+  EXPECT_EQ(involving2.size(), 2u);
+  EXPECT_TRUE(ConvoysInvolving(result, 9).empty());
+}
+
+TEST(ResultSetTest, ConvoysDuringFiltersByInterval) {
+  const std::vector<Convoy> result = {
+      Convoy{{1, 2}, 0, 9},
+      Convoy{{2, 3}, 20, 30},
+  };
+  EXPECT_EQ(ConvoysDuring(result, 5, 25).size(), 2u);
+  EXPECT_EQ(ConvoysDuring(result, 10, 19).size(), 0u);
+  EXPECT_EQ(ConvoysDuring(result, 9, 9).size(), 1u);
 }
 
 TEST(ResultSetTest, LongestPrefersLifetimeThenSize) {

@@ -19,8 +19,8 @@ namespace {
 
 using testutil::RandomClumpyDb;
 
-// The reference: the row-oriented per-tick gather every algorithm
-// performed before the store existed (see SnapshotClusters).
+// The reference: the row-oriented per-tick gather through InterpolateAt,
+// which the cursor gather (RowSnapshots) reproduces bit for bit.
 void LegacyGather(const TrajectoryDatabase& db, Tick t,
                   std::vector<Point>* points, std::vector<ObjectId>* ids) {
   points->clear();

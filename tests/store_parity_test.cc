@@ -13,7 +13,6 @@
 #include "core/cuts.h"
 #include "core/engine.h"
 #include "core/mc2.h"
-#include "parallel/parallel_runner.h"
 #include "tests/test_util.h"
 #include "traj/snapshot_store.h"
 
@@ -21,6 +20,7 @@ namespace convoy {
 namespace {
 
 using testutil::RandomClumpyDb;
+using testutil::RunQuery;
 
 constexpr size_t kThreadCounts[] = {1, 2, 8};
 
@@ -37,12 +37,13 @@ TEST(StoreParityTest, CmcMatchesLegacyExactly) {
     for (const double keep_prob : {1.0, 0.8, 0.4}) {
       const TrajectoryDatabase db = MakeDb(seed, keep_prob);
       const SnapshotStore store = SnapshotStore::Build(db);
-      const ConvoyQuery query{3, 4, 5.0};
+      ConvoyQuery query{3, 4, 5.0};
       const auto legacy = Cmc(db, query);
       EXPECT_EQ(Cmc(store, query), legacy)
           << "seed " << seed << " keep_prob " << keep_prob;
       for (const size_t threads : kThreadCounts) {
-        EXPECT_EQ(ParallelCmc(store, query, {}, nullptr, threads), legacy)
+        query.num_threads = threads;
+        EXPECT_EQ(Cmc(store, query), legacy)
             << "seed " << seed << " keep_prob " << keep_prob << ", "
             << threads << " thread(s)";
       }
@@ -53,15 +54,14 @@ TEST(StoreParityTest, CmcMatchesLegacyExactly) {
 TEST(StoreParityTest, CmcRangeMatchesLegacy) {
   const TrajectoryDatabase db = MakeDb(5, 0.8);
   const SnapshotStore store = SnapshotStore::Build(db);
-  const ConvoyQuery query{2, 3, 5.0};
+  ConvoyQuery query{2, 3, 5.0};
   const Tick begin = db.BeginTick() + 5;
   const Tick end = db.EndTick() - 5;
   const auto legacy = CmcRange(db, query, begin, end);
   EXPECT_EQ(CmcRange(store, query, begin, end), legacy);
   for (const size_t threads : kThreadCounts) {
-    EXPECT_EQ(
-        ParallelCmcRange(store, query, begin, end, {}, nullptr, threads),
-        legacy);
+    query.num_threads = threads;
+    EXPECT_EQ(CmcRange(store, query, begin, end), legacy);
   }
 }
 
@@ -91,20 +91,22 @@ TEST(StoreParityTest, Mc2MatchesLegacyExactly) {
   }
 }
 
-// The engine executes every plan store-backed; the free functions run the
-// legacy row-oriented path. Equality across all CuTS variants and thread
+// The engine executes every plan store-backed; the free functions gather
+// from the rows. Equality across all CuTS variants and thread
 // counts proves the store changes nothing but the derivation cost.
 TEST(StoreParityTest, EngineCutsVariantsMatchLegacyExactly) {
   for (const uint64_t seed : {3u, 23u}) {
     const TrajectoryDatabase db = MakeDb(seed, /*keep_prob=*/0.8);
     const ConvoyEngine engine(db);
-    for (const auto variant :
-         {CutsVariant::kCuts, CutsVariant::kCutsPlus, CutsVariant::kCutsStar}) {
+    for (const auto& [variant, choice] :
+         {std::pair{CutsVariant::kCuts, AlgorithmChoice::kCuts},
+          std::pair{CutsVariant::kCutsPlus, AlgorithmChoice::kCutsPlus},
+          std::pair{CutsVariant::kCutsStar, AlgorithmChoice::kCutsStar}}) {
       for (const size_t threads : kThreadCounts) {
         ConvoyQuery query{3, 4, 5.0};
         query.num_threads = threads;
         const auto legacy = Cuts(db, query, variant);
-        EXPECT_EQ(engine.Discover(query, variant), legacy)
+        EXPECT_EQ(RunQuery(engine, query, choice).convoys(), legacy)
             << ToString(variant) << " seed " << seed << ", " << threads
             << " thread(s)";
       }
@@ -118,7 +120,8 @@ TEST(StoreParityTest, EngineCmcAndMc2MatchLegacyExactly) {
   for (const size_t threads : kThreadCounts) {
     ConvoyQuery query{3, 4, 5.0};
     query.num_threads = threads;
-    EXPECT_EQ(engine.DiscoverExact(query), Cmc(db, query))
+    EXPECT_EQ(RunQuery(engine, query, AlgorithmChoice::kCmc).convoys(),
+              Cmc(db, query))
         << threads << " thread(s)";
     const auto plan = engine.Prepare(query, AlgorithmChoice::kMc2);
     ASSERT_TRUE(plan.ok());
@@ -227,7 +230,7 @@ TEST(StoreParityTest, ConcurrentStoreAccessIsSafeAndIdentical) {
   callers.reserve(kCallers);
   for (size_t i = 0; i < kCallers; ++i) {
     callers.emplace_back([&engine, &results, &query, i] {
-      results[i] = engine.DiscoverExact(query);
+      results[i] = RunQuery(engine, query, AlgorithmChoice::kCmc).convoys();
     });
   }
   for (std::thread& t : callers) t.join();

@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "core/engine.h"
 #include "core/incremental_cmc.h"
 #include "traj/database.h"
 #include "util/random.h"
@@ -64,6 +65,17 @@ inline TrajectoryDatabase RandomClumpyDb(Rng& rng, size_t num_objects,
     db.Add(std::move(traj));
   }
   return db;
+}
+
+/// Prepare + Execute on `engine` with an explicit algorithm choice — the
+/// one-call query form for tests. An error Status fails the call through
+/// StatusOr::value().
+inline ConvoyResultSet RunQuery(const ConvoyEngine& engine,
+                                const ConvoyQuery& query,
+                                AlgorithmChoice choice,
+                                const CutsFilterOptions& options = {}) {
+  const QueryPlan plan = engine.Prepare(query, choice, options).value();
+  return engine.Execute(plan).value();
 }
 
 /// A database over a row table (core/incremental_cmc.h): the input a
