@@ -1,7 +1,6 @@
 // Ablation bench: isolates the design choices the paper motivates but
 // does not measure separately —
 //   * the Lemma 2 bounding-box pre-test in the TRAJ-DBSCAN neighbor check,
-//   * all-pairs vs STR R-tree neighbor candidates,
 //   * time spent on CMC's virtual-point interpolation.
 
 #include "bench/bench_common.h"
@@ -36,25 +35,6 @@ int main(int argc, char** argv) {
                 {std::to_string(stats.polyline_pair_tests), 13},
                 {std::to_string(stats.polyline_box_pruned), 12},
                 {std::to_string(stats.segment_distance_tests), 13},
-                {Fmt(stats.filter_seconds, 3), 12}});
-    }
-  }
-
-  PrintHeader("Ablation A2: all-pairs scan vs STR R-tree candidates (CuTS*)");
-  PrintRow({{"dataset", 12},
-            {"pairs mode", 12},
-            {"pair tests", 13},
-            {"filter(s)", 12}});
-  PrintRule(49);
-  for (const BenchDataset* ds : {&truck, &car}) {
-    for (const bool rtree : {false, true}) {
-      CutsFilterOptions options = FilterOptionsFor(*ds);
-      options.use_rtree = rtree;
-      DiscoveryStats stats;
-      (void)RunVariant(*ds, CutsVariant::kCutsStar, &stats, options);
-      PrintRow({{ds->data.name, 12},
-                {rtree ? "rtree" : "all-pairs", 12},
-                {std::to_string(stats.polyline_pair_tests), 13},
                 {Fmt(stats.filter_seconds, 3), 12}});
     }
   }

@@ -113,17 +113,6 @@ inline CutsFilterOptions FilterOptionsFor(const BenchDataset& ds) {
   return options;
 }
 
-/// FilterOptionsFor with a worker-thread count applied to both the filter
-/// and refinement phases (results are identical at any thread count;
-/// 0 = all hardware threads).
-inline CutsFilterOptions FilterOptionsFor(const BenchDataset& ds,
-                                          size_t threads) {
-  CutsFilterOptions options = FilterOptionsFor(ds);
-  options.num_threads = ResolveThreadCount(threads);
-  options.refine_threads = options.num_threads;
-  return options;
-}
-
 /// Runs one CuTS variant with the dataset's fixed internal parameters.
 inline std::vector<Convoy> RunVariant(const BenchDataset& ds,
                                       CutsVariant variant,

@@ -319,11 +319,11 @@ void RunHotpathSection(const convoy::bench::BenchOptions& opts) {
     // the same candidate set.
     {
       CutsFilterOptions fopts = MakeFilterOptions(CutsVariant::kCutsStar);
-      fopts.num_threads = 1;
       const double delta = ComputeDelta(data.db, data.query.e);
       const std::vector<SimplifiedTrajectory> simplified =
           SimplifyDatabase(data.db, delta, fopts.simplifier, 1);
-      const ConvoyQuery& q = data.query;
+      ConvoyQuery q = data.query;
+      q.num_threads = 1;
       const Tick lambda =
           std::max<Tick>(ComputeLambda(data.db, simplified, q.k), 1);
       fopts.delta = delta;
@@ -337,7 +337,6 @@ void RunHotpathSection(const convoy::bench::BenchOptions& opts) {
         copts.min_pts = q.m;
         copts.distance = fopts.distance;
         copts.use_box_pruning = fopts.use_box_pruning;
-        copts.use_rtree = fopts.use_rtree;
         for (Tick ps = data.db.BeginTick(); ps <= data.db.EndTick();
              ps += lambda) {
           const Tick pe = std::min<Tick>(ps + lambda - 1, data.db.EndTick());
@@ -558,9 +557,9 @@ int main(int argc, char** argv) {
     threaded.num_threads = threads;
     DiscoveryStats cmc_stats;
     (void)Cmc(ds.data.db, threaded, {}, &cmc_stats);
-    const CutsFilterOptions options = FilterOptionsFor(ds, threads);
     DiscoveryStats stats;
-    const auto result = RunVariant(ds, CutsVariant::kCuts, &stats, options);
+    const auto result = Cuts(ds.data.db, threaded, CutsVariant::kCuts,
+                             FilterOptionsFor(ds), &stats);
     if (threads == 1) {
       cmc_serial = cmc_stats.total_seconds;
       cuts_serial = stats.total_seconds;

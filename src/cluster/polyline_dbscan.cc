@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <deque>
 
-#include "cluster/str_tree.h"
 #include "geom/distance.h"
 
 namespace convoy {
@@ -76,41 +75,11 @@ Clustering PolylineDbscan(const std::vector<PartitionPolyline>& polylines,
   // explicit adjacency table is affordable and lets the DBSCAN expansion
   // reuse each symmetric omega evaluation.
   std::vector<std::vector<size_t>> adjacency(n);
-  if (opts.use_rtree && n >= 8) {
-    // Candidate generation through the STR tree: by Lemma 2 a neighbor
-    // pair (a, b) satisfies Dmin(box_a, box_b) <= eps + tol_a + tol_b
-    // <= eps + tol_a + tol_max, so querying with that radius misses
-    // nothing; PolylinesAreNeighbors re-checks each survivor exactly.
-    double tol_max = 0.0;
-    for (const PartitionPolyline& poly : polylines) {
-      tol_max = std::max(tol_max, poly.max_tolerance);
-    }
-    std::vector<StrTree::Entry> entries(n);
-    for (size_t i = 0; i < n; ++i) {
-      entries[i] = StrTree::Entry{polylines[i].bbox,
-                                  static_cast<uint32_t>(i)};
-    }
-    const StrTree tree(std::move(entries));
-    std::vector<uint32_t> hits;
-    for (size_t a = 0; a < n; ++a) {
-      tree.WithinDistanceInto(
-          polylines[a].bbox,
-          opts.eps + polylines[a].max_tolerance + tol_max, &hits);
-      for (const uint32_t b : hits) {
-        if (b <= a) continue;  // each unordered pair once
-        if (PolylinesAreNeighbors(polylines[a], polylines[b], opts, stats)) {
-          adjacency[a].push_back(b);
-          adjacency[b].push_back(a);
-        }
-      }
-    }
-  } else {
-    for (size_t a = 0; a < n; ++a) {
-      for (size_t b = a + 1; b < n; ++b) {
-        if (PolylinesAreNeighbors(polylines[a], polylines[b], opts, stats)) {
-          adjacency[a].push_back(b);
-          adjacency[b].push_back(a);
-        }
+  for (size_t a = 0; a < n; ++a) {
+    for (size_t b = a + 1; b < n; ++b) {
+      if (PolylinesAreNeighbors(polylines[a], polylines[b], opts, stats)) {
+        adjacency[a].push_back(b);
+        adjacency[b].push_back(a);
       }
     }
   }

@@ -51,13 +51,6 @@ struct PolylineDbscanOptions {
   size_t min_pts = 1;               ///< the convoy query's m
   SegmentDistanceKind distance = SegmentDistanceKind::kDll;
   bool use_box_pruning = true;      ///< apply Lemma 2 before segment pairs
-
-  /// Find neighbor-candidate pairs through an STR R-tree over the polyline
-  /// bounding boxes instead of testing all O(P^2) pairs. The Lemma 2 bound
-  /// guarantees no candidate pair is missed; results are identical either
-  /// way (property-tested). Pays off once partitions hold a few hundred
-  /// polylines.
-  bool use_rtree = false;
 };
 
 /// The e-neighborhood test for two partition polylines: true if

@@ -141,46 +141,7 @@ Clustering PolylineDbscanSoa(const PolylineDbscanOptions& opts,
   std::vector<std::vector<uint32_t>>& adjacency = scratch->adjacency;
   for (size_t i = 0; i < n; ++i) adjacency[i].clear();
 
-  if (opts.use_rtree && n >= 8) {
-    // STR-tree candidate generation (see PolylineDbscan). Hits stay in
-    // tree-traversal order — the reference iterates them unsorted, and the
-    // adjacency order feeds the expansion FIFO, so sorting here would
-    // reorder cluster members relative to the reference.
-    double tol_max = 0.0;
-    for (size_t i = 0; i < n; ++i) tol_max = std::max(tol_max, soa.ptol[i]);
-    std::vector<StrTree::Entry> entries(n);
-    for (size_t i = 0; i < n; ++i) {
-      entries[i] = StrTree::Entry{
-          Box(Point{soa.bminx[i], soa.bminy[i]},
-              Point{soa.bmaxx[i], soa.bmaxy[i]}),
-          static_cast<uint32_t>(i)};
-    }
-    const StrTree tree(std::move(entries));
-    std::vector<uint32_t>& hits = scratch->hits;
-    for (size_t a = 0; a < n; ++a) {
-      tree.WithinDistanceInto(Box(Point{soa.bminx[a], soa.bminy[a]},
-                                  Point{soa.bmaxx[a], soa.bmaxy[a]}),
-                              opts.eps + soa.ptol[a] + tol_max, &hits);
-      for (const uint32_t b : hits) {
-        if (b <= a) continue;  // each unordered pair once
-        ++pair_tests;
-        bool neighbors = false;
-        if (opts.use_box_pruning &&
-            simd::PolylineBoxPruned(
-                soa.bminx[a], soa.bmaxx[a], soa.bminy[a], soa.bmaxy[a],
-                soa.bminx[b], soa.bmaxx[b], soa.bminy[b], soa.bmaxy[b],
-                opts.eps + soa.ptol[a] + soa.ptol[b])) {
-          ++box_pruned;
-        } else {
-          neighbors = qualify(a, b);
-        }
-        if (neighbors) {
-          adjacency[a].push_back(b);
-          adjacency[b].push_back(static_cast<uint32_t>(a));
-        }
-      }
-    }
-  } else if (opts.use_box_pruning) {
+  if (opts.use_box_pruning) {
     // Lemma 2 sweep over the contiguous box arrays, then exact tests on the
     // survivors — the hot path the SIMD box kernel accelerates.
     std::vector<uint32_t>& survivors = scratch->survivors;

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "cluster/polyline_dbscan.h"
-#include "cluster/str_tree.h"
 #include "simd/dist_kernels.h"
 #include "simplify/simplified_trajectory.h"
 
@@ -69,7 +68,6 @@ struct PolylineDbscanScratch {
   std::vector<uint32_t> label;
   std::vector<uint32_t> frontier;   ///< vector-backed FIFO (head index)
   std::vector<uint32_t> survivors;  ///< box-prune sweep output buffer
-  std::vector<uint32_t> hits;       ///< STR-tree query result buffer
 };
 
 /// TRAJ-DBSCAN over the SoA layout, dispatching the neighborhood tests to

@@ -28,7 +28,6 @@
 #include "cluster/dbscan.h"
 #include "cluster/grid_index.h"
 #include "cluster/polyline_dbscan.h"
-#include "cluster/str_tree.h"
 #include "core/cmc.h"
 #include "core/convoy_set.h"
 #include "core/cuts.h"
@@ -67,7 +66,6 @@
 #include "io/dataset_report.h"
 #include "io/result_io.h"
 #include "query/algorithm.h"
-#include "query/exec_context.h"
 #include "query/planner.h"
 #include "query/result_set.h"
 #include "simd/dist_kernels.h"

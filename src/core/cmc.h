@@ -29,9 +29,9 @@ struct CmcOptions {
 /// Scratch buffers a caller may reuse across ticks so the per-tick loops do
 /// not reallocate the snapshot, the grid index, or the DBSCAN working set
 /// every iteration. CMC's one-thread loop uses the caller's; its threaded
-/// loop holds one per worker chunk; the query executor carries one in its
-/// ExecContext. Contents never carry information between ticks (everything
-/// is reset per use), so reuse cannot change results.
+/// loop holds one per worker chunk; ConvoyEngine::Execute passes one per
+/// CMC run. Contents never carry information between ticks (everything is
+/// reset per use), so reuse cannot change results.
 struct SnapshotScratch {
   std::vector<Point> points;
   std::vector<ObjectId> ids;

@@ -18,12 +18,12 @@ struct ConvoyQuery {
   Tick k = 2;     ///< minimum lifetime in consecutive ticks
   double e = 1.0; ///< neighborhood range for density connection
 
-  /// Worker-thread count for the discovery phases that can run in
-  /// parallel: CMC's snapshot clustering (its only thread setting), the
-  /// CuTS filter's partition clustering and CuTS refinement. The CuTS
-  /// per-phase knobs (CutsFilterOptions::num_threads / refine_threads)
-  /// override it when set; 0 means "all hardware threads". Results are
-  /// identical for every value — parallelism never changes the output.
+  /// Worker-thread count for every discovery phase that can run in
+  /// parallel — the only thread setting of a query: CMC's snapshot
+  /// clustering, the CuTS simplification, the filter's partition
+  /// clustering and CuTS refinement. 0 means "all hardware threads".
+  /// Results are identical for every value — parallelism never changes the
+  /// output.
   size_t num_threads = 1;
 };
 

@@ -43,9 +43,7 @@ std::vector<Convoy> Cuts(const TrajectoryDatabase& db,
   Stopwatch total;
   const CutsFilterOptions options = MakeFilterOptions(variant, base_options);
   const CutsFilterResult filtered = CutsFilter(db, query, options, stats);
-  std::vector<Convoy> result =
-      CutsRefine(db, query, filtered, stats,
-                 ResolveWorkerThreads(options.refine_threads, query));
+  std::vector<Convoy> result = CutsRefine(db, query, filtered, stats);
   if (stats != nullptr) {
     stats->total_seconds = total.ElapsedSeconds();
     stats->num_convoys = result.size();

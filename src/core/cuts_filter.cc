@@ -13,11 +13,6 @@
 
 namespace convoy {
 
-size_t ResolveWorkerThreads(size_t phase_threads, const ConvoyQuery& query) {
-  if (phase_threads > 0) return phase_threads;
-  return ResolveThreadCount(query.num_threads);
-}
-
 std::vector<PartitionPolyline> BuildPartitionPolylines(
     const std::vector<SimplifiedTrajectory>& simplified, Tick part_start,
     Tick part_end, bool use_actual_tolerance, double delta_used) {
@@ -80,7 +75,6 @@ PartitionClusters ClusterPartition(
   cluster_options.min_pts = query.m;
   cluster_options.distance = options.distance;
   cluster_options.use_box_pruning = options.use_box_pruning;
-  cluster_options.use_rtree = options.use_rtree;
 
   const Clustering clustering =
       PolylineDbscanSoa(cluster_options, scratch, &out.cluster_stats);
@@ -112,7 +106,7 @@ CutsFilterResult CutsFilter(const TrajectoryDatabase& db,
       options.delta > 0.0 ? options.delta : ComputeDelta(db, query.e);
   std::vector<SimplifiedTrajectory> simplified =
       SimplifyDatabase(db, delta, options.simplifier,
-                       ResolveWorkerThreads(options.num_threads, query));
+                       ResolveThreadCount(query.num_threads));
   if (stats != nullptr) stats->simplify_seconds += phase.ElapsedSeconds();
 
   return CutsFilterPresimplified(db, query, options, std::move(simplified),
@@ -162,8 +156,7 @@ CutsFilterResult CutsFilterPresimplified(
   // partition order. The sequential tracker pass is what makes the
   // parallel filter bit-identical to the serial one.
   const size_t threads =
-      std::min(ResolveWorkerThreads(options.num_threads, query),
-               partitions.size());
+      std::min(ResolveThreadCount(query.num_threads), partitions.size());
   TraceSession* const trace = TraceOf(hooks);
   CandidateTracker tracker(query.m, query.k);
   PolylineClusterStats cluster_stats;

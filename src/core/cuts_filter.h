@@ -40,32 +40,10 @@ struct CutsFilterOptions {
   /// Apply the Lemma 2 bounding-box pre-test per polyline pair.
   bool use_box_pruning = true;
 
-  /// Generate neighbor candidates through an STR R-tree over polyline
-  /// bounding boxes instead of all-pairs scanning (see
-  /// PolylineDbscanOptions::use_rtree). Identical results either way.
-  bool use_rtree = false;
-
   /// No effect (see RefineMode): CuTS has one refinement, exact on every
   /// input. Kept so that callers which still set it compile.
   RefineMode refine_mode = RefineMode::kProjected;
-
-  /// Worker threads for the filter phase: database simplification and the
-  /// per-partition TRAJ-DBSCAN run concurrently (partitions are balanced
-  /// chunks of the time domain) while candidate tracking stays sequential
-  /// in partition order, so results are identical for every value.
-  /// 0 = inherit ConvoyQuery::num_threads.
-  size_t num_threads = 0;
-
-  /// Worker threads for the refinement step (its merged candidate windows
-  /// are independent units of work). Results are identical regardless.
-  /// 0 = inherit ConvoyQuery::num_threads.
-  size_t refine_threads = 0;
 };
-
-/// Resolves a per-phase thread knob against the query-wide default: a
-/// positive per-phase value wins, 0 falls back to query.num_threads, where
-/// a final 0 means "all hardware threads". Never returns 0.
-size_t ResolveWorkerThreads(size_t phase_threads, const ConvoyQuery& query);
 
 /// Per time partition, the objects the partition's polyline DBSCAN placed
 /// in some cluster: the union of the partition's clusters, ascending. The

@@ -192,10 +192,10 @@ std::vector<Convoy> RefineWindows(const TrajectoryDatabase& db,
 std::vector<Convoy> CutsRefine(const TrajectoryDatabase& db,
                                const ConvoyQuery& query,
                                const CutsFilterResult& filtered,
-                               DiscoveryStats* stats, size_t threads,
+                               DiscoveryStats* stats,
                                const ExecHooks* hooks) {
   return RefineWindows(db, query, filtered.candidates, &filtered.members,
-                       stats, threads, hooks);
+                       stats, ResolveThreadCount(query.num_threads), hooks);
 }
 
 std::vector<Convoy> CutsRefine(const TrajectoryDatabase& db,

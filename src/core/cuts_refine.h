@@ -41,10 +41,11 @@ enum class RefineMode {
 /// The windows' convoys are then dominance-pruned into the final set.
 /// Refinement never clusters a tick CMC would not, and never more objects.
 ///
-/// `threads` > 1 refines windows concurrently; each window is independent
-/// and results are merged in window order, so the result — and every
-/// counter, DiscoveryStats::num_clusterings included — is identical at
-/// every thread count.
+/// With query.num_threads > 1 (or 0, all hardware threads) windows are
+/// refined concurrently; each window is independent and results are
+/// merged in window order, so the result — and every counter,
+/// DiscoveryStats::num_clusterings included — is identical at every
+/// thread count.
 ///
 /// `hooks` (optional, core/exec_hooks.h) adds a cancellation check per
 /// window, per-window "refine" progress, and incremental emission: each
@@ -54,13 +55,12 @@ std::vector<Convoy> CutsRefine(const TrajectoryDatabase& db,
                                const ConvoyQuery& query,
                                const CutsFilterResult& filtered,
                                DiscoveryStats* stats = nullptr,
-                               size_t threads = 1,
                                const ExecHooks* hooks = nullptr);
 
 /// Refinement from the candidates alone, without the filter's member
 /// sets: the same windows, each clustering every alive object per tick.
 /// Same result as the overload above, at the cost of the pruning; `mode`
-/// is ignored.
+/// is ignored, and `threads` replaces query.num_threads.
 std::vector<Convoy> CutsRefine(const TrajectoryDatabase& db,
                                const ConvoyQuery& query,
                                const std::vector<Candidate>& candidates,

@@ -1,13 +1,17 @@
 #include "core/engine.h"
 
+#include <algorithm>
 #include <bit>
+#include <optional>
 #include <utility>
 
+#include "core/cmc.h"
 #include "core/cuts_filter.h"
+#include "core/cuts_refine.h"
 #include "core/params.h"
 #include "core/validate.h"
 #include "obs/trace.h"
-#include "query/algorithm.h"
+#include "parallel/parallel_for.h"
 #include "util/cancel.h"
 #include "util/stopwatch.h"
 
@@ -31,6 +35,41 @@ const char* AlgorithmSpanName(AlgorithmId id) {
       return "algorithm.mc2";
   }
   return "algorithm";
+}
+
+// The CuTS variant `id` runs; nullopt for the snapshot algorithms (CMC,
+// MC2).
+std::optional<CutsVariant> CutsVariantOf(AlgorithmId id) {
+  switch (id) {
+    case AlgorithmId::kCuts:
+      return CutsVariant::kCuts;
+    case AlgorithmId::kCutsPlus:
+      return CutsVariant::kCutsPlus;
+    case AlgorithmId::kCutsStar:
+      return CutsVariant::kCutsStar;
+    case AlgorithmId::kCmc:
+    case AlgorithmId::kMc2:
+      return std::nullopt;
+  }
+  return std::nullopt;
+}
+
+AlgorithmId IdFor(AlgorithmChoice choice, const DatabaseStats& stats) {
+  switch (choice) {
+    case AlgorithmChoice::kAuto:
+      return ChooseAuto(stats);
+    case AlgorithmChoice::kCmc:
+      return AlgorithmId::kCmc;
+    case AlgorithmChoice::kCuts:
+      return AlgorithmId::kCuts;
+    case AlgorithmChoice::kCutsPlus:
+      return AlgorithmId::kCutsPlus;
+    case AlgorithmChoice::kCutsStar:
+      return AlgorithmId::kCutsStar;
+    case AlgorithmChoice::kMc2:
+      return AlgorithmId::kMc2;
+  }
+  return AlgorithmId::kCutsStar;
 }
 
 }  // namespace
@@ -153,52 +192,158 @@ StatusOr<QueryPlan> ConvoyEngine::Prepare(const ConvoyQuery& query,
   CONVOY_RETURN_IF_ERROR(ValidateQuery(query).WithContext("Prepare"));
   CONVOY_RETURN_IF_ERROR(
       ValidateFilterOptions(options).WithContext("Prepare"));
-  PlannerOptions planner_options;
-  planner_options.db_stats = &CachedStats();
-  planner_options.trace = trace;
-  planner_options.simplify = [this, &query, &options](
-                                 SimplifierKind kind, double delta,
-                                 bool* hit) {
-    return SimplifiedFor(kind, delta,
-                         ResolveWorkerThreads(options.num_threads, query),
-                         hit);
-  };
-  planner_options.delta = [this](double e) { return DeltaFor(e); };
-  planner_options.store = [this, &query, &options](bool build_if_missing,
-                                                   bool* reused) {
-    if (build_if_missing) {
-      return Store(ResolveWorkerThreads(options.num_threads, query), reused);
+  ScopedSpan prepare_span(trace, "prepare");
+  const size_t threads = ResolveThreadCount(query.num_threads);
+  QueryPlan plan;
+  plan.query = query;
+  plan.requested = choice;
+  plan.db_stats = CachedStats();
+  plan.mc2 = mc2;
+  plan.algorithm = IdFor(choice, plan.db_stats);
+
+  // Resolve the snapshot store first. Only snapshot-consuming algorithms
+  // (CMC, MC2 — per their capability row) trigger the materialization;
+  // building it at Prepare is what makes re-Execute of such a plan free
+  // of per-tick re-derivation. CuTS-family plans cluster simplified
+  // polylines, not snapshots, so they merely peek: an already-built store
+  // lends them its precomputed time domain, but a CuTS-only workload
+  // never pays the columnar build.
+  const bool builds_store = CapabilitiesOf(plan.algorithm).uses_snapshot_store;
+  Stopwatch store_watch;
+  bool store_reused = !builds_store;  // a peek never builds
+  if (const std::shared_ptr<const SnapshotStore> store =
+          builds_store ? Store(threads, &store_reused) : PeekStore()) {
+    plan.store_cache =
+        store_reused ? PlanCacheStatus::kHit : PlanCacheStatus::kMiss;
+    if (!store_reused) {
+      plan.store_build_seconds = store_watch.ElapsedSeconds();
+      TraceCount(trace, TraceCounter::kStoreTicksBuilt, store->NumTicks());
+      TraceCount(trace, TraceCounter::kStorePointsBuilt, store->TotalPoints());
     }
-    std::shared_ptr<const SnapshotStore> peeked = PeekStore();
-    if (reused != nullptr) *reused = peeked != nullptr;
-    return peeked;
-  };
-  const QueryPlanner planner(db_, std::move(planner_options));
-  return planner.Plan(query, choice, options, mc2);
+    plan.store_ticks = store->NumTicks();
+    plan.store_points = store->TotalPoints();
+  }
+
+  const double n = static_cast<double>(plan.db_stats.num_objects);
+  const Tick domain = plan.db_stats.time_domain_length;
+  const std::optional<CutsVariant> variant = CutsVariantOf(plan.algorithm);
+  if (!variant.has_value()) {
+    // CMC and MC2 cluster one snapshot per tick; no tunables to resolve.
+    plan.estimated_clusterings = static_cast<size_t>(domain);
+    // A bound store has already materialized every per-tick alive count,
+    // so the work unit is exact — the sum of snapshot sizes the hot path
+    // will actually cluster and label-intersect; without one, N * T is
+    // the upper bound (every object alive at every tick).
+    plan.estimated_work = plan.store_points > 0
+                              ? static_cast<double>(plan.store_points)
+                              : static_cast<double>(domain) * n;
+    return plan;
+  }
+
+  // Resolve the variant's filter configuration, then the two Section 7.4
+  // tunables in the order the free Cuts() resolves them: delta first
+  // (ComputeDelta, unless given), then the simplification (through the
+  // cache), then lambda over the simplified trajectories (ComputeLambda,
+  // unless given) — so a plan's execution is bit-identical to Cuts().
+  plan.filter = MakeFilterOptions(*variant, options);
+  plan.delta_derived = !(plan.filter.delta > 0.0);
+  plan.delta = plan.delta_derived ? DeltaFor(query.e) : plan.filter.delta;
+  plan.filter.delta = plan.delta;
+
+  std::shared_ptr<const std::vector<SimplifiedTrajectory>> simplified;
+  {
+    ScopedSpan simplify_span(trace, "prepare.simplify");
+    // Shared, immutable: a cache hit is a pointer copy, and lambda
+    // resolution below reads through it without duplicating the set.
+    bool cache_hit = false;
+    simplified = SimplifiedFor(plan.filter.simplifier, plan.delta, threads,
+                               &cache_hit);
+    plan.cache = cache_hit ? PlanCacheStatus::kHit : PlanCacheStatus::kMiss;
+    TraceCount(trace,
+               cache_hit ? TraceCounter::kSimplifyCacheHits
+                         : TraceCounter::kSimplifyCacheMisses,
+               1);
+  }
+
+  plan.lambda_derived = plan.filter.lambda <= 0;
+  plan.lambda = plan.lambda_derived
+                    ? ComputeLambda(db_, *simplified, query.k)
+                    : plan.filter.lambda;
+  plan.filter.lambda = plan.lambda;
+
+  const Tick lambda = std::max<Tick>(plan.lambda, 1);
+  const size_t partitions =
+      domain > 0 ? static_cast<size_t>((domain + lambda - 1) / lambda) : 0;
+  plan.estimated_clusterings = partitions;
+  plan.estimated_work = static_cast<double>(partitions) * n;
+  return plan;
+}
+
+std::vector<Convoy> ConvoyEngine::Dispatch(const QueryPlan& plan,
+                                           const ExecHooks& hooks,
+                                           DiscoveryStats* stats) const {
+  const size_t threads = ResolveThreadCount(plan.query.num_threads);
+  switch (plan.algorithm) {
+    case AlgorithmId::kCmc: {
+      // The store is a cache hit in the steady state (Prepare built it; a
+      // hand-built plan pays here). Over the store's budget there is none
+      // and CMC gathers each tick from the rows; the results are
+      // bit-identical either way (tests/store_parity_test.cc).
+      SnapshotScratch scratch;
+      if (const std::shared_ptr<const SnapshotStore> store = Store(threads)) {
+        return Cmc(*store, plan.query, CmcOptions{}, stats, &hooks, &scratch);
+      }
+      return Cmc(db_, plan.query, CmcOptions{}, stats, &hooks, &scratch);
+    }
+    case AlgorithmId::kCuts:
+    case AlgorithmId::kCutsPlus:
+    case AlgorithmId::kCutsStar: {
+      // Normally a cache hit (Prepare primed the entry); on a miss — a
+      // hand-built plan, or an engine whose cache was raced — the time is
+      // real simplification work of this execution.
+      bool cache_hit = false;
+      Stopwatch simplify_watch;
+      const std::shared_ptr<const std::vector<SimplifiedTrajectory>>
+          simplified = SimplifiedFor(plan.filter.simplifier, plan.delta,
+                                     threads, &cache_hit);
+      if (!cache_hit) {
+        stats->simplify_seconds += simplify_watch.ElapsedSeconds();
+      }
+      CheckCancelled(&hooks);
+      // The filter takes its own copy of the immutable cache entry, and
+      // borrows an already-built store's time domain without building one.
+      // Filter + refinement is bit-identical to the free Cuts().
+      const CutsFilterResult filtered = CutsFilterPresimplified(
+          db_, plan.query, plan.filter, *simplified, plan.delta, stats,
+          &hooks, PeekStore().get());
+      return CutsRefine(db_, plan.query, filtered, stats, &hooks);
+    }
+    case AlgorithmId::kMc2:
+      if (const std::shared_ptr<const SnapshotStore> store = Store(threads)) {
+        return Mc2(*store, plan.query, plan.mc2);
+      }
+      return Mc2(db_, plan.query, plan.mc2);
+  }
+  return {};
 }
 
 ConvoyResultSet ConvoyEngine::RunPlan(const QueryPlan& plan,
-                                      const ExecHooks& hooks) const {
+                                      ExecHooks hooks) const {
   Stopwatch total;
   hooks.cancel.ThrowIfCancelled();
 
   DiscoveryStats stats;
   TraceSession* const trace = hooks.trace;
-  ExecContext ctx;
-  ctx.db = &db_;
-  ctx.plan = &plan;
-  ctx.hooks = hooks;
-  ctx.stats = &stats;
-  if (trace != nullptr && ctx.hooks.sink) {
+  if (trace != nullptr && hooks.sink) {
     // Wrap the caller's sink with emission telemetry: time-to-first-convoy
     // and inter-emission delay (both measured from the execution, on the
     // sequential emission pass), plus the emitted-convoy counter. Batch
     // counts are deterministic — emission order is — but the delays are
     // wall-clock like every Observe'd series.
-    ctx.hooks.sink = [trace, inner = std::move(ctx.hooks.sink),
-                      start_ns = trace->NowNs(),
-                      last_ns = std::make_shared<std::optional<uint64_t>>()](
-                         std::vector<Convoy>&& batch) {
+    hooks.sink = [trace, inner = std::move(hooks.sink),
+                  start_ns = trace->NowNs(),
+                  last_ns = std::make_shared<std::optional<uint64_t>>()](
+                     std::vector<Convoy>&& batch) {
       trace->Count(TraceCounter::kConvoysEmitted, batch.size());
       const uint64_t now = trace->NowNs();
       if (!last_ns->has_value()) {
@@ -212,34 +357,12 @@ ConvoyResultSet ConvoyEngine::RunPlan(const QueryPlan& plan,
       inner(std::move(batch));
     };
   }
-  // Snapshot-consuming algorithms get the store built (a cache hit in the
-  // steady state — Prepare already did it; a hand-built plan pays here);
-  // the CuTS family only borrows an existing one for its time domain.
-  ctx.store = GetAlgorithm(plan.algorithm).Capabilities().uses_snapshot_store
-                  ? Store(ResolveWorkerThreads(0, plan.query))
-                  : PeekStore();
-  ctx.simplified = [this, &plan, &stats](SimplifierKind kind, double delta,
-                                         bool* hit) {
-    // Normally a cache hit (Prepare primed the entry); on a miss — a
-    // hand-built plan, or an engine whose cache was raced — the time is
-    // real simplification work of this execution.
-    bool local_hit = false;
-    Stopwatch simplify_watch;
-    std::shared_ptr<const std::vector<SimplifiedTrajectory>> result =
-        SimplifiedFor(
-            kind, delta,
-            ResolveWorkerThreads(plan.filter.num_threads, plan.query),
-            &local_hit);
-    if (!local_hit) stats.simplify_seconds += simplify_watch.ElapsedSeconds();
-    if (hit != nullptr) *hit = local_hit;
-    return result;
-  };
 
   std::vector<Convoy> convoys;
   {
     ScopedSpan execute_span(trace, "execute");
     ScopedSpan algo_span(trace, AlgorithmSpanName(plan.algorithm));
-    convoys = GetAlgorithm(plan.algorithm).Run(ctx);
+    convoys = Dispatch(plan, hooks, &stats);
   }
 
   stats.num_convoys = convoys.size();
@@ -255,7 +378,7 @@ ConvoyResultSet ConvoyEngine::RunPlan(const QueryPlan& plan,
 StatusOr<ConvoyResultSet> ConvoyEngine::Execute(const QueryPlan& plan,
                                                 ExecHooks hooks) const {
   try {
-    return RunPlan(plan, hooks);
+    return RunPlan(plan, std::move(hooks));
   } catch (const CancelledError&) {
     return Status::Cancelled("query cancelled by CancelToken (" +
                              std::string(ToString(plan.algorithm)) + ")");

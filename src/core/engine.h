@@ -80,11 +80,11 @@ class ConvoyEngine {
 
   /// Validates the query and filter options (ValidateQuery /
   /// ValidateFilterOptions; kInvalidArgument on violation) and resolves
-  /// them into an executable QueryPlan: the physical algorithm (the
-  /// QueryPlanner's auto-policy for kAuto, otherwise the explicit choice),
-  /// delta/lambda via the ComputeDelta/ComputeLambda guidelines (priming
-  /// the simplification cache — the plan records hit/miss), and work
-  /// estimates from database statistics. The plan is inspectable via
+  /// them into an executable QueryPlan: the physical algorithm (ChooseAuto
+  /// for kAuto, otherwise the explicit choice), delta/lambda via the
+  /// ComputeDelta/ComputeLambda guidelines (priming the simplification
+  /// cache — the plan records hit/miss), and work estimates from database
+  /// statistics. The plan is inspectable via
   /// QueryPlan::Explain() and reusable across Execute calls.
   /// `trace` (optional) records planning spans ("prepare",
   /// "prepare.simplify") and cache/store counters into a TraceSession
@@ -169,7 +169,12 @@ class ConvoyEngine {
   /// Execute's body; throws CancelledError instead of returning a Status
   /// (Execute converts). Reports this execution in a fresh DiscoveryStats:
   /// a reused plan's one-time planning cost is not re-charged per run.
-  ConvoyResultSet RunPlan(const QueryPlan& plan, const ExecHooks& hooks) const;
+  ConvoyResultSet RunPlan(const QueryPlan& plan, ExecHooks hooks) const;
+
+  /// Runs plan.algorithm's free function (Cmc, CutsFilterPresimplified +
+  /// CutsRefine, or Mc2) over the engine's caches and returns its convoys.
+  std::vector<Convoy> Dispatch(const QueryPlan& plan, const ExecHooks& hooks,
+                               DiscoveryStats* stats) const;
 
   TrajectoryDatabase db_;
   /// Guards cache_, db_stats_ (+ generation), and store_. The GUARDED_BY

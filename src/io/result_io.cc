@@ -105,11 +105,10 @@ void SaveConvoysJson(const std::vector<Convoy>& convoys, std::ostream& out) {
 void SaveResultSetJson(const ConvoyResultSet& result, std::ostream& out) {
   const QueryPlan& plan = result.plan();
   const DiscoveryStats& stats = result.stats();
-  const ConvoyAlgorithm& algo = GetAlgorithm(plan.algorithm);
-  const AlgorithmCapabilities caps = algo.Capabilities();
+  const AlgorithmCapabilities caps = CapabilitiesOf(plan.algorithm);
 
   out << "{\n\"plan\":{";
-  out << "\"algorithm\":\"" << algo.Name() << "\"";
+  out << "\"algorithm\":\"" << ToString(plan.algorithm) << "\"";
   out << ",\"requested\":\"" << ToString(plan.requested) << "\"";
   out << ",\"query\":{\"m\":" << plan.query.m << ",\"k\":" << plan.query.k
       << ",\"e\":" << plan.query.e

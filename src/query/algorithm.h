@@ -2,17 +2,12 @@
 #define CONVOY_QUERY_ALGORITHM_H_
 
 #include <optional>
-#include <string>
 #include <string_view>
-#include <vector>
-
-#include "core/convoy_set.h"
-#include "query/exec_context.h"
 
 namespace convoy {
 
-/// The physical convoy-discovery algorithms the planner can choose from —
-/// the paper's family as registered ConvoyAlgorithm implementations.
+/// The physical convoy-discovery algorithms ConvoyEngine can run — the
+/// paper's fixed set of plans. ConvoyEngine::Execute dispatches on it.
 enum class AlgorithmId {
   kCmc,       ///< exact CMC baseline (Algorithm 1)
   kCuts,      ///< CuTS: DP simplification + DLL bound (Section 5)
@@ -35,8 +30,8 @@ enum class AlgorithmChoice {
 };
 
 /// Static properties of an algorithm, surfaced through EXPLAIN and the
-/// README capability matrix. "Incremental" means Run honours an ExecHooks
-/// sink by emitting verified convoys as execution units complete.
+/// README capability matrix. "Incremental" means execution honours an
+/// ExecHooks sink by emitting verified convoys as execution units complete.
 struct AlgorithmCapabilities {
   bool exact = true;                 ///< result set == CMC's on every input
   bool uses_simplification = false;  ///< consumes the (simplifier, delta) cache
@@ -51,35 +46,8 @@ struct AlgorithmCapabilities {
   bool supports_threads = false;     ///< num_threads > 1 changes wall clock
 };
 
-/// A physical convoy-discovery algorithm, uniformly invokable by the
-/// executor. Implementations are stateless singletons owned by the
-/// registry; Run must be safe to call concurrently from multiple threads
-/// (all mutable state lives in the ExecContext / local scope).
-///
-/// Run returns the materialized convoy set for the context's plan. It may
-/// throw CancelledError (via the context's CancelToken) — the executor
-/// converts that to StatusCode::kCancelled.
-class ConvoyAlgorithm {
- public:
-  virtual ~ConvoyAlgorithm() = default;
-
-  /// Stable display name: "CMC", "CuTS", "CuTS+", "CuTS*", "MC2".
-  virtual std::string_view Name() const = 0;
-
-  virtual AlgorithmId Id() const = 0;
-
-  virtual AlgorithmCapabilities Capabilities() const = 0;
-
-  virtual std::vector<Convoy> Run(const ExecContext& ctx) const = 0;
-};
-
-/// The registered implementation for `id`. Never null — every AlgorithmId
-/// has exactly one registered algorithm.
-const ConvoyAlgorithm& GetAlgorithm(AlgorithmId id);
-
-/// All registered algorithms, in AlgorithmId order (for the capability
-/// matrix and CLI listings).
-const std::vector<const ConvoyAlgorithm*>& AllAlgorithms();
+/// The capability row of `id`.
+AlgorithmCapabilities CapabilitiesOf(AlgorithmId id);
 
 /// "CMC", "CuTS", "CuTS+", "CuTS*", "MC2".
 std::string_view ToString(AlgorithmId id);

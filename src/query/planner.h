@@ -2,20 +2,16 @@
 #define CONVOY_QUERY_PLANNER_H_
 
 #include <cstddef>
-#include <functional>
 #include <string>
+#include <string_view>
 
 #include "core/convoy_set.h"
 #include "core/cuts_filter.h"
 #include "core/mc2.h"
 #include "query/algorithm.h"
-#include "query/exec_context.h"
 #include "traj/database.h"
-#include "util/status.h"
 
 namespace convoy {
-
-class TraceSession;
 
 /// Auto-selection threshold: databases with at most this many stored points
 /// run exact CMC directly — at that size the CuTS filter's simplification +
@@ -25,16 +21,19 @@ class TraceSession;
 /// refinement). Exposed for the planner unit tests.
 inline constexpr size_t kAutoExactMaxPoints = 4096;
 
+/// The auto-policy: kCmc when total_points <= kAutoExactMaxPoints (or the
+/// database is empty), kCutsStar otherwise.
+AlgorithmId ChooseAuto(const DatabaseStats& stats);
+
 /// Whether a plan consulted the engine's simplification cache, and how it
-/// answered. kNotApplicable for algorithms that do not simplify (CMC, MC2)
-/// and for planners running without a cache.
+/// answered. kNotApplicable for algorithms that do not simplify (CMC, MC2).
 enum class PlanCacheStatus { kNotApplicable, kHit, kMiss };
 
 std::string_view ToString(PlanCacheStatus status);
 
 /// A fully resolved physical plan: which algorithm runs, with which
-/// parameters. Produced by QueryPlanner / ConvoyEngine::Prepare, consumed
-/// by ConvoyEngine::Execute, and inspectable via Explain() (the CLI's
+/// parameters. Produced by ConvoyEngine::Prepare, consumed by
+/// ConvoyEngine::Execute, and inspectable via Explain() (the CLI's
 /// --explain). A plan stays valid as long as the database it was planned
 /// against is unchanged — ConvoyEngine's database is immutable, so plans
 /// can be cached and re-executed freely.
@@ -69,7 +68,9 @@ struct QueryPlan {
   /// Snapshot-store provenance: kMiss when planning built the
   /// tick-partitioned store for this database, kHit when a previously
   /// built store was reused (the build-once-query-many steady state),
-  /// kNotApplicable when planning ran without an engine-bound store.
+  /// kNotApplicable when the plan has none: a CuTS plan before any
+  /// snapshot-consuming query built one, or a database over the store's
+  /// budget.
   /// Execute attaches the same store, so a re-Execute of a prepared plan
   /// performs no per-tick re-derivation at all.
   PlanCacheStatus store_cache = PlanCacheStatus::kNotApplicable;
@@ -96,65 +97,6 @@ struct QueryPlan {
   /// hit/miss, database statistics, estimated work, and the algorithm's
   /// capability row.
   std::string Explain() const;
-};
-
-/// Options for constructing a QueryPlanner outside an engine (the engine
-/// binds its own cache and memoized statistics).
-struct PlannerOptions {
-  /// Simplification source for delta/lambda resolution. Empty: simplify
-  /// directly (uncached) and report PlanCacheStatus::kNotApplicable.
-  SimplificationProvider simplify;
-
-  /// Source of ComputeDelta(db, e) for CuTS plans that derive delta (the
-  /// engine's per-e memo). Empty: computed per plan.
-  std::function<double(double e)> delta;
-
-  /// SnapshotStore source (the engine's generation-keyed cache). Empty:
-  /// plans report store_cache = kNotApplicable and CMC / MC2 gather from
-  /// the rows.
-  SnapshotStoreProvider store;
-
-  /// Precomputed database statistics; null: computed on construction.
-  const DatabaseStats* db_stats = nullptr;
-
-  /// Optional trace (obs/trace.h): Plan() records "prepare" /
-  /// "prepare.simplify" spans and the simplification-cache + store-build
-  /// counters into it. Null = planning is untraced (the default).
-  TraceSession* trace = nullptr;
-};
-
-/// Resolves a (ConvoyQuery, AlgorithmChoice) pair into a QueryPlan:
-/// validates nothing (see ConvoyEngine::Prepare for the validating entry
-/// point), picks the physical algorithm — honouring an explicit choice,
-/// otherwise applying the auto-policy over database statistics — and
-/// resolves delta/lambda through the Section 7.4 guidelines for the CuTS
-/// family, priming the simplification cache it was constructed with.
-class QueryPlanner {
- public:
-  explicit QueryPlanner(const TrajectoryDatabase& db,
-                        PlannerOptions options = {});
-
-  /// Builds the plan. Deterministic: same database, query, choice, and
-  /// options always produce the same plan (modulo cache and store
-  /// provenance).
-  QueryPlan Plan(const ConvoyQuery& query,
-                 AlgorithmChoice choice = AlgorithmChoice::kAuto,
-                 const CutsFilterOptions& base_options = {},
-                 const Mc2Options& mc2 = {}) const;
-
-  /// The auto-policy, exposed for tests: kCmc when total_points <=
-  /// kAutoExactMaxPoints (or the database is empty), kCutsStar otherwise.
-  static AlgorithmId ChooseAuto(const DatabaseStats& stats);
-
-  const DatabaseStats& db_stats() const { return db_stats_; }
-
- private:
-  const TrajectoryDatabase& db_;
-  SimplificationProvider simplify_;
-  std::function<double(double e)> delta_;
-  SnapshotStoreProvider store_;
-  DatabaseStats db_stats_;
-  TraceSession* trace_ = nullptr;
 };
 
 }  // namespace convoy

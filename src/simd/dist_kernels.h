@@ -110,13 +110,6 @@ void DistanceBatchScalar(const SegmentSoa& segs, size_t a, size_t b_begin,
 void DistanceBatchAvx2(const SegmentSoa& segs, size_t a, size_t b_begin,
                        size_t count, bool dstar, double* out);
 
-/// The reference Lemma 2 box-prune decision for one polyline pair —
-/// bit-identical to `geom::Dmin(box_a, box_b) > bound` for non-empty boxes.
-/// Used by the STR-tree candidate path and the parity tests.
-bool PolylineBoxPruned(double aminx, double amaxx, double aminy, double amaxy,
-                       double bminx, double bmaxx, double bminy, double bmaxy,
-                       double bound);
-
 // --------------------------------------------------------------- policy --
 /// True when the AVX2 kernel TU was compiled with AVX2 codegen
 /// (CMake -DCONVOY_SIMD=ON and a compiler that accepts -mavx2).

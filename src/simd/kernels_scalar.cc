@@ -37,13 +37,6 @@ uint32_t BoxPruneSweepScalar(const double* bminx, const double* bmaxx,
   return count;
 }
 
-bool PolylineBoxPruned(double aminx, double amaxx, double aminy, double amaxy,
-                       double bminx, double bmaxx, double bminy, double bmaxy,
-                       double bound) {
-  return detail::BoxPrunedExact(aminx, amaxx, aminy, amaxy, bminx, bmaxx,
-                                bminy, bmaxy, bound);
-}
-
 void RadiusScanScalar(const double* sx, const double* sy,
                       const uint32_t* point_of, size_t lo, size_t hi,
                       double px, double py, double r2,

@@ -341,18 +341,13 @@ TEST(CutsTest, ActualToleranceNeverLoosensFilter) {
   }
 }
 
-TEST(CutsTest, RtreeFilterGivesSameConvoys) {
+TEST(CutsTest, ScanFilterGivesCmcConvoys) {
   Rng rng(606);
   const TrajectoryDatabase db = RandomClumpyDb(rng, 24, 60, 50.0, 0.8);
   const ConvoyQuery query{3, 6, 4.0};
   for (const auto variant :
        {CutsVariant::kCuts, CutsVariant::kCutsStar}) {
-    CutsFilterOptions scan;
-    scan.use_rtree = false;
-    CutsFilterOptions rtree = scan;
-    rtree.use_rtree = true;
-    EXPECT_TRUE(SameResultSet(Cuts(db, query, variant, scan),
-                              Cuts(db, query, variant, rtree)))
+    EXPECT_TRUE(SameResultSet(Cmc(db, query), Cuts(db, query, variant)))
         << ToString(variant);
   }
 }
@@ -360,14 +355,12 @@ TEST(CutsTest, RtreeFilterGivesSameConvoys) {
 TEST(CutsTest, ParallelRefinementGivesSameConvoys) {
   Rng rng(909);
   const TrajectoryDatabase db = RandomClumpyDb(rng, 24, 60, 50.0, 0.8);
-  const ConvoyQuery query{2, 5, 4.0};
+  ConvoyQuery query{2, 5, 4.0};
   const auto exact = Cmc(db, query);
   for (const size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-    CutsFilterOptions options;
-    options.refine_threads = threads;
-    EXPECT_TRUE(
-        SameResultSet(exact, Cuts(db, query, CutsVariant::kCutsStar, options)))
-        << threads << " refine thread(s)";
+    query.num_threads = threads;
+    EXPECT_TRUE(SameResultSet(exact, Cuts(db, query, CutsVariant::kCutsStar)))
+        << threads << " thread(s)";
   }
 }
 

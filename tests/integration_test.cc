@@ -18,7 +18,7 @@ struct ScenarioCase {
 class ScenarioIntegrationTest : public ::testing::TestWithParam<ScenarioCase> {
 };
 
-TEST_P(ScenarioIntegrationTest, AllAlgorithmsFindPlantedConvoysAndAgree) {
+TEST_P(ScenarioIntegrationTest, EveryAlgorithmFindsPlantedConvoysAndAgrees) {
   const ScenarioCase& param = GetParam();
   const ScenarioData data = GenerateScenario(param.config, param.seed);
   const ConvoyQuery query = data.query;

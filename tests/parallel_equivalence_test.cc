@@ -192,7 +192,7 @@ TEST(ParallelEquivalenceTest, CmcAcrossBlocksAndGapsIsIdentical) {
 
 // CuTS counts the filter's partition clusterings plus refinement's
 // snapshot clusterings; refinement counts per window and sums in window
-// order, so the total does not depend on the refinement thread count.
+// order, so the total does not depend on the thread count.
 TEST(ParallelEquivalenceTest, ParallelCutsStatsCountEveryClustering) {
   const TrajectoryDatabase db = MakeDb(9, /*keep_prob=*/0.8);
   const ConvoyQuery query{3, 4, 5.0};
@@ -201,7 +201,6 @@ TEST(ParallelEquivalenceTest, ParallelCutsStatsCountEveryClustering) {
     CutsFilterOptions options;
     options.lambda = 3;  // short partitions: several refinement windows
     DiscoveryStats serial_stats;
-    options.refine_threads = 1;
     const auto serial = Cuts(db, query, variant, options, &serial_stats);
     DiscoveryStats filter_stats;
     (void)CutsFilter(db, query, MakeFilterOptions(variant, options),
@@ -209,11 +208,12 @@ TEST(ParallelEquivalenceTest, ParallelCutsStatsCountEveryClustering) {
     // Refinement clustered something, so a dropped count would show.
     EXPECT_GT(serial_stats.num_clusterings, filter_stats.num_clusterings);
     for (const size_t threads : kThreadCounts) {
-      options.refine_threads = threads;
+      ConvoyQuery threaded = query;
+      threaded.num_threads = threads;
       DiscoveryStats stats;
-      EXPECT_EQ(Cuts(db, query, variant, options, &stats), serial);
+      EXPECT_EQ(Cuts(db, threaded, variant, options, &stats), serial);
       EXPECT_EQ(stats.num_clusterings, serial_stats.num_clusterings)
-          << ToString(variant) << ", " << threads << " refine thread(s)";
+          << ToString(variant) << ", " << threads << " thread(s)";
       EXPECT_EQ(stats.num_convoys, serial_stats.num_convoys);
     }
   }

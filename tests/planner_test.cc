@@ -1,10 +1,15 @@
 #include "query/planner.h"
 
 #include <cmath>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/engine.h"
+#include "io/result_io.h"
+#include "obs/trace.h"
 #include "query/algorithm.h"
 #include "tests/test_util.h"
 #include "util/random.h"
@@ -30,11 +35,11 @@ TrajectoryDatabase LargeDb() {
 TEST(PlannerTest, ChooseAutoThreshold) {
   DatabaseStats stats;
   stats.total_points = kAutoExactMaxPoints;
-  EXPECT_EQ(QueryPlanner::ChooseAuto(stats), AlgorithmId::kCmc);
+  EXPECT_EQ(ChooseAuto(stats), AlgorithmId::kCmc);
   stats.total_points = kAutoExactMaxPoints + 1;
-  EXPECT_EQ(QueryPlanner::ChooseAuto(stats), AlgorithmId::kCutsStar);
+  EXPECT_EQ(ChooseAuto(stats), AlgorithmId::kCutsStar);
   stats.total_points = 0;  // empty database
-  EXPECT_EQ(QueryPlanner::ChooseAuto(stats), AlgorithmId::kCmc);
+  EXPECT_EQ(ChooseAuto(stats), AlgorithmId::kCmc);
 }
 
 TEST(PlannerTest, AutoPicksCmcForTinyInput) {
@@ -161,31 +166,188 @@ TEST(PlannerTest, ExplainNamesAlgorithmAndParameters) {
   EXPECT_NE(exact->Explain().find("explicit"), std::string::npos);
 }
 
-TEST(PlannerTest, StandalonePlannerWorksWithoutEngine) {
-  const TrajectoryDatabase db = LargeDb();
-  const QueryPlanner planner(db);
-  const QueryPlan plan = planner.Plan(ConvoyQuery{3, 6, 4.0});
-  EXPECT_EQ(plan.algorithm, AlgorithmId::kCutsStar);
-  EXPECT_GT(plan.delta, 0.0);
-  // No cache bound: status stays n/a.
-  EXPECT_EQ(plan.cache, PlanCacheStatus::kNotApplicable);
-  EXPECT_GT(plan.estimated_clusterings, 0u);
+// What a query exposes, pinned byte for byte per AlgorithmChoice: the
+// full EXPLAIN text, the "plan" object of the JSON report, and the span
+// names one traced Prepare + Execute records. delta and lambda are given,
+// so the expected text holds no derived floating-point value.
+struct PinnedSurface {
+  AlgorithmChoice choice;
+  const char* explain;
+  const char* plan_json;
+  std::vector<std::string> spans;
+};
+
+TEST(PlannerTest, PlanSurfaceIsPinnedPerChoice) {
+  const PinnedSurface pinned[] = {
+      {AlgorithmChoice::kAuto,
+       "plan\n"
+       "  algorithm:   CuTS* (auto: 7131 points > 4096)\n"
+       "  query:       m=3 k=6 e=4 threads=1\n"
+       "  database:    N=30 T=300 points=7131\n"
+       "  snapshot store: n/a (row-oriented path)\n"
+       "  delta:       1.25 (given)\n"
+       "  lambda:      7 (given)\n"
+       "  simplification cache: miss\n"
+       "  estimated work: 43 partition clustering(s), ~1290 object-clustering "
+       "units (refinement excluded)\n"
+       "  capabilities: exact, simplification, cancel, progress, incremental, "
+       "threads\n",
+       R"("plan":{"algorithm":"CuTS*","requested":"auto",)"
+       R"("query":{"m":3,"k":6,"e":4,"threads":1},"delta":1.25,)"
+       R"("delta_derived":false,"lambda":7,"lambda_derived":false,)"
+       R"("cache":"miss","exact":true,)"
+       R"("database":{"objects":30,"ticks":300,"points":7131},)"
+       R"("estimated_clusterings":43,"estimated_work":1290})",
+       {"algorithm.cuts*", "cmc.finalize", "execute", "filter.partition",
+       "prepare", "prepare.simplify", "refine.unit", "snapshot.cluster"}},
+      {AlgorithmChoice::kCmc,
+       "plan\n"
+       "  algorithm:   CMC (explicit)\n"
+       "  query:       m=3 k=6 e=4 threads=1\n"
+       "  database:    N=30 T=300 points=7131\n"
+       "  snapshot store: built (300 ticks, 7131 columnar points)\n"
+       "  delta:       n/a\n"
+       "  lambda:      n/a\n"
+       "  estimated work: 300 snapshot clustering(s), ~7131 "
+       "object-clustering units (exact columnar alive counts)\n"
+       "  capabilities: exact, cancel, progress, incremental, threads\n",
+       R"("plan":{"algorithm":"CMC","requested":"CMC",)"
+       R"("query":{"m":3,"k":6,"e":4,"threads":1},"cache":"n/a",)"
+       R"("exact":true,"database":{"objects":30,"ticks":300,"points":7131},)"
+       R"("estimated_clusterings":300,"estimated_work":7131})",
+       {"algorithm.cmc", "cmc.finalize", "execute", "prepare",
+        "snapshot.cluster"}},
+      {AlgorithmChoice::kCuts,
+       "plan\n"
+       "  algorithm:   CuTS (explicit)\n"
+       "  query:       m=3 k=6 e=4 threads=1\n"
+       "  database:    N=30 T=300 points=7131\n"
+       "  snapshot store: n/a (row-oriented path)\n"
+       "  delta:       1.25 (given)\n"
+       "  lambda:      7 (given)\n"
+       "  simplification cache: miss\n"
+       "  estimated work: 43 partition clustering(s), ~1290 object-clustering "
+       "units (refinement excluded)\n"
+       "  capabilities: exact, simplification, cancel, progress, incremental, "
+       "threads\n",
+       R"("plan":{"algorithm":"CuTS","requested":"CuTS",)"
+       R"("query":{"m":3,"k":6,"e":4,"threads":1},"delta":1.25,)"
+       R"("delta_derived":false,"lambda":7,"lambda_derived":false,)"
+       R"("cache":"miss","exact":true,)"
+       R"("database":{"objects":30,"ticks":300,"points":7131},)"
+       R"("estimated_clusterings":43,"estimated_work":1290})",
+       {"algorithm.cuts", "cmc.finalize", "execute", "filter.partition",
+       "prepare", "prepare.simplify", "refine.unit", "snapshot.cluster"}},
+      {AlgorithmChoice::kCutsPlus,
+       "plan\n"
+       "  algorithm:   CuTS+ (explicit)\n"
+       "  query:       m=3 k=6 e=4 threads=1\n"
+       "  database:    N=30 T=300 points=7131\n"
+       "  snapshot store: n/a (row-oriented path)\n"
+       "  delta:       1.25 (given)\n"
+       "  lambda:      7 (given)\n"
+       "  simplification cache: miss\n"
+       "  estimated work: 43 partition clustering(s), ~1290 object-clustering "
+       "units (refinement excluded)\n"
+       "  capabilities: exact, simplification, cancel, progress, incremental, "
+       "threads\n",
+       R"("plan":{"algorithm":"CuTS+","requested":"CuTS+",)"
+       R"("query":{"m":3,"k":6,"e":4,"threads":1},"delta":1.25,)"
+       R"("delta_derived":false,"lambda":7,"lambda_derived":false,)"
+       R"("cache":"miss","exact":true,)"
+       R"("database":{"objects":30,"ticks":300,"points":7131},)"
+       R"("estimated_clusterings":43,"estimated_work":1290})",
+       {"algorithm.cuts+", "cmc.finalize", "execute", "filter.partition",
+       "prepare", "prepare.simplify", "refine.unit", "snapshot.cluster"}},
+      {AlgorithmChoice::kCutsStar,
+       "plan\n"
+       "  algorithm:   CuTS* (explicit)\n"
+       "  query:       m=3 k=6 e=4 threads=1\n"
+       "  database:    N=30 T=300 points=7131\n"
+       "  snapshot store: n/a (row-oriented path)\n"
+       "  delta:       1.25 (given)\n"
+       "  lambda:      7 (given)\n"
+       "  simplification cache: miss\n"
+       "  estimated work: 43 partition clustering(s), ~1290 object-clustering "
+       "units (refinement excluded)\n"
+       "  capabilities: exact, simplification, cancel, progress, incremental, "
+       "threads\n",
+       R"("plan":{"algorithm":"CuTS*","requested":"CuTS*",)"
+       R"("query":{"m":3,"k":6,"e":4,"threads":1},"delta":1.25,)"
+       R"("delta_derived":false,"lambda":7,"lambda_derived":false,)"
+       R"("cache":"miss","exact":true,)"
+       R"("database":{"objects":30,"ticks":300,"points":7131},)"
+       R"("estimated_clusterings":43,"estimated_work":1290})",
+       {"algorithm.cuts*", "cmc.finalize", "execute", "filter.partition",
+       "prepare", "prepare.simplify", "refine.unit", "snapshot.cluster"}},
+      {AlgorithmChoice::kMc2,
+       "plan\n"
+       "  algorithm:   MC2 (explicit)\n"
+       "  query:       m=3 k=6 e=4 threads=1\n"
+       "  database:    N=30 T=300 points=7131\n"
+       "  snapshot store: built (300 ticks, 7131 columnar points)\n"
+       "  delta:       n/a\n"
+       "  lambda:      n/a\n"
+       "  estimated work: 300 snapshot clustering(s), ~7131 "
+       "object-clustering units (exact columnar alive counts)\n"
+       "  capabilities: approximate\n",
+       R"("plan":{"algorithm":"MC2","requested":"MC2",)"
+       R"("query":{"m":3,"k":6,"e":4,"threads":1},"cache":"n/a",)"
+       R"("exact":false,"database":{"objects":30,"ticks":300,"points":7131},)"
+       R"("estimated_clusterings":300,"estimated_work":7131})",
+       {"algorithm.mc2", "execute", "prepare"}},
+  };
+  CutsFilterOptions options;
+  options.delta = 1.25;
+  options.lambda = 7;
+  const ConvoyQuery query{3, 6, 4.0};
+  for (const PinnedSurface& want : pinned) {
+    SCOPED_TRACE(ToString(want.choice));
+    const ConvoyEngine engine(LargeDb());
+    TraceSession trace;
+    const auto plan = engine.Prepare(query, want.choice, options, {}, &trace);
+    ASSERT_TRUE(plan.ok());
+    ExecHooks hooks;
+    hooks.trace = &trace;
+    const auto result = engine.Execute(*plan, hooks);
+    ASSERT_TRUE(result.ok());
+
+    EXPECT_EQ(plan->Explain(), want.explain);
+    std::ostringstream json;
+    SaveResultSetJson(*result, json);
+    const std::string doc = json.str();
+    const size_t begin = doc.find("\"plan\":");
+    const size_t end = doc.find(",\n\"stats\"");
+    ASSERT_NE(begin, std::string::npos);
+    ASSERT_NE(end, std::string::npos);
+    EXPECT_EQ(doc.substr(begin, end - begin), want.plan_json);
+    std::vector<std::string> spans;  // Metrics() sorts its spans by name
+    for (const QueryMetrics::SpanAggregate& span : trace.Metrics().spans) {
+      spans.push_back(span.name);
+    }
+    EXPECT_EQ(spans, want.spans);
+  }
 }
 
-TEST(AlgorithmRegistryTest, AllAlgorithmsRegistered) {
-  const auto& all = AllAlgorithms();
-  ASSERT_EQ(all.size(), 5u);
-  EXPECT_EQ(GetAlgorithm(AlgorithmId::kCmc).Name(), "CMC");
-  EXPECT_EQ(GetAlgorithm(AlgorithmId::kCuts).Name(), "CuTS");
-  EXPECT_EQ(GetAlgorithm(AlgorithmId::kCutsPlus).Name(), "CuTS+");
-  EXPECT_EQ(GetAlgorithm(AlgorithmId::kCutsStar).Name(), "CuTS*");
-  EXPECT_EQ(GetAlgorithm(AlgorithmId::kMc2).Name(), "MC2");
-  for (const ConvoyAlgorithm* algo : all) {
-    EXPECT_EQ(&GetAlgorithm(algo->Id()), algo);
-  }
+TEST(AlgorithmRegistryTest, EveryAlgorithmHasANameAndCapabilities) {
+  EXPECT_EQ(ToString(AlgorithmId::kCmc), "CMC");
+  EXPECT_EQ(ToString(AlgorithmId::kCuts), "CuTS");
+  EXPECT_EQ(ToString(AlgorithmId::kCutsPlus), "CuTS+");
+  EXPECT_EQ(ToString(AlgorithmId::kCutsStar), "CuTS*");
+  EXPECT_EQ(ToString(AlgorithmId::kMc2), "MC2");
   // The approximate baseline advertises itself as such.
-  EXPECT_FALSE(GetAlgorithm(AlgorithmId::kMc2).Capabilities().exact);
-  EXPECT_TRUE(GetAlgorithm(AlgorithmId::kCutsStar).Capabilities().exact);
+  EXPECT_FALSE(CapabilitiesOf(AlgorithmId::kMc2).exact);
+  EXPECT_TRUE(CapabilitiesOf(AlgorithmId::kCutsStar).exact);
+  // Only the snapshot algorithms build the store; only the CuTS family
+  // simplifies.
+  for (const AlgorithmId id :
+       {AlgorithmId::kCmc, AlgorithmId::kCuts, AlgorithmId::kCutsPlus,
+        AlgorithmId::kCutsStar, AlgorithmId::kMc2}) {
+    const AlgorithmCapabilities caps = CapabilitiesOf(id);
+    const bool snapshots = id == AlgorithmId::kCmc || id == AlgorithmId::kMc2;
+    EXPECT_EQ(caps.uses_snapshot_store, snapshots) << ToString(id);
+    EXPECT_EQ(caps.uses_simplification, !snapshots) << ToString(id);
+  }
 }
 
 TEST(AlgorithmRegistryTest, ParseAlgorithmChoiceRoundTrips) {

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "geom/distance.h"
 #include "util/random.h"
 
@@ -169,9 +167,9 @@ TEST(PolylineDbscanTest, MinPtsRespected) {
   EXPECT_EQ(PolylineDbscan(polys, Opts(1.5, 2)).clusters.size(), 1u);
 }
 
-TEST(PolylineDbscanTest, RtreeCandidateGenerationIsEquivalent) {
-  // The STR-tree path must produce exactly the same clustering as the
-  // all-pairs scan, for both distance kinds, across random inputs.
+TEST(PolylineDbscanTest, BoxPrunedCandidateGenerationIsEquivalent) {
+  // The Lemma 2 box pre-test must leave the clustering of the all-pairs
+  // scan unchanged, for both distance kinds, across random inputs.
   Rng rng(808);
   for (int iter = 0; iter < 30; ++iter) {
     std::vector<PartitionPolyline> polys;
@@ -196,20 +194,12 @@ TEST(PolylineDbscanTest, RtreeCandidateGenerationIsEquivalent) {
     }
     for (const auto dist :
          {SegmentDistanceKind::kDll, SegmentDistanceKind::kDStar}) {
-      PolylineDbscanOptions scan = Opts(5.0, 3, dist);
-      scan.use_rtree = false;
-      PolylineDbscanOptions rtree = Opts(5.0, 3, dist);
-      rtree.use_rtree = true;
-      const Clustering a = PolylineDbscan(polys, scan);
-      const Clustering b = PolylineDbscan(polys, rtree);
-      ASSERT_EQ(a.clusters.size(), b.clusters.size()) << "iter=" << iter;
-      // Same clusters as sets (order of discovery may differ).
-      auto canonical = [](Clustering c) {
-        for (auto& cl : c.clusters) std::sort(cl.begin(), cl.end());
-        std::sort(c.clusters.begin(), c.clusters.end());
-        return c.clusters;
-      };
-      EXPECT_EQ(canonical(a), canonical(b)) << "iter=" << iter;
+      const Clustering pruned = PolylineDbscan(polys, Opts(5.0, 3, dist));
+      const Clustering scan =
+          PolylineDbscan(polys, Opts(5.0, 3, dist, /*box_pruning=*/false));
+      // Same adjacency in the same order, so the same clusters in the
+      // same order.
+      EXPECT_EQ(pruned.clusters, scan.clusters) << "iter=" << iter;
     }
   }
 }

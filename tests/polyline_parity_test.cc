@@ -194,14 +194,12 @@ std::vector<NamedPolylines> AdversarialPolylineSets() {
   return out;
 }
 
-PolylineDbscanOptions OptsFor(SegmentDistanceKind kind, bool box_pruning,
-                              bool rtree) {
+PolylineDbscanOptions OptsFor(SegmentDistanceKind kind, bool box_pruning) {
   PolylineDbscanOptions o;
   o.eps = 5.0;
   o.min_pts = 2;
   o.distance = kind;
   o.use_box_pruning = box_pruning;
-  o.use_rtree = rtree;
   return o;
 }
 
@@ -268,7 +266,7 @@ TEST(PolylineParity, PairQualifyMatchesReferenceScan) {
       for (const bool mbr : {false, true}) {
         // Reference boolean: the merge scan without box pruning (the
         // polyline-level box test is a separate kernel).
-        PolylineDbscanOptions ref_opts = OptsFor(kind, false, false);
+        PolylineDbscanOptions ref_opts = OptsFor(kind, false);
         for (size_t pa = 0; pa < n; ++pa) {
           for (size_t pb = 0; pb < n; ++pb) {
             if (pa == pb) continue;
@@ -325,12 +323,6 @@ TEST(PolylineParity, BoxPruneSweepBitIdentical) {
         if (!(Dmin(dist.polys[a].bbox, dist.polys[b].bbox) > bound)) {
           want.push_back(b);
         }
-        EXPECT_EQ(Dmin(dist.polys[a].bbox, dist.polys[b].bbox) > bound,
-                  simd::PolylineBoxPruned(
-                      soa.bminx[a], soa.bmaxx[a], soa.bminy[a], soa.bmaxy[a],
-                      soa.bminx[b], soa.bmaxx[b], soa.bminy[b], soa.bmaxy[b],
-                      bound))
-            << "a=" << a << " b=" << b;
       }
       ASSERT_EQ(want.size(), c_scalar);
       for (uint32_t i = 0; i < c_scalar; ++i) {
@@ -393,28 +385,23 @@ TEST(PolylineParity, SoaDbscanMatchesReference) {
     for (const SegmentDistanceKind kind :
          {SegmentDistanceKind::kDll, SegmentDistanceKind::kDStar}) {
       for (const bool box_pruning : {false, true}) {
-        for (const bool rtree : {false, true}) {
-          const PolylineDbscanOptions opts = OptsFor(kind, box_pruning, rtree);
-          PolylineClusterStats ref_stats;
-          const Clustering want =
-              PolylineDbscan(dist.polys, opts, &ref_stats);
-          for (const bool force_scalar : {true, false}) {
-            if (!force_scalar && !Avx2Callable()) continue;
-            simd::ForceScalar(force_scalar);
-            PolylineDbscanScratch scratch;
-            scratch.soa = SoaFrom(dist.polys);
-            PolylineClusterStats soa_stats;
-            const Clustering got =
-                PolylineDbscanSoa(opts, &scratch, &soa_stats);
-            EXPECT_EQ(want.clusters, got.clusters)
-                << "kind=" << static_cast<int>(kind)
-                << " box=" << box_pruning << " rtree=" << rtree
-                << " scalar=" << force_scalar;
-            EXPECT_EQ(ref_stats.pair_tests, soa_stats.pair_tests);
-            EXPECT_EQ(ref_stats.box_pruned, soa_stats.box_pruned);
-          }
-          simd::ForceScalar(false);
+        const PolylineDbscanOptions opts = OptsFor(kind, box_pruning);
+        PolylineClusterStats ref_stats;
+        const Clustering want = PolylineDbscan(dist.polys, opts, &ref_stats);
+        for (const bool force_scalar : {true, false}) {
+          if (!force_scalar && !Avx2Callable()) continue;
+          simd::ForceScalar(force_scalar);
+          PolylineDbscanScratch scratch;
+          scratch.soa = SoaFrom(dist.polys);
+          PolylineClusterStats soa_stats;
+          const Clustering got = PolylineDbscanSoa(opts, &scratch, &soa_stats);
+          EXPECT_EQ(want.clusters, got.clusters)
+              << "kind=" << static_cast<int>(kind) << " box=" << box_pruning
+              << " scalar=" << force_scalar;
+          EXPECT_EQ(ref_stats.pair_tests, soa_stats.pair_tests);
+          EXPECT_EQ(ref_stats.box_pruned, soa_stats.box_pruned);
         }
+        simd::ForceScalar(false);
       }
     }
   }
@@ -424,8 +411,7 @@ TEST(PolylineParity, SoaDbscanMatchesReference) {
 // scratch across all distributions in sequence gives the same clusters as
 // a fresh scratch per call.
 TEST(PolylineParity, ScratchReuseIsStateless) {
-  const PolylineDbscanOptions opts =
-      OptsFor(SegmentDistanceKind::kDStar, true, false);
+  const PolylineDbscanOptions opts = OptsFor(SegmentDistanceKind::kDStar, true);
   PolylineDbscanScratch reused;
   for (int round = 0; round < 2; ++round) {
     for (const NamedPolylines& dist : AdversarialPolylineSets()) {
@@ -504,7 +490,6 @@ std::vector<Candidate> ReferenceFilterCandidates(
   copts.min_pts = q.m;
   copts.distance = fopts.distance;
   copts.use_box_pruning = fopts.use_box_pruning;
-  copts.use_rtree = fopts.use_rtree;
   for (Tick ps = db.BeginTick(); ps <= db.EndTick(); ps += lambda) {
     const Tick pe = std::min<Tick>(ps + lambda - 1, db.EndTick());
     const std::vector<PartitionPolyline> polylines = BuildPartitionPolylines(
@@ -568,10 +553,10 @@ TEST(PolylineParity, EndToEndFilterAndConvoyParity) {
       for (const bool force_scalar : {true, false}) {
         if (!force_scalar && !Avx2Callable()) continue;
         simd::ForceScalar(force_scalar);
-        CutsFilterOptions run = fopts;
+        ConvoyQuery run = q;
         run.num_threads = threads;
         const CutsFilterResult got =
-            CutsFilterPresimplified(db, q, run, simplified, delta, nullptr);
+            CutsFilterPresimplified(db, run, fopts, simplified, delta, nullptr);
         SCOPED_TRACE("threads=" + std::to_string(threads) +
                      " scalar=" + std::to_string(force_scalar));
         ExpectSameCandidates(want, got.candidates);

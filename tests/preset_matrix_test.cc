@@ -1,9 +1,8 @@
 // Full preset x variant exactness matrix at small scale: every CuTS
-// variant against CMC on every dataset shape the paper evaluates,
-// including the R-tree candidate path, through every default entry point
-// and at several refinement thread counts. Complements cuts_test.cc's
-// random-workload sweep with the actual workload *shapes* (short
-// scattered trajectories, dense herding, variable lengths, sparse
+// variant against CMC on every dataset shape the paper evaluates, through
+// every default entry point and at several thread counts. Complements
+// cuts_test.cc's random-workload sweep with the actual workload *shapes*
+// (short scattered trajectories, dense herding, variable lengths, sparse
 // sampling).
 
 #include <gtest/gtest.h>
@@ -17,7 +16,6 @@ struct MatrixCase {
   std::string label;
   int preset;  // 0..3 = truck/cattle/car/taxi
   CutsVariant variant;
-  bool rtree;
 };
 
 ScenarioConfig SmallPreset(int preset) {
@@ -59,9 +57,7 @@ TEST_P(PresetMatrixTest, VariantMatchesCmcOnPresetShape) {
       GenerateScenario(SmallPreset(param.preset), 3000 + param.preset);
   const auto exact = Cmc(data.db, data.query);
 
-  CutsFilterOptions options;
-  options.use_rtree = param.rtree;
-  const auto got = Cuts(data.db, data.query, param.variant, options);
+  const auto got = Cuts(data.db, data.query, param.variant);
   EXPECT_TRUE(SameResultSet(exact, got))
       << param.label << ": got " << got.size() << " vs " << exact.size();
 }
@@ -73,13 +69,9 @@ std::vector<MatrixCase> MakeMatrix() {
     for (const CutsVariant variant :
          {CutsVariant::kCuts, CutsVariant::kCutsPlus,
           CutsVariant::kCutsStar}) {
-      for (const bool rtree : {false, true}) {
-        const std::string label =
-            std::string(kNames[preset]) + "_" +
-            std::to_string(static_cast<int>(variant)) +
-            (rtree ? "_rtree" : "_scan");
-        cases.push_back(MatrixCase{label, preset, variant, rtree});
-      }
+      const std::string label = std::string(kNames[preset]) + "_" +
+                                std::to_string(static_cast<int>(variant));
+      cases.push_back(MatrixCase{label, preset, variant});
     }
   }
   return cases;
@@ -112,14 +104,14 @@ struct SeedCase {
 class PresetSeedTest : public ::testing::TestWithParam<SeedCase> {};
 
 // Each preset at seeds 42 and 44, each variant through ConvoyEngine's
-// Execute and the free Cuts(), at 1, 2 and 8 refinement threads: every
+// Execute and the free Cuts(), at 1, 2 and 8 threads: every
 // answer is CMC's, and refinement clusters no more snapshots than CMC
 // does.
 TEST_P(PresetSeedTest, DefaultPathsMatchCmc) {
   const SeedCase& param = GetParam();
   const ScenarioData data =
       GenerateScenario(SmallPreset(param.preset), param.seed);
-  const ConvoyQuery& query = data.query;
+  ConvoyQuery query = data.query;
   const ConvoyEngine engine(data.db);
 
   TraceSession cmc_trace;
@@ -140,12 +132,11 @@ TEST_P(PresetSeedTest, DefaultPathsMatchCmc) {
     for (const size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
       const std::string where = param.label + " " + ToString(variant) + " " +
                                 std::to_string(threads) + " thread(s)";
-      CutsFilterOptions options;
-      options.refine_threads = threads;
+      query.num_threads = threads;
 
       TraceSession trace;
       const StatusOr<QueryPlan> plan =
-          engine.Prepare(query, ChoiceFor(variant), options);
+          engine.Prepare(query, ChoiceFor(variant));
       ASSERT_TRUE(plan.ok()) << where;
       ExecHooks hooks;
       hooks.trace = &trace;
@@ -159,7 +150,7 @@ TEST_P(PresetSeedTest, DefaultPathsMatchCmc) {
                 cmc_clusterings)
           << where;
 
-      EXPECT_TRUE(SameResultSet(exact, Cuts(data.db, query, variant, options)))
+      EXPECT_TRUE(SameResultSet(exact, Cuts(data.db, query, variant)))
           << where << ": Cuts()";
     }
   }

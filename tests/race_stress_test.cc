@@ -136,12 +136,12 @@ TEST(RaceStressTest, ConcurrentPrepareExecuteDiscoverOneEngine) {
 TEST(RaceStressTest, ConcurrentCutsFilterSharedSimplification) {
   Rng rng(5150);
   const TrajectoryDatabase db = RandomClumpyDb(rng, 40, 60, 60.0, 1.5);
-  const ConvoyQuery query{3, 10, 5.0};
-  CutsFilterOptions options = MakeFilterOptions(CutsVariant::kCutsStar);
+  ConvoyQuery query{3, 10, 5.0};
+  query.num_threads = 2;
+  const CutsFilterOptions options = MakeFilterOptions(CutsVariant::kCutsStar);
   const double delta = ComputeDelta(db, query.e);
   const std::vector<SimplifiedTrajectory> simplified =
       SimplifyDatabase(db, delta, options.simplifier);
-  options.num_threads = 2;
 
   const CutsFilterResult expected =
       CutsFilterPresimplified(db, query, options, simplified, delta);

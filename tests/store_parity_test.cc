@@ -176,14 +176,6 @@ TEST(StoreParityTest, CutsOnlyWorkloadNeverBuildsTheStore) {
             Cuts(db, ConvoyQuery{3, 4, 5.0}, CutsVariant::kCutsStar));
 }
 
-TEST(StoreParityTest, PlannerWithoutStoreProviderStaysRowOriented) {
-  const TrajectoryDatabase db = MakeDb(60);
-  const QueryPlanner planner(db);
-  const QueryPlan plan = planner.Plan(ConvoyQuery{3, 4, 5.0});
-  EXPECT_EQ(plan.store_cache, PlanCacheStatus::kNotApplicable);
-  EXPECT_NE(plan.Explain().find("snapshot store: n/a"), std::string::npos);
-}
-
 TEST(StoreParityTest, OverBudgetDatabaseDeclinesStore) {
   // A sparse feed whose ticks look like epoch seconds: two samples per
   // object, lifetimes spanning ~2^26 ticks. Materializing the store would
@@ -204,6 +196,7 @@ TEST(StoreParityTest, OverBudgetDatabaseDeclinesStore) {
   const auto plan = engine.Prepare(ConvoyQuery{2, 2, 5.0});
   ASSERT_TRUE(plan.ok());
   EXPECT_EQ(plan->store_cache, PlanCacheStatus::kNotApplicable);
+  EXPECT_NE(plan->Explain().find("snapshot store: n/a"), std::string::npos);
 }
 
 TEST(StoreParityTest, EmptyDatabaseThroughEngine) {

@@ -6,9 +6,9 @@
 //              [--report out.json]
 //   convoy_cli --generate trucklike --output data.csv [--seed 7] [--scale S]
 //
-// Queries run through the ConvoyEngine planner/executor: --algo auto lets
-// the QueryPlanner pick the physical algorithm from database statistics,
-// and --explain prints the resolved QueryPlan (chosen algorithm, resolved
+// Queries run through ConvoyEngine::Prepare/Execute: --algo auto lets
+// Prepare pick the physical algorithm from database statistics, and
+// --explain prints the resolved QueryPlan (chosen algorithm, resolved
 // delta/lambda, cache status, work estimate) before execution.
 //
 // Input format: CSV rows `object_id,tick,x,y` (header optional).
@@ -16,20 +16,22 @@
 //
 // Exit codes (diagnostics go to stderr — see README "Error handling"):
 //   0  success
-//   1  usage error (unknown flag/algorithm/preset, missing value)
+//   1  usage error (unknown flag/algorithm/preset, missing or malformed
+//      value: a numeric flag must parse whole and fit its type)
 //   2  I/O error (cannot open input / write output)
 //   3  invalid query or filter options (ValidateQuery rejected them)
 //   4  data error (the input parsed to an empty database)
 
+#include <charconv>
 #include <chrono>
 #include <csignal>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <thread>
 #include <utility>
 
@@ -62,7 +64,6 @@ struct CliOptions {
   bool explain = false;
   bool explain_analyze = false;
   bool verify = false;
-  bool use_rtree = false;
   // Cleaning (applied before discovery when any option is set).
   double clean_max_speed = -1.0;
   convoy::Tick clean_max_gap = -1;
@@ -83,7 +84,7 @@ void PrintUsage() {
       "             [--algo auto|cmc|cuts|cuts+|cuts*|mc2] [--delta D]\n"
       "             [--lambda L] [--theta T] [--threads N] [--explain]\n"
       "             [--explain-analyze] [--trace out.json] [--stats]\n"
-      "             [--verify] [--rtree]\n"
+      "             [--verify]\n"
       "             [--repeat N] [--results out.csv|out.json]\n"
       "             [--report out.json] [--clean-max-speed V]\n"
       "             [--clean-max-gap G] [--clean-stationary]\n\n"
@@ -105,6 +106,21 @@ void PrintUsage() {
       "             [--max-seconds S]\n";
 }
 
+// Parses a numeric flag's whole value as T with std::from_chars. A value
+// with trailing characters ("3x", "8,5"), a sign on an unsigned flag, or a
+// value outside T (a port above 65535) is rejected with a message naming
+// the flag; range checks such as m >= 2 stay with ValidateQuery.
+template <typename T>
+bool ParseNumber(const std::string& flag, std::string_view value, T* out) {
+  const char* const end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, *out);
+  if (value.empty() || ec != std::errc() || ptr != end) {
+    std::cerr << "malformed value for " << flag << ": '" << value << "'\n";
+    return false;
+  }
+  return true;
+}
+
 bool ParseArgs(int argc, char** argv, CliOptions* opts, double* theta) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -117,6 +133,7 @@ bool ParseArgs(int argc, char** argv, CliOptions* opts, double* theta) {
     };
     if (arg == "--help" || arg == "-h") return false;
     const char* value = nullptr;
+    bool parsed = true;  // false: a numeric value was malformed
     if (arg == "--input" && (value = next())) {
       opts->input = value;
     } else if (arg == "--output" && (value = next())) {
@@ -126,28 +143,27 @@ bool ParseArgs(int argc, char** argv, CliOptions* opts, double* theta) {
     } else if (arg == "--algo" && (value = next())) {
       opts->algo = value;
     } else if (arg == "--m" && (value = next())) {
-      opts->query.m = static_cast<size_t>(std::strtoull(value, nullptr, 10));
+      parsed = ParseNumber(arg, value, &opts->query.m);
     } else if (arg == "--k" && (value = next())) {
-      opts->query.k = std::strtoll(value, nullptr, 10);
+      parsed = ParseNumber(arg, value, &opts->query.k);
     } else if (arg == "--e" && (value = next())) {
-      opts->query.e = std::strtod(value, nullptr);
+      parsed = ParseNumber(arg, value, &opts->query.e);
     } else if (arg == "--delta" && (value = next())) {
-      opts->delta = std::strtod(value, nullptr);
+      parsed = ParseNumber(arg, value, &opts->delta);
     } else if (arg == "--lambda" && (value = next())) {
-      opts->lambda = std::strtoll(value, nullptr, 10);
+      parsed = ParseNumber(arg, value, &opts->lambda);
     } else if (arg == "--theta" && (value = next())) {
-      *theta = std::strtod(value, nullptr);
+      parsed = ParseNumber(arg, value, theta);
     } else if (arg == "--threads" && (value = next())) {
       // Worker threads for every parallelizable phase (0 = all hardware
       // threads). Results are identical for any value.
-      opts->query.num_threads =
-          static_cast<size_t>(std::strtoull(value, nullptr, 10));
+      parsed = ParseNumber(arg, value, &opts->query.num_threads);
     } else if (arg == "--scale" && (value = next())) {
-      opts->scale = std::strtod(value, nullptr);
+      parsed = ParseNumber(arg, value, &opts->scale);
     } else if (arg == "--seed" && (value = next())) {
-      opts->seed = std::strtoull(value, nullptr, 10);
+      parsed = ParseNumber(arg, value, &opts->seed);
     } else if (arg == "--repeat" && (value = next())) {
-      opts->repeat = static_cast<size_t>(std::strtoull(value, nullptr, 10));
+      parsed = ParseNumber(arg, value, &opts->repeat);
       if (opts->repeat == 0) opts->repeat = 1;
     } else if (arg == "--results" && (value = next())) {
       opts->results_out = value;
@@ -156,24 +172,21 @@ bool ParseArgs(int argc, char** argv, CliOptions* opts, double* theta) {
     } else if (arg == "--trace" && (value = next())) {
       opts->trace_out = value;
     } else if (arg == "--clean-max-speed" && (value = next())) {
-      opts->clean_max_speed = std::strtod(value, nullptr);
+      parsed = ParseNumber(arg, value, &opts->clean_max_speed);
     } else if (arg == "--clean-max-gap" && (value = next())) {
-      opts->clean_max_gap = std::strtoll(value, nullptr, 10);
+      parsed = ParseNumber(arg, value, &opts->clean_max_gap);
     } else if (arg == "--serve") {
       opts->serve = true;
     } else if (arg == "--host" && (value = next())) {
       opts->host = value;
     } else if (arg == "--port" && (value = next())) {
-      opts->port = static_cast<uint16_t>(std::strtoul(value, nullptr, 10));
+      parsed = ParseNumber(arg, value, &opts->port);
     } else if (arg == "--ring-capacity" && (value = next())) {
-      opts->ring_capacity =
-          static_cast<size_t>(std::strtoull(value, nullptr, 10));
+      parsed = ParseNumber(arg, value, &opts->ring_capacity);
     } else if (arg == "--max-seconds" && (value = next())) {
-      opts->max_seconds = std::strtod(value, nullptr);
+      parsed = ParseNumber(arg, value, &opts->max_seconds);
     } else if (arg == "--clean-stationary") {
       opts->clean_stationary = true;
-    } else if (arg == "--rtree") {
-      opts->use_rtree = true;
     } else if (arg == "--stats") {
       opts->print_stats = true;
     } else if (arg == "--explain") {
@@ -186,9 +199,9 @@ bool ParseArgs(int argc, char** argv, CliOptions* opts, double* theta) {
       std::cerr << "unknown argument: " << arg << "\n";
       return false;
     }
+    if (!parsed) return false;
     const bool flag_arg = arg == "--stats" || arg == "--verify" ||
                           arg == "--explain" || arg == "--explain-analyze" ||
-                          arg == "--rtree" ||
                           arg == "--clean-stationary" || arg == "--serve";
     if (value == nullptr && arg.rfind("--", 0) == 0 && !flag_arg) {
       return false;
@@ -279,7 +292,6 @@ int main(int argc, char** argv) {
   convoy::CutsFilterOptions filter_options;
   filter_options.delta = opts.delta;
   filter_options.lambda = opts.lambda;
-  filter_options.use_rtree = opts.use_rtree;
 
   // Reject out-of-contract parameters before touching the input — they are
   // knowable from argv alone, and a release build must fail loudly here,

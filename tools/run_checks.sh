@@ -43,7 +43,8 @@
 # 6. run CuTS* and CMC discovery with 1 and 2 worker threads and require
 #    byte-identical results (the parallel subsystem's core guarantee);
 # 7. drive convoy_cli's error paths and require the documented exit codes
-#    (1 usage, 2 I/O, 3 invalid query, 4 data error);
+#    (1 usage — malformed numeric values included, 2 I/O, 3 invalid query,
+#    4 data error);
 # 8. smoke the planner: --algo auto --explain must print the chosen
 #    algorithm and the resolved delta/lambda;
 # 9. smoke the observability surface: --explain-analyze must print
@@ -247,6 +248,19 @@ expect_exit() {
 
 expect_exit 1 "unknown algorithm" \
   "${CLI}" --input "${SMOKE_DIR}/data.csv" --algo nonsense
+# A numeric flag must parse whole and fit its type: a trailing character,
+# a sign on an unsigned flag or a port above 65535 is a usage error, not a
+# prefix or a wrapped-around value that runs anyway.
+expect_exit 1 "malformed number (--threads x)" \
+  "${CLI}" --input "${SMOKE_DIR}/data.csv" --m 3 --k 60 --e 8.0 --threads x
+expect_exit 1 "malformed number (--m 3x)" \
+  "${CLI}" --input "${SMOKE_DIR}/data.csv" --m 3x --k 60 --e 8.0
+expect_exit 1 "malformed number (--e 8,5)" \
+  "${CLI}" --input "${SMOKE_DIR}/data.csv" --m 3 --k 60 --e 8,5
+expect_exit 1 "negative unsigned (--m -1)" \
+  "${CLI}" --input "${SMOKE_DIR}/data.csv" --m -1 --k 60 --e 8.0
+expect_exit 1 "port out of range (--port 70000)" \
+  "${CLI}" --serve --port 70000 --max-seconds 0
 expect_exit 2 "missing input file" \
   "${CLI}" --input "${SMOKE_DIR}/does_not_exist.csv"
 expect_exit 3 "invalid query (m = 1)" \
