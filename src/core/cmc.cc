@@ -1,7 +1,9 @@
 #include "core/cmc.h"
 
 #include <algorithm>
+#include <memory>
 #include <optional>
+#include <utility>
 
 #include "cluster/dbscan.h"
 #include "cluster/grid_index.h"
@@ -151,14 +153,13 @@ size_t EmitCompletedSince(const std::vector<Candidate>& completed, size_t from,
 // clusterer `cluster_at(t, &clustered)` for ascending ticks, working in
 // `scratch`.
 //
-// At one thread one clusterer, in the caller's scratch, serves every tick
-// on the caller's thread. Otherwise ticks are clustered concurrently in
-// blocks on a ThreadPool — one clusterer and arena per contiguous worker
-// chunk — and each block is then consumed in tick order. Consumption (the
-// tracker, stats, the sink, progress) runs only on the caller's thread in
-// tick order, and the counters folded while clustering are per-tick
-// integer tallies, so every output and count is identical at every thread
-// count.
+// The ticks fan out through OrderedParallelFor: at one thread one
+// clusterer, in the caller's scratch, serves every tick on the caller's
+// thread; otherwise each contiguous worker chunk clusters its ticks with
+// its own clusterer and arena. Consumption (the tracker, stats, the sink,
+// progress) runs only on the caller's thread in tick order, and the
+// counters folded while clustering are per-tick integer tallies, so every
+// output and count is identical at every thread count.
 template <typename MakeClusterAt>
 void SweepImpl(Tick begin_tick, Tick end_tick, size_t threads,
                CmcSweep* sweep, DiscoveryStats* stats, const ExecHooks* hooks,
@@ -167,67 +168,41 @@ void SweepImpl(Tick begin_tick, Tick end_tick, size_t threads,
   const size_t total_ticks =
       begin_tick <= end_tick ? static_cast<size_t>(end_tick - begin_tick) + 1
                              : 0;
-  size_t emitted = sweep->completed.size();
-  const auto consume = [&](Tick t,
-                           const std::vector<std::vector<ObjectId>>& clusters,
-                           bool clustered) {
-    if (clustered) {
-      if (stats != nullptr) ++stats->num_clusterings;
-      TraceCount(trace, TraceCounter::kSnapshotsClustered, 1);
-    }
-    // Advancing with an empty cluster list retires every live candidate,
-    // which is exactly what a tick with < m alive objects must do: the
-    // "consecutive time points" requirement breaks there.
-    sweep->tracker.Advance(clusters, t, t, /*step_weight=*/1,
-                           &sweep->completed);
-    emitted = EmitCompletedSince(sweep->completed, emitted, hooks);
-    ReportProgress(hooks, "cmc",
-                   static_cast<size_t>(t - begin_tick) + 1, total_ticks);
-  };
-
-  if (threads <= 1 || total_ticks <= 1) {
-    auto cluster_at = make_cluster_at(scratch);
-    for (Tick t = begin_tick; t <= end_tick; ++t) {
-      CheckCancelled(hooks);
-      bool clustered = false;
-      const std::vector<std::vector<ObjectId>> clusters =
-          cluster_at(t, &clustered);
-      consume(t, clusters, clustered);
-    }
-    return;
-  }
-
   struct TickClusters {
     std::vector<std::vector<ObjectId>> clusters;
     bool clustered = false;
   };
-  ThreadPool pool(threads);
-  // Blocks bound peak memory to O(block * clusters-per-tick) instead of
-  // the whole time domain, and let the sink and progress run while later
-  // blocks are still clustering.
-  const size_t block = std::max<size_t>(threads * 16, 256);
-  for (size_t block_begin = 0; block_begin < total_ticks;
-       block_begin += block) {
-    const size_t block_size = std::min(block, total_ticks - block_begin);
-    const Tick block_tick = begin_tick + static_cast<Tick>(block_begin);
-    // Writes land in per-tick slots, keeping tick order; chunk boundaries
-    // are deterministic, and scratch contents never affect results.
-    std::vector<TickClusters> per_tick(block_size);
-    pool.ParallelFor(block_size, [&](size_t chunk_begin, size_t chunk_end) {
-      SnapshotScratch chunk_scratch;
-      auto cluster_at = make_cluster_at(&chunk_scratch);
-      for (size_t i = chunk_begin; i < chunk_end; ++i) {
+  size_t emitted = sweep->completed.size();
+  OrderedParallelFor(
+      total_ticks, threads, kSmallUnits,
+      [&] {
+        std::unique_ptr<SnapshotScratch> owned;
+        if (threads > 1) owned = std::make_unique<SnapshotScratch>();
+        auto cluster_at = make_cluster_at(owned ? owned.get() : scratch);
+        return std::make_pair(std::move(owned), std::move(cluster_at));
+      },
+      [&](auto& state, size_t i) {
         CheckCancelled(hooks);
-        per_tick[i].clusters = cluster_at(block_tick + static_cast<Tick>(i),
-                                          &per_tick[i].clustered);
-      }
-    });
-    for (size_t i = 0; i < block_size; ++i) {
-      CheckCancelled(hooks);
-      consume(block_tick + static_cast<Tick>(i), per_tick[i].clusters,
-              per_tick[i].clustered);
-    }
-  }
+        TickClusters tick;
+        tick.clusters =
+            state.second(begin_tick + static_cast<Tick>(i), &tick.clustered);
+        return tick;
+      },
+      [&](size_t i, TickClusters tick) {
+        CheckCancelled(hooks);
+        const Tick t = begin_tick + static_cast<Tick>(i);
+        if (tick.clustered) {
+          if (stats != nullptr) ++stats->num_clusterings;
+          TraceCount(trace, TraceCounter::kSnapshotsClustered, 1);
+        }
+        // Advancing with an empty cluster list retires every live
+        // candidate, which is exactly what a tick with < m alive objects
+        // must do: the "consecutive time points" requirement breaks there.
+        sweep->tracker.Advance(tick.clusters, t, t, /*step_weight=*/1,
+                               &sweep->completed);
+        emitted = EmitCompletedSince(sweep->completed, emitted, hooks);
+        ReportProgress(hooks, "cmc", i + 1, total_ticks);
+      });
 }
 
 // The row path's clusterers for SweepImpl: each gathers through a fresh

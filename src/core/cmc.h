@@ -49,9 +49,10 @@ struct SnapshotScratch {
 /// snapshot from the rows through forward interpolation cursors
 /// (RowSnapshots). query.num_threads sets the threads (0 = all hardware
 /// threads): at one, ticks are clustered one by one on the caller's
-/// thread; otherwise blocks of ticks are clustered concurrently on a
-/// ThreadPool, each worker chunk restarting the cursors, and the candidate
-/// tracker consumes every block sequentially in tick order. So the
+/// thread; otherwise blocks of ticks are clustered concurrently through
+/// OrderedParallelFor (parallel/parallel_for.h), each worker chunk
+/// restarting the cursors, and the candidate tracker consumes every block
+/// sequentially in tick order. So the
 /// convoys, DiscoveryStats::num_clusterings, the traced counters and the
 /// sink and progress sequences are identical at every thread count.
 ///

@@ -105,8 +105,7 @@ CutsFilterResult CutsFilter(const TrajectoryDatabase& db,
   const double delta =
       options.delta > 0.0 ? options.delta : ComputeDelta(db, query.e);
   std::vector<SimplifiedTrajectory> simplified =
-      SimplifyDatabase(db, delta, options.simplifier,
-                       ResolveThreadCount(query.num_threads));
+      SimplifyDatabase(db, delta, options.simplifier, query.num_threads);
   if (stats != nullptr) stats->simplify_seconds += phase.ElapsedSeconds();
 
   return CutsFilterPresimplified(db, query, options, std::move(simplified),
@@ -152,87 +151,52 @@ CutsFilterResult CutsFilterPresimplified(
   result.members.offsets.reserve(partitions.size() + 1);
 
   // Cluster the partitions (concurrently when asked to — partitions are
-  // independent), then advance the candidate tracker sequentially in
-  // partition order. The sequential tracker pass is what makes the
-  // parallel filter bit-identical to the serial one.
-  const size_t threads =
-      std::min(ResolveThreadCount(query.num_threads), partitions.size());
+  // independent, and each worker chunk clusters out of one reused scratch
+  // arena), then advance the candidate tracker in partition order on this
+  // thread. The ordered tracker pass is what makes the parallel filter
+  // bit-identical to the serial one.
   TraceSession* const trace = TraceOf(hooks);
   CandidateTracker tracker(query.m, query.k);
   PolylineClusterStats cluster_stats;
   size_t num_clusterings = 0;
-  const auto consume = [&](size_t i, const PartitionClusters& part) {
-    CheckCancelled(hooks);
-    TraceCount(trace, TraceCounter::kFilterPartitions, 1);
-    TraceCount(trace, TraceCounter::kFilterPolylines, part.num_polylines);
-    TraceCount(trace, TraceCounter::kFilterSegmentTests,
-               part.cluster_stats.segment_tests);
-    TraceCount(trace, TraceCounter::kFilterMbrRejects,
-               part.cluster_stats.mbr_rejects);
-    if (part.clustered) ++num_clusterings;
-    cluster_stats.pair_tests += part.cluster_stats.pair_tests;
-    cluster_stats.box_pruned += part.cluster_stats.box_pruned;
-    cluster_stats.segment_tests += part.cluster_stats.segment_tests;
-    cluster_stats.mbr_rejects += part.cluster_stats.mbr_rejects;
-    tracker.Advance(part.cluster_objects, partitions[i].first,
-                    partitions[i].second, /*step_weight=*/lambda,
-                    &result.candidates);
-    // The partition's clusters are disjoint, so their union is their
-    // concatenation.
-    std::vector<ObjectId>& ids = result.members.ids;
-    const size_t first = ids.size();
-    for (const std::vector<ObjectId>& cluster : part.cluster_objects) {
-      ids.insert(ids.end(), cluster.begin(), cluster.end());
-    }
-    std::sort(ids.begin() + static_cast<std::ptrdiff_t>(first), ids.end());
-    result.members.offsets.push_back(ids.size());
-    ReportProgress(hooks, "filter", i + 1, partitions.size());
-  };
-  if (threads > 1) {
-    // Blocks bound peak memory to O(block) buffered partition results
-    // instead of the whole time domain (mirroring CMC's threaded loop).
-    ThreadPool pool(threads);
-    const size_t block = std::max<size_t>(threads * 16, 256);
-    std::vector<PartitionClusters> per_partition;
-    for (size_t block_begin = 0; block_begin < partitions.size();
-         block_begin += block) {
-      const size_t block_size =
-          std::min(block, partitions.size() - block_begin);
-      per_partition.clear();
-      per_partition.resize(block_size);
-      // One scratch arena per contiguous chunk: a worker clusters its whole
-      // chunk out of a single reused allocation set.
-      pool.ParallelFor(block_size, [&](size_t chunk_begin, size_t chunk_end) {
-        PolylineDbscanScratch scratch;
-        for (size_t i = chunk_begin; i < chunk_end; ++i) {
-          CheckCancelled(hooks);
-          ScopedSpan span(trace, "filter.partition");
-          const auto& part = partitions[block_begin + i];
-          per_partition[i] =
-              ClusterPartition(result.simplified, part.first, part.second,
-                               query, options, result.delta_used, &scratch);
-        }
-      });
-      for (size_t i = 0; i < block_size; ++i) {
-        consume(block_begin + i, per_partition[i]);
-      }
-    }
-  } else {
-    // Serial path streams one partition at a time — no buffering; the
-    // scratch arena is hoisted so every partition reuses it.
-    PolylineDbscanScratch scratch;
-    for (size_t i = 0; i < partitions.size(); ++i) {
-      CheckCancelled(hooks);
-      PartitionClusters part;
-      {
+  OrderedParallelFor(
+      partitions.size(), query.num_threads, kSmallUnits,
+      [] { return PolylineDbscanScratch(); },
+      [&](PolylineDbscanScratch& scratch, size_t i) {
+        CheckCancelled(hooks);
         ScopedSpan span(trace, "filter.partition");
-        part = ClusterPartition(result.simplified, partitions[i].first,
+        return ClusterPartition(result.simplified, partitions[i].first,
                                 partitions[i].second, query, options,
                                 result.delta_used, &scratch);
-      }
-      consume(i, part);
-    }
-  }
+      },
+      [&](size_t i, const PartitionClusters& part) {
+        CheckCancelled(hooks);
+        TraceCount(trace, TraceCounter::kFilterPartitions, 1);
+        TraceCount(trace, TraceCounter::kFilterPolylines, part.num_polylines);
+        TraceCount(trace, TraceCounter::kFilterSegmentTests,
+                   part.cluster_stats.segment_tests);
+        TraceCount(trace, TraceCounter::kFilterMbrRejects,
+                   part.cluster_stats.mbr_rejects);
+        if (part.clustered) ++num_clusterings;
+        cluster_stats.pair_tests += part.cluster_stats.pair_tests;
+        cluster_stats.box_pruned += part.cluster_stats.box_pruned;
+        cluster_stats.segment_tests += part.cluster_stats.segment_tests;
+        cluster_stats.mbr_rejects += part.cluster_stats.mbr_rejects;
+        tracker.Advance(part.cluster_objects, partitions[i].first,
+                        partitions[i].second, /*step_weight=*/lambda,
+                        &result.candidates);
+        // The partition's clusters are disjoint, so their union is their
+        // concatenation.
+        std::vector<ObjectId>& ids = result.members.ids;
+        const size_t first = ids.size();
+        for (const std::vector<ObjectId>& cluster : part.cluster_objects) {
+          ids.insert(ids.end(), cluster.begin(), cluster.end());
+        }
+        std::sort(ids.begin() + static_cast<std::ptrdiff_t>(first),
+                  ids.end());
+        result.members.offsets.push_back(ids.size());
+        ReportProgress(hooks, "filter", i + 1, partitions.size());
+      });
   tracker.Flush(&result.candidates);
   // Read once after the sequential consume pass — thread-count invariant.
   TraceTrackerTally(trace, tracker.tally());

@@ -15,71 +15,6 @@ namespace convoy {
 
 namespace {
 
-// Runs `work(i)` for i in [0, n) on up to `threads` workers via the shared
-// chunk-based pool; slot i always holds work(i), so output order is
-// deterministic. Units are processed in blocks so the sequential pass after
-// each block can emit every finished unit's convoys to the sink and report
-// progress *while later blocks are still refining* — that bounded emission
-// latency is the incremental execution mode, and because the pass runs in
-// index order the sink sequence is deterministic at every thread count.
-template <typename WorkFn>
-std::vector<std::vector<Convoy>> RefineMap(size_t n, size_t threads,
-                                           WorkFn work,
-                                           const ExecHooks* hooks) {
-  threads = std::max<size_t>(1, std::min(threads, n == 0 ? 1 : n));
-  // Without live hooks (the free functions, benches, trace-only hooks)
-  // the blocked machinery below buys nothing — keep the plain
-  // single-pass paths and their performance.
-  const bool live_hooks =
-      hooks != nullptr && (hooks->sink || hooks->progress ||
-                           hooks->cancel.CanBeCancelled());
-  if (!live_hooks) {
-    if (threads <= 1) {
-      std::vector<std::vector<Convoy>> results(n);
-      for (size_t i = 0; i < n; ++i) results[i] = work(i);
-      return results;
-    }
-    ThreadPool pool(threads);
-    return ParallelMap(&pool, n, work);
-  }
-
-  std::optional<ThreadPool> pool;
-  if (threads > 1) pool.emplace(threads);
-  // Serial refinement emits after every unit; parallel refinement after
-  // every block of a few units per worker.
-  const size_t block = pool ? std::max<size_t>(threads * 8, 64) : 1;
-  std::vector<std::vector<Convoy>> results(n);
-  for (size_t block_begin = 0; block_begin < n; block_begin += block) {
-    const size_t block_size = std::min(block, n - block_begin);
-    std::vector<std::vector<Convoy>> part =
-        ParallelMap(pool ? &*pool : nullptr, block_size, [&](size_t i) {
-          CheckCancelled(hooks);
-          return work(block_begin + i);
-        });
-    for (size_t i = 0; i < block_size; ++i) {
-      CheckCancelled(hooks);
-      results[block_begin + i] = std::move(part[i]);
-      if (hooks != nullptr && hooks->sink) {
-        // The caller still needs the unit's convoys for the merged result,
-        // so the sink gets a copy (only when a sink is installed).
-        EmitConvoys(hooks,
-                    std::vector<Convoy>(results[block_begin + i]));
-      }
-      ReportProgress(hooks, "refine", block_begin + i + 1, n);
-    }
-  }
-  return results;
-}
-
-std::vector<Convoy> Flatten(std::vector<std::vector<Convoy>> parts) {
-  std::vector<Convoy> all;
-  for (std::vector<Convoy>& part : parts) {
-    all.insert(all.end(), std::make_move_iterator(part.begin()),
-               std::make_move_iterator(part.end()));
-  }
-  return all;
-}
-
 // Disjoint windows covering every candidate interval, ascending: sorted
 // intervals that overlap or touch merge, so no convoy straddles two
 // windows.
@@ -137,7 +72,11 @@ class PartitionRows {
 
 // Runs CMC's per-tick loop once over each merged window, pruned to the
 // filter's member sets when `members` is given, and dominance-prunes the
-// windows' convoys into the result.
+// windows' convoys into the result. Windows fan out through
+// OrderedParallelFor, each worker chunk sweeping out of one reused arena;
+// the ordered pass hands each window's convoys to the sink as one batch
+// and reports progress, so the sink and progress sequences — and the
+// result — are the same at every thread count.
 std::vector<Convoy> RefineWindows(const TrajectoryDatabase& db,
                                   const ConvoyQuery& query,
                                   const std::vector<Candidate>& candidates,
@@ -155,13 +94,16 @@ std::vector<Convoy> RefineWindows(const TrajectoryDatabase& db,
   ExecHooks trace_hooks;
   trace_hooks.trace = trace;
   const ExecHooks* nested = trace != nullptr ? &trace_hooks : nullptr;
-  // Each window counts its own clusterings into its own slot; summed in
-  // window order afterwards, so the total is the same at every thread
-  // count.
-  std::vector<size_t> clusterings(windows.size(), 0);
-  auto parts = RefineMap(
-      windows.size(), threads,
-      [&](size_t i) {
+  struct WindowConvoys {
+    std::vector<Convoy> convoys;
+    size_t clusterings = 0;
+  };
+  std::vector<Convoy> all;
+  size_t clusterings = 0;
+  OrderedParallelFor(
+      windows.size(), threads, kLargeUnits, [] { return SnapshotScratch(); },
+      [&](SnapshotScratch& scratch, size_t i) {
+        CheckCancelled(hooks);
         ScopedSpan span(trace, "refine.unit");
         TraceCount(trace, TraceCounter::kRefineUnits, 1);
         std::optional<PartitionRows> rows;
@@ -173,14 +115,27 @@ std::vector<Convoy> RefineWindows(const TrajectoryDatabase& db,
         DiscoveryStats unit_stats;
         CmcSweep sweep(query.m, query.k);
         SweepRows(db, query, windows[i].first, windows[i].second, rows_at,
-                  &sweep, &unit_stats, nested);
-        clusterings[i] = unit_stats.num_clusterings;
-        return FinishSweep(&sweep, cmc_options, &unit_stats, nested);
+                  &sweep, &unit_stats, nested, &scratch);
+        WindowConvoys window;
+        window.clusterings = unit_stats.num_clusterings;
+        window.convoys = FinishSweep(&sweep, cmc_options, &unit_stats, nested);
+        return window;
       },
-      hooks);
-  std::vector<Convoy> result = RemoveDominated(Flatten(std::move(parts)));
+      [&](size_t i, WindowConvoys window) {
+        CheckCancelled(hooks);
+        clusterings += window.clusterings;
+        if (hooks != nullptr && hooks->sink) {
+          // The result still needs the window's convoys, so the sink gets a
+          // copy (only when a sink is installed).
+          EmitConvoys(hooks, window.convoys);
+        }
+        all.insert(all.end(), std::make_move_iterator(window.convoys.begin()),
+                   std::make_move_iterator(window.convoys.end()));
+        ReportProgress(hooks, "refine", i + 1, windows.size());
+      });
+  std::vector<Convoy> result = RemoveDominated(std::move(all));
   if (stats != nullptr) {
-    for (const size_t n : clusterings) stats->num_clusterings += n;
+    stats->num_clusterings += clusterings;
     stats->refine_seconds += phase.ElapsedSeconds();
     stats->num_convoys = result.size();
   }
@@ -195,7 +150,7 @@ std::vector<Convoy> CutsRefine(const TrajectoryDatabase& db,
                                DiscoveryStats* stats,
                                const ExecHooks* hooks) {
   return RefineWindows(db, query, filtered.candidates, &filtered.members,
-                       stats, ResolveThreadCount(query.num_threads), hooks);
+                       stats, query.num_threads, hooks);
 }
 
 std::vector<Convoy> CutsRefine(const TrajectoryDatabase& db,

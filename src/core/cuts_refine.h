@@ -42,15 +42,16 @@ enum class RefineMode {
 /// Refinement never clusters a tick CMC would not, and never more objects.
 ///
 /// With query.num_threads > 1 (or 0, all hardware threads) windows are
-/// refined concurrently; each window is independent and results are
-/// merged in window order, so the result — and every counter,
-/// DiscoveryStats::num_clusterings included — is identical at every
-/// thread count.
+/// refined concurrently in blocks (OrderedParallelFor); each window is
+/// independent and results are merged in window order, so the result —
+/// and every counter, DiscoveryStats::num_clusterings included — is
+/// identical at every thread count.
 ///
 /// `hooks` (optional, core/exec_hooks.h) adds a cancellation check per
 /// window, per-window "refine" progress, and incremental emission: each
-/// window's convoys are handed to the sink in window order as soon as the
-/// window completes. The returned (materialized) result is unaffected.
+/// window's convoys are handed to the sink as one batch, in window order,
+/// once the window's block completes (each window, at one thread). The
+/// returned (materialized) result is unaffected.
 std::vector<Convoy> CutsRefine(const TrajectoryDatabase& db,
                                const ConvoyQuery& query,
                                const CutsFilterResult& filtered,

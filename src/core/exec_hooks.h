@@ -31,9 +31,10 @@ struct ProgressUpdate {
 /// the emission order is deterministic at every thread count.
 struct ExecHooks {
   /// Cooperative cancellation: checked once per consumption unit both in
-  /// the parallel map lambdas and in the sequential consumption loops. When
-  /// it fires, the discovery unwinds with CancelledError (converted to a
-  /// kCancelled Status by ConvoyEngine::Execute).
+  /// the producers and on the ordered consume pass of OrderedParallelFor
+  /// (parallel/parallel_for.h). When it fires, the discovery unwinds with
+  /// CancelledError (converted to a kCancelled Status by
+  /// ConvoyEngine::Execute).
   CancelToken cancel;
 
   /// Invoked after every consumed unit. Keep it cheap: it runs on the

@@ -161,12 +161,7 @@ std::vector<Convoy> StreamingCmc::DrainCompleted() {
   out.reserve(completed_.size());
   for (const Candidate& cand : completed_) out.push_back(cand.ToConvoy());
   completed_.clear();
-  if (options_.remove_dominated) {
-    out = RemoveDominated(std::move(out));
-  } else {
-    Canonicalize(&out);
-  }
-  return out;
+  return RemoveDominated(std::move(out));
 }
 
 }  // namespace convoy

@@ -57,10 +57,6 @@ class StreamingCmc {
     /// when no report arrives (crude dead reckoning). 0 = objects vanish
     /// immediately when silent.
     Tick carry_forward_ticks = 0;
-
-    /// Apply dominance pruning to the convoys emitted by one EndTick()
-    /// batch (across batches the stream already avoids duplicates).
-    bool remove_dominated = true;
   };
 
   explicit StreamingCmc(const ConvoyQuery& query)
@@ -85,7 +81,9 @@ class StreamingCmc {
   Status Report(ObjectId id, const Point& position);
 
   /// Finishes the current tick: clusters the snapshot, advances the
-  /// candidate algebra, and returns every convoy that closed at this tick.
+  /// candidate algebra, and returns every convoy that closed at this tick,
+  /// dominance-pruned within the batch (across batches the stream already
+  /// avoids duplicates).
   /// kFailedPrecondition when no tick is open.
   StatusOr<std::vector<Convoy>> EndTick();
 

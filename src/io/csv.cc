@@ -9,8 +9,7 @@
 #include <ostream>
 #include <sstream>
 #include <string_view>
-
-#include "traj/snapshot_store.h"
+#include <utility>
 
 namespace convoy {
 
@@ -64,12 +63,10 @@ void Reject(CsvLoadResult* result, size_t line_number, std::string reason) {
   }
 }
 
-// The shared parse-and-filter loop: every accepted row goes to `row(id,
-// tick, x, y)` — accumulated into a per-object map by the plain loader,
-// streamed into a SnapshotStoreBuilder by the store-producing one — so the
-// two entry points can never disagree on what counts as a valid row.
-template <typename RowFn>
-void ParseCsvRows(std::istream& in, CsvLoadResult* result, RowFn&& row) {
+// The parse-and-filter loop: every accepted row is appended to its
+// object's samples in `rows`.
+void ParseCsvRows(std::istream& in, CsvLoadResult* result,
+                  std::map<ObjectId, std::vector<TimedPoint>>* rows) {
   std::string line;
   size_t line_number = 0;
   bool first_line = true;
@@ -112,7 +109,8 @@ void ParseCsvRows(std::istream& in, CsvLoadResult* result, RowFn&& row) {
       Reject(result, line_number, "non-finite coordinate");
       continue;
     }
-    row(static_cast<ObjectId>(id), static_cast<Tick>(tick), x, y);
+    (*rows)[static_cast<ObjectId>(id)].emplace_back(x, y,
+                                                    static_cast<Tick>(tick));
     ++result->lines_parsed;
   }
 }
@@ -122,10 +120,7 @@ void ParseCsvRows(std::istream& in, CsvLoadResult* result, RowFn&& row) {
 CsvLoadResult LoadTrajectoriesCsv(std::istream& in) {
   CsvLoadResult result;
   std::map<ObjectId, std::vector<TimedPoint>> rows;
-  ParseCsvRows(in, &result, [&rows](ObjectId id, Tick tick, double x,
-                                    double y) {
-    rows[id].emplace_back(x, y, tick);
-  });
+  ParseCsvRows(in, &result, &rows);
 
   for (auto& [id, samples] : rows) {
     // Trajectory's constructor collapses repeated (id, tick) rows to their
@@ -148,32 +143,6 @@ CsvLoadResult LoadTrajectoriesCsv(const std::string& path) {
     return result;
   }
   return LoadTrajectoriesCsv(in);
-}
-
-CsvLoadResult LoadTrajectoriesCsv(std::istream& in, SnapshotStore* store,
-                                  size_t num_threads) {
-  CsvLoadResult result;
-  SnapshotStoreBuilder builder;
-  ParseCsvRows(in, &result, [&builder](ObjectId id, Tick tick, double x,
-                                       double y) {
-    builder.AddRow(id, tick, x, y);
-  });
-  *store = builder.Finish(&result.db, num_threads,
-                          &result.duplicates_collapsed);
-  result.ok = true;
-  return result;
-}
-
-CsvLoadResult LoadTrajectoriesCsv(const std::string& path,
-                                  SnapshotStore* store, size_t num_threads) {
-  std::ifstream in(path);
-  if (!in) {
-    *store = SnapshotStore{};  // documented contract: empty on I/O failure
-    CsvLoadResult result;
-    result.error = "cannot open " + path;
-    return result;
-  }
-  return LoadTrajectoriesCsv(in, store, num_threads);
 }
 
 void SaveTrajectoriesCsv(const TrajectoryDatabase& db, std::ostream& out) {

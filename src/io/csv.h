@@ -49,23 +49,6 @@ CsvLoadResult LoadTrajectoriesCsv(std::istream& in);
 /// Convenience overload opening `path`. Sets ok=false on I/O failure.
 CsvLoadResult LoadTrajectoriesCsv(const std::string& path);
 
-/// Variant that streams the accepted rows straight into a
-/// SnapshotStoreBuilder, producing the tick-partitioned SnapshotStore
-/// together with the database in one load (`num_threads` sizes the store's
-/// build pass; 0 = all hardware threads). The returned database and every
-/// diagnostic are identical to LoadTrajectoriesCsv on the same input; on
-/// I/O failure (ok = false) `*store` is left empty. CSV is untrusted
-/// input, so the build is budgeted (kSnapshotStoreSlotBudget): a file
-/// whose tick span would materialize beyond it — epoch-second ticks, say —
-/// loads normally but leaves the store empty, detectable via
-/// store->IsStaleFor(result.db).
-class SnapshotStore;
-CsvLoadResult LoadTrajectoriesCsv(std::istream& in, SnapshotStore* store,
-                                  size_t num_threads = 1);
-CsvLoadResult LoadTrajectoriesCsv(const std::string& path,
-                                  SnapshotStore* store,
-                                  size_t num_threads = 1);
-
 /// Writes the database as `object_id,tick,x,y` rows with a header line.
 void SaveTrajectoriesCsv(const TrajectoryDatabase& db, std::ostream& out);
 

@@ -266,7 +266,7 @@ void TraceSession::WriteChromeTrace(std::ostream& out) const {
   for (const auto& buf : bufs_) {
     comma();
     // One named track (tid) per recording thread: the session thread plus
-    // each ThreadPool worker that touched the trace.
+    // each pool worker (src/parallel) that touched the trace.
     out << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":"
         << buf->track << ",\"args\":{\"name\":\"" << buf->label << "-"
         << buf->track << "\"}}";

@@ -88,7 +88,8 @@ struct TraceEvent {
 };
 
 /// Sets/reads a thread-role label attached to this thread's trace track
-/// ("main" by default; the ThreadPool labels its workers "pool-worker").
+/// ("main" by default; src/parallel's pool labels its workers
+/// "pool-worker").
 /// The pointer must outlive every session the thread records into — pass
 /// string literals.
 void SetTraceThreadLabel(const char* label);
@@ -101,7 +102,7 @@ const char* GetTraceThreadLabel();
 /// or refinement unit), never per point.
 ///
 /// Thread model: each recording thread lazily registers a private buffer
-/// (spans + counter array + series), so counter recording from ThreadPool
+/// (spans + counter array + series), so counter recording from pool
 /// workers is lock-free after the first touch (relaxed atomics on cells
 /// owned by one writer); span/series recording takes the buffer's own
 /// mutex, uncontended in the steady state because spans are per-phase,

@@ -62,24 +62,10 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-std::future<void> ThreadPool::Submit(std::function<void()> task) {
-  auto packaged = std::make_shared<std::packaged_task<void()>>(std::move(task));
-  std::future<void> future = packaged->get_future();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    queue_.emplace_back([packaged] { (*packaged)(); });
-  }
-  cv_.notify_one();
-  return future;
-}
-
 void ThreadPool::ParallelFor(size_t n,
-                             const std::function<void(size_t, size_t)>& body,
-                             size_t max_chunks) {
+                             const std::function<void(size_t, size_t)>& body) {
   if (n == 0) return;
-  size_t chunks = num_threads();
-  if (max_chunks > 0) chunks = std::min(chunks, max_chunks);
-  chunks = std::min(chunks, n);
+  const size_t chunks = std::min(num_threads(), n);
   if (chunks <= 1 || OnWorkerThread()) {
     body(0, n);
     return;

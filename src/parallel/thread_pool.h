@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -13,17 +12,18 @@
 namespace convoy {
 
 /// A fixed-size pool of worker threads with a chunk-based ParallelFor — the
-/// task-submission seam the threaded discovery phases are built on.
+/// engine under OrderedParallelFor (parallel_for.h), the one loop the
+/// threaded discovery phases are built on.
 ///
 /// Design notes:
 ///  * No work stealing: ParallelFor splits [0, n) into at most num_threads()
 ///    balanced contiguous chunks, one task per chunk. Chunk boundaries
-///    depend only on (n, chunk count), never on scheduling, so any
+///    depend only on (n, num_threads()), never on scheduling, so any
 ///    per-chunk state a caller accumulates is deterministic.
 ///  * Deterministic result ordering is achieved in the caller's index
 ///    space: workers write into caller-owned slots keyed by loop index
-///    (see ParallelMap in parallel_for.h), so output order never depends
-///    on which worker ran which chunk.
+///    (OrderedParallelFor's per-block results), so output order never
+///    depends on which worker ran which chunk.
 ///  * Re-entrancy: a ParallelFor issued from inside a pool task runs inline
 ///    on the calling worker (serially over its whole range) instead of
 ///    enqueueing, so nested parallel sections cannot deadlock the
@@ -46,19 +46,11 @@ class ThreadPool {
 
   size_t num_threads() const { return workers_.size(); }
 
-  /// Enqueues a single task; the future reports completion and rethrows the
-  /// task's exception, if any. Safe to call from inside a pool task, but
-  /// blocking on the future from inside a pool task can deadlock — use
-  /// ParallelFor for nested parallelism instead.
-  std::future<void> Submit(std::function<void()> task);
-
   /// Runs body(begin, end) over disjoint contiguous chunks covering [0, n)
   /// and blocks until every chunk completed. The calling thread executes
   /// chunk 0 itself, so a pool of T workers runs at most T concurrent
-  /// chunks. `max_chunks` caps the number of chunks (0 = one per worker).
-  /// An empty range returns immediately without invoking the body.
-  void ParallelFor(size_t n, const std::function<void(size_t, size_t)>& body,
-                   size_t max_chunks = 0);
+  /// chunks. An empty range returns immediately without invoking the body.
+  void ParallelFor(size_t n, const std::function<void(size_t, size_t)>& body);
 
   /// True when called from one of this pool's worker threads.
   bool OnWorkerThread() const;

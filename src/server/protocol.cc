@@ -7,6 +7,7 @@
 #include <cstring>
 #include <utility>
 
+#include "util/le_codec.h"
 #include "wal/fault.h"
 
 namespace convoy::server {
@@ -14,35 +15,8 @@ namespace convoy::server {
 namespace {
 
 // ------------------------------------------------------ wire primitives
-// Explicit byte-shift little-endian coding: independent of host
-// endianness, and -Wconversion-clean by staying in unsigned space.
-
-void PutU8(std::string* out, uint8_t v) {
-  out->push_back(static_cast<char>(v));
-}
-
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
-  }
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
-  }
-}
-
-void PutI64(std::string* out, int64_t v) {
-  PutU64(out, static_cast<uint64_t>(v));
-}
-
-void PutF64(std::string* out, double v) {
-  uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(out, bits);
-}
+// Little-endian scalars come from util/le_codec.h; strings and convoys are
+// the protocol's own.
 
 void PutString(std::string* out, std::string_view s) {
   PutU32(out, static_cast<uint32_t>(s.size()));
@@ -56,102 +30,32 @@ void PutConvoy(std::string* out, const Convoy& c) {
   for (const ObjectId id : c.objects) PutU32(out, id);
 }
 
-/// Bounds-checked sequential reader over a payload. Every getter returns
-/// false once a read would run past the end; `failed()` latches so a
-/// decode can check once at the end.
-class WireReader {
- public:
-  explicit WireReader(std::string_view data) : data_(data) {}
+bool GetString(ByteReader* reader, std::string* v) {
+  uint32_t len = 0;
+  std::string_view bytes;
+  if (!reader->GetU32(&len) || !reader->GetBytes(len, &bytes)) return false;
+  v->assign(bytes);
+  return true;
+}
 
-  bool GetU8(uint8_t* v) {
-    if (!Need(1)) return false;
-    *v = static_cast<uint8_t>(data_[pos_]);
-    ++pos_;
-    return true;
+bool GetConvoy(ByteReader* reader, Convoy* c) {
+  uint32_t n = 0;
+  if (!reader->GetI64(&c->start_tick) || !reader->GetI64(&c->end_tick) ||
+      !reader->GetU32(&n)) {
+    return false;
   }
-
-  bool GetU32(uint32_t* v) {
-    if (!Need(4)) return false;
-    uint32_t out = 0;
-    for (size_t i = 0; i < 4; ++i) {
-      out |= static_cast<uint32_t>(static_cast<uint8_t>(data_[pos_ + i]))
-             << (8 * i);
-    }
-    pos_ += 4;
-    *v = out;
-    return true;
+  // Each id is 4 bytes; checking up front caps the reserve below at the
+  // payload size, so a hostile length cannot force a huge allocation.
+  if (!reader->Need(static_cast<size_t>(n) * 4)) return false;
+  c->objects.clear();
+  c->objects.reserve(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    uint32_t id = 0;
+    if (!reader->GetU32(&id)) return false;
+    c->objects.push_back(id);
   }
-
-  bool GetU64(uint64_t* v) {
-    if (!Need(8)) return false;
-    uint64_t out = 0;
-    for (size_t i = 0; i < 8; ++i) {
-      out |= static_cast<uint64_t>(static_cast<uint8_t>(data_[pos_ + i]))
-             << (8 * i);
-    }
-    pos_ += 8;
-    *v = out;
-    return true;
-  }
-
-  bool GetI64(int64_t* v) {
-    uint64_t raw = 0;
-    if (!GetU64(&raw)) return false;
-    *v = static_cast<int64_t>(raw);
-    return true;
-  }
-
-  bool GetF64(double* v) {
-    uint64_t bits = 0;
-    if (!GetU64(&bits)) return false;
-    std::memcpy(v, &bits, sizeof(*v));
-    return true;
-  }
-
-  bool GetString(std::string* v) {
-    uint32_t len = 0;
-    if (!GetU32(&len)) return false;
-    if (!Need(len)) return false;
-    v->assign(data_.data() + pos_, len);
-    pos_ += len;
-    return true;
-  }
-
-  bool GetConvoy(Convoy* c) {
-    uint32_t n = 0;
-    if (!GetI64(&c->start_tick) || !GetI64(&c->end_tick) || !GetU32(&n)) {
-      return false;
-    }
-    // Each id is 4 bytes; checking up front caps the reserve below at the
-    // payload size, so a hostile length cannot force a huge allocation.
-    if (!Need(static_cast<size_t>(n) * 4)) return false;
-    c->objects.clear();
-    c->objects.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      uint32_t id = 0;
-      if (!GetU32(&id)) return false;
-      c->objects.push_back(id);
-    }
-    return true;
-  }
-
-  bool AtEnd() const { return pos_ == data_.size() && !failed_; }
-  bool failed() const { return failed_; }
-  size_t remaining() const { return data_.size() - pos_; }
-
- private:
-  bool Need(size_t n) {
-    if (failed_ || data_.size() - pos_ < n) {
-      failed_ = true;
-      return false;
-    }
-    return true;
-  }
-
-  std::string_view data_;
-  size_t pos_ = 0;
-  bool failed_ = false;
-};
+  return true;
+}
 
 std::string Begin(MsgType type) {
   std::string out;
@@ -160,7 +64,7 @@ std::string Begin(MsgType type) {
 }
 
 /// Shared decode prologue: non-empty payload with the expected type byte.
-Status CheckType(WireReader* reader, MsgType expected, const char* name) {
+Status CheckType(ByteReader* reader, MsgType expected, const char* name) {
   uint8_t type = 0;
   if (!reader->GetU8(&type)) {
     return Status::DataError(std::string(name) + ": empty payload");
@@ -172,7 +76,7 @@ Status CheckType(WireReader* reader, MsgType expected, const char* name) {
   return Status::Ok();
 }
 
-Status CheckEnd(const WireReader& reader, const char* name) {
+Status CheckEnd(const ByteReader& reader, const char* name) {
   if (reader.failed()) {
     return Status::DataError(std::string(name) + ": truncated payload");
   }
@@ -334,7 +238,7 @@ StatusOr<MsgType> PeekType(std::string_view payload) {
 }
 
 StatusOr<HelloMsg> DecodeHello(std::string_view payload) {
-  WireReader reader(payload);
+  ByteReader reader(payload);
   CONVOY_RETURN_IF_ERROR(CheckType(&reader, MsgType::kHello, "Hello"));
   HelloMsg msg;
   reader.GetU32(&msg.magic);
@@ -344,18 +248,18 @@ StatusOr<HelloMsg> DecodeHello(std::string_view payload) {
 }
 
 StatusOr<HelloAckMsg> DecodeHelloAck(std::string_view payload) {
-  WireReader reader(payload);
+  ByteReader reader(payload);
   CONVOY_RETURN_IF_ERROR(CheckType(&reader, MsgType::kHelloAck, "HelloAck"));
   HelloAckMsg msg;
   reader.GetU8(&msg.version);
   reader.GetU8(&msg.accepted);
-  reader.GetString(&msg.message);
+  GetString(&reader, &msg.message);
   CONVOY_RETURN_IF_ERROR(CheckEnd(reader, "HelloAck"));
   return msg;
 }
 
 StatusOr<IngestBeginMsg> DecodeIngestBegin(std::string_view payload) {
-  WireReader reader(payload);
+  ByteReader reader(payload);
   CONVOY_RETURN_IF_ERROR(
       CheckType(&reader, MsgType::kIngestBegin, "IngestBegin"));
   IngestBeginMsg msg;
@@ -370,7 +274,7 @@ StatusOr<IngestBeginMsg> DecodeIngestBegin(std::string_view payload) {
 }
 
 StatusOr<ReportBatchMsg> DecodeReportBatch(std::string_view payload) {
-  WireReader reader(payload);
+  ByteReader reader(payload);
   CONVOY_RETURN_IF_ERROR(
       CheckType(&reader, MsgType::kReportBatch, "ReportBatch"));
   ReportBatchMsg msg;
@@ -397,7 +301,7 @@ StatusOr<ReportBatchMsg> DecodeReportBatch(std::string_view payload) {
 }
 
 StatusOr<EndTickMsg> DecodeEndTick(std::string_view payload) {
-  WireReader reader(payload);
+  ByteReader reader(payload);
   CONVOY_RETURN_IF_ERROR(CheckType(&reader, MsgType::kEndTick, "EndTick"));
   EndTickMsg msg;
   reader.GetU64(&msg.seq);
@@ -407,7 +311,7 @@ StatusOr<EndTickMsg> DecodeEndTick(std::string_view payload) {
 }
 
 StatusOr<IngestFinishMsg> DecodeIngestFinish(std::string_view payload) {
-  WireReader reader(payload);
+  ByteReader reader(payload);
   CONVOY_RETURN_IF_ERROR(
       CheckType(&reader, MsgType::kIngestFinish, "IngestFinish"));
   IngestFinishMsg msg;
@@ -417,7 +321,7 @@ StatusOr<IngestFinishMsg> DecodeIngestFinish(std::string_view payload) {
 }
 
 StatusOr<SubscribeMsg> DecodeSubscribe(std::string_view payload) {
-  WireReader reader(payload);
+  ByteReader reader(payload);
   CONVOY_RETURN_IF_ERROR(CheckType(&reader, MsgType::kSubscribe, "Subscribe"));
   SubscribeMsg msg;
   reader.GetU64(&msg.seq);
@@ -428,7 +332,7 @@ StatusOr<SubscribeMsg> DecodeSubscribe(std::string_view payload) {
 }
 
 StatusOr<QueryMsg> DecodeQuery(std::string_view payload) {
-  WireReader reader(payload);
+  ByteReader reader(payload);
   CONVOY_RETURN_IF_ERROR(CheckType(&reader, MsgType::kQuery, "Query"));
   QueryMsg msg;
   reader.GetU64(&msg.seq);
@@ -444,7 +348,7 @@ StatusOr<QueryMsg> DecodeQuery(std::string_view payload) {
 }
 
 StatusOr<StatsRequestMsg> DecodeStatsRequest(std::string_view payload) {
-  WireReader reader(payload);
+  ByteReader reader(payload);
   CONVOY_RETURN_IF_ERROR(
       CheckType(&reader, MsgType::kStatsRequest, "StatsRequest"));
   StatsRequestMsg msg;
@@ -454,7 +358,7 @@ StatusOr<StatsRequestMsg> DecodeStatsRequest(std::string_view payload) {
 }
 
 StatusOr<AckMsg> DecodeAck(std::string_view payload) {
-  WireReader reader(payload);
+  ByteReader reader(payload);
   CONVOY_RETURN_IF_ERROR(CheckType(&reader, MsgType::kAck, "Ack"));
   AckMsg msg;
   reader.GetU64(&msg.seq);
@@ -464,13 +368,13 @@ StatusOr<AckMsg> DecodeAck(std::string_view payload) {
   reader.GetU32(&msg.accepted);
   reader.GetU32(&msg.rejected);
   reader.GetU64(&msg.resume_seq);
-  reader.GetString(&msg.message);
+  GetString(&reader, &msg.message);
   CONVOY_RETURN_IF_ERROR(CheckEnd(reader, "Ack"));
   return msg;
 }
 
 StatusOr<EventMsg> DecodeEvent(std::string_view payload) {
-  WireReader reader(payload);
+  ByteReader reader(payload);
   CONVOY_RETURN_IF_ERROR(CheckType(&reader, MsgType::kEvent, "Event"));
   EventMsg msg;
   reader.GetU64(&msg.stream_id);
@@ -478,27 +382,27 @@ StatusOr<EventMsg> DecodeEvent(std::string_view payload) {
   reader.GetI64(&msg.tick);
   reader.GetU32(&msg.live_candidates);
   reader.GetU64(&msg.event_index);
-  reader.GetConvoy(&msg.convoy);
+  GetConvoy(&reader, &msg.convoy);
   CONVOY_RETURN_IF_ERROR(CheckEnd(reader, "Event"));
   return msg;
 }
 
 StatusOr<QueryResultMsg> DecodeQueryResult(std::string_view payload) {
-  WireReader reader(payload);
+  ByteReader reader(payload);
   CONVOY_RETURN_IF_ERROR(
       CheckType(&reader, MsgType::kQueryResult, "QueryResult"));
   QueryResultMsg msg;
   uint32_t n = 0;
   reader.GetU64(&msg.seq);
   reader.GetU8(&msg.code);
-  reader.GetString(&msg.message);
-  reader.GetString(&msg.explain);
+  GetString(&reader, &msg.message);
+  GetString(&reader, &msg.explain);
   if (reader.GetU32(&n)) {
     // Convoys are at least 20 bytes each on the wire.
     if (reader.remaining() / 20 >= n) msg.convoys.reserve(n);
     for (uint32_t i = 0; i < n; ++i) {
       Convoy c;
-      if (!reader.GetConvoy(&c)) break;
+      if (!GetConvoy(&reader, &c)) break;
       msg.convoys.push_back(std::move(c));
     }
   }
@@ -507,12 +411,12 @@ StatusOr<QueryResultMsg> DecodeQueryResult(std::string_view payload) {
 }
 
 StatusOr<StatsResultMsg> DecodeStatsResult(std::string_view payload) {
-  WireReader reader(payload);
+  ByteReader reader(payload);
   CONVOY_RETURN_IF_ERROR(
       CheckType(&reader, MsgType::kStatsResult, "StatsResult"));
   StatsResultMsg msg;
   reader.GetU64(&msg.seq);
-  reader.GetString(&msg.json);
+  GetString(&reader, &msg.json);
   CONVOY_RETURN_IF_ERROR(CheckEnd(reader, "StatsResult"));
   return msg;
 }

@@ -1,6 +1,6 @@
 #include "simplify/simplifier.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "parallel/parallel_for.h"
 #include "simplify/douglas_peucker.h"
@@ -36,26 +36,17 @@ SimplifiedTrajectory Simplify(const Trajectory& traj, double delta,
 
 std::vector<SimplifiedTrajectory> SimplifyDatabase(const TrajectoryDatabase& db,
                                                    double delta,
-                                                   SimplifierKind kind) {
-  std::vector<SimplifiedTrajectory> out;
-  out.reserve(db.Size());
-  for (const Trajectory& traj : db.trajectories()) {
-    out.push_back(Simplify(traj, delta, kind));
-  }
-  return out;
-}
-
-std::vector<SimplifiedTrajectory> SimplifyDatabase(const TrajectoryDatabase& db,
-                                                   double delta,
                                                    SimplifierKind kind,
                                                    size_t num_threads) {
-  const size_t threads =
-      std::min(ResolveThreadCount(num_threads), db.Size());
-  if (threads <= 1) return SimplifyDatabase(db, delta, kind);
-  ThreadPool pool(threads);
-  return ParallelMap(&pool, db.Size(), [&](size_t i) {
-    return Simplify(db[i], delta, kind);
-  });
+  std::vector<SimplifiedTrajectory> out;
+  out.reserve(db.Size());
+  OrderedParallelFor(
+      db.Size(), num_threads, kSmallUnits,
+      [&](size_t i) { return Simplify(db[i], delta, kind); },
+      [&out](size_t, SimplifiedTrajectory simplified) {
+        out.push_back(std::move(simplified));
+      });
+  return out;
 }
 
 double VertexReductionPercent(const TrajectoryDatabase& db,

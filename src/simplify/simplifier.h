@@ -1,6 +1,7 @@
 #ifndef CONVOY_SIMPLIFY_SIMPLIFIER_H_
 #define CONVOY_SIMPLIFY_SIMPLIFIER_H_
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -24,17 +25,14 @@ std::string ToString(SimplifierKind kind);
 SimplifiedTrajectory Simplify(const Trajectory& traj, double delta,
                               SimplifierKind kind);
 
-/// Simplifies every trajectory of a database with the same tolerance.
-std::vector<SimplifiedTrajectory> SimplifyDatabase(
-    const TrajectoryDatabase& db, double delta, SimplifierKind kind);
-
-/// SimplifyDatabase with the per-trajectory work spread over `num_threads`
-/// workers (0 = all hardware threads; <= 1 = the serial loop). Trajectories
-/// are independent and results come back index-ordered, so the output is
-/// identical to the serial overload.
+/// Simplifies every trajectory of a database with the same tolerance, in
+/// database order, spread over `num_threads` workers (0 = all hardware
+/// threads; 1 = a plain loop on the calling thread). Trajectories are
+/// independent and come back in database order, so the output is the
+/// same at every thread count.
 std::vector<SimplifiedTrajectory> SimplifyDatabase(
     const TrajectoryDatabase& db, double delta, SimplifierKind kind,
-    size_t num_threads);
+    size_t num_threads = 1);
 
 /// Vertex reduction ratio in percent, 100 * (1 - |simplified| / |original|),
 /// aggregated over a whole database (paper Figure 15(a)'s y-axis).

@@ -67,19 +67,20 @@ SnapshotStore SnapshotStore::Build(const TrajectoryDatabase& db,
   store.xs_.resize(total);
   store.ys_.resize(total);
   store.ids_.resize(total);
-  // Byte-per-point during the fill (bytes are distinct objects, so
-  // concurrent blocks cannot race on a shared bitmap word); packed into
-  // the bitmap afterwards.
-  std::vector<uint8_t> virtual_flags(total, 0);
 
-  // Pass 2 — fill, parallelized over disjoint tick blocks. Within a block
-  // the trajectories are visited in database order and each appends its
-  // block overlap tick by tick, so every tick's points come out in
-  // database order — the exact sequence the row gather (RowSnapshots)
-  // (and therefore DBSCAN downstream) sees. The interpolation below is
+  // Pass 2 — fill, over disjoint blocks of kFillTicks ticks (concurrently
+  // when asked to; blocks write disjoint slots). Within a block the
+  // trajectories are visited in database order and each appends its block
+  // overlap tick by tick, so every tick's points come out in database
+  // order — the exact sequence the row gather (RowSnapshots) (and
+  // therefore DBSCAN downstream) sees. The interpolation below is
   // InterpolateAt's own arithmetic (InterpolateBetween), so virtual points
   // are bit-identical.
-  const auto fill_block = [&](Tick block_begin, Tick block_end) {
+  constexpr size_t kFillTicks = 256;
+  const auto fill_block = [&](size_t b) {
+    const Tick block_begin = begin + static_cast<Tick>(b * kFillTicks);
+    const Tick block_end =
+        std::min(end, block_begin + static_cast<Tick>(kFillTicks) - 1);
     std::vector<size_t> cursor(
         static_cast<size_t>(block_end - block_begin) + 1);
     for (size_t s = 0; s < cursor.size(); ++s) {
@@ -96,45 +97,18 @@ SnapshotStore SnapshotStore::Build(const TrajectoryDatabase& db,
         while (idx + 1 < samples.size() && samples[idx + 1].t <= t) ++idx;
         const TimedPoint& before = samples[idx];
         const size_t slot = cursor[static_cast<size_t>(t - block_begin)]++;
-        if (before.t == t) {
-          store.xs_[slot] = before.pos.x;
-          store.ys_[slot] = before.pos.y;
-        } else {
-          const Point p = InterpolateBetween(before, samples[idx + 1], t);
-          store.xs_[slot] = p.x;
-          store.ys_[slot] = p.y;
-          virtual_flags[slot] = 1;
-        }
+        const Point p = before.t == t
+                            ? before.pos
+                            : InterpolateBetween(before, samples[idx + 1], t);
+        store.xs_[slot] = p.x;
+        store.ys_[slot] = p.y;
         store.ids_[slot] = traj.id();
       }
     }
+    return 0;
   };
-
-  const size_t threads =
-      std::min(ResolveThreadCount(num_threads), num_ticks);
-  if (threads > 1) {
-    const size_t block =
-        std::max<size_t>(64, (num_ticks + threads * 8 - 1) / (threads * 8));
-    const size_t num_blocks = (num_ticks + block - 1) / block;
-    ThreadPool pool(threads);
-    ParallelMap(&pool, num_blocks, [&](size_t b) {
-      const Tick block_begin = begin + static_cast<Tick>(b * block);
-      const Tick block_end =
-          std::min(end, block_begin + static_cast<Tick>(block) - 1);
-      fill_block(block_begin, block_end);
-      return 0;
-    });
-  } else {
-    fill_block(begin, end);
-  }
-
-  store.virtual_bits_.assign((total + 63) / 64, 0);
-  for (size_t i = 0; i < total; ++i) {
-    if (virtual_flags[i] != 0) {
-      store.virtual_bits_[i / 64] |= uint64_t{1} << (i % 64);
-      ++store.num_virtual_;
-    }
-  }
+  OrderedParallelFor((num_ticks + kFillTicks - 1) / kFillTicks, num_threads,
+                     kSmallUnits, fill_block, [](size_t, int) {});
   return store;
 }
 
@@ -148,11 +122,6 @@ SnapshotView SnapshotStore::At(Tick t) const {
   view.ids = ids_.data() + lo;
   view.size = offsets_[s + 1] - lo;
   return view;
-}
-
-bool SnapshotStore::IsVirtual(Tick t, size_t i) const {
-  const size_t slot = offsets_[TickSlot(t)] + i;
-  return (virtual_bits_[slot / 64] >> (slot % 64)) & 1;
 }
 
 std::shared_ptr<const GridIndex> SnapshotStore::GridFor(
@@ -235,38 +204,6 @@ StoreCacheMetrics SnapshotStore::CacheMetrics() const {
   m.grid_cache_misses = grid_cache_->misses.load(std::memory_order_relaxed);
   m.grid_evictions = grid_cache_->evictions.load(std::memory_order_relaxed);
   return m;
-}
-
-void SnapshotStoreBuilder::AddRow(ObjectId id, Tick t, double x, double y) {
-  rows_[id].emplace_back(x, y, t);
-  ++num_rows_;
-}
-
-SnapshotStore SnapshotStoreBuilder::Finish(TrajectoryDatabase* db_out,
-                                           size_t num_threads,
-                                           size_t* duplicates_collapsed,
-                                           size_t max_slots) {
-  TrajectoryDatabase db;
-  size_t dups = 0;
-  for (auto& [id, samples] : rows_) {
-    // Trajectory's constructor sorts by tick and collapses duplicates to
-    // the last occurrence — the canonicalization the CSV loader counts.
-    const size_t raw = samples.size();
-    Trajectory traj(id, std::move(samples));
-    dups += raw - traj.Size();
-    db.Add(std::move(traj));
-  }
-  rows_.clear();
-  num_rows_ = 0;
-  if (duplicates_collapsed != nullptr) *duplicates_collapsed = dups;
-  // Estimate before materializing: the rows are untrusted and a huge
-  // tick span must degrade to "no store", never to an OOM.
-  SnapshotStore store;
-  if (SnapshotStore::EstimateColumnarSlots(db) <= max_slots) {
-    store = SnapshotStore::Build(db, num_threads);
-  }
-  if (db_out != nullptr) *db_out = std::move(db);
-  return store;
 }
 
 }  // namespace convoy

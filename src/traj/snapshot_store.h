@@ -23,8 +23,7 @@ namespace convoy {
 /// points per object — and past this budget the store would trade an
 /// O(samples) row scan for an out-of-memory build. Over-budget databases
 /// run the row-oriented path instead (bit-identical results). Applied by
-/// ConvoyEngine::Store and SnapshotStoreBuilder::Finish; direct
-/// SnapshotStore::Build calls are unbudgeted.
+/// ConvoyEngine::Store; direct SnapshotStore::Build calls are unbudgeted.
 inline constexpr size_t kSnapshotStoreSlotBudget = size_t{1} << 24;
 
 /// One tick's snapshot in the store's columnar layout: parallel coordinate
@@ -66,9 +65,6 @@ struct StoreCacheMetrics {
 ///    with its possibly-interpolated position — bit-identical to
 ///    InterpolateAt, since the build applies the same arithmetic to the
 ///    same samples;
-///  * a presence bitmap marking which stored points are *virtual*
-///    (interpolated) rather than recorded samples — the interpolation
-///    policy, materialized;
 ///  * per-tick GridIndex instances built lazily at a requested eps and
 ///    cached (thread-safe), so repeated queries at the same eps reuse
 ///    indexes instead of rebuilding them every call.
@@ -88,8 +84,8 @@ class SnapshotStore {
   SnapshotStore& operator=(SnapshotStore&&) noexcept = default;
 
   /// Builds the store from `db` in one pass over the trajectories,
-  /// parallelized over tick blocks (0 = all hardware threads; any value
-  /// yields bit-identical contents).
+  /// parallelized over tick blocks through OrderedParallelFor (0 = all
+  /// hardware threads; any value yields bit-identical contents).
   static SnapshotStore Build(const TrajectoryDatabase& db,
                              size_t num_threads = 1);
 
@@ -120,13 +116,6 @@ class SnapshotStore {
 
   /// The snapshot at tick t; an empty view outside the domain.
   SnapshotView At(Tick t) const;
-
-  /// True if point i of tick t is a virtual (interpolated) point rather
-  /// than a recorded sample. Precondition: i < At(t).size.
-  bool IsVirtual(Tick t, size_t i) const;
-
-  /// Number of virtual points across the whole store.
-  size_t NumVirtualPoints() const { return num_virtual_; }
 
   /// The grid cache keeps indexes for at most this many distinct eps
   /// values at a time (each cached GridIndex copies its tick's points, so
@@ -178,9 +167,6 @@ class SnapshotStore {
   std::vector<double> xs_;
   std::vector<double> ys_;
   std::vector<ObjectId> ids_;
-  /// 1 bit per stored point (CSR-aligned): set = virtual point.
-  std::vector<uint64_t> virtual_bits_;
-  size_t num_virtual_ = 0;
   uint64_t built_generation_ = 0;
 
   /// Lazily built per-(tick, eps) grid indexes, bounded to the
@@ -203,40 +189,6 @@ class SnapshotStore {
     std::atomic<uint64_t> evictions{0};
   };
   std::unique_ptr<GridCache> grid_cache_;
-};
-
-/// Accumulates (id, tick, x, y) rows — in any order — and finishes into a
-/// canonical TrajectoryDatabase plus the SnapshotStore built over it, so
-/// loaders (io/csv) can stream rows straight into the storage layer
-/// without materializing the database twice.
-class SnapshotStoreBuilder {
- public:
-  /// Adds one sample row. Rows for one object may arrive in any order;
-  /// duplicate (id, tick) rows collapse to the last occurrence at Finish.
-  void AddRow(ObjectId id, Tick t, double x, double y);
-
-  /// Number of rows accumulated so far.
-  size_t NumRows() const { return num_rows_; }
-
-  /// Canonicalizes the accumulated rows into `db_out` (ids ascending,
-  /// samples tick-sorted, duplicates collapsed — exactly what the CSV
-  /// loader historically produced) and builds the store over it.
-  /// `duplicates_collapsed` (optional out) reports the number of dropped
-  /// duplicate rows. The builder is left empty.
-  ///
-  /// Rows are untrusted input (a two-line CSV with epoch-second ticks
-  /// implies a multi-gigabyte materialization), so the build is budgeted:
-  /// when the database would exceed `max_slots` columnar slots the store
-  /// comes back *empty* — detectable via store.IsStaleFor(db), which is
-  /// true exactly when the store was declined — while the database is
-  /// produced normally.
-  SnapshotStore Finish(TrajectoryDatabase* db_out, size_t num_threads = 1,
-                       size_t* duplicates_collapsed = nullptr,
-                       size_t max_slots = kSnapshotStoreSlotBudget);
-
- private:
-  std::map<ObjectId, std::vector<TimedPoint>> rows_;
-  size_t num_rows_ = 0;
 };
 
 }  // namespace convoy

@@ -10,9 +10,10 @@ namespace convoy {
 /// Thrown by CancelToken::ThrowIfCancelled() at a cooperative cancellation
 /// point. Internal signalling currency only: the public query API
 /// (`ConvoyEngine::Execute`) converts it into `Status` kCancelled before it
-/// reaches a caller. The ThreadPool captures exceptions per chunk and
-/// rethrows on the calling thread, so a cancellation raised inside a
-/// ParallelMap loop unwinds cleanly at any thread count.
+/// reaches a caller. OrderedParallelFor (parallel/parallel_for.h) captures
+/// a producer's exception per worker chunk and rethrows it on the calling
+/// thread before consuming anything of that block, so a cancellation
+/// raised inside the loop unwinds cleanly at any thread count.
 class CancelledError : public std::runtime_error {
  public:
   CancelledError() : std::runtime_error("convoy query cancelled") {}

@@ -14,6 +14,7 @@
 #include <utility>
 
 #include "obs/trace.h"
+#include "util/le_codec.h"
 #include "wal/fault.h"
 
 namespace convoy::wal {
@@ -23,105 +24,6 @@ namespace {
 Status ErrnoStatus(const std::string& what) {
   return Status::Internal(what + ": " + std::strerror(errno));
 }
-
-// --------------------------------------------------------------- LE coding
-// Same explicit byte-shift coding as the wire protocol: host-endianness
-// independent, unsigned arithmetic throughout.
-
-void PutU8(std::string* out, uint8_t v) {
-  out->push_back(static_cast<char>(v));
-}
-
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
-  }
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
-  }
-}
-
-void PutI64(std::string* out, int64_t v) {
-  PutU64(out, static_cast<uint64_t>(v));
-}
-
-void PutF64(std::string* out, double v) {
-  uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(out, bits);
-}
-
-/// Bounds-checked reader (the WAL is parsed from disk bytes that a torn
-/// write or bit rot may have mangled — same discipline as the wire).
-class ByteReader {
- public:
-  explicit ByteReader(std::string_view data) : data_(data) {}
-
-  bool GetU8(uint8_t* v) {
-    if (!Need(1)) return false;
-    *v = static_cast<uint8_t>(data_[pos_]);
-    ++pos_;
-    return true;
-  }
-
-  bool GetU32(uint32_t* v) {
-    if (!Need(4)) return false;
-    uint32_t out = 0;
-    for (size_t i = 0; i < 4; ++i) {
-      out |= static_cast<uint32_t>(static_cast<uint8_t>(data_[pos_ + i]))
-             << (8 * i);
-    }
-    pos_ += 4;
-    *v = out;
-    return true;
-  }
-
-  bool GetU64(uint64_t* v) {
-    if (!Need(8)) return false;
-    uint64_t out = 0;
-    for (size_t i = 0; i < 8; ++i) {
-      out |= static_cast<uint64_t>(static_cast<uint8_t>(data_[pos_ + i]))
-             << (8 * i);
-    }
-    pos_ += 8;
-    *v = out;
-    return true;
-  }
-
-  bool GetI64(int64_t* v) {
-    uint64_t raw = 0;
-    if (!GetU64(&raw)) return false;
-    *v = static_cast<int64_t>(raw);
-    return true;
-  }
-
-  bool GetF64(double* v) {
-    uint64_t bits = 0;
-    if (!GetU64(&bits)) return false;
-    std::memcpy(v, &bits, sizeof(*v));
-    return true;
-  }
-
-  bool AtEnd() const { return pos_ == data_.size() && !failed_; }
-  size_t remaining() const { return data_.size() - pos_; }
-
- private:
-  bool Need(size_t n) {
-    if (failed_ || data_.size() - pos_ < n) {
-      failed_ = true;
-      return false;
-    }
-    return true;
-  }
-
-  std::string_view data_;
-  size_t pos_ = 0;
-  bool failed_ = false;
-};
 
 // ------------------------------------------------------------------ CRC32
 
@@ -164,9 +66,7 @@ ssize_t ReadUpTo(int fd, char* buf, size_t len) {
 
 uint32_t DecodeU32(const char* p) {
   uint32_t out = 0;
-  for (size_t i = 0; i < 4; ++i) {
-    out |= static_cast<uint32_t>(static_cast<uint8_t>(p[i])) << (8 * i);
-  }
+  ByteReader(std::string_view(p, 4)).GetU32(&out);
   return out;
 }
 

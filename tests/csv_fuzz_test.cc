@@ -9,10 +9,12 @@
 
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <random>
 #include <sstream>
 #include <string>
 
+#include "core/engine.h"
 #include "io/csv.h"
 #include "traj/snapshot_store.h"
 
@@ -108,39 +110,16 @@ TEST(CsvFuzzTest, MutatedCorpusNeverCrashesStoreLoader) {
   for (int iter = 0; iter < 150; ++iter) {
     const std::string mutated = Mutate(base, rng);
     std::istringstream in(mutated);
-    SnapshotStore store;
-    const CsvLoadResult result = LoadTrajectoriesCsv(in, &store);
+    const CsvLoadResult result = LoadTrajectoriesCsv(in);
     CheckInvariants(result, CountLines(mutated));
-    // The store either materialized this database or declined it; both
-    // must be internally consistent.
-    if (!store.IsStaleFor(result.db)) {
-      EXPECT_GE(store.TotalPoints(), 0u);
+    // The engine's store build either materializes this database or
+    // declines it (over budget); a built store must be internally
+    // consistent.
+    const ConvoyEngine engine(result.db);
+    if (const std::shared_ptr<const SnapshotStore> store = engine.Store(1)) {
+      EXPECT_FALSE(store->IsStaleFor(engine.db()));
+      EXPECT_GE(store->TotalPoints(), 0u);
     }
-  }
-}
-
-// The two overloads must agree on every diagnostic for the same bytes.
-TEST(CsvFuzzTest, OverloadsAgreeOnMutatedInput) {
-  const std::string base = BaseCsv();
-  std::mt19937_64 rng(0xDECAFBAD);
-  for (int iter = 0; iter < 100; ++iter) {
-    const std::string mutated = Mutate(base, rng);
-    std::istringstream plain_in(mutated);
-    const CsvLoadResult plain = LoadTrajectoriesCsv(plain_in);
-    std::istringstream store_in(mutated);
-    SnapshotStore store;
-    const CsvLoadResult with_store = LoadTrajectoriesCsv(store_in, &store);
-    EXPECT_EQ(plain.lines_parsed, with_store.lines_parsed);
-    EXPECT_EQ(plain.lines_skipped, with_store.lines_skipped);
-    EXPECT_EQ(plain.duplicates_collapsed, with_store.duplicates_collapsed);
-    ASSERT_EQ(plain.diagnostics.size(), with_store.diagnostics.size());
-    for (size_t i = 0; i < plain.diagnostics.size(); ++i) {
-      EXPECT_EQ(plain.diagnostics[i].line_number,
-                with_store.diagnostics[i].line_number);
-      EXPECT_EQ(plain.diagnostics[i].reason,
-                with_store.diagnostics[i].reason);
-    }
-    EXPECT_EQ(plain.db.Size(), with_store.db.Size());
   }
 }
 

@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "datagen/scenarios.h"
-#include "traj/snapshot_store.h"
 
 namespace convoy {
 namespace {
@@ -152,76 +151,6 @@ TEST(CsvTest, SaveToFileAndReload) {
   const CsvLoadResult loaded = LoadTrajectoriesCsv(path);
   ASSERT_TRUE(loaded.ok);
   EXPECT_EQ(loaded.db.Size(), data.db.Size());
-}
-
-TEST(CsvTest, StoreStreamingOverloadMatchesPlainLoad) {
-  // Messy input: out-of-order rows, a duplicate (id, tick), a skipped bad
-  // row — the store overload must agree with the plain loader on the
-  // database AND every diagnostic, and its store must equal a post-hoc
-  // Build over that database.
-  const std::string csv =
-      "object_id,tick,x,y\n"
-      "1,4,4.5,0\n"
-      "0,0,1,1\n"
-      "0,2,3,3\n"
-      "garbage,row,x,y\n"
-      "0,1,2,2\n"
-      "1,0,0.5,0\n"
-      "0,2,3.25,3.25\n";  // duplicate (0, 2): last occurrence wins
-
-  std::istringstream plain_in(csv);
-  const CsvLoadResult plain = LoadTrajectoriesCsv(plain_in);
-
-  std::istringstream store_in(csv);
-  SnapshotStore store;
-  const CsvLoadResult streamed = LoadTrajectoriesCsv(store_in, &store);
-
-  ASSERT_TRUE(plain.ok);
-  ASSERT_TRUE(streamed.ok);
-  EXPECT_EQ(streamed.lines_parsed, plain.lines_parsed);
-  EXPECT_EQ(streamed.lines_skipped, plain.lines_skipped);
-  EXPECT_EQ(streamed.duplicates_collapsed, plain.duplicates_collapsed);
-  EXPECT_EQ(plain.duplicates_collapsed, 1u);
-  ASSERT_EQ(streamed.db.Size(), plain.db.Size());
-  for (size_t i = 0; i < plain.db.Size(); ++i) {
-    EXPECT_EQ(streamed.db[i].id(), plain.db[i].id());
-    EXPECT_EQ(streamed.db[i].samples(), plain.db[i].samples());
-  }
-  EXPECT_EQ(*streamed.db[0].LocationAt(2), Point(3.25, 3.25));
-
-  EXPECT_FALSE(store.IsStaleFor(streamed.db));
-  const SnapshotStore rebuilt = SnapshotStore::Build(plain.db);
-  ASSERT_EQ(store.TotalPoints(), rebuilt.TotalPoints());
-  for (Tick t = store.begin_tick(); t <= store.end_tick(); ++t) {
-    const SnapshotView a = store.At(t);
-    const SnapshotView b = rebuilt.At(t);
-    ASSERT_EQ(a.size, b.size) << "tick " << t;
-    for (size_t i = 0; i < a.size; ++i) {
-      EXPECT_EQ(a.At(i), b.At(i));
-      EXPECT_EQ(a.ids[i], b.ids[i]);
-    }
-  }
-}
-
-TEST(CsvTest, StoreOverloadDeclinesOverBudgetTickSpans) {
-  // Epoch-second-looking ticks: two rows whose span would materialize
-  // billions of columnar slots. The database must load fine; the store
-  // must be declined, not allocated.
-  std::istringstream in("0,0,0,0\n0,2000000000,1,1\n1,0,5,5\n");
-  SnapshotStore store;
-  const CsvLoadResult result = LoadTrajectoriesCsv(in, &store);
-  ASSERT_TRUE(result.ok);
-  EXPECT_EQ(result.db.Size(), 2u);
-  EXPECT_TRUE(store.Empty());
-  EXPECT_TRUE(store.IsStaleFor(result.db));  // the "declined" signal
-}
-
-TEST(CsvTest, StoreOverloadReportsMissingFile) {
-  SnapshotStore store;
-  const CsvLoadResult result =
-      LoadTrajectoriesCsv("/nonexistent/convoy.csv", &store);
-  EXPECT_FALSE(result.ok);
-  EXPECT_TRUE(store.Empty());
 }
 
 }  // namespace

@@ -6,10 +6,91 @@
 #include <string_view>
 #include <vector>
 
+#include "tests/test_util.h"
 #include "util/random.h"
 
 namespace convoy::server {
 namespace {
+
+// ------------------------------------------------------------ golden bytes
+// The round trips below cannot see a format change made on both the
+// encode and the decode side. These pin the exact little-endian bytes, so
+// any such change fails here and is made on purpose.
+
+TEST(ServerProtocolTest, GoldenBytesIngestBegin) {
+  IngestBeginMsg msg;
+  msg.seq = 0x0102030405060708ull;
+  msg.stream_id = 42;
+  msg.m = 3;
+  msg.k = 10;
+  msg.e = 2.5;
+  msg.carry_forward_ticks = -1;
+  const std::string bytes = Encode(msg);
+  EXPECT_EQ(testutil::Hex(bytes),
+            "02"                 // kIngestBegin
+            "0807060504030201"   // seq
+            "2a00000000000000"   // stream_id
+            "03000000"           // m
+            "0a00000000000000"   // k
+            "0000000000000440"   // e = 2.5
+            "ffffffffffffffff"); // carry_forward_ticks = -1
+  const auto decoded = DecodeIngestBegin(bytes);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ(decoded->seq, msg.seq);
+  EXPECT_EQ(decoded->carry_forward_ticks, -1);
+}
+
+TEST(ServerProtocolTest, GoldenBytesReportBatch) {
+  ReportBatchMsg msg;
+  msg.seq = 7;
+  msg.tick = -3;
+  msg.rows = {{1, 0.5, -1.25}, {0xabcdef01u, 1e300, -0.0}};
+  const std::string bytes = Encode(msg);
+  EXPECT_EQ(testutil::Hex(bytes),
+            "03"                 // kReportBatch
+            "0700000000000000"   // seq
+            "fdffffffffffffff"   // tick = -3
+            "02000000"           // row count
+            "01000000"           // id
+            "000000000000e03f"   // x = 0.5
+            "000000000000f4bf"   // y = -1.25
+            "01efcdab"           // id
+            "9c7500883ce4377e"   // x = 1e300
+            "0000000000000080"); // y = -0.0
+  const auto decoded = DecodeReportBatch(bytes);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  ASSERT_EQ(decoded->rows.size(), 2u);
+  EXPECT_EQ(decoded->rows[1].id, 0xabcdef01u);
+  EXPECT_EQ(decoded->tick, -3);
+}
+
+TEST(ServerProtocolTest, GoldenBytesConvoyEvent) {
+  EventMsg msg;
+  msg.stream_id = 9;
+  msg.kind = static_cast<uint8_t>(EventKind::kConvoyClosed);
+  msg.tick = 100;
+  msg.live_candidates = 3;
+  msg.event_index = 12;
+  msg.convoy = Convoy{{2, 5, 70000}, 95, 100};
+  const std::string bytes = Encode(msg);
+  EXPECT_EQ(testutil::Hex(bytes),
+            "12"                 // kEvent
+            "0900000000000000"   // stream_id
+            "04"                 // kConvoyClosed
+            "6400000000000000"   // tick
+            "03000000"           // live_candidates
+            "0c00000000000000"   // event_index
+            "5f00000000000000"   // convoy start_tick
+            "6400000000000000"   // convoy end_tick
+            "03000000"           // object count
+            "02000000"
+            "05000000"
+            "70110100");         // 70000
+  const auto decoded = DecodeEvent(bytes);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ(decoded->convoy, msg.convoy);
+  EXPECT_EQ(decoded->event_index, 12u);
+}
 
 // ------------------------------------------------------------ round trips
 

@@ -1,6 +1,8 @@
 #ifndef CONVOY_TESTS_TEST_UTIL_H_
 #define CONVOY_TESTS_TEST_UTIL_H_
 
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/engine.h"
@@ -84,6 +86,18 @@ inline TrajectoryDatabase FromRowTable(const RowTable& rows) {
   TrajectoryDatabase db;
   for (const auto& [id, samples] : rows) db.Add(Trajectory(id, samples));
   return db;
+}
+
+/// Lowercase hex of a byte string, for pinning encodings as literals.
+inline std::string Hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const char ch : bytes) {
+    const auto byte = static_cast<unsigned char>(ch);
+    out.push_back(kDigits[byte >> 4]);
+    out.push_back(kDigits[byte & 0xfu]);
+  }
+  return out;
 }
 
 }  // namespace convoy::testutil

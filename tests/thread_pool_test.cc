@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
-#include <numeric>
+#include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "parallel/parallel_for.h"
@@ -90,49 +92,19 @@ TEST(ThreadPoolTest, NestedParallelForRunsInlineWithoutDeadlock) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPoolTest, NestedSubmitFromWorkerCompletes) {
-  ThreadPool pool(2);
-  std::atomic<int> inner_ran{0};
-  std::future<void> inner;
-  pool.Submit([&] { inner = pool.Submit([&] { inner_ran.fetch_add(1); }); })
-      .wait();
-  inner.wait();
-  EXPECT_EQ(inner_ran.load(), 1);
-}
-
-TEST(ThreadPoolTest, SubmitPropagatesExceptionThroughFuture) {
-  ThreadPool pool(2);
-  auto future = pool.Submit([] { throw std::runtime_error("task failure"); });
-  EXPECT_THROW(future.get(), std::runtime_error);
-}
-
 TEST(ThreadPoolTest, OnWorkerThreadDistinguishesPools) {
-  ThreadPool a(1);
+  ThreadPool a(2);
   ThreadPool b(1);
   EXPECT_FALSE(a.OnWorkerThread());
-  bool a_sees_a = false;
-  bool a_sees_b = true;
-  a.Submit([&] {
-     a_sees_a = a.OnWorkerThread();
-     a_sees_b = b.OnWorkerThread();
-   }).wait();
-  EXPECT_TRUE(a_sees_a);
-  EXPECT_FALSE(a_sees_b);
-}
-
-TEST(ThreadPoolTest, ParallelMapPreservesIndexOrder) {
-  ThreadPool pool(4);
-  const auto squares =
-      ParallelMap(&pool, 257, [](size_t i) { return i * i; });
-  ASSERT_EQ(squares.size(), 257u);
-  for (size_t i = 0; i < squares.size(); ++i) EXPECT_EQ(squares[i], i * i);
-}
-
-TEST(ThreadPoolTest, ParallelMapNullPoolRunsSerially) {
-  const auto doubled =
-      ParallelMap(nullptr, 10, [](size_t i) { return 2 * i; });
-  ASSERT_EQ(doubled.size(), 10u);
-  for (size_t i = 0; i < doubled.size(); ++i) EXPECT_EQ(doubled[i], 2 * i);
+  // Chunk 0 runs on the calling thread, chunk 1 on a worker of `a`.
+  std::vector<int> sees_a(2, -1);
+  std::vector<int> sees_b(2, -1);
+  a.ParallelFor(2, [&](size_t begin, size_t) {
+    sees_a[begin] = a.OnWorkerThread() ? 1 : 0;
+    sees_b[begin] = b.OnWorkerThread() ? 1 : 0;
+  });
+  EXPECT_EQ(sees_a, (std::vector<int>{0, 1}));
+  EXPECT_EQ(sees_b, (std::vector<int>{0, 0}));
 }
 
 TEST(ThreadPoolTest, ResolveThreadCount) {
@@ -149,6 +121,113 @@ TEST(ThreadPoolTest, ManySmallParallelForsStress) {
       for (size_t i = begin; i < end; ++i) sum.fetch_add(i);
     });
     EXPECT_EQ(sum.load(), 136u);  // 0 + 1 + ... + 16
+  }
+}
+
+// The ordered loop at 1, 2 and 8 threads over ranges shorter than one
+// block, a block plus one, and several blocks.
+constexpr size_t kThreadCounts[] = {1, 2, 8};
+constexpr size_t kRangeSizes[] = {0, 1, 257, 1000};
+
+TEST(OrderedParallelForTest, ConsumesEveryResultInIndexOrder) {
+  for (const size_t threads : kThreadCounts) {
+    for (const size_t n : kRangeSizes) {
+      std::vector<size_t> consumed;
+      std::vector<size_t> values;
+      const std::thread::id caller = std::this_thread::get_id();
+      bool consumed_on_caller = true;
+      OrderedParallelFor(
+          n, threads, kSmallUnits, [](size_t i) { return i * i + 1; },
+          [&](size_t i, size_t value) {
+            consumed_on_caller &= std::this_thread::get_id() == caller;
+            consumed.push_back(i);
+            values.push_back(value);
+          });
+      ASSERT_EQ(consumed.size(), n) << threads << " threads, n=" << n;
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(consumed[i], i) << threads << " threads, n=" << n;
+        EXPECT_EQ(values[i], i * i + 1) << threads << " threads, n=" << n;
+      }
+      EXPECT_TRUE(consumed_on_caller) << threads << " threads, n=" << n;
+    }
+  }
+}
+
+TEST(OrderedParallelForTest, OneStatePerChunkNeverSharedAcrossThreads) {
+  struct State {
+    size_t id;
+    std::thread::id owner;
+  };
+  struct Use {
+    size_t state = 0;
+    bool same_thread = false;
+  };
+  for (const size_t threads : kThreadCounts) {
+    for (const size_t n : kRangeSizes) {
+      std::atomic<size_t> states_made{0};
+      std::vector<Use> uses;
+      OrderedParallelFor(
+          n, threads, kSmallUnits,
+          [&] {
+            return State{states_made.fetch_add(1),
+                         std::this_thread::get_id()};
+          },
+          [](State& state, size_t) {
+            return Use{state.id, state.owner == std::this_thread::get_id()};
+          },
+          [&](size_t, Use use) { uses.push_back(use); });
+      ASSERT_EQ(uses.size(), n);
+      // One state per worker chunk of every block; one in all at one
+      // thread.
+      size_t expected_states = 1;
+      if (threads > 1 && n > 1) {
+        const size_t workers = std::min(threads, n);
+        const size_t block = std::max(workers * kSmallUnits.per_thread,
+                                      kSmallUnits.minimum);
+        expected_states = 0;
+        for (size_t begin = 0; begin < n; begin += block) {
+          expected_states += std::min(workers, std::min(block, n - begin));
+        }
+      }
+      EXPECT_EQ(states_made.load(), expected_states)
+          << threads << " threads, n=" << n;
+      // Every state served one contiguous run of indices, all on the
+      // thread that made it.
+      std::set<size_t> finished;
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_TRUE(uses[i].same_thread)
+            << threads << " threads, n=" << n << ", i=" << i;
+        if (i > 0 && uses[i - 1].state != uses[i].state) {
+          finished.insert(uses[i - 1].state);
+        }
+        EXPECT_EQ(finished.count(uses[i].state), 0u)
+            << threads << " threads, n=" << n << ", i=" << i;
+      }
+    }
+  }
+}
+
+TEST(OrderedParallelForTest, ThrowingProducerConsumesNothingOfItsBlock) {
+  constexpr size_t kThrowAt = 300;
+  for (const BlockRule rule : {kSmallUnits, kLargeUnits}) {
+    for (const size_t threads : kThreadCounts) {
+      std::vector<size_t> consumed;
+      EXPECT_THROW(OrderedParallelFor(
+                       1000, threads, rule,
+                       [](size_t i) {
+                         if (i == kThrowAt) throw std::runtime_error("unit");
+                         return i;
+                       },
+                       [&](size_t i, size_t) { consumed.push_back(i); }),
+                   std::runtime_error);
+      // One thread consumes every unit before the throwing one; more
+      // consume whole blocks only, the throwing unit's block excluded.
+      const size_t block = std::max(threads * rule.per_thread, rule.minimum);
+      const size_t expected =
+          threads == 1 ? kThrowAt : kThrowAt / block * block;
+      ASSERT_EQ(consumed.size(), expected) << threads << " threads";
+      for (size_t i = 0; i < expected; ++i) EXPECT_EQ(consumed[i], i);
+    }
   }
 }
 

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "obs/trace.h"
+#include "tests/test_util.h"
 #include "wal/fault.h"
 
 namespace convoy::wal {
@@ -135,6 +136,58 @@ TEST(WalCodecTest, Crc32MatchesStandardCheckValue) {
   // The IEEE 802.3 check value: CRC32("123456789") = 0xCBF43926.
   EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
   EXPECT_EQ(Crc32(""), 0u);
+}
+
+// Exact record bytes: WAL files written by earlier builds must still
+// replay, which the round trips cannot check (they decode what the same
+// build encoded).
+TEST(WalCodecTest, GoldenBytesBeginRecord) {
+  WalRecord record;
+  record.kind = WalRecordKind::kBegin;
+  record.stream_id = 42;
+  record.seq = 1;
+  record.m = 3;
+  record.k = 10;
+  record.e = 2.5;
+  record.carry_forward_ticks = 2;
+  const std::string payload = EncodeWalRecord(record);
+  EXPECT_EQ(testutil::Hex(payload),
+            "01"                 // kBegin
+            "2a00000000000000"   // stream_id
+            "0100000000000000"   // seq
+            "0000000000000000"   // tick
+            "03000000"           // m
+            "0a00000000000000"   // k
+            "0000000000000440"   // e = 2.5
+            "0200000000000000"); // carry_forward_ticks
+  const auto decoded = DecodeWalRecord(payload);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  ExpectEqual(*decoded, record);
+}
+
+TEST(WalCodecTest, GoldenBytesBatchRecord) {
+  WalRecord record;
+  record.kind = WalRecordKind::kBatch;
+  record.stream_id = 42;
+  record.seq = 0x0102030405060708ull;
+  record.tick = -7;
+  record.rows = {{1, 0.5, -1.25}, {0xabcdef01u, 1e300, -0.0}};
+  const std::string payload = EncodeWalRecord(record);
+  EXPECT_EQ(testutil::Hex(payload),
+            "02"                 // kBatch
+            "2a00000000000000"   // stream_id
+            "0807060504030201"   // seq
+            "f9ffffffffffffff"   // tick = -7
+            "02000000"           // row count
+            "01000000"           // id
+            "000000000000e03f"   // x = 0.5
+            "000000000000f4bf"   // y = -1.25
+            "01efcdab"           // id
+            "9c7500883ce4377e"   // x = 1e300
+            "0000000000000080"); // y = -0.0
+  const auto decoded = DecodeWalRecord(payload);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  ExpectEqual(*decoded, record);
 }
 
 TEST(WalCodecTest, EncodeDecodeRoundTripsEveryKind) {

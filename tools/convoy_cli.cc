@@ -22,7 +22,6 @@
 //   3  invalid query or filter options (ValidateQuery rejected them)
 //   4  data error (the input parsed to an empty database)
 
-#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <fstream>
@@ -30,12 +29,11 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <string_view>
-#include <system_error>
 #include <thread>
 #include <utility>
 
 #include "convoy/convoy.h"
+#include "parse_number.h"
 
 namespace {
 
@@ -104,21 +102,6 @@ void PrintUsage() {
       "(same server as the convoy_serverd daemon; see README \"Server\"):\n"
       "  convoy_cli --serve [--host H] [--port P] [--ring-capacity N]\n"
       "             [--max-seconds S]\n";
-}
-
-// Parses a numeric flag's whole value as T with std::from_chars. A value
-// with trailing characters ("3x", "8,5"), a sign on an unsigned flag, or a
-// value outside T (a port above 65535) is rejected with a message naming
-// the flag; range checks such as m >= 2 stay with ValidateQuery.
-template <typename T>
-bool ParseNumber(const std::string& flag, std::string_view value, T* out) {
-  const char* const end = value.data() + value.size();
-  const auto [ptr, ec] = std::from_chars(value.data(), end, *out);
-  if (value.empty() || ec != std::errc() || ptr != end) {
-    std::cerr << "malformed value for " << flag << ": '" << value << "'\n";
-    return false;
-  }
-  return true;
 }
 
 bool ParseArgs(int argc, char** argv, CliOptions* opts, double* theta) {

@@ -43,8 +43,8 @@
 // --json writes BENCH_server.json ("convoy-bench-server-v2"): ingest
 // throughput, subscription/query latency quantiles, the verification
 // verdict, the fsync sweep rows, and the chaos verdict. Exit 0 on full
-// success, 1 on usage errors, 2 on connection/spawn failures, 3 on
-// NAK/verify failures.
+// success, 1 on usage errors (a malformed numeric value included), 2 on
+// connection/spawn failures, 3 on NAK/verify failures.
 
 #include <dirent.h>
 #include <signal.h>
@@ -63,10 +63,12 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "convoy/convoy.h"
+#include "parse_number.h"
 
 namespace {
 
@@ -113,30 +115,29 @@ bool ParseArgs(int argc, char** argv, LoadgenOptions* opts) {
       return argv[++i];
     };
     const char* value = nullptr;
+    bool parsed = true;  // false: a numeric value was malformed
     if (arg == "--host" && (value = next())) {
       opts->host = value;
     } else if (arg == "--port" && (value = next())) {
-      opts->port = static_cast<uint16_t>(std::strtoul(value, nullptr, 10));
+      parsed = ParseNumber(arg, value, &opts->port);
     } else if (arg == "--ingest" && (value = next())) {
-      opts->ingest = static_cast<size_t>(std::strtoull(value, nullptr, 10));
+      parsed = ParseNumber(arg, value, &opts->ingest);
     } else if (arg == "--query" && (value = next())) {
-      opts->query = static_cast<size_t>(std::strtoull(value, nullptr, 10));
+      parsed = ParseNumber(arg, value, &opts->query);
     } else if (arg == "--ticks" && (value = next())) {
-      opts->ticks = std::strtoll(value, nullptr, 10);
+      parsed = ParseNumber(arg, value, &opts->ticks);
     } else if (arg == "--objects" && (value = next())) {
-      opts->objects = static_cast<size_t>(std::strtoull(value, nullptr, 10));
+      parsed = ParseNumber(arg, value, &opts->objects);
     } else if (arg == "--batch-rows" && (value = next())) {
-      opts->batch_rows =
-          static_cast<size_t>(std::strtoull(value, nullptr, 10));
+      parsed = ParseNumber(arg, value, &opts->batch_rows);
     } else if (arg == "--window" && (value = next())) {
-      opts->window = static_cast<size_t>(std::strtoull(value, nullptr, 10));
+      parsed = ParseNumber(arg, value, &opts->window);
     } else if (arg == "--seed" && (value = next())) {
-      opts->seed = std::strtoull(value, nullptr, 10);
+      parsed = ParseNumber(arg, value, &opts->seed);
     } else if (arg == "--carry-forward" && (value = next())) {
-      opts->carry_forward = std::strtoll(value, nullptr, 10);
+      parsed = ParseNumber(arg, value, &opts->carry_forward);
     } else if (arg == "--deadline-ms" && (value = next())) {
-      opts->deadline_ms =
-          static_cast<uint32_t>(std::strtoul(value, nullptr, 10));
+      parsed = ParseNumber(arg, value, &opts->deadline_ms);
     } else if (arg == "--json" && (value = next())) {
       opts->json_out = value;
     } else if (arg == "--serverd" && (value = next())) {
@@ -146,7 +147,7 @@ bool ParseArgs(int argc, char** argv, LoadgenOptions* opts) {
     } else if (arg == "--fsync" && (value = next())) {
       opts->fsync = value;
     } else if (arg == "--kills" && (value = next())) {
-      opts->kills = static_cast<size_t>(std::strtoull(value, nullptr, 10));
+      parsed = ParseNumber(arg, value, &opts->kills);
     } else if (arg == "--verify") {
       opts->verify = true;
     } else if (arg == "--sweep-fsync") {
@@ -159,6 +160,7 @@ bool ParseArgs(int argc, char** argv, LoadgenOptions* opts) {
       std::cerr << "unknown argument: " << arg << "\n";
       return false;
     }
+    if (!parsed) return false;
     if (value == nullptr && arg.rfind("--", 0) == 0 && arg != "--verify" &&
         arg != "--sweep-fsync" && arg != "--chaos" && arg != "--help") {
       return false;
@@ -691,10 +693,15 @@ DaemonProcess SpawnDaemon(const LoadgenOptions& opts,
     if (text.find("listening on ") == std::string::npos) continue;
     const size_t colon = text.rfind(':');
     if (colon == std::string::npos) break;
-    daemon.port =
-        static_cast<uint16_t>(std::strtoul(text.c_str() + colon + 1,
-                                           nullptr, 10));
-    if (daemon.port != 0) daemon.ok = true;
+    std::string_view digits = std::string_view(text).substr(colon + 1);
+    while (!digits.empty() &&
+           (digits.back() == '\n' || digits.back() == '\r')) {
+      digits.remove_suffix(1);
+    }
+    if (ParseNumber("the daemon's listening port", digits, &daemon.port) &&
+        daemon.port != 0) {
+      daemon.ok = true;
+    }
     break;
   }
   if (!daemon.ok) daemon.error = "daemon did not report a listening port";

@@ -32,10 +32,10 @@
 // --stats-json writes the server's metrics JSON — the same payload the
 // in-band kStatsRequest returns.
 //
-// Exit codes: 0 clean shutdown, 1 usage error, 2 cannot bind/write.
+// Exit codes: 0 clean shutdown, 1 usage error (a malformed numeric value
+// included), 2 cannot bind/write.
 
 #include <csignal>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -43,6 +43,7 @@
 #include <thread>
 
 #include "convoy/convoy.h"
+#include "parse_number.h"
 
 namespace {
 
@@ -80,17 +81,17 @@ bool ParseArgs(int argc, char** argv, DaemonOptions* opts) {
       return argv[++i];
     };
     const char* value = nullptr;
+    bool parsed = true;  // false: a numeric value was malformed
     if (arg == "--host" && (value = next())) {
       opts->host = value;
     } else if (arg == "--port" && (value = next())) {
-      opts->port = static_cast<uint16_t>(std::strtoul(value, nullptr, 10));
+      parsed = ParseNumber(arg, value, &opts->port);
     } else if (arg == "--ring-capacity" && (value = next())) {
-      opts->ring_capacity =
-          static_cast<size_t>(std::strtoull(value, nullptr, 10));
+      parsed = ParseNumber(arg, value, &opts->ring_capacity);
     } else if (arg == "--stats-json" && (value = next())) {
       opts->stats_json = value;
     } else if (arg == "--max-seconds" && (value = next())) {
-      opts->max_seconds = std::strtod(value, nullptr);
+      parsed = ParseNumber(arg, value, &opts->max_seconds);
     } else if (arg == "--wal-dir" && (value = next())) {
       opts->wal_dir = value;
     } else if (arg == "--fsync" && (value = next())) {
@@ -102,38 +103,32 @@ bool ParseArgs(int argc, char** argv, DaemonOptions* opts) {
       }
       opts->fsync = *policy;
     } else if (arg == "--fsync-interval-ms" && (value = next())) {
-      opts->fsync_interval_ms =
-          static_cast<uint32_t>(std::strtoul(value, nullptr, 10));
+      parsed = ParseNumber(arg, value, &opts->fsync_interval_ms);
     } else if (arg == "--wal-segment-bytes" && (value = next())) {
-      opts->wal_segment_bytes =
-          static_cast<size_t>(std::strtoull(value, nullptr, 10));
+      parsed = ParseNumber(arg, value, &opts->wal_segment_bytes);
     } else if (arg == "--idle-timeout-ms" && (value = next())) {
-      opts->idle_timeout_ms =
-          static_cast<uint32_t>(std::strtoul(value, nullptr, 10));
+      parsed = ParseNumber(arg, value, &opts->idle_timeout_ms);
     } else if (arg == "--load-shed-high-water" && (value = next())) {
-      opts->load_shed_high_water =
-          static_cast<size_t>(std::strtoull(value, nullptr, 10));
+      parsed = ParseNumber(arg, value, &opts->load_shed_high_water);
     } else if (arg == "--subscriber-queue" && (value = next())) {
-      opts->subscriber_queue =
-          static_cast<size_t>(std::strtoull(value, nullptr, 10));
+      parsed = ParseNumber(arg, value, &opts->subscriber_queue);
     } else if (arg == "--fault-seed" && (value = next())) {
-      opts->fault.seed = std::strtoull(value, nullptr, 10);
+      parsed = ParseNumber(arg, value, &opts->fault.seed);
       opts->fault_enabled = true;
     } else if (arg == "--fault-short-write-prob" && (value = next())) {
-      opts->fault.short_write_prob = std::strtod(value, nullptr);
+      parsed = ParseNumber(arg, value, &opts->fault.short_write_prob);
       opts->fault_enabled = true;
     } else if (arg == "--fault-eintr-prob" && (value = next())) {
-      opts->fault.eintr_prob = std::strtod(value, nullptr);
+      parsed = ParseNumber(arg, value, &opts->fault.eintr_prob);
       opts->fault_enabled = true;
     } else if (arg == "--fault-fsync-fail-prob" && (value = next())) {
-      opts->fault.fsync_fail_prob = std::strtod(value, nullptr);
+      parsed = ParseNumber(arg, value, &opts->fault.fsync_fail_prob);
       opts->fault_enabled = true;
     } else if (arg == "--fault-fsync-delay-us" && (value = next())) {
-      opts->fault.fsync_delay_us =
-          static_cast<uint32_t>(std::strtoul(value, nullptr, 10));
+      parsed = ParseNumber(arg, value, &opts->fault.fsync_delay_us);
       opts->fault_enabled = true;
     } else if (arg == "--fault-fail-writes-after" && (value = next())) {
-      opts->fault.fail_writes_after = std::strtoull(value, nullptr, 10);
+      parsed = ParseNumber(arg, value, &opts->fault.fail_writes_after);
       opts->fault_enabled = true;
     } else if (arg == "--help" || arg == "-h") {
       return false;
@@ -141,6 +136,7 @@ bool ParseArgs(int argc, char** argv, DaemonOptions* opts) {
       std::cerr << "unknown argument: " << arg << "\n";
       return false;
     }
+    if (!parsed) return false;
     if (value == nullptr && arg.rfind("--", 0) == 0 && arg != "--help") {
       return false;
     }

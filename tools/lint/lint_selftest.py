@@ -81,6 +81,16 @@ def main() -> int:
               "  std::thread worker([] {});\n"
               "  worker.join();\n"
               "}\n")
+        write(root, "src/core/viol_pool.cc",
+              "void F(size_t threads) {\n"
+              "  ThreadPool pool(threads);\n"
+              "  pool.ParallelFor(8, [](size_t, size_t) {});\n"
+              "}\n")
+        write(root, "src/core/viol_pool_emplace.cc",
+              "void F(size_t threads) {\n"
+              "  std::optional<ThreadPool> pool;\n"
+              "  if (threads > 1) pool.emplace(threads);\n"
+              "}\n")
         write(root, "src/core/viol_guarded.h",
               "#include <mutex>\n"
               "#include <vector>\n"
@@ -112,13 +122,17 @@ def main() -> int:
               "      std::chrono::steady_clock::now().time_since_epoch())\n"
               "      .count();\n"
               "}\n")
-        # Threads/new are fine inside src/parallel.
+        # Threads, pools and new are fine inside src/parallel.
         write(root, "src/parallel/clean_parallel.cc",
               "#include <thread>\n"
               "void Spawn() {\n"
               "  std::thread worker([] {});\n"
               "  worker.join();\n"
+              "  ThreadPool pool(2);\n"
               "}\n")
+        # Asking for the hardware thread count constructs no pool.
+        write(root, "src/core/clean_pool_query.cc",
+              "size_t F() { return ThreadPool::HardwareThreads(); }\n")
         # Violations inside comments and strings must be invisible.
         write(root, "src/core/clean_stripped.cc",
               "// rand() and std::thread in a comment\n"
@@ -177,6 +191,18 @@ def main() -> int:
               "naked-new fires on raw new outside src/parallel")
         check(fired(findings, "src/core/viol_thread.cc", "raw-thread"),
               "raw-thread fires on std::thread outside src/parallel")
+        pool = [f for f in findings
+                if f.path == "src/core/viol_pool.cc" and f.rule == "raw-thread"]
+        check(len(pool) == 1 and pool[0].line == 2
+              and "OrderedParallelFor" in pool[0].message,
+              "raw-thread fires on a ThreadPool declared outside src/parallel "
+              f"(got {[(f.line) for f in pool]})")
+        emplaced = [f for f in findings
+                    if f.path == "src/core/viol_pool_emplace.cc"
+                    and f.rule == "raw-thread"]
+        check(len(emplaced) == 1 and emplaced[0].line == 3,
+              "raw-thread fires on a ThreadPool emplaced into an optional "
+              f"(got {[(f.line) for f in emplaced]})")
         guarded = [f for f in findings
                    if f.path == "src/core/viol_guarded.cc"
                    and f.rule == "guarded-member"]
@@ -187,6 +213,7 @@ def main() -> int:
         print("clean idioms:")
         for rel in ("src/util/clean_scope.cc",
                     "src/parallel/clean_parallel.cc",
+                    "src/core/clean_pool_query.cc",
                     "src/core/clean_stripped.cc",
                     "src/core/clean_lookup.cc",
                     "src/core/clean_checked.cc"):

@@ -44,7 +44,8 @@
 #    byte-identical results (the parallel subsystem's core guarantee);
 # 7. drive convoy_cli's error paths and require the documented exit codes
 #    (1 usage — malformed numeric values included, 2 I/O, 3 invalid query,
-#    4 data error);
+#    4 data error), and require convoy_serverd and convoy_loadgen to
+#    reject malformed numeric flags with their usage code 1;
 # 8. smoke the planner: --algo auto --explain must print the chosen
 #    algorithm and the resolved delta/lambda;
 # 9. smoke the observability surface: --explain-analyze must print
@@ -261,6 +262,18 @@ expect_exit 1 "negative unsigned (--m -1)" \
   "${CLI}" --input "${SMOKE_DIR}/data.csv" --m -1 --k 60 --e 8.0
 expect_exit 1 "port out of range (--port 70000)" \
   "${CLI}" --serve --port 70000 --max-seconds 0
+# convoy_serverd and convoy_loadgen parse numbers the same way (usage
+# code 1 in both); a wrapped or truncated value must not start a daemon or
+# a run.
+expect_exit 1 "convoy_serverd port out of range (--port 70000)" \
+  "${BUILD_DIR}/convoy_serverd" --port 70000 --max-seconds 0
+expect_exit 1 "convoy_serverd malformed number (--fault-eintr-prob abc)" \
+  "${BUILD_DIR}/convoy_serverd" --fault-eintr-prob abc --max-seconds 0
+expect_exit 1 "convoy_loadgen malformed number (--kills 2x)" \
+  "${BUILD_DIR}/convoy_loadgen" --serverd /nonexistent --chaos --kills 2x
+expect_exit 1 "convoy_loadgen negative unsigned (--seed -1)" \
+  "${BUILD_DIR}/convoy_loadgen" --serverd /nonexistent --sweep-fsync \
+  --seed -1
 expect_exit 2 "missing input file" \
   "${CLI}" --input "${SMOKE_DIR}/does_not_exist.csv"
 expect_exit 3 "invalid query (m = 1)" \
