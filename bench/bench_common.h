@@ -10,16 +10,20 @@
 //   --seed N      dataset generation seed (default 42)
 //   --threads N   worker threads for parallelizable phases (default 1;
 //                 0 = all hardware threads; results are identical)
+//
+// An unknown flag, a flag missing its value, or a number that does not
+// parse whole (tools/parse_number.h) exits 1.
 
 #include <cstdlib>
-#include <cstring>
 #include <iomanip>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "convoy/convoy.h"
+#include "tools/parse_number.h"
 
 namespace convoy::bench {
 
@@ -36,21 +40,34 @@ struct BenchOptions {
 inline BenchOptions ParseArgs(int argc, char** argv) {
   BenchOptions opts;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--full") == 0) {
+    const std::string_view arg = argv[i];
+    const auto value = [&]() -> const char* {
+      if (i + 1 >= argc) {
+        std::cerr << "missing value for " << arg << "\n";
+        std::exit(1);
+      }
+      return argv[++i];
+    };
+    bool parsed = true;
+    if (arg == "--full") {
       opts.full = true;
-    } else if (std::strcmp(argv[i], "--scale") == 0 && i + 1 < argc) {
-      opts.scale = std::strtod(argv[++i], nullptr);
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      opts.seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      opts.threads = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      opts.json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--help") == 0) {
+    } else if (arg == "--scale") {
+      parsed = ParseNumber(arg, value(), &opts.scale);
+    } else if (arg == "--seed") {
+      parsed = ParseNumber(arg, value(), &opts.seed);
+    } else if (arg == "--threads") {
+      parsed = ParseNumber(arg, value(), &opts.threads);
+    } else if (arg == "--json") {
+      opts.json_path = value();
+    } else if (arg == "--help") {
       std::cout << "flags: --full | --scale X | --seed N | --threads N | "
                    "--json PATH\n";
       std::exit(0);
+    } else {
+      std::cerr << "unknown argument: " << arg << "\n";
+      std::exit(1);
     }
+    if (!parsed) std::exit(1);
   }
   return opts;
 }

@@ -47,7 +47,7 @@ int main() {
   std::cout << plan->Explain() << "\n";
 
   const auto result = engine.Execute(*plan);
-  if (!result.ok()) {  // only possible with a CancelToken installed
+  if (!result.ok()) {  // Execute reports any failure through StatusOr
     std::cerr << "execution failed: " << result.status() << "\n";
     return 1;
   }

@@ -79,7 +79,6 @@
 #include "traj/interpolate.h"
 #include "traj/snapshot_store.h"
 #include "traj/trajectory.h"
-#include "util/cancel.h"
 #include "util/random.h"
 #include "util/stats.h"
 #include "util/status.h"

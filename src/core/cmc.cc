@@ -131,21 +131,6 @@ void TraceTrackerTally(TraceSession* trace, const TrackerTally& tally) {
 
 namespace {
 
-// Converts completed candidates [from, end) to convoys and hands them to
-// the hooks' incremental sink (no-op without one). Returns the new
-// emission watermark.
-size_t EmitCompletedSince(const std::vector<Candidate>& completed, size_t from,
-                          const ExecHooks* hooks) {
-  if (hooks == nullptr || !hooks->sink) return completed.size();
-  std::vector<Convoy> batch;
-  batch.reserve(completed.size() - from);
-  for (size_t i = from; i < completed.size(); ++i) {
-    batch.push_back(completed[i].ToConvoy());
-  }
-  EmitConvoys(hooks, std::move(batch));
-  return completed.size();
-}
-
 // CMC's per-tick loop — the one tracker loop of every batch CMC entry
 // point, generic over how a tick's clusters are produced (the row gather
 // or the SnapshotStore's columnar views), so the candidate algebra can
@@ -156,15 +141,14 @@ size_t EmitCompletedSince(const std::vector<Candidate>& completed, size_t from,
 // The ticks fan out through OrderedParallelFor: at one thread one
 // clusterer, in the caller's scratch, serves every tick on the caller's
 // thread; otherwise each contiguous worker chunk clusters its ticks with
-// its own clusterer and arena. Consumption (the tracker, stats, the sink,
-// progress) runs only on the caller's thread in tick order, and the
-// counters folded while clustering are per-tick integer tallies, so every
-// output and count is identical at every thread count.
+// its own clusterer and arena. Consumption (the tracker, stats) runs only
+// on the caller's thread in tick order, and the counters folded while
+// clustering are per-tick integer tallies, so every output and count is
+// identical at every thread count.
 template <typename MakeClusterAt>
 void SweepImpl(Tick begin_tick, Tick end_tick, size_t threads,
-               CmcSweep* sweep, DiscoveryStats* stats, const ExecHooks* hooks,
+               CmcSweep* sweep, DiscoveryStats* stats, TraceSession* trace,
                SnapshotScratch* scratch, MakeClusterAt&& make_cluster_at) {
-  TraceSession* const trace = TraceOf(hooks);
   const size_t total_ticks =
       begin_tick <= end_tick ? static_cast<size_t>(end_tick - begin_tick) + 1
                              : 0;
@@ -172,7 +156,6 @@ void SweepImpl(Tick begin_tick, Tick end_tick, size_t threads,
     std::vector<std::vector<ObjectId>> clusters;
     bool clustered = false;
   };
-  size_t emitted = sweep->completed.size();
   OrderedParallelFor(
       total_ticks, threads, kSmallUnits,
       [&] {
@@ -182,14 +165,12 @@ void SweepImpl(Tick begin_tick, Tick end_tick, size_t threads,
         return std::make_pair(std::move(owned), std::move(cluster_at));
       },
       [&](auto& state, size_t i) {
-        CheckCancelled(hooks);
         TickClusters tick;
         tick.clusters =
             state.second(begin_tick + static_cast<Tick>(i), &tick.clustered);
         return tick;
       },
       [&](size_t i, TickClusters tick) {
-        CheckCancelled(hooks);
         const Tick t = begin_tick + static_cast<Tick>(i);
         if (tick.clustered) {
           if (stats != nullptr) ++stats->num_clusterings;
@@ -200,8 +181,6 @@ void SweepImpl(Tick begin_tick, Tick end_tick, size_t threads,
         // must do: the "consecutive time points" requirement breaks there.
         sweep->tracker.Advance(tick.clusters, t, t, /*step_weight=*/1,
                                &sweep->completed);
-        emitted = EmitCompletedSince(sweep->completed, emitted, hooks);
-        ReportProgress(hooks, "cmc", i + 1, total_ticks);
       });
 }
 
@@ -256,8 +235,8 @@ std::vector<Convoy> RunCmc(const ConvoyQuery& query, Tick begin_tick,
   SnapshotScratch local;
   CmcSweep sweep(query.m, query.k);
   SweepImpl(begin_tick, end_tick, ResolveThreadCount(query.num_threads),
-            &sweep, stats, hooks, scratch != nullptr ? scratch : &local,
-            make_cluster_at);
+            &sweep, stats, TraceOf(hooks),
+            scratch != nullptr ? scratch : &local, make_cluster_at);
   std::vector<Convoy> result = FinishSweep(&sweep, options, stats, hooks);
   if (stats != nullptr) stats->total_seconds += total.ElapsedSeconds();
   return result;
@@ -269,9 +248,7 @@ std::vector<Convoy> FinishSweep(CmcSweep* sweep, const CmcOptions& options,
                                 DiscoveryStats* stats,
                                 const ExecHooks* hooks) {
   TraceSession* const trace = TraceOf(hooks);
-  const size_t flushed_from = sweep->completed.size();
   sweep->tracker.Flush(&sweep->completed);
-  EmitCompletedSince(sweep->completed, flushed_from, hooks);
   TraceTrackerTally(trace, sweep->tracker.tally());
 
   std::vector<Convoy> result;
@@ -289,8 +266,9 @@ void SweepRows(const TrajectoryDatabase& db, const ConvoyQuery& query,
                SnapshotScratch* scratch) {
   SnapshotScratch local;
   if (scratch == nullptr) scratch = &local;
-  SweepImpl(begin_tick, end_tick, /*threads=*/1, sweep, stats, hooks, scratch,
-            RowClusterers(db, query, rows_at, TraceOf(hooks)));
+  TraceSession* const trace = TraceOf(hooks);
+  SweepImpl(begin_tick, end_tick, /*threads=*/1, sweep, stats, trace, scratch,
+            RowClusterers(db, query, rows_at, trace));
 }
 
 std::vector<Convoy> CmcRange(const TrajectoryDatabase& db,

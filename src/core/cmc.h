@@ -53,15 +53,13 @@ struct SnapshotScratch {
 /// OrderedParallelFor (parallel/parallel_for.h), each worker chunk
 /// restarting the cursors, and the candidate tracker consumes every block
 /// sequentially in tick order. So the
-/// convoys, DiscoveryStats::num_clusterings, the traced counters and the
-/// sink and progress sequences are identical at every thread count.
+/// convoys, DiscoveryStats::num_clusterings and the traced counters are
+/// identical at every thread count.
 ///
-/// `hooks` (optional) adds per-tick cancellation checks (in the workers
-/// and on the sequential pass), progress reports, and incremental convoy
-/// emission — see core/exec_hooks.h; results are unaffected. `scratch`
-/// (optional) supplies the per-tick arena of the one-thread loop; without
-/// one a call-local arena is used, so passing it only moves the
-/// allocation, never the result.
+/// `hooks` (optional, core/exec_hooks.h) carries the trace; results are
+/// unaffected. `scratch` (optional) supplies the per-tick arena of the
+/// one-thread loop; without one a call-local arena is used, so passing it
+/// only moves the allocation, never the result.
 std::vector<Convoy> Cmc(const TrajectoryDatabase& db, const ConvoyQuery& query,
                         const CmcOptions& options = {},
                         DiscoveryStats* stats = nullptr,
@@ -116,12 +114,11 @@ struct CmcSweep {
 using RowSelector = std::function<const std::vector<uint32_t>*(Tick t)>;
 
 /// CMC's per-tick loop over the rows, for ticks [begin_tick, end_tick] of
-/// a caller-owned sweep; candidates completed on the way go to the hooks'
-/// sink, and FinishSweep ends the sweep as CmcRange would. It always runs
-/// on the caller's thread, whatever query.num_threads says: `rows_at` is
-/// stateful, and its callers — CuTS refinement (one sweep per window,
-/// windows in parallel) and the live path — bring their own parallelism
-/// or none.
+/// a caller-owned sweep; FinishSweep ends the sweep as CmcRange would. It
+/// always runs on the caller's thread, whatever query.num_threads says:
+/// `rows_at` is stateful, and its callers — CuTS refinement (one sweep per
+/// window, windows in parallel) and the live path — bring their own
+/// parallelism or none.
 ///
 /// Tick t clusters only the trajectories `rows_at(t)` names (every alive
 /// one when `rows_at` is empty or returns null), in database order. The
@@ -139,10 +136,10 @@ void SweepRows(const TrajectoryDatabase& db, const ConvoyQuery& query,
                SnapshotScratch* scratch = nullptr);
 
 /// Ends a sweep as CMC ends: flushes the tracker into sweep->completed
-/// (live candidates with lifetime >= k complete), hands the flushed ones
-/// to the hooks' sink, folds the tracker's tally into the trace, and
-/// finalizes the completed list (FinalizeCmcResult). The sweep is left
-/// flushed, its completed list intact. Sets stats->num_convoys.
+/// (live candidates with lifetime >= k complete), folds the tracker's
+/// tally into the trace, and finalizes the completed list
+/// (FinalizeCmcResult). The sweep is left flushed, its completed list
+/// intact. Sets stats->num_convoys.
 std::vector<Convoy> FinishSweep(CmcSweep* sweep, const CmcOptions& options,
                                 DiscoveryStats* stats = nullptr,
                                 const ExecHooks* hooks = nullptr);

@@ -104,35 +104,32 @@ CutsFilterResult CutsFilter(const TrajectoryDatabase& db,
   Stopwatch phase;
   const double delta =
       options.delta > 0.0 ? options.delta : ComputeDelta(db, query.e);
-  std::vector<SimplifiedTrajectory> simplified =
+  const std::vector<SimplifiedTrajectory> simplified =
       SimplifyDatabase(db, delta, options.simplifier, query.num_threads);
   if (stats != nullptr) stats->simplify_seconds += phase.ElapsedSeconds();
 
-  return CutsFilterPresimplified(db, query, options, std::move(simplified),
-                                 delta, stats);
+  return CutsFilterPresimplified(db, query, options, simplified, delta, stats);
 }
 
 CutsFilterResult CutsFilterPresimplified(
     const TrajectoryDatabase& db, const ConvoyQuery& query,
     const CutsFilterOptions& options,
-    std::vector<SimplifiedTrajectory> simplified, double delta_used,
+    const std::vector<SimplifiedTrajectory>& simplified, double delta_used,
     DiscoveryStats* stats, const ExecHooks* hooks,
     const SnapshotStore* store) {
   CutsFilterResult result;
   if (db.Empty()) return result;
   result.delta_used = delta_used;
-  result.simplified = std::move(simplified);
   if (stats != nullptr) {
     stats->delta_used = result.delta_used;
-    stats->vertex_reduction_percent =
-        VertexReductionPercent(db, result.simplified);
+    stats->vertex_reduction_percent = VertexReductionPercent(db, simplified);
   }
 
   // --- Filter phase ---------------------------------------------------------
   Stopwatch phase;
   result.lambda_used = options.lambda > 0
                            ? options.lambda
-                           : ComputeLambda(db, result.simplified, query.k);
+                           : ComputeLambda(db, simplified, query.k);
   if (stats != nullptr) stats->lambda_used = result.lambda_used;
 
   // The store materializes the time domain at build; without one, the
@@ -163,14 +160,12 @@ CutsFilterResult CutsFilterPresimplified(
       partitions.size(), query.num_threads, kSmallUnits,
       [] { return PolylineDbscanScratch(); },
       [&](PolylineDbscanScratch& scratch, size_t i) {
-        CheckCancelled(hooks);
         ScopedSpan span(trace, "filter.partition");
-        return ClusterPartition(result.simplified, partitions[i].first,
+        return ClusterPartition(simplified, partitions[i].first,
                                 partitions[i].second, query, options,
                                 result.delta_used, &scratch);
       },
       [&](size_t i, const PartitionClusters& part) {
-        CheckCancelled(hooks);
         TraceCount(trace, TraceCounter::kFilterPartitions, 1);
         TraceCount(trace, TraceCounter::kFilterPolylines, part.num_polylines);
         TraceCount(trace, TraceCounter::kFilterSegmentTests,
@@ -195,7 +190,6 @@ CutsFilterResult CutsFilterPresimplified(
         std::sort(ids.begin() + static_cast<std::ptrdiff_t>(first),
                   ids.end());
         result.members.offsets.push_back(ids.size());
-        ReportProgress(hooks, "filter", i + 1, partitions.size());
       });
   tracker.Flush(&result.candidates);
   // Read once after the sequential consume pass — thread-count invariant.

@@ -77,12 +77,11 @@ struct PartitionMembers {
 };
 
 /// Output of the filter step: candidate convoys (object sets with the tick
-/// span of the partitions that produced them), the objects each partition
-/// clustered, and the simplified trajectories.
+/// span of the partitions that produced them) and the objects each
+/// partition clustered.
 struct CutsFilterResult {
   std::vector<Candidate> candidates;
   PartitionMembers members;
-  std::vector<SimplifiedTrajectory> simplified;
   double delta_used = 0.0;
   Tick lambda_used = 0;
 };
@@ -111,19 +110,18 @@ std::vector<PartitionPolyline> BuildPartitionPolylines(
 
 /// Variant that reuses already-simplified trajectories (index-aligned with
 /// `db`, produced with `delta_used` and the simplifier matching
-/// `options.simplifier`). `ConvoyEngine` uses this to amortize the
-/// simplification cost across repeated queries. `hooks` (optional) adds a
-/// cancellation check per time partition — in the parallel clustering
-/// lambda and the sequential tracker pass — plus per-partition "filter"
-/// progress reports; results are unaffected (core/exec_hooks.h). `store`
-/// (optional; must be built from `db`) supplies the precomputed time
-/// domain, so partitioning skips the O(N) BeginTick/EndTick rescans;
-/// partition boundaries — and results — are identical either way.
+/// `options.simplifier`), borrowed for the call. `ConvoyEngine` uses this
+/// to amortize the simplification cost across repeated queries. `hooks`
+/// (optional, core/exec_hooks.h) carries the trace; results are
+/// unaffected. `store` (optional; must be built from `db`) supplies the
+/// precomputed time domain, so partitioning skips the O(N)
+/// BeginTick/EndTick rescans; partition boundaries — and results — are
+/// identical either way.
 class SnapshotStore;
 CutsFilterResult CutsFilterPresimplified(
     const TrajectoryDatabase& db, const ConvoyQuery& query,
     const CutsFilterOptions& options,
-    std::vector<SimplifiedTrajectory> simplified, double delta_used,
+    const std::vector<SimplifiedTrajectory>& simplified, double delta_used,
     DiscoveryStats* stats = nullptr, const ExecHooks* hooks = nullptr,
     const SnapshotStore* store = nullptr);
 

@@ -74,9 +74,8 @@ class PartitionRows {
 // filter's member sets when `members` is given, and dominance-prunes the
 // windows' convoys into the result. Windows fan out through
 // OrderedParallelFor, each worker chunk sweeping out of one reused arena;
-// the ordered pass hands each window's convoys to the sink as one batch
-// and reports progress, so the sink and progress sequences — and the
-// result — are the same at every thread count.
+// the ordered pass collects the windows' convoys in window order, so the
+// result is the same at every thread count.
 std::vector<Convoy> RefineWindows(const TrajectoryDatabase& db,
                                   const ConvoyQuery& query,
                                   const std::vector<Candidate>& candidates,
@@ -88,12 +87,6 @@ std::vector<Convoy> RefineWindows(const TrajectoryDatabase& db,
   CmcOptions cmc_options;
   cmc_options.remove_dominated = false;  // pruned globally below
   TraceSession* const trace = TraceOf(hooks);
-  // Trace-only hooks for the nested CMC runs: counters and spans flow, but
-  // the outer sink / progress / cancellation stay exclusively with the
-  // refine loop (a nested emit would double-report every convoy).
-  ExecHooks trace_hooks;
-  trace_hooks.trace = trace;
-  const ExecHooks* nested = trace != nullptr ? &trace_hooks : nullptr;
   struct WindowConvoys {
     std::vector<Convoy> convoys;
     size_t clusterings = 0;
@@ -103,7 +96,6 @@ std::vector<Convoy> RefineWindows(const TrajectoryDatabase& db,
   OrderedParallelFor(
       windows.size(), threads, kLargeUnits, [] { return SnapshotScratch(); },
       [&](SnapshotScratch& scratch, size_t i) {
-        CheckCancelled(hooks);
         ScopedSpan span(trace, "refine.unit");
         TraceCount(trace, TraceCounter::kRefineUnits, 1);
         std::optional<PartitionRows> rows;
@@ -115,23 +107,16 @@ std::vector<Convoy> RefineWindows(const TrajectoryDatabase& db,
         DiscoveryStats unit_stats;
         CmcSweep sweep(query.m, query.k);
         SweepRows(db, query, windows[i].first, windows[i].second, rows_at,
-                  &sweep, &unit_stats, nested, &scratch);
+                  &sweep, &unit_stats, hooks, &scratch);
         WindowConvoys window;
         window.clusterings = unit_stats.num_clusterings;
-        window.convoys = FinishSweep(&sweep, cmc_options, &unit_stats, nested);
+        window.convoys = FinishSweep(&sweep, cmc_options, &unit_stats, hooks);
         return window;
       },
-      [&](size_t i, WindowConvoys window) {
-        CheckCancelled(hooks);
+      [&](size_t, WindowConvoys window) {
         clusterings += window.clusterings;
-        if (hooks != nullptr && hooks->sink) {
-          // The result still needs the window's convoys, so the sink gets a
-          // copy (only when a sink is installed).
-          EmitConvoys(hooks, window.convoys);
-        }
         all.insert(all.end(), std::make_move_iterator(window.convoys.begin()),
                    std::make_move_iterator(window.convoys.end()));
-        ReportProgress(hooks, "refine", i + 1, windows.size());
       });
   std::vector<Convoy> result = RemoveDominated(std::move(all));
   if (stats != nullptr) {

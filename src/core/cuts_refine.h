@@ -47,11 +47,8 @@ enum class RefineMode {
 /// and every counter, DiscoveryStats::num_clusterings included — is
 /// identical at every thread count.
 ///
-/// `hooks` (optional, core/exec_hooks.h) adds a cancellation check per
-/// window, per-window "refine" progress, and incremental emission: each
-/// window's convoys are handed to the sink as one batch, in window order,
-/// once the window's block completes (each window, at one thread). The
-/// returned (materialized) result is unaffected.
+/// `hooks` (optional, core/exec_hooks.h) carries the trace, which the
+/// windows' sweeps record into; the result is unaffected.
 std::vector<Convoy> CutsRefine(const TrajectoryDatabase& db,
                                const ConvoyQuery& query,
                                const CutsFilterResult& filtered,

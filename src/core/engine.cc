@@ -12,7 +12,6 @@
 #include "core/validate.h"
 #include "obs/trace.h"
 #include "parallel/parallel_for.h"
-#include "util/cancel.h"
 #include "util/stopwatch.h"
 
 namespace convoy {
@@ -90,25 +89,19 @@ ConvoyEngine::SimplifiedFor(SimplifierKind kind, double delta, size_t threads,
         SimplifyDatabase(db_, delta, kind, threads));
     lock.lock();
     it = cache_.emplace(key, std::move(computed)).first;
-    // Relaxed (both counters): independent monotone tallies surfaced by
-    // StoreMetrics, which tolerates missing in-flight increments; they
-    // order nothing — the cache entry itself is published under cache_mu_.
-    simplify_cache_misses_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    if (cache_hit != nullptr) *cache_hit = true;
-    simplify_cache_hits_.fetch_add(1, std::memory_order_relaxed);
+  } else if (cache_hit != nullptr) {
+    *cache_hit = true;
   }
   return it->second;  // entries are immutable; a hit is a pointer copy
 }
 
-double ConvoyEngine::DeltaFor(double e) const {
+double ConvoyEngine::DeltaFor(double e, bool* cache_hit) const {
   const uint64_t key = std::bit_cast<uint64_t>(e);
+  if (cache_hit != nullptr) *cache_hit = false;
   {
     std::lock_guard<std::mutex> lock(cache_mu_);
     if (const auto it = delta_cache_.find(key); it != delta_cache_.end()) {
-      // Relaxed: an independent monotone tally, like the
-      // simplification-cache counters; it orders nothing.
-      delta_cache_hits_.fetch_add(1, std::memory_order_relaxed);
+      if (cache_hit != nullptr) *cache_hit = true;
       return it->second;
     }
   }
@@ -116,17 +109,12 @@ double ConvoyEngine::DeltaFor(double e) const {
   // same value, and the first insert wins.
   const double delta = ComputeDelta(db_, e);
   std::lock_guard<std::mutex> lock(cache_mu_);
-  // Relaxed: the same kind of tally as the hits above.
-  delta_cache_misses_.fetch_add(1, std::memory_order_relaxed);
   return delta_cache_.emplace(key, delta).first->second;
 }
 
 const DatabaseStats& ConvoyEngine::CachedStats() const {
   std::lock_guard<std::mutex> lock(cache_mu_);
-  if (!db_stats_.has_value() || db_stats_generation_ != db_.generation()) {
-    db_stats_ = db_.Stats();
-    db_stats_generation_ = db_.generation();
-  }
+  if (!db_stats_.has_value()) db_stats_ = db_.Stats();
   return *db_stats_;
 }
 
@@ -134,20 +122,19 @@ std::shared_ptr<const SnapshotStore> ConvoyEngine::Store(size_t num_threads,
                                                          bool* reused) const {
   if (reused != nullptr) *reused = false;
   std::unique_lock<std::mutex> lock(cache_mu_);
-  if (store_ != nullptr && !store_->IsStaleFor(db_)) {
+  if (store_ != nullptr) {
     if (reused != nullptr) *reused = true;
     return store_;
   }
-  if (store_declined_generation_ == db_.generation()) return nullptr;
+  if (store_declined_) return nullptr;
   lock.unlock();
   // Over-budget databases (sparse feeds whose domain dwarfs their sample
   // count) decline the store rather than OOM-ing the build; callers fall
   // back to the row-oriented path, which needs per-tick scratch only.
-  // The decision is remembered per generation so later queries skip the
-  // O(N) estimate.
+  // The decision is remembered so later queries skip the O(N) estimate.
   if (SnapshotStore::EstimateColumnarSlots(db_) > kSnapshotStoreSlotBudget) {
     lock.lock();
-    store_declined_generation_ = db_.generation();
+    store_declined_ = true;
     return nullptr;
   }
   // Build outside the lock (the pass touches every trajectory) so
@@ -156,32 +143,13 @@ std::shared_ptr<const SnapshotStore> ConvoyEngine::Store(size_t num_threads,
   auto built = std::make_shared<const SnapshotStore>(
       SnapshotStore::Build(db_, num_threads));
   lock.lock();
-  if (store_ == nullptr || store_->IsStaleFor(db_)) store_ = built;
+  if (store_ == nullptr) store_ = std::move(built);
   return store_;
 }
 
 std::shared_ptr<const SnapshotStore> ConvoyEngine::PeekStore() const {
   std::lock_guard<std::mutex> lock(cache_mu_);
-  return store_ != nullptr && !store_->IsStaleFor(db_) ? store_ : nullptr;
-}
-
-EngineStoreMetrics ConvoyEngine::StoreMetrics() const {
-  EngineStoreMetrics m;
-  // Any fresh-enough store, even mid-build races: the counters live in the
-  // store itself, so whichever instance the engine currently publishes
-  // carries the traffic it has served.
-  if (const std::shared_ptr<const SnapshotStore> store = PeekStore()) {
-    m.store = store->CacheMetrics();
-  }
-  // Relaxed loads: tally reads need no ordering with the cache they
-  // describe (see the fetch_add sites in SimplifiedFor).
-  m.simplify_cache_hits =
-      simplify_cache_hits_.load(std::memory_order_relaxed);
-  m.simplify_cache_misses =
-      simplify_cache_misses_.load(std::memory_order_relaxed);
-  m.delta_cache_hits = delta_cache_hits_.load(std::memory_order_relaxed);
-  m.delta_cache_misses = delta_cache_misses_.load(std::memory_order_relaxed);
-  return m;
+  return store_;
 }
 
 StatusOr<QueryPlan> ConvoyEngine::Prepare(const ConvoyQuery& query,
@@ -247,7 +215,16 @@ StatusOr<QueryPlan> ConvoyEngine::Prepare(const ConvoyQuery& query,
   // unless given) — so a plan's execution is bit-identical to Cuts().
   plan.filter = MakeFilterOptions(*variant, options);
   plan.delta_derived = !(plan.filter.delta > 0.0);
-  plan.delta = plan.delta_derived ? DeltaFor(query.e) : plan.filter.delta;
+  if (plan.delta_derived) {
+    bool delta_hit = false;
+    plan.delta = DeltaFor(query.e, &delta_hit);
+    TraceCount(trace,
+               delta_hit ? TraceCounter::kDeltaCacheHits
+                         : TraceCounter::kDeltaCacheMisses,
+               1);
+  } else {
+    plan.delta = plan.filter.delta;
+  }
   plan.filter.delta = plan.delta;
 
   std::shared_ptr<const std::vector<SimplifiedTrajectory>> simplified;
@@ -309,10 +286,9 @@ std::vector<Convoy> ConvoyEngine::Dispatch(const QueryPlan& plan,
       if (!cache_hit) {
         stats->simplify_seconds += simplify_watch.ElapsedSeconds();
       }
-      CheckCancelled(&hooks);
-      // The filter takes its own copy of the immutable cache entry, and
-      // borrows an already-built store's time domain without building one.
-      // Filter + refinement is bit-identical to the free Cuts().
+      // The filter borrows the immutable cache entry, and an already-built
+      // store's time domain without building one. Filter + refinement is
+      // bit-identical to the free Cuts().
       const CutsFilterResult filtered = CutsFilterPresimplified(
           db_, plan.query, plan.filter, *simplified, plan.delta, stats,
           &hooks, PeekStore().get());
@@ -327,37 +303,11 @@ std::vector<Convoy> ConvoyEngine::Dispatch(const QueryPlan& plan,
   return {};
 }
 
-ConvoyResultSet ConvoyEngine::RunPlan(const QueryPlan& plan,
-                                      ExecHooks hooks) const {
+StatusOr<ConvoyResultSet> ConvoyEngine::Execute(const QueryPlan& plan,
+                                                ExecHooks hooks) const {
   Stopwatch total;
-  hooks.cancel.ThrowIfCancelled();
-
   DiscoveryStats stats;
   TraceSession* const trace = hooks.trace;
-  if (trace != nullptr && hooks.sink) {
-    // Wrap the caller's sink with emission telemetry: time-to-first-convoy
-    // and inter-emission delay (both measured from the execution, on the
-    // sequential emission pass), plus the emitted-convoy counter. Batch
-    // counts are deterministic — emission order is — but the delays are
-    // wall-clock like every Observe'd series.
-    hooks.sink = [trace, inner = std::move(hooks.sink),
-                  start_ns = trace->NowNs(),
-                  last_ns = std::make_shared<std::optional<uint64_t>>()](
-                     std::vector<Convoy>&& batch) {
-      trace->Count(TraceCounter::kConvoysEmitted, batch.size());
-      const uint64_t now = trace->NowNs();
-      if (!last_ns->has_value()) {
-        trace->Observe("sink.time_to_first_convoy_ms",
-                       static_cast<double>(now - start_ns) / 1e6);
-      } else {
-        trace->Observe("sink.inter_emission_ms",
-                       static_cast<double>(now - **last_ns) / 1e6);
-      }
-      *last_ns = now;
-      inner(std::move(batch));
-    };
-  }
-
   std::vector<Convoy> convoys;
   {
     ScopedSpan execute_span(trace, "execute");
@@ -373,16 +323,6 @@ ConvoyResultSet ConvoyEngine::RunPlan(const QueryPlan& plan,
   // joined by here, so the merge sees complete, quiescent buffers.
   if (trace != nullptr) result.set_metrics(trace->Metrics());
   return result;
-}
-
-StatusOr<ConvoyResultSet> ConvoyEngine::Execute(const QueryPlan& plan,
-                                                ExecHooks hooks) const {
-  try {
-    return RunPlan(plan, std::move(hooks));
-  } catch (const CancelledError&) {
-    return Status::Cancelled("query cancelled by CancelToken (" +
-                             std::string(ToString(plan.algorithm)) + ")");
-  }
 }
 
 }  // namespace convoy

@@ -1,7 +1,6 @@
 #ifndef CONVOY_CORE_ENGINE_H_
 #define CONVOY_CORE_ENGINE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -24,22 +23,6 @@
 
 namespace convoy {
 
-/// Engine-lifetime cache counters, accumulated across every query the
-/// engine has served — available without an active trace (the per-query
-/// view of the same events lives in ConvoyResultSet::metrics). Snapshot
-/// via ConvoyEngine::StoreMetrics.
-struct EngineStoreMetrics {
-  /// Grid-cache traffic of the engine's SnapshotStore (zero while no
-  /// store has been built).
-  StoreCacheMetrics store;
-  /// Simplification-cache hits/misses across Prepare/Execute.
-  uint64_t simplify_cache_hits = 0;
-  uint64_t simplify_cache_misses = 0;
-  /// Derived-delta memo hits/misses: a miss ran ComputeDelta.
-  uint64_t delta_cache_hits = 0;
-  uint64_t delta_cache_misses = 0;
-};
-
 /// High-level convoy query interface over a fixed trajectory database.
 ///
 /// The primary API is the planner/executor pair:
@@ -53,9 +36,7 @@ struct EngineStoreMetrics {
 /// CuTS/CuTS+/CuTS*, or — explicitly only — approximate MC2), and resolves
 /// the Section 7.4 tunables; Execute runs the plan and returns a
 /// ConvoyResultSet owning convoys + stats + plan. Execute optionally takes
-/// ExecHooks: a cooperative CancelToken (a fired token aborts the run with
-/// StatusCode::kCancelled), a progress callback, and an incremental sink
-/// that receives verified convoys while the query still runs.
+/// ExecHooks, whose trace records the run's spans and counters.
 ///
 /// Analysts rarely run one query: they sweep `e`, `m`, and `k` until the
 /// result set is meaningful (the paper tunes e per dataset until 1-100
@@ -71,7 +52,7 @@ struct EngineStoreMetrics {
 /// simplification; the first insert wins and the duplicate work is
 /// discarded (benign, and only on the first query of a sweep). Cache
 /// entries are immutable shared snapshots: readers hold a shared_ptr, and
-/// consumers that need ownership (the filter) copy the vector themselves.
+/// the filter borrows the vector for the length of its call.
 class ConvoyEngine {
  public:
   explicit ConvoyEngine(TrajectoryDatabase db) : db_(std::move(db)) {}
@@ -87,22 +68,20 @@ class ConvoyEngine {
   /// statistics. The plan is inspectable via
   /// QueryPlan::Explain() and reusable across Execute calls.
   /// `trace` (optional) records planning spans ("prepare",
-  /// "prepare.simplify") and cache/store counters into a TraceSession
-  /// (obs/trace.h); pass the same session to Execute via ExecHooks::trace
-  /// for a single merged timeline.
+  /// "prepare.simplify") and the delta-memo, simplification-cache and
+  /// store counters into a TraceSession (obs/trace.h); pass the same
+  /// session to Execute via ExecHooks::trace for a single merged timeline.
   StatusOr<QueryPlan> Prepare(const ConvoyQuery& query,
                               AlgorithmChoice choice = AlgorithmChoice::kAuto,
                               const CutsFilterOptions& options = {},
                               const Mc2Options& mc2 = {},
                               TraceSession* trace = nullptr) const;
 
-  /// Runs a prepared plan. Returns the materialized ConvoyResultSet, or
-  /// kCancelled when `hooks.cancel` fired mid-run (the query unwinds at its
-  /// next per-tick/per-partition cancellation point; no partial state
-  /// escapes — the engine cache only ever publishes complete entries and a
-  /// later re-Execute returns the full, correct result). `hooks.progress`
-  /// and `hooks.sink` deliver progress and incremental convoys on the
-  /// calling thread; see core/exec_hooks.h.
+  /// Runs a prepared plan and returns the materialized ConvoyResultSet.
+  /// Reports this execution in a fresh DiscoveryStats: a reused plan's
+  /// one-time planning cost is not re-charged per run. `hooks.trace`
+  /// (optional) records the run's spans and counters, and the result
+  /// carries its metrics; see core/exec_hooks.h.
   StatusOr<ConvoyResultSet> Execute(const QueryPlan& plan,
                                     ExecHooks hooks = {}) const;
 
@@ -114,26 +93,21 @@ class ConvoyEngine {
 
   /// The engine's cached SnapshotStore: built on first use by a
   /// snapshot-consuming plan (CMC, MC2) in Prepare or Execute, then shared
-  /// by every later query until the database generation changes. `reused`
+  /// by every later query. `reused`
   /// (optional out) reports whether the call was served from cache;
   /// `num_threads` sizes the build pass on a miss (0 = all hardware
-  /// threads). Thread-safe; the returned pointer stays valid across a
-  /// concurrent rebuild. Returns null — and CMC / MC2 gather from the rows
-  /// instead — when materializing the database would exceed
-  /// kSnapshotStoreSlotBudget.
+  /// threads). Thread-safe: racing first calls may both build, and the
+  /// first to publish wins. Returns null — and CMC / MC2 gather from the
+  /// rows instead — when materializing the database would exceed
+  /// kSnapshotStoreSlotBudget; the decline is remembered, so later calls
+  /// skip the estimate.
   std::shared_ptr<const SnapshotStore> Store(size_t num_threads = 0,
                                              bool* reused = nullptr) const;
 
-  /// The cached store if one is already built and fresh, else null —
-  /// never triggers a build. Non-snapshot-consuming plans (CuTS) use this
-  /// to borrow an existing store's time domain without paying for one.
+  /// The cached store if one is already built, else null — never triggers
+  /// a build. Non-snapshot-consuming plans (CuTS) use this to borrow an
+  /// existing store's time domain without paying for one.
   std::shared_ptr<const SnapshotStore> PeekStore() const;
-
-  /// Engine-lifetime cache counters: the store's grid-cache traffic plus
-  /// the simplification cache's hits/misses, accumulated across every
-  /// query since construction. Always maintained (relaxed atomics — no
-  /// trace required); exact once concurrent queries have returned.
-  EngineStoreMetrics StoreMetrics() const;
 
  private:
   /// Keyed on the simplifier and the *exact bit pattern* of delta. An
@@ -147,8 +121,7 @@ class ConvoyEngine {
   /// The database simplified with (kind, delta) as an immutable shared
   /// snapshot, served from cache_ when present; computes with `threads`
   /// workers and inserts on miss. `cache_hit` (optional out) reports
-  /// which happened. A hit costs a map lookup and a shared_ptr copy —
-  /// consumers needing ownership copy the vector themselves.
+  /// which happened. A hit costs a map lookup and a shared_ptr copy.
   std::shared_ptr<const std::vector<SimplifiedTrajectory>> SimplifiedFor(
       SimplifierKind kind, double delta, size_t threads,
       bool* cache_hit) const;
@@ -157,19 +130,14 @@ class ConvoyEngine {
   /// engine's lifetime: the delta guideline runs DP splits over a sample
   /// of the trajectories, which a sweep over m and k would otherwise
   /// repeat on every Prepare. The database never changes under an engine,
-  /// so entries never go stale.
-  double DeltaFor(double e) const;
+  /// so entries never go stale. `cache_hit` (optional out) reports whether
+  /// the memo served the call.
+  double DeltaFor(double e, bool* cache_hit) const;
 
-  /// db_.Stats(), memoized and keyed on the database generation counter —
-  /// the same counter the SnapshotStore uses — so repeated Prepare calls
-  /// on an unchanged database never rescan the trajectories (guarded by
-  /// cache_mu_).
+  /// db_.Stats(), computed on the first call and memoized (guarded by
+  /// cache_mu_): the database never changes under an engine, so repeated
+  /// Prepare calls never rescan the trajectories.
   const DatabaseStats& CachedStats() const;
-
-  /// Execute's body; throws CancelledError instead of returning a Status
-  /// (Execute converts). Reports this execution in a fresh DiscoveryStats:
-  /// a reused plan's one-time planning cost is not re-charged per run.
-  ConvoyResultSet RunPlan(const QueryPlan& plan, ExecHooks hooks) const;
 
   /// Runs plan.algorithm's free function (Cmc, CutsFilterPresimplified +
   /// CutsRefine, or Mc2) over the engine's caches and returns its convoys.
@@ -177,7 +145,7 @@ class ConvoyEngine {
                                DiscoveryStats* stats) const;
 
   TrajectoryDatabase db_;
-  /// Guards cache_, db_stats_ (+ generation), and store_. The GUARDED_BY
+  /// Guards cache_, delta_cache_, db_stats_ and store_. The GUARDED_BY
   /// comments below are machine-checked by tools/lint (guarded-member):
   /// mutating an annotated member in a function that never takes the
   /// named mutex is a lint error.
@@ -188,26 +156,13 @@ class ConvoyEngine {
   /// ComputeDelta results keyed on the bit pattern of e (see DeltaFor).
   mutable std::map<uint64_t, double> delta_cache_;  // GUARDED_BY(cache_mu_)
   mutable std::optional<DatabaseStats> db_stats_;  // GUARDED_BY(cache_mu_)
-  mutable uint64_t db_stats_generation_ = 0;   // GUARDED_BY(cache_mu_)
-  /// The tick-partitioned store, built lazily and invalidated when its
-  /// built_generation falls behind db_.generation() (impossible through
-  /// the engine's own const surface — belt and braces for future mutable
-  /// entry points). shared_ptr so in-flight executions keep their store
-  /// alive across a rebuild.
+  /// The tick-partitioned store, built lazily on first use.
   mutable std::shared_ptr<const SnapshotStore>
       store_;                                  // GUARDED_BY(cache_mu_)
-  /// Generation at which the store was last declined as over budget, so
-  /// repeated queries against an over-budget database do not re-pay the
-  /// O(N) estimate on every Prepare/Execute.
-  mutable std::optional<uint64_t>
-      store_declined_generation_;              // GUARDED_BY(cache_mu_)
-  /// Engine-lifetime simplification-cache counters (see StoreMetrics).
-  /// Atomic rather than cache_mu_-guarded: SimplifiedFor counts its result
-  /// after dropping the lock.
-  mutable std::atomic<uint64_t> simplify_cache_hits_{0};
-  mutable std::atomic<uint64_t> simplify_cache_misses_{0};
-  mutable std::atomic<uint64_t> delta_cache_hits_{0};
-  mutable std::atomic<uint64_t> delta_cache_misses_{0};
+  /// Set once the store has been declined as over budget, so repeated
+  /// queries against an over-budget database do not re-pay the O(N)
+  /// estimate on every Prepare/Execute.
+  mutable bool store_declined_ = false;        // GUARDED_BY(cache_mu_)
 };
 
 }  // namespace convoy

@@ -10,10 +10,10 @@
 
 namespace convoy {
 
-// Mirrors TraceCounter::kNumTraceCounters (static_assert'd in metrics.cc);
+// Mirrors TraceCounter::kNumTraceCounters (static_assert'd in trace.cc);
 // kept as a plain constant so this header stays light enough for
 // query/result_set.h to include.
-inline constexpr size_t kQueryMetricsCounters = 39;
+inline constexpr size_t kQueryMetricsCounters = 40;
 
 /// A merged, immutable snapshot of one execution's trace: the deterministic
 /// counter totals, per-name span aggregates (wall-clock), and value-series
@@ -38,9 +38,8 @@ struct QueryMetrics {
   };
   std::vector<SpanAggregate> spans;
 
-  /// Value-series summaries (per-tick latency, time-to-first-convoy,
-  /// inter-emission delay, ...), sorted by name. Quantiles via
-  /// util/stats.h Quantile; excluded from determinism checks.
+  /// Value-series summaries (per-tick latency, ...), sorted by name.
+  /// Quantiles via util/stats.h Quantile; excluded from determinism checks.
   struct SeriesSummary {
     std::string name;
     uint64_t count = 0;

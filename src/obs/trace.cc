@@ -39,11 +39,12 @@ constexpr CounterInfo kCounterInfo[kNumTraceCounters] = {
     {"store.grid_cache_misses", false},
     {"engine.simplify_cache_hits", false},
     {"engine.simplify_cache_misses", false},
+    {"engine.delta_cache_hits", false},
+    {"engine.delta_cache_misses", false},
     {"store.ticks_built", false},
     {"store.points_built", false},
     {"filter.partitions", false},
     {"refine.units", false},
-    {"sink.convoys_emitted", false},
     {"server.batches_accepted", false},
     {"server.batches_rejected", false},
     {"server.ring_high_water", true},

@@ -40,11 +40,12 @@ enum class TraceCounter : uint32_t {
   kGridCacheMisses,          ///< SnapshotStore::GridFor built a grid
   kSimplifyCacheHits,        ///< engine simplification cache hits
   kSimplifyCacheMisses,      ///< engine simplification cache misses
+  kDeltaCacheHits,           ///< engine derived-delta memo hits
+  kDeltaCacheMisses,         ///< engine derived-delta memo misses
   kStoreTicksBuilt,          ///< ticks materialized by a store build
   kStorePointsBuilt,         ///< columnar points materialized by a build
   kFilterPartitions,         ///< CuTS filter partitions clustered
   kRefineUnits,              ///< CuTS refinement windows run
-  kConvoysEmitted,           ///< convoys handed to the incremental sink
   kServerBatchesAccepted,    ///< ingest batches the stream workers processed
   kServerBatchesRejected,    ///< batches NAKed (malformed/out-of-order/full)
   kServerRingHighWater,      ///< max reader->worker ring depth seen (max)
@@ -133,8 +134,8 @@ class TraceSession {
   void CountMax(TraceCounter c, uint64_t value);
 
   /// Appends one observation to the named value series (histogram source:
-  /// per-tick latencies, inter-emission delays, ...). `series` must be a
-  /// string literal or otherwise outlive the session.
+  /// per-tick latencies, ...). `series` must be a string literal or
+  /// otherwise outlive the session.
   void Observe(const char* series, double value);
 
   /// Records a completed span. Prefer ScopedSpan below.
@@ -222,8 +223,8 @@ class ScopedSpan {
   uint64_t start_ns_ = 0;
 };
 
-/// Null-guarded free helpers, mirroring CheckCancelled/ReportProgress in
-/// core/exec_hooks.h: a disabled trace costs exactly one branch.
+/// Null-guarded free helpers, mirroring TraceOf in core/exec_hooks.h: a
+/// disabled trace costs exactly one branch.
 inline void TraceCount(TraceSession* t, TraceCounter c, uint64_t delta) {
   if (t != nullptr) t->Count(c, delta);
 }

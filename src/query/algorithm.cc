@@ -6,7 +6,7 @@ AlgorithmCapabilities CapabilitiesOf(AlgorithmId id) {
   AlgorithmCapabilities caps;
   switch (id) {
     case AlgorithmId::kMc2:
-      // One uninterruptible pass over the snapshots, with false positives
+      // One single-threaded pass over the snapshots, with false positives
       // and negatives by design.
       caps.exact = false;
       caps.uses_snapshot_store = true;
@@ -21,9 +21,6 @@ AlgorithmCapabilities CapabilitiesOf(AlgorithmId id) {
       caps.uses_simplification = true;
       break;
   }
-  caps.supports_cancel = true;
-  caps.supports_progress = true;
-  caps.supports_incremental = true;
   caps.supports_threads = true;
   return caps;
 }

@@ -30,8 +30,7 @@ enum class AlgorithmChoice {
 };
 
 /// Static properties of an algorithm, surfaced through EXPLAIN and the
-/// README capability matrix. "Incremental" means execution honours an
-/// ExecHooks sink by emitting verified convoys as execution units complete.
+/// README capability matrix.
 struct AlgorithmCapabilities {
   bool exact = true;                 ///< result set == CMC's on every input
   bool uses_simplification = false;  ///< consumes the (simplifier, delta) cache
@@ -40,9 +39,6 @@ struct AlgorithmCapabilities {
   /// family clusters simplified polylines, not snapshots) never trigger a
   /// store build — they only reuse an already-built store's time domain.
   bool uses_snapshot_store = false;
-  bool supports_cancel = false;      ///< honours ExecHooks::cancel
-  bool supports_progress = false;    ///< honours ExecHooks::progress
-  bool supports_incremental = false; ///< honours ExecHooks::sink
   bool supports_threads = false;     ///< num_threads > 1 changes wall clock
 };
 

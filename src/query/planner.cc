@@ -46,7 +46,7 @@ std::string QueryPlan::Explain() const {
       << db_stats.time_domain_length << " points=" << db_stats.total_points
       << "\n";
   // Store provenance: "built" = this plan paid the one-time columnar
-  // build, "reused" = served from the engine's generation-keyed cache.
+  // build, "reused" = served from the engine's cached store.
   out << "  snapshot store: ";
   if (store_cache == PlanCacheStatus::kNotApplicable) {
     out << "n/a (row-oriented path)\n";
@@ -77,9 +77,6 @@ std::string QueryPlan::Explain() const {
   }
   out << "  capabilities: " << (caps.exact ? "exact" : "approximate");
   if (caps.uses_simplification) out << ", simplification";
-  if (caps.supports_cancel) out << ", cancel";
-  if (caps.supports_progress) out << ", progress";
-  if (caps.supports_incremental) out << ", incremental";
   if (caps.supports_threads) out << ", threads";
   out << "\n";
   return out.str();

@@ -41,10 +41,6 @@ std::vector<Convoy> TopKConvoys(const std::vector<Convoy>& result, size_t k);
 /// to pass around instead of three out-parameters. Iterable
 /// (`for (const Convoy& c : result_set)`) and queryable via the helper
 /// methods, which forward to the free helpers above.
-///
-/// For incremental consumption — convoys delivered while the query still
-/// runs — pass an ExecHooks::sink to ConvoyEngine::Execute; the result set
-/// returned at the end is the same either way.
 class ConvoyResultSet {
  public:
   ConvoyResultSet() = default;

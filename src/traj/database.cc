@@ -11,13 +11,11 @@ TrajectoryDatabase::TrajectoryDatabase(std::vector<Trajectory> trajectories)
   for (size_t i = 0; i < trajectories_.size(); ++i) {
     id_index_.try_emplace(trajectories_[i].id(), i);
   }
-  generation_ = trajectories_.size();
 }
 
 void TrajectoryDatabase::Add(Trajectory traj) {
   id_index_.try_emplace(traj.id(), trajectories_.size());
   trajectories_.push_back(std::move(traj));
-  ++generation_;
 }
 
 std::optional<size_t> TrajectoryDatabase::IndexOf(ObjectId id) const {

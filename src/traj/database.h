@@ -2,7 +2,6 @@
 #define CONVOY_TRAJ_DATABASE_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -37,7 +36,7 @@ class TrajectoryDatabase {
   explicit TrajectoryDatabase(std::vector<Trajectory> trajectories);
 
   /// Adds a trajectory; empty trajectories are stored too (harmless, but
-  /// they never participate in clustering). Bumps the generation counter.
+  /// they never participate in clustering).
   void Add(Trajectory traj);
 
   size_t Size() const { return trajectories_.size(); }
@@ -45,12 +44,6 @@ class TrajectoryDatabase {
 
   const std::vector<Trajectory>& trajectories() const { return trajectories_; }
   const Trajectory& operator[](size_t i) const { return trajectories_[i]; }
-
-  /// Mutation counter: bumped by every Add, so derived structures
-  /// (SnapshotStore, the engine's memoized DatabaseStats) can detect a
-  /// stale snapshot of *this instance* cheaply. Copies carry the counter
-  /// along; two independently built databases are not comparable by it.
-  uint64_t generation() const { return generation_; }
 
   /// Index of the trajectory with the given object id, or nullopt. O(1)
   /// via the id map maintained by Add; if several trajectories share an id
@@ -73,7 +66,6 @@ class TrajectoryDatabase {
  private:
   std::vector<Trajectory> trajectories_;
   std::unordered_map<ObjectId, size_t> id_index_;
-  uint64_t generation_ = 0;
 };
 
 }  // namespace convoy

@@ -38,8 +38,6 @@ size_t SnapshotStore::EstimateColumnarSlots(const TrajectoryDatabase& db) {
 SnapshotStore SnapshotStore::Build(const TrajectoryDatabase& db,
                                    size_t num_threads) {
   SnapshotStore store;
-  store.built_generation_ = db.generation();
-
   const Tick begin = db.BeginTick();
   const Tick end = db.EndTick();
   if (db.Empty() || end < begin) return store;  // no nonempty trajectory
@@ -131,14 +129,9 @@ std::shared_ptr<const GridIndex> SnapshotStore::GridFor(
   std::unique_lock<std::mutex> lock(grid_cache_->mu);
   const auto it = grid_cache_->grids.find(key);
   if (it != grid_cache_->grids.end()) {
-    // Relaxed (here and for misses/evictions below): independent monotone
-    // tallies read only by CacheMetrics, which documents that concurrent
-    // reads are approximations — no ordering with the cache state needed.
-    grid_cache_->hits.fetch_add(1, std::memory_order_relaxed);
     if (cache_hit != nullptr) *cache_hit = true;
     return it->second;
   }
-  grid_cache_->misses.fetch_add(1, std::memory_order_relaxed);
   if (cache_hit != nullptr) *cache_hit = false;
   // Build outside the lock so concurrent misses on *other* ticks are not
   // serialized behind this one; a racing miss on the same key recomputes
@@ -161,7 +154,6 @@ std::shared_ptr<const GridIndex> SnapshotStore::GridFor(
       if (entry->first.second == evicted) {
         cache.cached_slots -= entry->second->FootprintSlots();
         entry = cache.grids.erase(entry);
-        cache.evictions.fetch_add(1, std::memory_order_relaxed);
       } else {
         entry = std::next(entry);
       }
@@ -193,17 +185,6 @@ std::shared_ptr<const GridIndex> SnapshotStore::GridFor(
 size_t SnapshotStore::GridCacheSize() const {
   std::lock_guard<std::mutex> lock(grid_cache_->mu);
   return grid_cache_->grids.size();
-}
-
-StoreCacheMetrics SnapshotStore::CacheMetrics() const {
-  StoreCacheMetrics m;
-  // Relaxed loads: lifetime tallies, exact once queries are quiescent;
-  // a read racing GridFor may miss in-flight increments (documented in
-  // StoreCacheMetrics), which needs no cross-counter ordering.
-  m.grid_cache_hits = grid_cache_->hits.load(std::memory_order_relaxed);
-  m.grid_cache_misses = grid_cache_->misses.load(std::memory_order_relaxed);
-  m.grid_evictions = grid_cache_->evictions.load(std::memory_order_relaxed);
-  return m;
 }
 
 }  // namespace convoy

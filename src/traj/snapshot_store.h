@@ -1,7 +1,6 @@
 #ifndef CONVOY_TRAJ_SNAPSHOT_STORE_H_
 #define CONVOY_TRAJ_SNAPSHOT_STORE_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -40,16 +39,6 @@ struct SnapshotView {
   Point At(size_t i) const { return Point(xs[i], ys[i]); }
 };
 
-/// Lifetime counters of a SnapshotStore's grid cache, accumulated across
-/// every query the store has served (relaxed atomics — exact totals once
-/// readers are quiescent, monotone approximations while queries run).
-/// Surfaced by ConvoyEngine::StoreMetrics even when no trace is attached.
-struct StoreCacheMetrics {
-  uint64_t grid_cache_hits = 0;    ///< GridFor served from cache
-  uint64_t grid_cache_misses = 0;  ///< GridFor built a fresh index
-  uint64_t grid_evictions = 0;     ///< cached grids retired by the bounds
-};
-
 /// SnapshotStore — a tick-partitioned, structure-of-arrays materialization
 /// of "the set of objects at time t", the unit every convoy algorithm in
 /// the paper iterates.
@@ -68,10 +57,6 @@ struct StoreCacheMetrics {
 ///  * per-tick GridIndex instances built lazily at a requested eps and
 ///    cached (thread-safe), so repeated queries at the same eps reuse
 ///    indexes instead of rebuilding them every call.
-///
-/// Staleness: the store remembers the database's generation() at build
-/// time; IsStaleFor detects mutation of the same database instance. The
-/// engine keys its cached store on this (see ConvoyEngine).
 ///
 /// Thread-safety: immutable after Build apart from the mutex-guarded grid
 /// cache, so concurrent readers (threaded CMC's workers, concurrent engine
@@ -143,20 +128,6 @@ class SnapshotStore {
   /// Number of cached grid indexes (for tests / monitoring).
   size_t GridCacheSize() const;
 
-  /// Lifetime grid-cache counters (see StoreCacheMetrics). Always
-  /// maintained — three relaxed atomic adds per GridFor, no trace needed.
-  StoreCacheMetrics CacheMetrics() const;
-
-  /// The database generation this store was built from.
-  uint64_t built_generation() const { return built_generation_; }
-
-  /// True when `db` has been mutated since this store was built from it.
-  /// Only meaningful for the same database instance (or copies sharing its
-  /// mutation history) the store was built from.
-  bool IsStaleFor(const TrajectoryDatabase& db) const {
-    return built_generation_ != db.generation();
-  }
-
  private:
   size_t TickSlot(Tick t) const { return static_cast<size_t>(t - begin_tick_); }
 
@@ -167,7 +138,6 @@ class SnapshotStore {
   std::vector<double> xs_;
   std::vector<double> ys_;
   std::vector<ObjectId> ids_;
-  uint64_t built_generation_ = 0;
 
   /// Lazily built per-(tick, eps) grid indexes, bounded to the
   /// kMaxCachedEpsValues most recently introduced eps values (FIFO over
@@ -181,12 +151,6 @@ class SnapshotStore {
     std::vector<uint64_t> eps_order;  // GUARDED_BY(mu)
     /// Sum of FootprintSlots over cached grids.
     size_t cached_slots = 0;          // GUARDED_BY(mu)
-    /// Lifetime counters (StoreCacheMetrics). Atomic because hits are
-    /// counted after the lock drops; riding in the unique_ptr'd cache
-    /// keeps the store movable.
-    std::atomic<uint64_t> hits{0};
-    std::atomic<uint64_t> misses{0};
-    std::atomic<uint64_t> evictions{0};
   };
   std::unique_ptr<GridCache> grid_cache_;
 };

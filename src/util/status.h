@@ -21,7 +21,7 @@ enum class StatusCode {
   kNotFound,            ///< a named resource (file, preset) does not exist
   kDataError,           ///< input data violates the format it claims to have
   kInternal,            ///< an invariant the library itself maintains broke
-  kCancelled,           ///< the caller's CancelToken aborted the operation
+  kCancelled,           ///< the connection closed (peer EOF or a shutdown)
   kDeadlineExceeded,    ///< the caller's wall-clock deadline expired
   kRetryAfter,          ///< overloaded: back off and retry the same request
 };

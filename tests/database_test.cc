@@ -74,15 +74,5 @@ TEST(DatabaseTest, IndexOfAndFindResolveById) {
   EXPECT_EQ(db.Find(99), nullptr);
 }
 
-TEST(DatabaseTest, GenerationBumpsOnEveryAdd) {
-  TrajectoryDatabase db;
-  const uint64_t g0 = db.generation();
-  db.Add(Trajectory(0));
-  EXPECT_GT(db.generation(), g0);
-  const uint64_t g1 = db.generation();
-  db.Add(Trajectory(1));
-  EXPECT_GT(db.generation(), g1);
-}
-
 }  // namespace
 }  // namespace convoy

@@ -7,6 +7,7 @@
 
 #include "core/cmc.h"
 #include "core/params.h"
+#include "obs/trace.h"
 #include "tests/test_util.h"
 
 namespace convoy {
@@ -89,7 +90,6 @@ TEST(EngineTest, SnapshotStoreBuiltOnceAndShared) {
   const auto first = engine.Store(1, &reused);
   ASSERT_NE(first, nullptr);
   EXPECT_FALSE(reused);  // first call pays the build
-  EXPECT_FALSE(first->IsStaleFor(engine.db()));
 
   const auto second = engine.Store(1, &reused);
   EXPECT_TRUE(reused);
@@ -131,37 +131,48 @@ TEST(EngineTest, CachedResultsStayCorrect) {
 
 // ComputeDelta runs once per e for the engine's lifetime: a second Prepare
 // at the same e — here with other m and k, as in an m/k sweep — reads the
-// memo and plans with the bit-identical delta.
+// memo and plans with the bit-identical delta. Every Prepare records into
+// one trace, so the delta counters read as running totals.
 TEST(EngineTest, DerivedDeltaIsMemoizedPerE) {
   const ConvoyEngine engine = MakeEngine(6);
   const ConvoyQuery query{3, 6, 4.0};
+  TraceSession trace;
+  const auto misses = [&trace] {
+    return trace.counter(TraceCounter::kDeltaCacheMisses);
+  };
+  const auto hits = [&trace] {
+    return trace.counter(TraceCounter::kDeltaCacheHits);
+  };
   const StatusOr<QueryPlan> first =
-      engine.Prepare(query, AlgorithmChoice::kCutsStar);
+      engine.Prepare(query, AlgorithmChoice::kCutsStar, {}, {}, &trace);
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(first->delta_derived);
-  EXPECT_EQ(engine.StoreMetrics().delta_cache_misses, 1u);
-  EXPECT_EQ(engine.StoreMetrics().delta_cache_hits, 0u);
+  EXPECT_EQ(misses(), 1u);
+  EXPECT_EQ(hits(), 0u);
   EXPECT_EQ(std::bit_cast<uint64_t>(first->delta),
             std::bit_cast<uint64_t>(ComputeDelta(engine.db(), query.e)));
 
-  const StatusOr<QueryPlan> second =
-      engine.Prepare(ConvoyQuery{2, 9, 4.0}, AlgorithmChoice::kCuts);
+  const StatusOr<QueryPlan> second = engine.Prepare(
+      ConvoyQuery{2, 9, 4.0}, AlgorithmChoice::kCuts, {}, {}, &trace);
   ASSERT_TRUE(second.ok());
-  EXPECT_EQ(engine.StoreMetrics().delta_cache_misses, 1u);
-  EXPECT_EQ(engine.StoreMetrics().delta_cache_hits, 1u);
+  EXPECT_EQ(misses(), 1u);
+  EXPECT_EQ(hits(), 1u);
   EXPECT_EQ(std::bit_cast<uint64_t>(second->delta),
             std::bit_cast<uint64_t>(first->delta));
 
   // Another e is another key; a given delta bypasses the memo.
-  ASSERT_TRUE(
-      engine.Prepare(ConvoyQuery{3, 6, 5.0}, AlgorithmChoice::kCutsStar).ok());
-  EXPECT_EQ(engine.StoreMetrics().delta_cache_misses, 2u);
+  ASSERT_TRUE(engine
+                  .Prepare(ConvoyQuery{3, 6, 5.0}, AlgorithmChoice::kCutsStar,
+                           {}, {}, &trace)
+                  .ok());
+  EXPECT_EQ(misses(), 2u);
   CutsFilterOptions given;
   given.delta = 1.5;
   ASSERT_TRUE(
-      engine.Prepare(query, AlgorithmChoice::kCutsStar, given).ok());
-  EXPECT_EQ(engine.StoreMetrics().delta_cache_misses, 2u);
-  EXPECT_EQ(engine.StoreMetrics().delta_cache_hits, 1u);
+      engine.Prepare(query, AlgorithmChoice::kCutsStar, given, {}, &trace)
+          .ok());
+  EXPECT_EQ(misses(), 2u);
+  EXPECT_EQ(hits(), 1u);
 }
 
 }  // namespace

@@ -8,7 +8,7 @@
 #include <optional>
 #include <string>
 #include <thread>
-#include <tuple>
+#include <vector>
 
 #include "core/cmc.h"
 #include "core/cuts.h"
@@ -86,26 +86,18 @@ TEST(ParallelEquivalenceTest, CmcStatsCountEveryClustering) {
 // Everything a CMC run hands its caller, compared across thread counts.
 struct ObservedCmc {
   std::vector<Convoy> convoys;
-  std::vector<std::vector<Convoy>> batches;
-  std::vector<std::tuple<std::string, size_t, size_t>> progress;
   size_t clusterings = 0;
   std::vector<uint64_t> counters;
 };
 
-// Runs `run(&stats, &hooks)` with a sink, a progress hook and a trace
-// attached, and records what they saw.
+// Runs `run(&stats, &hooks)` with a trace attached, and records what it
+// returned and counted.
 template <typename RunFn>
 ObservedCmc ObserveCmc(RunFn&& run) {
   ObservedCmc out;
   TraceSession trace;
   ExecHooks hooks;
   hooks.trace = &trace;
-  hooks.sink = [&out](std::vector<Convoy>&& batch) {
-    out.batches.push_back(std::move(batch));
-  };
-  hooks.progress = [&out](const ProgressUpdate& update) {
-    out.progress.emplace_back(update.phase, update.done, update.total);
-  };
   DiscoveryStats stats;
   out.convoys = run(&stats, &hooks);
   out.clusterings = stats.num_clusterings;
@@ -118,8 +110,6 @@ ObservedCmc ObserveCmc(RunFn&& run) {
 void ExpectSameObservation(const ObservedCmc& got, const ObservedCmc& want,
                            const std::string& what) {
   EXPECT_EQ(got.convoys, want.convoys) << what;
-  EXPECT_EQ(got.batches, want.batches) << what;
-  EXPECT_EQ(got.progress, want.progress) << what;
   EXPECT_EQ(got.clusterings, want.clusterings) << what;
   for (size_t c = 0; c < kNumTraceCounters; ++c) {
     EXPECT_EQ(got.counters[c], want.counters[c])
@@ -131,8 +121,8 @@ void ExpectSameObservation(const ObservedCmc& got, const ObservedCmc& want,
 // restarting the row cursors at its first tick. A gappy database of 700
 // ticks crosses two block boundaries, and the range below begins inside a
 // sampling gap. Over the rows and over the store, every thread count must
-// hand the caller exactly what one thread does: convoys, sink batches,
-// progress, clusterings and every traced counter.
+// hand the caller exactly what one thread does: convoys, clusterings and
+// every traced counter.
 TEST(ParallelEquivalenceTest, CmcAcrossBlocksAndGapsIsIdentical) {
   Rng rng(606);
   const TrajectoryDatabase db =
@@ -177,8 +167,8 @@ TEST(ParallelEquivalenceTest, CmcAcrossBlocksAndGapsIsIdentical) {
   for (const bool use_store : {false, true}) {
     query.num_threads = 1;
     const auto [full, range] = observe_all(use_store);
-    EXPECT_FALSE(full.batches.empty());
-    EXPECT_FALSE(range.batches.empty());
+    EXPECT_FALSE(full.convoys.empty());
+    EXPECT_FALSE(range.convoys.empty());
     for (const size_t threads : kThreadCounts) {
       query.num_threads = threads;
       const auto [got_full, got_range] = observe_all(use_store);
@@ -229,6 +219,8 @@ TEST(ParallelEquivalenceTest, CutsFilterMatchesSerialExactly) {
       const CutsFilterOptions options = MakeFilterOptions(variant);
       query.num_threads = 1;
       const CutsFilterResult serial = CutsFilter(db, query, options);
+      const std::vector<SimplifiedTrajectory> serial_simplified =
+          SimplifyDatabase(db, serial.delta_used, options.simplifier, 1);
       for (const size_t threads : kThreadCounts) {
         query.num_threads = threads;
         const CutsFilterResult parallel = CutsFilter(db, query, options);
@@ -251,10 +243,15 @@ TEST(ParallelEquivalenceTest, CutsFilterMatchesSerialExactly) {
         EXPECT_EQ(parallel.members.length, serial.members.length);
         EXPECT_EQ(parallel.members.offsets, serial.members.offsets);
         EXPECT_EQ(parallel.members.ids, serial.members.ids);
-        ASSERT_EQ(parallel.simplified.size(), serial.simplified.size());
-        for (size_t i = 0; i < serial.simplified.size(); ++i) {
-          EXPECT_EQ(parallel.simplified[i].NumVertices(),
-                    serial.simplified[i].NumVertices());
+        // The simplification the filter runs on, at this thread count.
+        const std::vector<SimplifiedTrajectory> simplified = SimplifyDatabase(
+            db, serial.delta_used, options.simplifier, threads);
+        ASSERT_EQ(simplified.size(), serial_simplified.size());
+        for (size_t i = 0; i < serial_simplified.size(); ++i) {
+          EXPECT_EQ(simplified[i].id(), serial_simplified[i].id());
+          EXPECT_EQ(simplified[i].vertices(), serial_simplified[i].vertices())
+              << ToString(variant) << " seed " << seed << ", object " << i
+              << ", " << threads << " thread(s)";
         }
       }
     }

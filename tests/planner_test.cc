@@ -190,8 +190,7 @@ TEST(PlannerTest, PlanSurfaceIsPinnedPerChoice) {
        "  simplification cache: miss\n"
        "  estimated work: 43 partition clustering(s), ~1290 object-clustering "
        "units (refinement excluded)\n"
-       "  capabilities: exact, simplification, cancel, progress, incremental, "
-       "threads\n",
+       "  capabilities: exact, simplification, threads\n",
        R"("plan":{"algorithm":"CuTS*","requested":"auto",)"
        R"("query":{"m":3,"k":6,"e":4,"threads":1},"delta":1.25,)"
        R"("delta_derived":false,"lambda":7,"lambda_derived":false,)"
@@ -210,7 +209,7 @@ TEST(PlannerTest, PlanSurfaceIsPinnedPerChoice) {
        "  lambda:      n/a\n"
        "  estimated work: 300 snapshot clustering(s), ~7131 "
        "object-clustering units (exact columnar alive counts)\n"
-       "  capabilities: exact, cancel, progress, incremental, threads\n",
+       "  capabilities: exact, threads\n",
        R"("plan":{"algorithm":"CMC","requested":"CMC",)"
        R"("query":{"m":3,"k":6,"e":4,"threads":1},"cache":"n/a",)"
        R"("exact":true,"database":{"objects":30,"ticks":300,"points":7131},)"
@@ -228,8 +227,7 @@ TEST(PlannerTest, PlanSurfaceIsPinnedPerChoice) {
        "  simplification cache: miss\n"
        "  estimated work: 43 partition clustering(s), ~1290 object-clustering "
        "units (refinement excluded)\n"
-       "  capabilities: exact, simplification, cancel, progress, incremental, "
-       "threads\n",
+       "  capabilities: exact, simplification, threads\n",
        R"("plan":{"algorithm":"CuTS","requested":"CuTS",)"
        R"("query":{"m":3,"k":6,"e":4,"threads":1},"delta":1.25,)"
        R"("delta_derived":false,"lambda":7,"lambda_derived":false,)"
@@ -249,8 +247,7 @@ TEST(PlannerTest, PlanSurfaceIsPinnedPerChoice) {
        "  simplification cache: miss\n"
        "  estimated work: 43 partition clustering(s), ~1290 object-clustering "
        "units (refinement excluded)\n"
-       "  capabilities: exact, simplification, cancel, progress, incremental, "
-       "threads\n",
+       "  capabilities: exact, simplification, threads\n",
        R"("plan":{"algorithm":"CuTS+","requested":"CuTS+",)"
        R"("query":{"m":3,"k":6,"e":4,"threads":1},"delta":1.25,)"
        R"("delta_derived":false,"lambda":7,"lambda_derived":false,)"
@@ -270,8 +267,7 @@ TEST(PlannerTest, PlanSurfaceIsPinnedPerChoice) {
        "  simplification cache: miss\n"
        "  estimated work: 43 partition clustering(s), ~1290 object-clustering "
        "units (refinement excluded)\n"
-       "  capabilities: exact, simplification, cancel, progress, incremental, "
-       "threads\n",
+       "  capabilities: exact, simplification, threads\n",
        R"("plan":{"algorithm":"CuTS*","requested":"CuTS*",)"
        R"("query":{"m":3,"k":6,"e":4,"threads":1},"delta":1.25,)"
        R"("delta_derived":false,"lambda":7,"lambda_derived":false,)"

@@ -106,13 +106,9 @@ TEST(RaceStressTest, ConcurrentPrepareExecuteDiscoverOneEngine) {
           }
           cuts_prints[static_cast<size_t>(t)] =
               Fingerprint(cuts_result->convoys());
-          // Metrics reads racing the queries above (from sibling threads)
-          // must be safe and monotone-consistent.
-          const EngineStoreMetrics m = engine.StoreMetrics();
-          if (m.simplify_cache_hits + m.simplify_cache_misses == 0 &&
-              i > 0) {
-            failures.fetch_add(1);
-          }
+          // A cache read racing sibling threads' inserts; this thread's
+          // own CuTS* Prepare has published an entry by now.
+          if (engine.CacheSize() == 0) failures.fetch_add(1);
         }
       });
     }
@@ -179,9 +175,9 @@ TEST(RaceStressTest, ConcurrentCutsFilterSharedSimplification) {
 }
 
 // GridFor builders racing readers during eviction churn: more distinct eps
-// values than kMaxCachedEpsValues cycle through the cache while other
-// threads poll GridCacheSize / CacheMetrics. Returned grids must stay
-// usable even after their eps is evicted (shared_ptr keeps them alive).
+// values than kMaxCachedEpsValues cycle through the cache while another
+// thread polls GridCacheSize. Returned grids must stay usable even after
+// their eps is evicted (shared_ptr keeps them alive).
 TEST(RaceStressTest, GridCacheEvictionVsConcurrentReaders) {
   Rng rng(42);
   const TrajectoryDatabase db = RandomClumpyDb(rng, 25, 20, 40.0, 1.0);
@@ -190,8 +186,12 @@ TEST(RaceStressTest, GridCacheEvictionVsConcurrentReaders) {
 
   // Twice the cache bound, so steady-state request traffic keeps evicting.
   const size_t num_eps = 2 * SnapshotStore::kMaxCachedEpsValues;
+  const size_t max_cached =
+      SnapshotStore::kMaxCachedEpsValues * store.NumTicks();
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> gridfor_calls{0};
+  std::atomic<uint64_t> hits{0};
+  std::atomic<uint64_t> misses{0};
   std::atomic<int> failures{0};
 
   std::vector<std::thread> builders;
@@ -204,9 +204,11 @@ TEST(RaceStressTest, GridCacheEvictionVsConcurrentReaders) {
               store.begin_tick() +
               static_cast<Tick>((round + t) % static_cast<int>(
                                     std::max<size_t>(store.NumTicks(), 1)));
+          bool cache_hit = false;
           const std::shared_ptr<const GridIndex> grid =
-              store.GridFor(tick, eps);
+              store.GridFor(tick, eps, &cache_hit);
           gridfor_calls.fetch_add(1);
+          (cache_hit ? hits : misses).fetch_add(1);
           if (grid == nullptr) failures.fetch_add(1);
         }
       }
@@ -214,12 +216,7 @@ TEST(RaceStressTest, GridCacheEvictionVsConcurrentReaders) {
   }
   std::thread reader([&] {
     while (!stop.load()) {
-      (void)store.GridCacheSize();
-      const StoreCacheMetrics m = store.CacheMetrics();
-      if (m.grid_cache_hits + m.grid_cache_misses >
-          gridfor_calls.load() + 1000000) {
-        failures.fetch_add(1);
-      }
+      if (store.GridCacheSize() > max_cached) failures.fetch_add(1);
     }
   });
   for (std::thread& th : builders) th.join();
@@ -227,13 +224,10 @@ TEST(RaceStressTest, GridCacheEvictionVsConcurrentReaders) {
   reader.join();
 
   EXPECT_EQ(failures.load(), 0);
-  const StoreCacheMetrics final_metrics = store.CacheMetrics();
-  // Quiescent totals are exact: every GridFor was either a hit or a miss.
-  EXPECT_EQ(final_metrics.grid_cache_hits + final_metrics.grid_cache_misses,
-            gridfor_calls.load());
-  EXPECT_GT(final_metrics.grid_evictions, 0u);
-  EXPECT_LE(store.GridCacheSize(),
-            SnapshotStore::kMaxCachedEpsValues * store.NumTicks());
+  // Every GridFor was either a hit or a miss.
+  EXPECT_EQ(hits.load() + misses.load(), gridfor_calls.load());
+  EXPECT_GT(misses.load(), 0u);
+  EXPECT_LE(store.GridCacheSize(), max_cached);
 }
 
 // TraceSession merged reads racing the recording threads: recorders spin
@@ -343,22 +337,17 @@ TEST(RaceStressTest, StreamingTicksVsTraceReads) {
             static_cast<uint64_t>(kTicks));
 }
 
-// StoreMetrics readers racing first-use store construction: the very
-// first CMC queries build the SnapshotStore while other threads poll the
-// engine's metrics surface and PeekStore.
-TEST(RaceStressTest, StoreMetricsVsFirstQuery) {
+// PeekStore / CacheSize readers racing first-use store construction: the
+// very first CMC queries build the SnapshotStore while another thread
+// polls the engine's cache surfaces.
+TEST(RaceStressTest, PeekStoreAndCacheSizeVsFirstQuery) {
   Rng rng(7);
   ConvoyEngine engine(RandomClumpyDb(rng, 25, 20, 40.0, 1.0));
   const ConvoyQuery query{3, 4, 4.0};
 
   std::atomic<bool> stop{false};
-  std::atomic<int> failures{0};
   std::thread poller([&] {
     while (!stop.load()) {
-      const EngineStoreMetrics m = engine.StoreMetrics();
-      if (m.store.grid_cache_hits > 0 && m.store.grid_cache_misses == 0) {
-        failures.fetch_add(1);  // a hit without any prior miss is impossible
-      }
       (void)engine.PeekStore();
       (void)engine.CacheSize();
     }
@@ -376,7 +365,6 @@ TEST(RaceStressTest, StoreMetricsVsFirstQuery) {
   stop.store(true);
   poller.join();
 
-  EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(prints[1], prints[0]);
   EXPECT_EQ(prints[2], prints[0]);
 }

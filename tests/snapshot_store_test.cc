@@ -223,20 +223,5 @@ TEST(SnapshotStoreTest, EstimateColumnarSlotsMatchesBuild) {
   EXPECT_EQ(SnapshotStore::EstimateColumnarSlots(TrajectoryDatabase{}), 0u);
 }
 
-TEST(SnapshotStoreTest, StalenessTracksDatabaseGeneration) {
-  TrajectoryDatabase db;
-  Trajectory a(0);
-  a.Append(0, 0, 0);
-  a.Append(1, 0, 1);
-  db.Add(std::move(a));
-  const SnapshotStore store = SnapshotStore::Build(db);
-  EXPECT_FALSE(store.IsStaleFor(db));
-  Trajectory b(1);
-  b.Append(5, 5, 0);
-  db.Add(std::move(b));  // mutation bumps the generation
-  EXPECT_TRUE(store.IsStaleFor(db));
-  EXPECT_FALSE(SnapshotStore::Build(db).IsStaleFor(db));
-}
-
 }  // namespace
 }  // namespace convoy

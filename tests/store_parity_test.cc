@@ -192,7 +192,7 @@ TEST(StoreParityTest, OverBudgetDatabaseDeclinesStore) {
             kSnapshotStoreSlotBudget);
   const ConvoyEngine engine(db);
   EXPECT_EQ(engine.Store(1), nullptr);
-  EXPECT_EQ(engine.Store(1), nullptr);  // decline memoized per generation
+  EXPECT_EQ(engine.Store(1), nullptr);  // the decline is memoized
   const auto plan = engine.Prepare(ConvoyQuery{2, 2, 5.0});
   ASSERT_TRUE(plan.ok());
   EXPECT_EQ(plan->store_cache, PlanCacheStatus::kNotApplicable);

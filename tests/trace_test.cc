@@ -166,7 +166,7 @@ TEST(TraceSessionTest, CountersSumAndMax) {
   trace.CountMax(TraceCounter::kTrackerLiveMax, 5);  // lower: ignored
   EXPECT_EQ(trace.counter(TraceCounter::kDbscanPointsScanned), 7u);
   EXPECT_EQ(trace.counter(TraceCounter::kTrackerLiveMax), 7u);
-  EXPECT_EQ(trace.counter(TraceCounter::kConvoysEmitted), 0u);
+  EXPECT_EQ(trace.counter(TraceCounter::kRefineUnits), 0u);
   EXPECT_TRUE(IsMaxCounter(TraceCounter::kTrackerLiveMax));
   EXPECT_FALSE(IsMaxCounter(TraceCounter::kDbscanPointsScanned));
 }
@@ -262,7 +262,7 @@ TEST(TraceSessionTest, DisabledTraceAllocatesNothing) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine integration: counter determinism, sinks, metrics plumbing.
+// Engine integration: counter determinism, cache counters, metrics plumbing.
 // ---------------------------------------------------------------------------
 
 // One traced CMC-family execution on a FRESH engine (a fresh engine builds a
@@ -306,59 +306,43 @@ TEST(TraceEngineTest, CounterTotalsBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(TraceEngineTest, SinkCountsEmissionsAndRecordsSeries) {
-  Rng rng(7);
-  const TrajectoryDatabase db = RandomClumpyDb(rng, 30, 20, 40.0, 1.0);
-  ConvoyEngine engine(db);
-  TraceSession trace;
-  const auto plan = engine.Prepare(ConvoyQuery{3, 3, 5.0},
-                                   AlgorithmChoice::kCmc, {}, {}, &trace);
-  ASSERT_TRUE(plan.ok());
-  ExecHooks hooks;
-  hooks.trace = &trace;
-  size_t sink_total = 0;
-  hooks.sink = [&sink_total](std::vector<Convoy>&& batch) {
-    sink_total += batch.size();
-  };
-  const auto result = engine.Execute(*plan, hooks);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(trace.counter(TraceCounter::kConvoysEmitted), sink_total);
-  if (sink_total > 0) {
-    const QueryMetrics metrics = result->metrics();
-    bool found = false;
-    for (const QueryMetrics::SeriesSummary& s : metrics.series) {
-      if (s.name == "sink.time_to_first_convoy_ms") found = true;
-    }
-    EXPECT_TRUE(found);
-  }
-}
-
-TEST(TraceEngineTest, EngineStoreMetricsAccumulateWithoutTrace) {
+// The engine's caches report through each run's own trace: a warm
+// re-Execute of a CMC plan is served from the store's grid cache alone,
+// and a second CuTS* Prepare at the same e hits the simplification cache.
+TEST(TraceEngineTest, CacheTrafficShowsInEachRunsTrace) {
   Rng rng(11);
   const TrajectoryDatabase db = RandomClumpyDb(rng, 30, 20, 40.0, 1.0);
   ConvoyEngine engine(db);
   const auto plan = engine.Prepare(ConvoyQuery{3, 3, 5.0},
                                    AlgorithmChoice::kCmc);
   ASSERT_TRUE(plan.ok());
-  ASSERT_TRUE(engine.Execute(*plan).ok());
-  const EngineStoreMetrics cold = engine.StoreMetrics();
-  EXPECT_GT(cold.store.grid_cache_misses, 0u);
-  ASSERT_TRUE(engine.Execute(*plan).ok());
-  const EngineStoreMetrics warm = engine.StoreMetrics();
-  EXPECT_GT(warm.store.grid_cache_hits, cold.store.grid_cache_hits);
-  EXPECT_EQ(warm.store.grid_cache_misses, cold.store.grid_cache_misses);
+  const auto execute_traced = [&](TraceSession* trace) {
+    ExecHooks hooks;
+    hooks.trace = trace;
+    ASSERT_TRUE(engine.Execute(*plan, hooks).ok());
+  };
+  TraceSession cold;
+  execute_traced(&cold);
+  EXPECT_GT(cold.counter(TraceCounter::kGridCacheMisses), 0u);
+  TraceSession warm;
+  execute_traced(&warm);
+  EXPECT_GT(warm.counter(TraceCounter::kGridCacheHits), 0u);
+  EXPECT_EQ(warm.counter(TraceCounter::kGridCacheMisses), 0u);
 
-  // The simplification cache is CuTS-family territory: first Prepare
+  // The simplification cache is CuTS-family territory: the first Prepare
   // misses, the second hits.
-  const auto cuts1 = engine.Prepare(ConvoyQuery{3, 3, 5.0},
-                                    AlgorithmChoice::kCutsStar);
-  ASSERT_TRUE(cuts1.ok());
-  const auto cuts2 = engine.Prepare(ConvoyQuery{3, 3, 5.0},
-                                    AlgorithmChoice::kCutsStar);
-  ASSERT_TRUE(cuts2.ok());
-  const EngineStoreMetrics simp = engine.StoreMetrics();
-  EXPECT_GT(simp.simplify_cache_misses, 0u);
-  EXPECT_GT(simp.simplify_cache_hits, 0u);
+  TraceSession first;
+  ASSERT_TRUE(engine.Prepare(ConvoyQuery{3, 3, 5.0},
+                             AlgorithmChoice::kCutsStar, {}, {}, &first)
+                  .ok());
+  EXPECT_EQ(first.counter(TraceCounter::kSimplifyCacheMisses), 1u);
+  EXPECT_EQ(first.counter(TraceCounter::kSimplifyCacheHits), 0u);
+  TraceSession second;
+  ASSERT_TRUE(engine.Prepare(ConvoyQuery{3, 3, 5.0},
+                             AlgorithmChoice::kCutsStar, {}, {}, &second)
+                  .ok());
+  EXPECT_EQ(second.counter(TraceCounter::kSimplifyCacheHits), 1u);
+  EXPECT_EQ(second.counter(TraceCounter::kSimplifyCacheMisses), 0u);
 }
 
 TEST(TraceEngineTest, ExplainAnalyzeRendersMetricsOrHint) {

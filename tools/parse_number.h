@@ -1,5 +1,6 @@
 // The numeric flag parser of the command-line tools (convoy_cli,
-// convoy_serverd, convoy_loadgen).
+// convoy_serverd, convoy_loadgen) and of the bench binaries
+// (bench/bench_common.h).
 
 #ifndef CONVOY_TOOLS_PARSE_NUMBER_H_
 #define CONVOY_TOOLS_PARSE_NUMBER_H_

@@ -44,8 +44,8 @@
 #    byte-identical results (the parallel subsystem's core guarantee);
 # 7. drive convoy_cli's error paths and require the documented exit codes
 #    (1 usage — malformed numeric values included, 2 I/O, 3 invalid query,
-#    4 data error), and require convoy_serverd and convoy_loadgen to
-#    reject malformed numeric flags with their usage code 1;
+#    4 data error), and require convoy_serverd, convoy_loadgen and the
+#    bench binaries to reject malformed numeric flags with usage code 1;
 # 8. smoke the planner: --algo auto --explain must print the chosen
 #    algorithm and the resolved delta/lambda;
 # 9. smoke the observability surface: --explain-analyze must print
@@ -274,6 +274,13 @@ expect_exit 1 "convoy_loadgen malformed number (--kills 2x)" \
 expect_exit 1 "convoy_loadgen negative unsigned (--seed -1)" \
   "${BUILD_DIR}/convoy_loadgen" --serverd /nonexistent --sweep-fsync \
   --seed -1
+# The bench binaries share bench/bench_common.h's flag parser, which uses
+# the same ParseNumber: a wrapped seed or a truncated thread count must not
+# start a run.
+expect_exit 1 "bench negative unsigned (fig12_cmc_vs_cuts --seed -1)" \
+  "${BUILD_DIR}/bench/fig12_cmc_vs_cuts" --scale 0.05 --seed -1
+expect_exit 1 "bench malformed number (scalability --threads 2x)" \
+  "${BUILD_DIR}/bench/scalability" --threads 2x --json /dev/null
 expect_exit 2 "missing input file" \
   "${CLI}" --input "${SMOKE_DIR}/does_not_exist.csv"
 expect_exit 3 "invalid query (m = 1)" \
