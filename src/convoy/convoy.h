@@ -28,6 +28,7 @@
 #include "cluster/dbscan.h"
 #include "cluster/grid_index.h"
 #include "cluster/polyline_dbscan.h"
+#include "core/cluster_memo.h"
 #include "core/cmc.h"
 #include "core/convoy_set.h"
 #include "core/cuts.h"

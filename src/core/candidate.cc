@@ -1,6 +1,9 @@
 #include "core/candidate.h"
 
 #include <algorithm>
+#include <iterator>
+#include <limits>
+#include <stdexcept>
 
 namespace convoy {
 
@@ -31,6 +34,13 @@ std::vector<ObjectId> IntersectSorted(const std::vector<ObjectId>& a,
   return out;
 }
 
+uint32_t FlatClusters::Offset(size_t n) {
+  if (n > std::numeric_limits<uint32_t>::max()) {
+    throw std::length_error("FlatClusters: more than 2^32 - 1 entries");
+  }
+  return static_cast<uint32_t>(n);
+}
+
 uint32_t ClusterLabeler::EnsureSlot(ObjectId id) {
   uint32_t slot = LookupSlot(id);
   if (slot != kNoSlot) return slot;
@@ -48,6 +58,15 @@ uint32_t ClusterLabeler::EnsureSlot(ObjectId id) {
 
 bool ClusterLabeler::Label(
     const std::vector<std::vector<ObjectId>>& clusters) {
+  return LabelImpl(clusters);
+}
+
+bool ClusterLabeler::Label(const ClusterSpans& clusters) {
+  return LabelImpl(clusters);
+}
+
+template <typename Clusters>
+bool ClusterLabeler::LabelImpl(const Clusters& clusters) {
   if (++epoch_ == 0) {
     // Epoch counter wrapped (once per 2^32 steps): stale stamps could
     // alias, so reset them all and restart at 1.
@@ -104,6 +123,22 @@ void CandidateTracker::Offer(Candidate&& cand) {
 void CandidateTracker::Advance(
     const std::vector<std::vector<ObjectId>>& clusters, Tick step_start,
     Tick step_end, Tick step_weight, std::vector<Candidate>* completed) {
+  AdvanceImpl(clusters, step_start, step_end, step_weight, completed);
+}
+
+void CandidateTracker::Advance(const ClusterSpans& clusters, Tick step_start,
+                               Tick step_end, Tick step_weight,
+                               std::vector<Candidate>* completed) {
+  AdvanceImpl(clusters, step_start, step_end, step_weight, completed);
+}
+
+// One implementation for both cluster forms: the step's clusters are read
+// only through size() and operator[], so a memoized step advances the
+// live set exactly as the freshly clustered one would.
+template <typename Clusters>
+void CandidateTracker::AdvanceImpl(const Clusters& clusters, Tick step_start,
+                                   Tick step_end, Tick step_weight,
+                                   std::vector<Candidate>* completed) {
   ++tally_.steps;
   const size_t completed_before = completed->size();
   pool_.clear();
@@ -145,8 +180,11 @@ void CandidateTracker::Advance(
         common.clear();
       }
     } else {
-      for (const std::vector<ObjectId>& c : clusters) {
-        std::vector<ObjectId> common = IntersectSorted(v.objects, c);
+      for (size_t ci = 0; ci < clusters.size(); ++ci) {
+        const auto& c = clusters[ci];
+        std::vector<ObjectId> common;
+        std::set_intersection(v.objects.begin(), v.objects.end(), c.begin(),
+                              c.end(), std::back_inserter(common));
         if (common.size() < m_) continue;
         continued_intact |= common.size() == v.objects.size();
         Candidate successor;
@@ -170,10 +208,11 @@ void CandidateTracker::Advance(
   // Every cluster also begins its own candidate: a convoy may be born at
   // this step. If an identical successor already exists it has an earlier
   // start and wins the dedup above.
-  for (const std::vector<ObjectId>& c : clusters) {
+  for (size_t ci = 0; ci < clusters.size(); ++ci) {
+    const auto& c = clusters[ci];
     if (c.size() < m_) continue;
     Candidate fresh;
-    fresh.objects = c;
+    fresh.objects.assign(c.begin(), c.end());
     fresh.start_tick = step_start;
     fresh.end_tick = step_end;
     fresh.lifetime = step_weight;

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -22,6 +23,76 @@ struct Candidate {
                                   ///< partition for the CuTS filter)
 
   Convoy ToConvoy() const { return Convoy{objects, start_tick, end_tick}; }
+};
+
+/// One step's clusters read out of a FlatClusters: cluster i holds
+/// ids[bounds[i], bounds[i + 1]), sorted ascending. A view: the storage it
+/// reads must outlive it.
+class ClusterSpans {
+ public:
+  ClusterSpans() = default;
+  ClusterSpans(const uint32_t* bounds, size_t count, const ObjectId* ids)
+      : bounds_(bounds), count_(count), ids_(ids) {}
+
+  size_t size() const { return count_; }
+  std::span<const ObjectId> operator[](size_t i) const {
+    return {ids_ + bounds_[i], ids_ + bounds_[i + 1]};
+  }
+
+ private:
+  const uint32_t* bounds_ = nullptr;
+  size_t count_ = 0;
+  const ObjectId* ids_ = nullptr;
+};
+
+/// A run of steps' clusters — a filter's partitions, a refinement window's
+/// ticks — in three flat arrays, the form the CuTS clustering memo keeps
+/// (core/cluster_memo.h): step s's clusters are the entries
+/// [steps_[s], steps_[s + 1]) of bounds_, and cluster c's objects are
+/// ids_[bounds_[c], bounds_[c + 1]). Offsets are 32-bit, so one instance
+/// holds fewer than 2^32 object ids; AddStep throws std::length_error
+/// rather than wrap.
+class FlatClusters {
+ public:
+  /// Appends one step whose clusters are `clusters`: any indexable list of
+  /// sorted object-id ranges (a DBSCAN result, or another step's view).
+  template <typename Clusters>
+  void AddStep(const Clusters& clusters) {
+    for (size_t c = 0; c < clusters.size(); ++c) {
+      const auto& ids = clusters[c];
+      ids_.insert(ids_.end(), ids.begin(), ids.end());
+      bounds_.push_back(Offset(ids_.size()));
+    }
+    steps_.push_back(Offset(bounds_.size() - 1));
+  }
+
+  size_t NumSteps() const { return steps_.size() - 1; }
+
+  /// Step s's clusters. Precondition: s < NumSteps().
+  ClusterSpans Step(size_t s) const {
+    return ClusterSpans(bounds_.data() + steps_[s], steps_[s + 1] - steps_[s],
+                        ids_.data());
+  }
+
+  /// Heap bytes held (capacities, not sizes).
+  size_t Bytes() const {
+    return (steps_.capacity() + bounds_.capacity()) * sizeof(uint32_t) +
+           ids_.capacity() * sizeof(ObjectId);
+  }
+
+  /// Drops spare capacity, so Bytes() counts only what the steps hold.
+  void ShrinkToFit() {
+    steps_.shrink_to_fit();
+    bounds_.shrink_to_fit();
+    ids_.shrink_to_fit();
+  }
+
+ private:
+  static uint32_t Offset(size_t n);
+
+  std::vector<uint32_t> steps_{0};
+  std::vector<uint32_t> bounds_{0};
+  std::vector<ObjectId> ids_;
 };
 
 /// Dense object -> cluster-label map over one step's clusters. The clusters
@@ -45,6 +116,7 @@ class ClusterLabeler {
   /// intersection; every algorithmic producer (DBSCAN partitions) is
   /// disjoint, so the fallback only guards direct API callers.
   bool Label(const std::vector<std::vector<ObjectId>>& clusters);
+  bool Label(const ClusterSpans& clusters);
 
   /// The cluster index `id` belongs to in the step most recently passed to
   /// Label, or kNoLabel when it is in no cluster.
@@ -69,6 +141,8 @@ class ClusterLabeler {
     return it == overflow_.end() ? kNoSlot : it->second;
   }
   uint32_t EnsureSlot(ObjectId id);
+  template <typename Clusters>
+  bool LabelImpl(const Clusters& clusters);
 
   std::vector<uint32_t> dense_;  ///< id -> slot for ids < kDenseIdCap
   std::unordered_map<ObjectId, uint32_t> overflow_;
@@ -130,6 +204,10 @@ class CandidateTracker {
   void Advance(const std::vector<std::vector<ObjectId>>& clusters,
                Tick step_start, Tick step_end, Tick step_weight,
                std::vector<Candidate>* completed);
+  /// The same step with its clusters read from flat storage — how a sweep
+  /// over memoized clusterings advances (core/cluster_memo.h).
+  void Advance(const ClusterSpans& clusters, Tick step_start, Tick step_end,
+               Tick step_weight, std::vector<Candidate>* completed);
 
   /// Ends the stream: every live candidate with lifetime >= k is appended
   /// to `completed`; the live set is cleared.
@@ -156,6 +234,9 @@ class CandidateTracker {
   const TrackerTally& tally() const { return tally_; }
 
  private:
+  template <typename Clusters>
+  void AdvanceImpl(const Clusters& clusters, Tick step_start, Tick step_end,
+                   Tick step_weight, std::vector<Candidate>* completed);
   void Offer(Candidate&& cand);
   void GrowTable();
 

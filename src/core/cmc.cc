@@ -1,6 +1,7 @@
 #include "core/cmc.h"
 
 #include <algorithm>
+#include <cassert>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -15,6 +16,15 @@
 namespace convoy {
 
 namespace {
+
+// A memoized step's clusters as the owning lists a clusterer returns.
+std::vector<std::vector<ObjectId>> ToVectors(const ClusterSpans& spans) {
+  std::vector<std::vector<ObjectId>> clusters(spans.size());
+  for (size_t c = 0; c < spans.size(); ++c) {
+    clusters[c].assign(spans[c].begin(), spans[c].end());
+  }
+  return clusters;
+}
 
 // Maps a clustering's point indices to sorted object-id lists — the shape
 // the candidate tracker consumes.
@@ -136,7 +146,9 @@ namespace {
 // or the SnapshotStore's columnar views), so the candidate algebra can
 // never diverge between them. `make_cluster_at(scratch)` returns a
 // clusterer `cluster_at(t, &clustered)` for ascending ticks, working in
-// `scratch`.
+// `scratch`; it returns the tick's clusters in either form the tracker
+// reads (owned lists, or a ClusterSpans view of memoized storage that
+// outlives the sweep).
 //
 // The ticks fan out through OrderedParallelFor: at one thread one
 // clusterer, in the caller's scratch, serves every tick on the caller's
@@ -145,17 +157,24 @@ namespace {
 // on the caller's thread in tick order, and the counters folded while
 // clustering are per-tick integer tallies, so every output and count is
 // identical at every thread count.
+template <typename Clusters>
+struct TickClusters {
+  Clusters clusters;
+  bool clustered = false;
+};
+
 template <typename MakeClusterAt>
 void SweepImpl(Tick begin_tick, Tick end_tick, size_t threads,
                CmcSweep* sweep, DiscoveryStats* stats, TraceSession* trace,
                SnapshotScratch* scratch, MakeClusterAt&& make_cluster_at) {
+  // Unsigned: the tick count of a domain at either end of the tick range
+  // must not overflow.
   const size_t total_ticks =
-      begin_tick <= end_tick ? static_cast<size_t>(end_tick - begin_tick) + 1
-                             : 0;
-  struct TickClusters {
-    std::vector<std::vector<ObjectId>> clusters;
-    bool clustered = false;
-  };
+      begin_tick <= end_tick
+          ? static_cast<size_t>(static_cast<uint64_t>(end_tick) -
+                                static_cast<uint64_t>(begin_tick)) +
+                1
+          : 0;
   OrderedParallelFor(
       total_ticks, threads, kSmallUnits,
       [&] {
@@ -165,12 +184,13 @@ void SweepImpl(Tick begin_tick, Tick end_tick, size_t threads,
         return std::make_pair(std::move(owned), std::move(cluster_at));
       },
       [&](auto& state, size_t i) {
-        TickClusters tick;
-        tick.clusters =
-            state.second(begin_tick + static_cast<Tick>(i), &tick.clustered);
-        return tick;
+        bool clustered = false;
+        auto clusters =
+            state.second(begin_tick + static_cast<Tick>(i), &clustered);
+        return TickClusters<decltype(clusters)>{std::move(clusters),
+                                                clustered};
       },
-      [&](size_t i, TickClusters tick) {
+      [&](size_t i, auto tick) {
         const Tick t = begin_tick + static_cast<Tick>(i);
         if (tick.clustered) {
           if (stats != nullptr) ++stats->num_clusterings;
@@ -186,15 +206,43 @@ void SweepImpl(Tick begin_tick, Tick end_tick, size_t threads,
 
 // The row path's clusterers for SweepImpl: each gathers through a fresh
 // RowSnapshots, so a worker chunk restarts the cursors at its first tick.
+// With a `memo` (SweepRows only, where one clusterer serves every tick in
+// order) a tick some cached window holds is read from it, not clustered,
+// and every tick is appended to the memo's record while that stays within
+// its limit.
 auto RowClusterers(const TrajectoryDatabase& db, const ConvoyQuery& query,
-                   const RowSelector& rows_at, TraceSession* trace) {
-  return [&db, &query, &rows_at, trace](SnapshotScratch* scratch) {
-    return [rows = RowSnapshots(db), &query, &rows_at, trace, scratch](
+                   const RowSelector& rows_at, const SweepMemo* memo,
+                   TraceSession* trace) {
+  return [&db, &query, &rows_at, memo, trace](SnapshotScratch* scratch) {
+    return [rows = RowSnapshots(db), &query, &rows_at, memo, trace, scratch,
+            next = size_t{0},
+            recording = memo != nullptr && memo->record != nullptr](
                Tick t, bool* clustered) mutable {
-      ScopedSpan span(trace, "snapshot.cluster");
-      std::vector<std::vector<ObjectId>> clusters = rows.Cluster(
-          t, query, rows_at ? rows_at(t) : nullptr, clustered, scratch);
-      if (*clustered) TraceDbscanRun(trace, scratch->dbscan.tally);
+      const WindowClusters* cached = nullptr;
+      if (memo != nullptr) {
+        const auto& windows = memo->cached;
+        while (next < windows.size() && windows[next]->end() < t) ++next;
+        if (next < windows.size() && windows[next]->begin <= t) {
+          cached = windows[next];
+        }
+      }
+      std::vector<std::vector<ObjectId>> clusters;
+      if (cached != nullptr) {
+        *clustered = false;
+        clusters = ToVectors(cached->At(t));
+      } else {
+        ScopedSpan span(trace, "snapshot.cluster");
+        clusters = rows.Cluster(t, query, rows_at ? rows_at(t) : nullptr,
+                                clustered, scratch);
+        if (*clustered) TraceDbscanRun(trace, scratch->dbscan.tally);
+      }
+      if (recording) {
+        memo->record->ticks.AddStep(clusters);
+        if (memo->record->ticks.Bytes() > memo->record_limit) {
+          memo->record->ticks = FlatClusters();
+          recording = false;
+        }
+      }
       return clusters;
     };
   };
@@ -263,12 +311,26 @@ std::vector<Convoy> FinishSweep(CmcSweep* sweep, const CmcOptions& options,
 void SweepRows(const TrajectoryDatabase& db, const ConvoyQuery& query,
                Tick begin_tick, Tick end_tick, const RowSelector& rows_at,
                CmcSweep* sweep, DiscoveryStats* stats, const ExecHooks* hooks,
-               SnapshotScratch* scratch) {
+               SnapshotScratch* scratch, const SweepMemo* memo) {
   SnapshotScratch local;
   if (scratch == nullptr) scratch = &local;
   TraceSession* const trace = TraceOf(hooks);
   SweepImpl(begin_tick, end_tick, /*threads=*/1, sweep, stats, trace, scratch,
-            RowClusterers(db, query, rows_at, trace));
+            RowClusterers(db, query, rows_at, memo, trace));
+}
+
+void SweepCached(const WindowClusters& window, Tick begin_tick,
+                 Tick end_tick, CmcSweep* sweep) {
+  assert(window.Contains(begin_tick, end_tick));
+  // Nothing is clustered, so nothing needs a scratch, stats or a trace.
+  SweepImpl(begin_tick, end_tick, /*threads=*/1, sweep, /*stats=*/nullptr,
+            /*trace=*/nullptr, /*scratch=*/nullptr,
+            [&window](SnapshotScratch*) {
+              return [&window](Tick t, bool* clustered) {
+                *clustered = false;
+                return window.At(t);
+              };
+            });
 }
 
 std::vector<Convoy> CmcRange(const TrajectoryDatabase& db,
@@ -278,7 +340,8 @@ std::vector<Convoy> CmcRange(const TrajectoryDatabase& db,
                              SnapshotScratch* scratch) {
   const RowSelector all_rows;
   return RunCmc(query, begin_tick, end_tick, options, stats, hooks, scratch,
-                RowClusterers(db, query, all_rows, TraceOf(hooks)));
+                RowClusterers(db, query, all_rows, /*memo=*/nullptr,
+                              TraceOf(hooks)));
 }
 
 std::vector<Convoy> Cmc(const TrajectoryDatabase& db, const ConvoyQuery& query,

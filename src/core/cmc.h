@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "cluster/dbscan.h"
@@ -109,9 +110,43 @@ struct CmcSweep {
 
 /// Chooses which trajectories a SweepRows run gathers at tick t: the
 /// database indices, ascending, or null for every trajectory alive at t.
-/// Called once per tick, at ascending ticks; the returned list must stay
-/// valid until the next call.
+/// Called at most once per tick, at ascending ticks (a tick read from a
+/// SweepMemo is skipped); the returned list must stay valid until the next
+/// call.
 using RowSelector = std::function<const std::vector<uint32_t>*(Tick t)>;
+
+/// One CuTS refinement window's per-tick clusters, as the clustering memo
+/// keeps them (core/cluster_memo.h): step i of `ticks` holds tick
+/// begin + i.
+struct WindowClusters {
+  Tick begin = 0;
+  FlatClusters ticks;
+
+  /// Whether every tick of [first, last] is held.
+  bool Contains(Tick first, Tick last) const {
+    return ticks.NumSteps() > 0 && begin <= first && last <= end();
+  }
+  /// The last tick held. Precondition: at least one tick is.
+  Tick end() const { return begin + static_cast<Tick>(ticks.NumSteps() - 1); }
+  /// Tick t's clusters. Precondition: Contains(t, t).
+  ClusterSpans At(Tick t) const {
+    return ticks.Step(static_cast<size_t>(t - begin));
+  }
+};
+
+/// The clustering memo's side of a SweepRows run (core/cluster_memo.h).
+struct SweepMemo {
+  /// Windows whose ticks the sweep reads instead of clustering: ascending,
+  /// disjoint and non-empty, each holding at its ticks exactly the clusters
+  /// the sweep would compute there.
+  std::span<const WindowClusters* const> cached;
+  /// When non-null, receives every tick's clusters in tick order, read or
+  /// clustered (the caller sets record->begin), so the caller can publish
+  /// the window — until it would hold more than `record_limit` bytes: it
+  /// is then emptied and receives nothing more.
+  WindowClusters* record = nullptr;
+  size_t record_limit = 0;
+};
 
 /// CMC's per-tick loop over the rows, for ticks [begin_tick, end_tick] of
 /// a caller-owned sweep; FinishSweep ends the sweep as CmcRange would. It
@@ -129,11 +164,24 @@ using RowSelector = std::function<const std::vector<uint32_t>*(Tick t)>;
 /// CuTS refinement (core/cuts_refine.h) selects the objects its filter
 /// clustered, which meets that condition. Clustering is skipped — and not
 /// counted — at ticks where fewer than m objects are selected.
+///
+/// `memo` (optional) lets the sweep read ticks that `memo->cached` holds
+/// instead of clustering them (not counted either), and record every
+/// tick's clusters; the sweep advances exactly as without it.
 void SweepRows(const TrajectoryDatabase& db, const ConvoyQuery& query,
                Tick begin_tick, Tick end_tick, const RowSelector& rows_at,
                CmcSweep* sweep, DiscoveryStats* stats = nullptr,
                const ExecHooks* hooks = nullptr,
-               SnapshotScratch* scratch = nullptr);
+               SnapshotScratch* scratch = nullptr,
+               const SweepMemo* memo = nullptr);
+
+/// CMC's per-tick loop over ticks [begin_tick, end_tick] of a caller-owned
+/// sweep, every tick's clusters read from `window`, which must contain the
+/// range: the sweep advances exactly as the SweepRows run that recorded
+/// the window did over those ticks. It clusters nothing, so it counts no
+/// clustering.
+void SweepCached(const WindowClusters& window, Tick begin_tick,
+                 Tick end_tick, CmcSweep* sweep);
 
 /// Ends a sweep as CMC ends: flushes the tracker into sweep->completed
 /// (live candidates with lifetime >= k complete), folds the tracker's

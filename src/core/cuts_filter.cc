@@ -1,9 +1,12 @@
 #include "core/cuts_filter.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <memory>
 #include <utility>
 
 #include "cluster/polyline_soa.h"
+#include "core/cluster_memo.h"
 #include "core/cmc.h"
 #include "core/params.h"
 #include "obs/trace.h"
@@ -93,7 +96,101 @@ PartitionClusters ClusterPartition(
   return out;
 }
 
+// The filter's time partitions: [begin, end] cut into runs of `length`
+// ticks from begin, the last one possibly shorter; none when end < begin
+// (a database of empty trajectories). Bounds derive from the partition
+// index in unsigned arithmetic, so a domain at the top of the tick range
+// cannot overflow. Precondition: length >= 1.
+struct Partitioning {
+  Tick begin;
+  Tick end;
+  Tick length;
+
+  size_t Count() const {
+    if (end < begin) return 0;
+    return static_cast<size_t>((static_cast<uint64_t>(end) -
+                                static_cast<uint64_t>(begin)) /
+                               static_cast<uint64_t>(length)) +
+           1;
+  }
+  Tick First(size_t p) const {
+    return static_cast<Tick>(static_cast<uint64_t>(begin) +
+                             p * static_cast<uint64_t>(length));
+  }
+  Tick Last(size_t p) const {
+    const uint64_t first = static_cast<uint64_t>(First(p));
+    const uint64_t left = static_cast<uint64_t>(end) - first;
+    return static_cast<Tick>(
+        first + std::min(left, static_cast<uint64_t>(length) - 1));
+  }
+};
+
+// The clustering half of the filter: the partitions are clustered
+// (concurrently when asked to — partitions are independent, and each
+// worker chunk clusters out of one reused scratch arena) and collected in
+// partition order, so the result and every count are the same at every
+// thread count.
+FilterClusters ClusterPartitions(
+    const std::vector<SimplifiedTrajectory>& simplified,
+    const Partitioning& parts, const ConvoyQuery& query,
+    const CutsFilterOptions& options, double delta_used,
+    DiscoveryStats* stats, TraceSession* trace) {
+  FilterClusters out;
+  const size_t count = parts.Count();
+  out.members.begin = parts.begin;
+  out.members.length = parts.length;
+  out.members.offsets.reserve(count + 1);
+  PolylineClusterStats cluster_stats;
+  size_t num_clusterings = 0;
+  OrderedParallelFor(
+      count, query.num_threads, kSmallUnits,
+      [] { return PolylineDbscanScratch(); },
+      [&](PolylineDbscanScratch& scratch, size_t p) {
+        ScopedSpan span(trace, "filter.partition");
+        return ClusterPartition(simplified, parts.First(p), parts.Last(p),
+                                query, options, delta_used, &scratch);
+      },
+      [&](size_t, const PartitionClusters& part) {
+        TraceCount(trace, TraceCounter::kFilterPartitions, 1);
+        TraceCount(trace, TraceCounter::kFilterPolylines, part.num_polylines);
+        TraceCount(trace, TraceCounter::kFilterSegmentTests,
+                   part.cluster_stats.segment_tests);
+        TraceCount(trace, TraceCounter::kFilterMbrRejects,
+                   part.cluster_stats.mbr_rejects);
+        if (part.clustered) ++num_clusterings;
+        cluster_stats.pair_tests += part.cluster_stats.pair_tests;
+        cluster_stats.box_pruned += part.cluster_stats.box_pruned;
+        cluster_stats.segment_tests += part.cluster_stats.segment_tests;
+        cluster_stats.mbr_rejects += part.cluster_stats.mbr_rejects;
+        out.partitions.AddStep(part.cluster_objects);
+        // The partition's clusters are disjoint, so their union is their
+        // concatenation.
+        std::vector<ObjectId>& ids = out.members.ids;
+        const size_t first = ids.size();
+        for (const std::vector<ObjectId>& cluster : part.cluster_objects) {
+          ids.insert(ids.end(), cluster.begin(), cluster.end());
+        }
+        std::sort(ids.begin() + static_cast<std::ptrdiff_t>(first),
+                  ids.end());
+        out.members.offsets.push_back(ids.size());
+      });
+  if (stats != nullptr) {
+    stats->num_clusterings += num_clusterings;
+    stats->polyline_pair_tests += cluster_stats.pair_tests;
+    stats->polyline_box_pruned += cluster_stats.box_pruned;
+    stats->segment_distance_tests += cluster_stats.segment_tests;
+    stats->segment_mbr_rejects += cluster_stats.mbr_rejects;
+  }
+  return out;
+}
+
 }  // namespace
+
+size_t FilterClusters::Bytes() const {
+  return partitions.Bytes() +
+         members.offsets.capacity() * sizeof(size_t) +
+         members.ids.capacity() * sizeof(ObjectId);
+}
 
 CutsFilterResult CutsFilter(const TrajectoryDatabase& db,
                             const ConvoyQuery& query,
@@ -117,6 +214,16 @@ CutsFilterResult CutsFilterPresimplified(
     const std::vector<SimplifiedTrajectory>& simplified, double delta_used,
     DiscoveryStats* stats, const ExecHooks* hooks,
     const SnapshotStore* store) {
+  return CutsFilterWithMemo(db, query, options, simplified, delta_used,
+                            /*memo=*/nullptr, stats, hooks, store);
+}
+
+CutsFilterResult CutsFilterWithMemo(
+    const TrajectoryDatabase& db, const ConvoyQuery& query,
+    const CutsFilterOptions& options,
+    const std::vector<SimplifiedTrajectory>& simplified, double delta_used,
+    const MemoSlot* memo, DiscoveryStats* stats, const ExecHooks* hooks,
+    const SnapshotStore* store) {
   CutsFilterResult result;
   if (db.Empty()) return result;
   result.delta_used = delta_used;
@@ -134,75 +241,53 @@ CutsFilterResult CutsFilterPresimplified(
 
   // The store materializes the time domain at build; without one, the
   // bounds cost a full trajectory scan each.
-  const Tick begin = store != nullptr ? store->begin_tick() : db.BeginTick();
-  const Tick end = store != nullptr ? store->end_tick() : db.EndTick();
-  const Tick lambda = std::max<Tick>(result.lambda_used, 1);
+  const Partitioning parts{
+      store != nullptr ? store->begin_tick() : db.BeginTick(),
+      store != nullptr ? store->end_tick() : db.EndTick(),
+      std::max<Tick>(result.lambda_used, 1)};
 
-  std::vector<std::pair<Tick, Tick>> partitions;
-  for (Tick part_start = begin; part_start <= end; part_start += lambda) {
-    partitions.emplace_back(part_start,
-                            std::min<Tick>(part_start + lambda - 1, end));
-  }
-  result.members.begin = begin;
-  result.members.length = lambda;
-  result.members.offsets.reserve(partitions.size() + 1);
-
-  // Cluster the partitions (concurrently when asked to — partitions are
-  // independent, and each worker chunk clusters out of one reused scratch
-  // arena), then advance the candidate tracker in partition order on this
-  // thread. The ordered tracker pass is what makes the parallel filter
-  // bit-identical to the serial one.
+  // The clustering half, from the memo when it holds this key's.
   TraceSession* const trace = TraceOf(hooks);
+  std::shared_ptr<const FilterClusters> held;
+  if (memo != nullptr) {
+    held = memo->memo->Filter(memo->key);
+    TraceCount(trace,
+               held != nullptr ? TraceCounter::kClusterMemoHits
+                               : TraceCounter::kClusterMemoMisses,
+               1);
+  }
+  FilterClusters computed;
+  if (held == nullptr) {
+    computed = ClusterPartitions(simplified, parts, query, options,
+                                 result.delta_used, stats, trace);
+    if (memo != nullptr) {
+      computed.partitions.ShrinkToFit();
+      computed.members.ids.shrink_to_fit();
+      held = memo->memo->PublishFilter(
+          memo->key, std::make_shared<const FilterClusters>(
+                         std::move(computed)));
+    }
+  }
+  const FilterClusters& clusters = held != nullptr ? *held : computed;
+
+  // The tracking half: the candidate tracker advances over the partitions
+  // in order, on this thread — one ordered pass, so the candidates are the
+  // same at every thread count and with or without the memo.
   CandidateTracker tracker(query.m, query.k);
-  PolylineClusterStats cluster_stats;
-  size_t num_clusterings = 0;
-  OrderedParallelFor(
-      partitions.size(), query.num_threads, kSmallUnits,
-      [] { return PolylineDbscanScratch(); },
-      [&](PolylineDbscanScratch& scratch, size_t i) {
-        ScopedSpan span(trace, "filter.partition");
-        return ClusterPartition(simplified, partitions[i].first,
-                                partitions[i].second, query, options,
-                                result.delta_used, &scratch);
-      },
-      [&](size_t i, const PartitionClusters& part) {
-        TraceCount(trace, TraceCounter::kFilterPartitions, 1);
-        TraceCount(trace, TraceCounter::kFilterPolylines, part.num_polylines);
-        TraceCount(trace, TraceCounter::kFilterSegmentTests,
-                   part.cluster_stats.segment_tests);
-        TraceCount(trace, TraceCounter::kFilterMbrRejects,
-                   part.cluster_stats.mbr_rejects);
-        if (part.clustered) ++num_clusterings;
-        cluster_stats.pair_tests += part.cluster_stats.pair_tests;
-        cluster_stats.box_pruned += part.cluster_stats.box_pruned;
-        cluster_stats.segment_tests += part.cluster_stats.segment_tests;
-        cluster_stats.mbr_rejects += part.cluster_stats.mbr_rejects;
-        tracker.Advance(part.cluster_objects, partitions[i].first,
-                        partitions[i].second, /*step_weight=*/lambda,
-                        &result.candidates);
-        // The partition's clusters are disjoint, so their union is their
-        // concatenation.
-        std::vector<ObjectId>& ids = result.members.ids;
-        const size_t first = ids.size();
-        for (const std::vector<ObjectId>& cluster : part.cluster_objects) {
-          ids.insert(ids.end(), cluster.begin(), cluster.end());
-        }
-        std::sort(ids.begin() + static_cast<std::ptrdiff_t>(first),
-                  ids.end());
-        result.members.offsets.push_back(ids.size());
-      });
+  for (size_t p = 0; p < clusters.partitions.NumSteps(); ++p) {
+    tracker.Advance(clusters.partitions.Step(p), parts.First(p),
+                    parts.Last(p), /*step_weight=*/parts.length,
+                    &result.candidates);
+  }
   tracker.Flush(&result.candidates);
-  // Read once after the sequential consume pass — thread-count invariant.
+  // Read once after the sequential pass — thread-count invariant.
   TraceTrackerTally(trace, tracker.tally());
+  result.members =
+      held != nullptr ? held->members : std::move(computed.members);
 
   if (stats != nullptr) {
     stats->filter_seconds += phase.ElapsedSeconds();
     stats->num_candidates = result.candidates.size();
-    stats->num_clusterings += num_clusterings;
-    stats->polyline_pair_tests += cluster_stats.pair_tests;
-    stats->polyline_box_pruned += cluster_stats.box_pruned;
-    stats->segment_distance_tests += cluster_stats.segment_tests;
-    stats->segment_mbr_rejects += cluster_stats.mbr_rejects;
     for (const Candidate& cand : result.candidates) {
       const double n = static_cast<double>(cand.objects.size());
       const double lifetime =

@@ -1,6 +1,7 @@
 #ifndef CONVOY_CORE_CUTS_FILTER_H_
 #define CONVOY_CORE_CUTS_FILTER_H_
 
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
@@ -65,7 +66,10 @@ struct PartitionMembers {
   /// The partition holding tick t; nullopt outside the partitioned domain.
   std::optional<size_t> PartitionOf(Tick t) const {
     if (t < begin) return std::nullopt;
-    const size_t p = static_cast<size_t>((t - begin) / length);
+    // Unsigned: t - begin may exceed the largest Tick.
+    const size_t p = static_cast<size_t>(
+        (static_cast<uint64_t>(t) - static_cast<uint64_t>(begin)) /
+        static_cast<uint64_t>(length));
     if (p >= NumPartitions()) return std::nullopt;
     return p;
   }
@@ -74,6 +78,19 @@ struct PartitionMembers {
   std::span<const ObjectId> Of(size_t p) const {
     return {ids.data() + offsets[p], offsets[p + 1] - offsets[p]};
   }
+};
+
+/// The clustering half of the filter step: every time partition's polyline
+/// clusters, one step per partition, and the PartitionMembers derived from
+/// them. It depends on the simplification, the filter options, lambda, e
+/// and m, but not on k, so ConvoyEngine memoizes it (core/cluster_memo.h);
+/// the candidate tracker, which reads k, runs over it on every query.
+struct FilterClusters {
+  FlatClusters partitions;
+  PartitionMembers members;
+
+  /// Heap bytes held.
+  size_t Bytes() const;
 };
 
 /// Output of the filter step: candidate convoys (object sets with the tick
@@ -124,6 +141,21 @@ CutsFilterResult CutsFilterPresimplified(
     const std::vector<SimplifiedTrajectory>& simplified, double delta_used,
     DiscoveryStats* stats = nullptr, const ExecHooks* hooks = nullptr,
     const SnapshotStore* store = nullptr);
+
+/// CutsFilterPresimplified through a clustering memo — ConvoyEngine's
+/// path. The partitions' clusters come from `memo` when it holds them
+/// under its key, and are clustered and published to it otherwise; the
+/// candidate tracker always runs. The result is the same either way.
+/// `memo->key` must be ClusterMemoKey::Of(options, query) with options'
+/// delta equal to `delta_used` and lambda positive. A null `memo` is
+/// CutsFilterPresimplified.
+struct MemoSlot;
+CutsFilterResult CutsFilterWithMemo(
+    const TrajectoryDatabase& db, const ConvoyQuery& query,
+    const CutsFilterOptions& options,
+    const std::vector<SimplifiedTrajectory>& simplified, double delta_used,
+    const MemoSlot* memo, DiscoveryStats* stats = nullptr,
+    const ExecHooks* hooks = nullptr, const SnapshotStore* store = nullptr);
 
 }  // namespace convoy
 

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <span>
 #include <utility>
 
+#include "core/cluster_memo.h"
 #include "core/cmc.h"
 #include "core/cuts_filter.h"
 #include "obs/trace.h"
@@ -28,7 +31,11 @@ std::vector<std::pair<Tick, Tick>> MergeWindows(
   std::sort(intervals.begin(), intervals.end());
   std::vector<std::pair<Tick, Tick>> windows;
   for (const auto& iv : intervals) {
-    if (!windows.empty() && iv.first <= windows.back().second + 1) {
+    // Touching intervals merge too. Past the first test iv.first exceeds
+    // windows.back().second, so iv.first - 1 cannot overflow, where
+    // windows.back().second + 1 would at the top of the tick range.
+    if (!windows.empty() && (iv.first <= windows.back().second ||
+                             iv.first - 1 == windows.back().second)) {
       windows.back().second = std::max(windows.back().second, iv.second);
     } else {
       windows.push_back(iv);
@@ -70,26 +77,51 @@ class PartitionRows {
   std::vector<uint32_t> rows_;
 };
 
+// The held windows overlapping [first, last]. `held` is ascending and
+// disjoint, so they are contiguous in it.
+std::span<const std::shared_ptr<const WindowClusters>> Overlapping(
+    const std::vector<std::shared_ptr<const WindowClusters>>& held,
+    Tick first, Tick last) {
+  const auto lo = std::partition_point(
+      held.begin(), held.end(),
+      [first](const auto& window) { return window->end() < first; });
+  const auto hi = std::partition_point(
+      lo, held.end(),
+      [last](const auto& window) { return window->begin <= last; });
+  return {lo, hi};
+}
+
 // Runs CMC's per-tick loop once over each merged window, pruned to the
 // filter's member sets when `members` is given, and dominance-prunes the
 // windows' convoys into the result. Windows fan out through
 // OrderedParallelFor, each worker chunk sweeping out of one reused arena;
 // the ordered pass collects the windows' convoys in window order, so the
 // result is the same at every thread count.
+//
+// With a `memo`, a window one held window contains is a hit: its sweep
+// reads that window's clusters and clusters nothing. Any other window is a
+// miss: its sweep reads the held windows inside it, clusters the rest, and
+// records every tick; the ordered pass publishes it in window order, so
+// the memo's contents, like the answer, do not depend on the thread count.
 std::vector<Convoy> RefineWindows(const TrajectoryDatabase& db,
                                   const ConvoyQuery& query,
                                   const std::vector<Candidate>& candidates,
                                   const PartitionMembers* members,
-                                  DiscoveryStats* stats, size_t threads,
-                                  const ExecHooks* hooks) {
+                                  const MemoSlot* memo, DiscoveryStats* stats,
+                                  size_t threads, const ExecHooks* hooks) {
   Stopwatch phase;
   const std::vector<std::pair<Tick, Tick>> windows = MergeWindows(candidates);
+  const std::vector<std::shared_ptr<const WindowClusters>> held =
+      memo != nullptr ? memo->memo->Windows(memo->key)
+                      : std::vector<std::shared_ptr<const WindowClusters>>{};
   CmcOptions cmc_options;
   cmc_options.remove_dominated = false;  // pruned globally below
   TraceSession* const trace = TraceOf(hooks);
   struct WindowConvoys {
     std::vector<Convoy> convoys;
     size_t clusterings = 0;
+    bool hit = false;
+    std::shared_ptr<WindowClusters> recorded;
   };
   std::vector<Convoy> all;
   size_t clusterings = 0;
@@ -98,25 +130,61 @@ std::vector<Convoy> RefineWindows(const TrajectoryDatabase& db,
       [&](SnapshotScratch& scratch, size_t i) {
         ScopedSpan span(trace, "refine.unit");
         TraceCount(trace, TraceCounter::kRefineUnits, 1);
-        std::optional<PartitionRows> rows;
-        RowSelector rows_at;
-        if (members != nullptr) {
-          rows.emplace(db, *members);
-          rows_at = [&rows](Tick t) { return rows->At(t); };
-        }
+        const auto [first, last] = windows[i];
+        const auto overlapping = Overlapping(held, first, last);
+        WindowConvoys window;
         DiscoveryStats unit_stats;
         CmcSweep sweep(query.m, query.k);
-        SweepRows(db, query, windows[i].first, windows[i].second, rows_at,
-                  &sweep, &unit_stats, hooks, &scratch);
-        WindowConvoys window;
-        window.clusterings = unit_stats.num_clusterings;
+        if (overlapping.size() == 1 &&
+            overlapping.front()->Contains(first, last)) {
+          window.hit = true;
+          SweepCached(*overlapping.front(), first, last, &sweep);
+        } else {
+          std::vector<const WindowClusters*> inside;
+          for (const auto& held_window : overlapping) {
+            if (first <= held_window->begin && held_window->end() <= last) {
+              inside.push_back(held_window.get());
+            }
+          }
+          SweepMemo sweep_memo;
+          sweep_memo.cached = inside;
+          if (memo != nullptr) {
+            window.recorded = std::make_shared<WindowClusters>();
+            window.recorded->begin = first;
+            sweep_memo.record = window.recorded.get();
+            sweep_memo.record_limit = memo->memo->budget();
+          }
+          std::optional<PartitionRows> rows;
+          RowSelector rows_at;
+          if (members != nullptr) {
+            rows.emplace(db, *members);
+            rows_at = [&rows](Tick t) { return rows->At(t); };
+          }
+          SweepRows(db, query, first, last, rows_at, &sweep, &unit_stats,
+                    hooks, &scratch, &sweep_memo);
+          window.clusterings = unit_stats.num_clusterings;
+          if (window.recorded != nullptr) window.recorded->ticks.ShrinkToFit();
+        }
         window.convoys = FinishSweep(&sweep, cmc_options, &unit_stats, hooks);
         return window;
       },
-      [&](size_t, WindowConvoys window) {
+      [&](size_t i, WindowConvoys window) {
         clusterings += window.clusterings;
         all.insert(all.end(), std::make_move_iterator(window.convoys.begin()),
                    std::make_move_iterator(window.convoys.end()));
+        if (memo == nullptr) return;
+        TraceCount(trace,
+                   window.hit ? TraceCounter::kClusterMemoHits
+                              : TraceCounter::kClusterMemoMisses,
+                   1);
+        // A record emptied at its byte limit holds fewer ticks than the
+        // window and is not kept.
+        const uint64_t ticks = static_cast<uint64_t>(windows[i].second) -
+                               static_cast<uint64_t>(windows[i].first) + 1;
+        if (window.recorded != nullptr &&
+            window.recorded->ticks.NumSteps() == ticks) {
+          memo->memo->PublishWindow(memo->key, std::move(window.recorded));
+        }
       });
   std::vector<Convoy> result = RemoveDominated(std::move(all));
   if (stats != nullptr) {
@@ -134,8 +202,18 @@ std::vector<Convoy> CutsRefine(const TrajectoryDatabase& db,
                                const CutsFilterResult& filtered,
                                DiscoveryStats* stats,
                                const ExecHooks* hooks) {
+  return CutsRefineWithMemo(db, query, filtered, /*memo=*/nullptr, stats,
+                            hooks);
+}
+
+std::vector<Convoy> CutsRefineWithMemo(const TrajectoryDatabase& db,
+                                       const ConvoyQuery& query,
+                                       const CutsFilterResult& filtered,
+                                       const MemoSlot* memo,
+                                       DiscoveryStats* stats,
+                                       const ExecHooks* hooks) {
   return RefineWindows(db, query, filtered.candidates, &filtered.members,
-                       stats, query.num_threads, hooks);
+                       memo, stats, query.num_threads, hooks);
 }
 
 std::vector<Convoy> CutsRefine(const TrajectoryDatabase& db,
@@ -143,8 +221,8 @@ std::vector<Convoy> CutsRefine(const TrajectoryDatabase& db,
                                const std::vector<Candidate>& candidates,
                                RefineMode /*mode*/, DiscoveryStats* stats,
                                size_t threads, const ExecHooks* hooks) {
-  return RefineWindows(db, query, candidates, /*members=*/nullptr, stats,
-                       threads, hooks);
+  return RefineWindows(db, query, candidates, /*members=*/nullptr,
+                       /*memo=*/nullptr, stats, threads, hooks);
 }
 
 }  // namespace convoy

@@ -55,6 +55,20 @@ std::vector<Convoy> CutsRefine(const TrajectoryDatabase& db,
                                DiscoveryStats* stats = nullptr,
                                const ExecHooks* hooks = nullptr);
 
+/// CutsRefine through a clustering memo — ConvoyEngine's path. A window
+/// inside one the memo holds under its key (a hit) reads that window's
+/// clusters and clusters nothing; any other window (a miss) reads the held
+/// windows inside it, clusters its remaining ticks, and is published to
+/// the memo. The result is the same either way. `filtered` must come from
+/// the filter run under the same memo key. A null `memo` is CutsRefine.
+struct MemoSlot;
+std::vector<Convoy> CutsRefineWithMemo(const TrajectoryDatabase& db,
+                                       const ConvoyQuery& query,
+                                       const CutsFilterResult& filtered,
+                                       const MemoSlot* memo,
+                                       DiscoveryStats* stats = nullptr,
+                                       const ExecHooks* hooks = nullptr);
+
 /// Refinement from the candidates alone, without the filter's member
 /// sets: the same windows, each clustering every alive object per tick.
 /// Same result as the overload above, at the cost of the pruning; `mode`

@@ -73,6 +73,10 @@ AlgorithmId IdFor(AlgorithmChoice choice, const DatabaseStats& stats) {
 
 }  // namespace
 
+ConvoyEngine::ConvoyEngine(TrajectoryDatabase db)
+    : db_(std::move(db)),
+      cluster_memo_(kClusterMemoBytesPerPoint * db_.Stats().total_points) {}
+
 std::shared_ptr<const std::vector<SimplifiedTrajectory>>
 ConvoyEngine::SimplifiedFor(SimplifierKind kind, double delta, size_t threads,
                             bool* cache_hit) const {
@@ -248,9 +252,20 @@ StatusOr<QueryPlan> ConvoyEngine::Prepare(const ConvoyQuery& query,
                     : plan.filter.lambda;
   plan.filter.lambda = plan.lambda;
 
+  // The memo as this plan finds it; Prepare only looks, Execute fills it.
+  const ClusterMemo::Held held =
+      cluster_memo_.Peek(ClusterMemoKey::Of(plan.filter, query));
+  plan.cluster_memo = held.filter ? PlanCacheStatus::kHit
+                                  : PlanCacheStatus::kMiss;
+  plan.cluster_memo_windows = held.windows;
+  plan.cluster_memo_bytes = cluster_memo_.Bytes();
+  plan.cluster_memo_budget = cluster_memo_.budget();
+
+  // ceil(domain / lambda), written so that lambda near the largest Tick
+  // cannot overflow.
   const Tick lambda = std::max<Tick>(plan.lambda, 1);
   const size_t partitions =
-      domain > 0 ? static_cast<size_t>((domain + lambda - 1) / lambda) : 0;
+      domain > 0 ? static_cast<size_t>((domain - 1) / lambda) + 1 : 0;
   plan.estimated_clusterings = partitions;
   plan.estimated_work = static_cast<double>(partitions) * n;
   return plan;
@@ -287,12 +302,20 @@ std::vector<Convoy> ConvoyEngine::Dispatch(const QueryPlan& plan,
         stats->simplify_seconds += simplify_watch.ElapsedSeconds();
       }
       // The filter borrows the immutable cache entry, and an already-built
-      // store's time domain without building one. Filter + refinement is
-      // bit-identical to the free Cuts().
-      const CutsFilterResult filtered = CutsFilterPresimplified(
-          db_, plan.query, plan.filter, *simplified, plan.delta, stats,
+      // store's time domain without building one. Both steps cluster only
+      // what the memo lacks under the plan's key; filter + refinement is
+      // bit-identical to the free Cuts(). A hand-built plan whose lambda
+      // is left to the filter has no key (lambda would follow k).
+      CutsFilterOptions resolved = plan.filter;
+      resolved.delta = plan.delta;
+      const MemoSlot slot{&cluster_memo_,
+                          ClusterMemoKey::Of(resolved, plan.query)};
+      const MemoSlot* const memo = resolved.lambda > 0 ? &slot : nullptr;
+      const CutsFilterResult filtered = CutsFilterWithMemo(
+          db_, plan.query, plan.filter, *simplified, plan.delta, memo, stats,
           &hooks, PeekStore().get());
-      return CutsRefine(db_, plan.query, filtered, stats, &hooks);
+      return CutsRefineWithMemo(db_, plan.query, filtered, memo, stats,
+                                &hooks);
     }
     case AlgorithmId::kMc2:
       if (const std::shared_ptr<const SnapshotStore> store = Store(threads)) {

@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/cluster_memo.h"
 #include "core/convoy_set.h"
 #include "core/cuts.h"
 #include "core/discovery_stats.h"
@@ -40,22 +41,28 @@ namespace convoy {
 ///
 /// Analysts rarely run one query: they sweep `e`, `m`, and `k` until the
 /// result set is meaningful (the paper tunes e per dataset until 1-100
-/// convoys appear). The engine amortizes the query-independent work — the
-/// trajectory simplifications, which depend only on (simplifier, delta) —
-/// across such sweeps.
+/// convoys appear). The engine amortizes across such sweeps whatever a
+/// query shares with earlier ones:
+///  - database statistics, and the delta guideline per e;
+///  - the trajectory simplifications, per (simplifier, delta);
+///  - the snapshot store and its grids, for CMC and MC2 plans;
+///  - the CuTS clusterings, per ClusterMemoKey (filter, delta, lambda, e,
+///    m — not k): the filter's partition clusterings and the refinement
+///    windows' per-tick clusterings (core/cluster_memo.h), so a sweep over
+///    k clusters once per (e, m) and re-runs only the candidate tracker.
+///    Answers are bit-identical to a run without the memo.
 ///
-/// Thread-safety: const after construction except for the internal
-/// simplification cache, the delta memo and memoized database statistics,
-/// which are mutex-guarded, so concurrent Prepare / Execute calls from
-/// different threads are safe without external synchronization.
-/// Two threads missing the same cache key may both compute the
-/// simplification; the first insert wins and the duplicate work is
-/// discarded (benign, and only on the first query of a sweep). Cache
-/// entries are immutable shared snapshots: readers hold a shared_ptr, and
-/// the filter borrows the vector for the length of its call.
+/// Thread-safety: const after construction except for those caches. The
+/// statistics, delta memo, simplification cache and store are guarded by
+/// one mutex, and the clustering memo by its own, so concurrent Prepare /
+/// Execute calls from different threads are safe without external
+/// synchronization. Two threads missing the same key may both compute the
+/// entry; the first to publish wins and the duplicate work is discarded.
+/// Entries are immutable shared snapshots: readers hold a shared_ptr, and
+/// the filter borrows the simplification for the length of its call.
 class ConvoyEngine {
  public:
-  explicit ConvoyEngine(TrajectoryDatabase db) : db_(std::move(db)) {}
+  explicit ConvoyEngine(TrajectoryDatabase db);
 
   const TrajectoryDatabase& db() const { return db_; }
 
@@ -90,6 +97,10 @@ class ConvoyEngine {
     std::lock_guard<std::mutex> lock(cache_mu_);
     return cache_.size();
   }
+
+  /// The CuTS clustering memo (for tests / monitoring): its bytes, keys
+  /// and budget (kClusterMemoBytesPerPoint per stored point).
+  const ClusterMemo& cluster_memo() const { return cluster_memo_; }
 
   /// The engine's cached SnapshotStore: built on first use by a
   /// snapshot-consuming plan (CMC, MC2) in Prepare or Execute, then shared
@@ -145,6 +156,8 @@ class ConvoyEngine {
                                DiscoveryStats* stats) const;
 
   TrajectoryDatabase db_;
+  /// CuTS clusterings of earlier queries; synchronized by its own mutex.
+  mutable ClusterMemo cluster_memo_;
   /// Guards cache_, delta_cache_, db_stats_ and store_. The GUARDED_BY
   /// comments below are machine-checked by tools/lint (guarded-member):
   /// mutating an annotated member in a function that never takes the

@@ -58,7 +58,7 @@ Status StreamingCmc::Report(ObjectId id, const Point& position) {
 }
 
 void StreamingCmc::AdvanceEmpty(Tick t) {
-  tracker_.Advance({}, t, t, /*step_weight=*/1, &completed_);
+  tracker_.Advance(ClusterSpans(), t, t, /*step_weight=*/1, &completed_);
 }
 
 StatusOr<std::vector<Convoy>> StreamingCmc::EndTick() {

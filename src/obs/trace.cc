@@ -64,6 +64,8 @@ constexpr CounterInfo kCounterInfo[kNumTraceCounters] = {
     {"server.load_shed", false},
     {"server.live_queries", false},
     {"server.live_ticks_clustered", false},
+    {"engine.cluster_memo_hits", false},
+    {"engine.cluster_memo_misses", false},
 };
 
 static_assert(kNumTraceCounters == kQueryMetricsCounters,

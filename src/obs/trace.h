@@ -65,6 +65,9 @@ enum class TraceCounter : uint32_t {
   kServerLoadShed,           ///< ingest items NAKed kRetryAfter (high water)
   kServerLiveQueries,        ///< queries answered by the live incremental CMC
   kServerLiveTicksClustered, ///< ticks those queries' refreshes clustered
+  kClusterMemoHits,          ///< CuTS filter runs / refinement windows
+                             ///< served by the engine's clustering memo
+  kClusterMemoMisses,        ///< ... that clustered and published instead
   kNumTraceCounters          ///< sentinel, not a counter
 };
 

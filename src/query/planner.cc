@@ -63,6 +63,11 @@ std::string QueryPlan::Explain() const {
         << (lambda_derived ? " (derived, Sec. 7.4 guideline)" : " (given)")
         << "\n";
     out << "  simplification cache: " << ToString(cache) << "\n";
+    out << "  clustering memo: " << ToString(cluster_memo) << " ("
+        << (cluster_memo == PlanCacheStatus::kHit ? "filter + " : "")
+        << cluster_memo_windows << " refinement window(s); "
+        << cluster_memo_bytes << " of " << cluster_memo_budget
+        << " bytes held)\n";
     out << "  estimated work: " << estimated_clusterings
         << " partition clustering(s), ~" << estimated_work
         << " object-clustering units (refinement excluded)\n";

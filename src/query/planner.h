@@ -65,6 +65,16 @@ struct QueryPlan {
   /// Did parameter resolution hit the engine's simplification cache?
   PlanCacheStatus cache = PlanCacheStatus::kNotApplicable;
 
+  /// The engine's CuTS clustering memo as Prepare found it (CuTS family
+  /// only; Prepare only looks, Execute fills it): kHit when it held this
+  /// plan's filter clustering, the refinement windows it held under the
+  /// plan's key, and the bytes it held across all keys against its
+  /// budget.
+  PlanCacheStatus cluster_memo = PlanCacheStatus::kNotApplicable;
+  size_t cluster_memo_windows = 0;
+  size_t cluster_memo_bytes = 0;
+  size_t cluster_memo_budget = 0;
+
   /// Snapshot-store provenance: kMiss when planning built the
   /// tick-partitioned store for this database, kHit when a previously
   /// built store was reused (the build-once-query-many steady state),

@@ -76,9 +76,12 @@ SnapshotStore SnapshotStore::Build(const TrajectoryDatabase& db,
   // are bit-identical.
   constexpr size_t kFillTicks = 256;
   const auto fill_block = [&](size_t b) {
-    const Tick block_begin = begin + static_cast<Tick>(b * kFillTicks);
-    const Tick block_end =
-        std::min(end, block_begin + static_cast<Tick>(kFillTicks) - 1);
+    // Offsets within the domain, so a block near the top of the tick range
+    // cannot overflow computing its end.
+    const size_t first = b * kFillTicks;
+    const size_t last = std::min(num_ticks - 1, first + kFillTicks - 1);
+    const Tick block_begin = begin + static_cast<Tick>(first);
+    const Tick block_end = begin + static_cast<Tick>(last);
     std::vector<size_t> cursor(
         static_cast<size_t>(block_end - block_begin) + 1);
     for (size_t s = 0; s < cursor.size(); ++s) {

@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "convoy/convoy.h"
 #include "tests/test_util.h"
@@ -86,6 +88,17 @@ TEST(EdgeCaseTest, DatabaseWithEmptyTrajectories) {
   const ConvoyQuery query{2, 4, 1.0};
   EXPECT_EQ(Cmc(db, query).size(), 1u);
   EXPECT_EQ(Cuts(db, query).size(), 1u);
+
+  // Only empty trajectories: an empty time domain, so no filter partition.
+  TrajectoryDatabase hollow;
+  hollow.Add(Trajectory(0));
+  hollow.Add(Trajectory(1));
+  EXPECT_TRUE(Cmc(hollow, query).empty());
+  EXPECT_TRUE(Cuts(hollow, query).empty());
+  EXPECT_TRUE(testutil::RunQuery(ConvoyEngine(hollow), query,
+                                 AlgorithmChoice::kCutsStar)
+                  .convoys()
+                  .empty());
 }
 
 TEST(EdgeCaseTest, SingleSampleTrajectoriesAreHandled) {
@@ -277,6 +290,46 @@ TEST(EdgeCaseTest, SimplifyZigZagWithZeroDelta) {
   }
   EXPECT_EQ(DouglasPeucker(traj, 0.0).NumVertices(), 50u);
   EXPECT_EQ(DpStar(traj, 0.0).NumVertices(), 50u);
+}
+
+// ------------------------------------------------- top of the tick range ---
+
+// Four objects 0.5 apart, sampled at every tick of [INT64_MAX - 40,
+// INT64_MAX - 1]: a store block, filter partition or refinement window
+// whose end is computed as start + length overflows there.
+TEST(EdgeCaseTest, TopOfTickRangeEveryPathMatchesCmc) {
+  std::vector<std::vector<double>> xs(4);
+  for (std::vector<double>& row : xs) {
+    for (int t = 0; t < 40; ++t) row.push_back(static_cast<double>(t));
+  }
+  const TrajectoryDatabase db =
+      FromXRows(xs, 0.5, std::numeric_limits<Tick>::max() - 40);
+  const ConvoyQuery query{2, 5, 2.0};
+  const std::vector<Convoy> want = Cmc(db, query);
+  ASSERT_EQ(want.size(), 1u);
+  EXPECT_EQ(want[0].objects, (std::vector<ObjectId>{0, 1, 2, 3}));
+  const auto check = [&](const std::vector<Convoy>& got,
+                         const std::string& what) {
+    EXPECT_EQ(got, want) << what;
+    for (const Convoy& convoy : got) {
+      EXPECT_TRUE(VerifyConvoy(db, query, convoy)) << what;
+    }
+  };
+
+  const ConvoyEngine engine(db);
+  for (const AlgorithmChoice choice :
+       {AlgorithmChoice::kAuto, AlgorithmChoice::kCmc, AlgorithmChoice::kCuts,
+        AlgorithmChoice::kCutsPlus, AlgorithmChoice::kCutsStar,
+        AlgorithmChoice::kMc2}) {
+    check(testutil::RunQuery(engine, query, choice).convoys(),
+          std::string(ToString(choice)));
+  }
+  for (const Tick lambda : {Tick{-1}, Tick{7}}) {
+    CutsFilterOptions options;
+    options.lambda = lambda;
+    check(Cuts(db, query, CutsVariant::kCutsStar, options),
+          "Cuts(), lambda " + std::to_string(lambda));
+  }
 }
 
 // --------------------------------------------------------------- verify ---

@@ -1,7 +1,10 @@
 // Differential test of the exact convoy algorithms against the brute-force
 // Definition 3 oracle (tests/oracle.h): on small seeded databases, CMC over
 // the rows, CMC over the SnapshotStore and an engine CuTS* plan must each
-// return exactly the oracle's convoys, at 1 and 2 threads.
+// return exactly the oracle's convoys, at 1 and 2 threads. One engine per
+// database answers the whole (m, k, e) grid, so most of its CuTS* answers
+// are served by the clustering memo and are checked against the oracle
+// too.
 
 #include "tests/oracle.h"
 
@@ -13,6 +16,7 @@
 
 #include "core/cmc.h"
 #include "core/engine.h"
+#include "obs/trace.h"
 #include "tests/test_util.h"
 #include "traj/snapshot_store.h"
 #include "util/random.h"
@@ -21,7 +25,6 @@ namespace convoy {
 namespace {
 
 using testutil::RandomClumpyDb;
-using testutil::RunQuery;
 
 constexpr Tick kTicks = 24;
 constexpr uint64_t kSeedsPerSetting = 40;
@@ -39,6 +42,7 @@ TEST(OracleTest, ExactAlgorithmsMatchBruteForceDefinition3) {
   size_t cases = 0;
   size_t non_empty = 0;
   size_t convoys = 0;
+  uint64_t memo_hits = 0;
   uint64_t seed = 1;
   for (size_t objects = 5; objects <= 9; ++objects) {
     for (const double keep_prob : {1.0, 0.7}) {
@@ -64,11 +68,14 @@ TEST(OracleTest, ExactAlgorithmsMatchBruteForceDefinition3) {
                     Describe(seed, objects, keep_prob, query);
                 ASSERT_EQ(Cmc(db, query), want) << "Cmc(db), " << what;
                 ASSERT_EQ(Cmc(store, query), want) << "Cmc(store), " << what;
-                ASSERT_EQ(
-                    RunQuery(engine, query, AlgorithmChoice::kCutsStar)
-                        .convoys(),
-                    want)
+                TraceSession trace;
+                const QueryPlan plan =
+                    engine.Prepare(query, AlgorithmChoice::kCutsStar).value();
+                ExecHooks hooks;
+                hooks.trace = &trace;
+                ASSERT_EQ(engine.Execute(plan, hooks).value().convoys(), want)
                     << "CuTS* plan, " << what;
+                memo_hits += trace.counter(TraceCounter::kClusterMemoHits);
               }
             }
           }
@@ -81,6 +88,7 @@ TEST(OracleTest, ExactAlgorithmsMatchBruteForceDefinition3) {
   EXPECT_EQ(cases, 5 * 2 * kSeedsPerSetting * 8);
   EXPECT_GE(3 * non_empty, cases)
       << non_empty << " of " << cases << " cases have a convoy";
+  EXPECT_GT(memo_hits, cases) << "CuTS* answers served by the memo";
   RecordProperty("cases", static_cast<int>(cases));
   RecordProperty("non_empty", static_cast<int>(non_empty));
   RecordProperty("convoys", static_cast<int>(convoys));

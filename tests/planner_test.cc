@@ -188,6 +188,8 @@ TEST(PlannerTest, PlanSurfaceIsPinnedPerChoice) {
        "  delta:       1.25 (given)\n"
        "  lambda:      7 (given)\n"
        "  simplification cache: miss\n"
+       "  clustering memo: miss (0 refinement window(s); 0 of 228192 bytes "
+       "held)\n"
        "  estimated work: 43 partition clustering(s), ~1290 object-clustering "
        "units (refinement excluded)\n"
        "  capabilities: exact, simplification, threads\n",
@@ -225,6 +227,8 @@ TEST(PlannerTest, PlanSurfaceIsPinnedPerChoice) {
        "  delta:       1.25 (given)\n"
        "  lambda:      7 (given)\n"
        "  simplification cache: miss\n"
+       "  clustering memo: miss (0 refinement window(s); 0 of 228192 bytes "
+       "held)\n"
        "  estimated work: 43 partition clustering(s), ~1290 object-clustering "
        "units (refinement excluded)\n"
        "  capabilities: exact, simplification, threads\n",
@@ -245,6 +249,8 @@ TEST(PlannerTest, PlanSurfaceIsPinnedPerChoice) {
        "  delta:       1.25 (given)\n"
        "  lambda:      7 (given)\n"
        "  simplification cache: miss\n"
+       "  clustering memo: miss (0 refinement window(s); 0 of 228192 bytes "
+       "held)\n"
        "  estimated work: 43 partition clustering(s), ~1290 object-clustering "
        "units (refinement excluded)\n"
        "  capabilities: exact, simplification, threads\n",
@@ -265,6 +271,8 @@ TEST(PlannerTest, PlanSurfaceIsPinnedPerChoice) {
        "  delta:       1.25 (given)\n"
        "  lambda:      7 (given)\n"
        "  simplification cache: miss\n"
+       "  clustering memo: miss (0 refinement window(s); 0 of 228192 bytes "
+       "held)\n"
        "  estimated work: 43 partition clustering(s), ~1290 object-clustering "
        "units (refinement excluded)\n"
        "  capabilities: exact, simplification, threads\n",

@@ -106,7 +106,9 @@ class PresetSeedTest : public ::testing::TestWithParam<SeedCase> {};
 // Each preset at seeds 42 and 44, each variant through ConvoyEngine's
 // Execute and the free Cuts(), at 1, 2 and 8 threads: every
 // answer is CMC's, and refinement clusters no more snapshots than CMC
-// does.
+// does. Each thread count runs on a fresh engine, so its first Execute
+// clusters (a clustering-memo miss); a second Execute, served by the memo,
+// must give the same answer.
 TEST_P(PresetSeedTest, DefaultPathsMatchCmc) {
   const SeedCase& param = GetParam();
   const ScenarioData data =
@@ -135,12 +137,14 @@ TEST_P(PresetSeedTest, DefaultPathsMatchCmc) {
       query.num_threads = threads;
 
       TraceSession trace;
+      const ConvoyEngine cuts_engine(data.db);
       const StatusOr<QueryPlan> plan =
-          engine.Prepare(query, ChoiceFor(variant));
+          cuts_engine.Prepare(query, ChoiceFor(variant));
       ASSERT_TRUE(plan.ok()) << where;
       ExecHooks hooks;
       hooks.trace = &trace;
-      const StatusOr<ConvoyResultSet> executed = engine.Execute(*plan, hooks);
+      const StatusOr<ConvoyResultSet> executed =
+          cuts_engine.Execute(*plan, hooks);
       ASSERT_TRUE(executed.ok()) << where;
       EXPECT_TRUE(SameResultSet(exact, executed->convoys()))
           << where << ": Execute got " << executed->convoys().size()
@@ -149,6 +153,9 @@ TEST_P(PresetSeedTest, DefaultPathsMatchCmc) {
       EXPECT_LE(trace.counter(TraceCounter::kSnapshotsClustered),
                 cmc_clusterings)
           << where;
+      const StatusOr<ConvoyResultSet> again = cuts_engine.Execute(*plan);
+      ASSERT_TRUE(again.ok()) << where;
+      EXPECT_EQ(again->convoys(), executed->convoys()) << where << ": memo";
 
       EXPECT_TRUE(SameResultSet(exact, Cuts(data.db, query, variant)))
           << where << ": Cuts()";

@@ -369,6 +369,51 @@ TEST(RaceStressTest, PeekStoreAndCacheSizeVsFirstQuery) {
   EXPECT_EQ(prints[2], prints[0]);
 }
 
+// Threads sweeping k at one clustering-memo key on one engine, half of
+// them with k rising (windows shrink: hits on windows another thread
+// published) and half with k falling (windows grow: misses that read the
+// held windows inside them, then replace them while other threads read
+// them); the first queries race misses on the same key, where both
+// threads cluster and the first publish wins. Each thread polls the memo's
+// size too. Every answer must be Cmc()'s.
+TEST(RaceStressTest, ClusterMemoSweepOneKeyHitsVsMisses) {
+  Rng rng(20261018);
+  const TrajectoryDatabase db = RandomClumpyDb(rng, 30, 60, 40.0, 1.0);
+  const ConvoyEngine engine(db);
+  const std::vector<Tick> ks = {2, 3, 4, 6, 8, 12};
+  std::vector<std::string> want;
+  for (const Tick k : ks) want.push_back(Fingerprint(Cmc(db, {3, k, 4.0})));
+  CutsFilterOptions options;
+  options.lambda = 3;  // one key for every k
+
+  constexpr int kThreads = 4;
+  std::atomic<int> failures{0};
+  {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (int round = 0; round < 3; ++round) {
+          for (size_t i = 0; i < ks.size(); ++i) {
+            const size_t j = t % 2 == 0 ? i : ks.size() - 1 - i;
+            ConvoyQuery query{3, ks[j], 4.0};
+            query.num_threads = 1 + static_cast<size_t>(t / 2);
+            const auto plan =
+                engine.Prepare(query, AlgorithmChoice::kCutsStar, options);
+            const auto result = engine.Execute(plan.value());
+            if (!result.ok() || Fingerprint(result->convoys()) != want[j]) {
+              failures.fetch_add(1);
+            }
+            (void)engine.cluster_memo().Bytes();
+          }
+        }
+      });
+    }
+    for (std::thread& th : threads) th.join();
+  }
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(engine.cluster_memo().NumKeys(), 1u);
+}
+
 // ---------------------------------------------------------------------------
 // Server surfaces.
 

@@ -41,11 +41,15 @@
 #    local Cmc() — the crash-recovery property, end to end over processes;
 # 5. generate a small synthetic dataset with convoy_cli;
 # 6. run CuTS* and CMC discovery with 1 and 2 worker threads and require
-#    byte-identical results (the parallel subsystem's core guarantee);
+#    byte-identical results (the parallel subsystem's core guarantee), and
+#    CuTS* with --repeat 3, whose warm runs (served by the clustering
+#    memo) must return the first run's convoys;
 # 7. drive convoy_cli's error paths and require the documented exit codes
 #    (1 usage — malformed numeric values included, 2 I/O, 3 invalid query,
 #    4 data error), and require convoy_serverd, convoy_loadgen and the
 #    bench binaries to reject malformed numeric flags with usage code 1;
+#    run a database at the top of the tick range through the auto plan and
+#    CuTS* under a memory cap, requiring verified convoys;
 # 8. smoke the planner: --algo auto --explain must print the chosen
 #    algorithm and the resolved delta/lambda;
 # 9. smoke the observability surface: --explain-analyze must print
@@ -219,18 +223,41 @@ fi
 "${CLI}" --generate carlike --scale 0.1 --seed 99 \
          --output "${SMOKE_DIR}/data.csv" > /dev/null
 
-for algo in "cuts*" cmc; do
-  "${CLI}" --input "${SMOKE_DIR}/data.csv" --m 3 --k 60 --e 8.0 \
-           --algo "${algo}" --threads 1 --results "${SMOKE_DIR}/t1.csv" \
-           > /dev/null
-  "${CLI}" --input "${SMOKE_DIR}/data.csv" --m 3 --k 60 --e 8.0 \
-           --algo "${algo}" --threads 2 --results "${SMOKE_DIR}/t2.csv" \
-           > /dev/null
-  if ! diff -q "${SMOKE_DIR}/t1.csv" "${SMOKE_DIR}/t2.csv" > /dev/null; then
-    echo "FAIL: ${algo} results differ between --threads 1 and --threads 2"
-    exit 1
-  fi
-  echo "ok: ${algo} identical for --threads 1 and --threads 2"
+# Two queries: the smoke query, which finds no convoy on this dataset, and
+# one that finds some, so the comparison is not between two empty answers.
+# For cuts* a third run repeats the query three times on one engine:
+# --repeat exits non-zero unless every warm run, served by the clustering
+# memo, returns the first run's convoys, and that first run must equal the
+# one-thread answer.
+for query in "--m 3 --k 60 --e 8.0" "--m 2 --k 5 --e 30"; do
+  for algo in "cuts*" cmc; do
+    # shellcheck disable=SC2086  # ${query} is several flags
+    "${CLI}" --input "${SMOKE_DIR}/data.csv" ${query} \
+             --algo "${algo}" --threads 1 --results "${SMOKE_DIR}/t1.csv" \
+             > /dev/null
+    # shellcheck disable=SC2086
+    "${CLI}" --input "${SMOKE_DIR}/data.csv" ${query} \
+             --algo "${algo}" --threads 2 --results "${SMOKE_DIR}/t2.csv" \
+             > /dev/null
+    if ! diff -q "${SMOKE_DIR}/t1.csv" "${SMOKE_DIR}/t2.csv" > /dev/null; then
+      echo "FAIL: ${algo} (${query}) results differ between --threads 1" \
+           "and --threads 2"
+      exit 1
+    fi
+    echo "ok: ${algo} (${query}) identical for --threads 1 and --threads 2"
+    if [[ "${algo}" == "cuts*" ]]; then
+      # shellcheck disable=SC2086
+      "${CLI}" --input "${SMOKE_DIR}/data.csv" ${query} \
+               --algo "${algo}" --threads 2 --repeat 3 \
+               --results "${SMOKE_DIR}/t2r.csv" > /dev/null
+      if ! diff -q "${SMOKE_DIR}/t1.csv" "${SMOKE_DIR}/t2r.csv" \
+           > /dev/null; then
+        echo "FAIL: ${algo} (${query}) --repeat 3 differs from --threads 1"
+        exit 1
+      fi
+      echo "ok: ${algo} (${query}) --repeat 3 warm runs identical"
+    fi
+  done
 done
 
 echo "== CLI error-path smoke (documented exit codes) =="
@@ -293,6 +320,32 @@ expect_exit 4 "garbage-only input" \
 printf '0,0,nan,1\n0,1,1,1\n0,2,2,2\n1,0,0,0\n' > "${SMOKE_DIR}/nanrow.csv"
 expect_exit 0 "NaN row skipped, rest discovered" \
   "${CLI}" --input "${SMOKE_DIR}/nanrow.csv" --m 2 --k 2 --e 8.0
+# Four objects 0.5 apart at every tick of [INT64_MAX - 40, INT64_MAX - 1]:
+# store blocks, filter partitions and refinement windows end near the top
+# of the tick range there. Each run is capped by `ulimit -v`, so a
+# partition loop that overflows and never ends fails fast instead of
+# exhausting the host's memory; each must exit 0 with every convoy
+# verified.
+TOP_TICK=9223372036854775807
+for ((back = 40; back >= 1; --back)); do
+  for o in 0 1 2 3; do
+    echo "${o},$((TOP_TICK - back)),$((40 - back)),$((o / 2)).$((o % 2 * 5))"
+  done
+done > "${SMOKE_DIR}/top.csv"
+for top_algo in "auto" "cuts* --lambda 7"; do
+  TOP_OUT="${SMOKE_DIR}/top.out"
+  TOP_EXIT=0
+  # shellcheck disable=SC2086  # ${top_algo} is the algorithm and its flags
+  (ulimit -v 2000000; "${CLI}" --input "${SMOKE_DIR}/top.csv" --m 2 --k 5 \
+     --e 2 --verify --algo ${top_algo}) > "${TOP_OUT}" 2>&1 || TOP_EXIT=$?
+  if [[ "${TOP_EXIT}" != 0 ]] || grep -q "FAILED VERIFICATION" "${TOP_OUT}" \
+     || ! grep -q "verified" "${TOP_OUT}"; then
+    echo "FAIL: top-of-range repro (--algo ${top_algo}): exit ${TOP_EXIT}"
+    cat "${TOP_OUT}"
+    exit 1
+  fi
+  echo "ok: top-of-range repro (--algo ${top_algo}) -> exit 0, verified"
+done
 
 echo "== planner EXPLAIN smoke =="
 EXPLAIN_OUT="$("${CLI}" --input "${SMOKE_DIR}/data.csv" --m 3 --k 60 --e 8.0 \
