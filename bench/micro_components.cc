@@ -2,6 +2,8 @@
 // index structures, clustering kernels, and simplification algorithms that
 // the discovery pipeline is built from.
 
+#include <type_traits>
+
 #include <benchmark/benchmark.h>
 
 #include "convoy/convoy.h"
@@ -216,14 +218,21 @@ void RunAdvanceBench(benchmark::State& state) {
   // Pre-generate the stream: only Advance may sit inside the timed loop,
   // or the synthetic-cluster generator floors the old-vs-new comparison.
   std::vector<std::vector<std::vector<ObjectId>>> step_clusters;
+  FlatClusters step_flat;  // the same steps as CandidateTracker reads them
   for (Tick t = 0; t < 30; ++t) {
     step_clusters.push_back(AdvanceClusters(t, universe, 20));
+    step_flat.AddStep(step_clusters.back());
   }
   for (auto _ : state) {
     Tracker tracker(3, 10);
     std::vector<Candidate> done;
     for (Tick t = 0; t < 30; ++t) {
-      tracker.Advance(step_clusters[static_cast<size_t>(t)], t, t, 1, &done);
+      const size_t s = static_cast<size_t>(t);
+      if constexpr (std::is_same_v<Tracker, CandidateTracker>) {
+        tracker.Advance(step_flat.Step(s), t, t, 1, &done);
+      } else {
+        tracker.Advance(step_clusters[s], t, t, 1, &done);
+      }
     }
     benchmark::DoNotOptimize(done.size());
   }

@@ -160,10 +160,13 @@ void RunHotpathSection(const convoy::bench::BenchOptions& opts) {
                ref_watch.ElapsedSeconds() * 1e9 / ref_iters);
 
     DbscanScratch scratch;
+    FlatClusters clusters;
     const int opt_iters = 200 * mult;
     Stopwatch opt_watch;
     for (int i = 0; i < opt_iters; ++i) {
-      sink += ClusterSnapshot(points, ids, q, nullptr, &scratch).size();
+      clusters.Clear();
+      ClusterSnapshot(points, ids, q, &scratch, &clusters);
+      sink += clusters.Step(0).size();
     }
     report.Add("snapshot_cluster_csr_arena", 1000, 1,
                opt_watch.ElapsedSeconds() * 1e9 / opt_iters);
@@ -231,8 +234,10 @@ void RunHotpathSection(const convoy::bench::BenchOptions& opts) {
     // cross-PR metric and dampens real tracker regressions.
     const Tick steps = 60;
     std::vector<std::vector<std::vector<ObjectId>>> step_clusters;
+    FlatClusters step_flat;  // the same steps as CandidateTracker reads them
     for (Tick t = 0; t < steps; ++t) {
       step_clusters.push_back(disjoint_clusters_at(t));
+      step_flat.AddStep(step_clusters.back());
     }
     const int adv_iters = 3 * mult;
     Stopwatch ref_watch;
@@ -252,7 +257,7 @@ void RunHotpathSection(const convoy::bench::BenchOptions& opts) {
       CandidateTracker tracker(3, 10);
       std::vector<Candidate> done;
       for (Tick t = 0; t < steps; ++t) {
-        tracker.Advance(step_clusters[static_cast<size_t>(t)], t, t, 1,
+        tracker.Advance(step_flat.Step(static_cast<size_t>(t)), t, t, 1,
                         &done);
       }
     }
@@ -356,7 +361,9 @@ void RunHotpathSection(const convoy::bench::BenchOptions& opts) {
               clusters.push_back(std::move(ids));
             }
           }
-          tracker.Advance(clusters, ps, pe, lambda, &candidates);
+          FlatClusters step;
+          step.AddStep(clusters);
+          tracker.Advance(step.Step(0), ps, pe, lambda, &candidates);
         }
         tracker.Flush(&candidates);
         return candidates.size();

@@ -75,7 +75,6 @@
 #include "simplify/dp_star.h"
 #include "simplify/simplifier.h"
 #include "traj/cleaning.h"
-#include "traj/resample.h"
 #include "traj/database.h"
 #include "traj/interpolate.h"
 #include "traj/snapshot_store.h"

@@ -25,8 +25,8 @@ uint64_t HashObjects(const std::vector<ObjectId>& objects) {
 
 }  // namespace
 
-std::vector<ObjectId> IntersectSorted(const std::vector<ObjectId>& a,
-                                      const std::vector<ObjectId>& b) {
+std::vector<ObjectId> IntersectSorted(std::span<const ObjectId> a,
+                                      std::span<const ObjectId> b) {
   std::vector<ObjectId> out;
   out.reserve(std::min(a.size(), b.size()));
   std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
@@ -39,6 +39,17 @@ uint32_t FlatClusters::Offset(size_t n) {
     throw std::length_error("FlatClusters: more than 2^32 - 1 entries");
   }
   return static_cast<uint32_t>(n);
+}
+
+void FlatClusters::AddStep(const std::vector<std::vector<size_t>>& clusters,
+                           const ObjectId* ids) {
+  for (const std::vector<size_t>& cluster : clusters) {
+    const size_t first = ids_.size();
+    for (const size_t idx : cluster) ids_.push_back(ids[idx]);
+    std::sort(ids_.begin() + static_cast<std::ptrdiff_t>(first), ids_.end());
+    bounds_.push_back(Offset(ids_.size()));
+  }
+  steps_.push_back(Offset(bounds_.size() - 1));
 }
 
 uint32_t ClusterLabeler::EnsureSlot(ObjectId id) {
@@ -56,17 +67,7 @@ uint32_t ClusterLabeler::EnsureSlot(ObjectId id) {
   return slot;
 }
 
-bool ClusterLabeler::Label(
-    const std::vector<std::vector<ObjectId>>& clusters) {
-  return LabelImpl(clusters);
-}
-
 bool ClusterLabeler::Label(const ClusterSpans& clusters) {
-  return LabelImpl(clusters);
-}
-
-template <typename Clusters>
-bool ClusterLabeler::LabelImpl(const Clusters& clusters) {
   if (++epoch_ == 0) {
     // Epoch counter wrapped (once per 2^32 steps): stale stamps could
     // alias, so reset them all and restart at 1.
@@ -120,25 +121,9 @@ void CandidateTracker::Offer(Candidate&& cand) {
   hash_.push_back(h);
 }
 
-void CandidateTracker::Advance(
-    const std::vector<std::vector<ObjectId>>& clusters, Tick step_start,
-    Tick step_end, Tick step_weight, std::vector<Candidate>* completed) {
-  AdvanceImpl(clusters, step_start, step_end, step_weight, completed);
-}
-
 void CandidateTracker::Advance(const ClusterSpans& clusters, Tick step_start,
                                Tick step_end, Tick step_weight,
                                std::vector<Candidate>* completed) {
-  AdvanceImpl(clusters, step_start, step_end, step_weight, completed);
-}
-
-// One implementation for both cluster forms: the step's clusters are read
-// only through size() and operator[], so a memoized step advances the
-// live set exactly as the freshly clustered one would.
-template <typename Clusters>
-void CandidateTracker::AdvanceImpl(const Clusters& clusters, Tick step_start,
-                                   Tick step_end, Tick step_weight,
-                                   std::vector<Candidate>* completed) {
   ++tally_.steps;
   const size_t completed_before = completed->size();
   pool_.clear();
@@ -148,7 +133,7 @@ void CandidateTracker::AdvanceImpl(const Clusters& clusters, Tick step_start,
   // One pass labels every cluster member; disjointness (guaranteed for
   // DBSCAN partitions) makes "intersect v with every cluster" a single
   // O(|v|) bucketing sweep per candidate below. Overlapping clusters —
-  // possible only through direct API use — fall back to the pairwise
+  // Flock's disc groups, duplicate ids — fall back to the pairwise
   // set_intersection the labels replace.
   const bool disjoint = labeler_.Label(clusters);
   if (buckets_.size() < clusters.size()) buckets_.resize(clusters.size());
@@ -181,7 +166,7 @@ void CandidateTracker::AdvanceImpl(const Clusters& clusters, Tick step_start,
       }
     } else {
       for (size_t ci = 0; ci < clusters.size(); ++ci) {
-        const auto& c = clusters[ci];
+        const std::span<const ObjectId> c = clusters[ci];
         std::vector<ObjectId> common;
         std::set_intersection(v.objects.begin(), v.objects.end(), c.begin(),
                               c.end(), std::back_inserter(common));
@@ -209,7 +194,7 @@ void CandidateTracker::AdvanceImpl(const Clusters& clusters, Tick step_start,
   // this step. If an identical successor already exists it has an earlier
   // start and wins the dedup above.
   for (size_t ci = 0; ci < clusters.size(); ++ci) {
-    const auto& c = clusters[ci];
+    const std::span<const ObjectId> c = clusters[ci];
     if (c.size() < m_) continue;
     Candidate fresh;
     fresh.objects.assign(c.begin(), c.end());

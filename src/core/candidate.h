@@ -45,17 +45,18 @@ class ClusterSpans {
   const ObjectId* ids_ = nullptr;
 };
 
-/// A run of steps' clusters — a filter's partitions, a refinement window's
-/// ticks — in three flat arrays, the form the CuTS clustering memo keeps
-/// (core/cluster_memo.h): step s's clusters are the entries
-/// [steps_[s], steps_[s + 1]) of bounds_, and cluster c's objects are
-/// ids_[bounds_[c], bounds_[c + 1]). Offsets are 32-bit, so one instance
-/// holds fewer than 2^32 object ids; AddStep throws std::length_error
-/// rather than wrap.
+/// A run of steps' clusters in three flat arrays — the one form in which
+/// clusters pass from a clusterer to its consumer: a snapshot's clusters,
+/// a filter's partitions, a refinement window's ticks as the CuTS
+/// clustering memo keeps them (core/cluster_memo.h). Step s's clusters are
+/// the entries [steps_[s], steps_[s + 1]) of bounds_, and cluster c's
+/// objects are ids_[bounds_[c], bounds_[c + 1]). Clusters need not be
+/// disjoint. Offsets are 32-bit, so one instance holds fewer than 2^32
+/// object ids; appending more throws std::length_error rather than wrap.
 class FlatClusters {
  public:
   /// Appends one step whose clusters are `clusters`: any indexable list of
-  /// sorted object-id ranges (a DBSCAN result, or another step's view).
+  /// sorted object-id ranges (another step's view, a list of spans).
   template <typename Clusters>
   void AddStep(const Clusters& clusters) {
     for (size_t c = 0; c < clusters.size(); ++c) {
@@ -64,6 +65,19 @@ class FlatClusters {
       bounds_.push_back(Offset(ids_.size()));
     }
     steps_.push_back(Offset(bounds_.size() - 1));
+  }
+
+  /// Appends one step of point-index clusters (a DBSCAN result's
+  /// `clusters`), each index i standing for object ids[i]; every cluster's
+  /// ids are stored sorted.
+  void AddStep(const std::vector<std::vector<size_t>>& clusters,
+               const ObjectId* ids);
+
+  /// Drops every step, keeping the capacity for the next ones.
+  void Clear() {
+    steps_.resize(1);
+    bounds_.resize(1);
+    ids_.clear();
   }
 
   size_t NumSteps() const { return steps_.size() - 1; }
@@ -113,9 +127,8 @@ class ClusterLabeler {
   /// Labels every member of `clusters` with its cluster index. Returns
   /// false when the clusters are not disjoint (an object appears twice) —
   /// labels are then meaningless and the caller must fall back to pairwise
-  /// intersection; every algorithmic producer (DBSCAN partitions) is
-  /// disjoint, so the fallback only guards direct API callers.
-  bool Label(const std::vector<std::vector<ObjectId>>& clusters);
+  /// intersection. DBSCAN partitions are disjoint; Flock's maximal disc
+  /// groups, and the clusters of a database with duplicate ids, may not be.
   bool Label(const ClusterSpans& clusters);
 
   /// The cluster index `id` belongs to in the step most recently passed to
@@ -141,8 +154,6 @@ class ClusterLabeler {
     return it == overflow_.end() ? kNoSlot : it->second;
   }
   uint32_t EnsureSlot(ObjectId id);
-  template <typename Clusters>
-  bool LabelImpl(const Clusters& clusters);
 
   std::vector<uint32_t> dense_;  ///< id -> slot for ids < kDenseIdCap
   std::unordered_map<ObjectId, uint32_t> overflow_;
@@ -197,15 +208,11 @@ class CandidateTracker {
   CandidateTracker(size_t m, Tick k) : m_(m), k_(k) {}
 
   /// Advances one step covering ticks [step_start, step_end] whose clusters
-  /// (as object-id sets, each sorted ascending) are `clusters`.
-  /// `step_weight` is the lifetime increment (1 for CMC, lambda for CuTS).
-  /// Candidates that ended at this step with lifetime >= k are appended to
-  /// `completed`.
-  void Advance(const std::vector<std::vector<ObjectId>>& clusters,
-               Tick step_start, Tick step_end, Tick step_weight,
-               std::vector<Candidate>* completed);
-  /// The same step with its clusters read from flat storage — how a sweep
-  /// over memoized clusterings advances (core/cluster_memo.h).
+  /// (as object-id sets, each sorted ascending) are `clusters`, read from
+  /// whatever flat storage the clusterer or the clustering memo wrote them
+  /// to. `step_weight` is the lifetime increment (1 for CMC, lambda for
+  /// CuTS). Candidates that ended at this step with lifetime >= k are
+  /// appended to `completed`.
   void Advance(const ClusterSpans& clusters, Tick step_start, Tick step_end,
                Tick step_weight, std::vector<Candidate>* completed);
 
@@ -234,9 +241,6 @@ class CandidateTracker {
   const TrackerTally& tally() const { return tally_; }
 
  private:
-  template <typename Clusters>
-  void AdvanceImpl(const Clusters& clusters, Tick step_start, Tick step_end,
-                   Tick step_weight, std::vector<Candidate>* completed);
   void Offer(Candidate&& cand);
   void GrowTable();
 
@@ -260,9 +264,9 @@ class CandidateTracker {
   TrackerTally tally_;
 };
 
-/// Sorted-vector intersection helper shared with the MC2 baseline.
-std::vector<ObjectId> IntersectSorted(const std::vector<ObjectId>& a,
-                                      const std::vector<ObjectId>& b);
+/// Sorted-range intersection helper shared with the MC2 baseline.
+std::vector<ObjectId> IntersectSorted(std::span<const ObjectId> a,
+                                      std::span<const ObjectId> b);
 
 }  // namespace convoy
 

@@ -15,95 +15,63 @@
 
 namespace convoy {
 
-namespace {
-
-// A memoized step's clusters as the owning lists a clusterer returns.
-std::vector<std::vector<ObjectId>> ToVectors(const ClusterSpans& spans) {
-  std::vector<std::vector<ObjectId>> clusters(spans.size());
-  for (size_t c = 0; c < spans.size(); ++c) {
-    clusters[c].assign(spans[c].begin(), spans[c].end());
+bool ClusterSnapshot(const std::vector<Point>& points,
+                     const std::vector<ObjectId>& ids,
+                     const ConvoyQuery& query, DbscanScratch* scratch,
+                     FlatClusters* out) {
+  if (points.size() < query.m) {
+    out->AddStep(ClusterSpans());
+    return false;
   }
-  return clusters;
-}
-
-// Maps a clustering's point indices to sorted object-id lists — the shape
-// the candidate tracker consumes.
-std::vector<std::vector<ObjectId>> ClustersToObjectIds(
-    const Clustering& clustering, const ObjectId* ids) {
-  std::vector<std::vector<ObjectId>> cluster_objects;
-  cluster_objects.reserve(clustering.clusters.size());
-  for (const std::vector<size_t>& cluster : clustering.clusters) {
-    std::vector<ObjectId> members;
-    members.reserve(cluster.size());
-    for (const size_t idx : cluster) members.push_back(ids[idx]);
-    std::sort(members.begin(), members.end());
-    cluster_objects.push_back(std::move(members));
-  }
-  return cluster_objects;
-}
-
-}  // namespace
-
-std::vector<std::vector<ObjectId>> ClusterSnapshot(
-    const std::vector<Point>& points, const std::vector<ObjectId>& ids,
-    const ConvoyQuery& query, bool* clustered, DbscanScratch* scratch) {
-  if (clustered != nullptr) *clustered = false;
-  if (points.size() < query.m) return {};
-  Clustering clustering;
-  if (scratch != nullptr) {
-    // Arena path: rebuild the scratch grid in place (identical state to a
-    // fresh index) and run DBSCAN out of the same working set.
-    scratch->grid.Assign(points, query.e);
-    clustering = Dbscan(points, scratch->grid, query.e, query.m, scratch);
-  } else {
-    const GridIndex index(points, query.e);
-    clustering = Dbscan(points, index, query.e, query.m);
-  }
-  if (clustered != nullptr) *clustered = true;
-  return ClustersToObjectIds(clustering, ids.data());
+  // Rebuild the arena's grid in place (identical state to a fresh index)
+  // and run DBSCAN out of the same working set.
+  scratch->grid.Assign(points, query.e);
+  const Clustering clustering =
+      Dbscan(points, scratch->grid, query.e, query.m, scratch);
+  out->AddStep(clustering.clusters, ids.data());
+  return true;
 }
 
 RowSnapshots::RowSnapshots(const TrajectoryDatabase& db)
     : rows_(db.trajectories()), cursors_(rows_.size(), 0) {}
 
-std::vector<std::vector<ObjectId>> RowSnapshots::Cluster(
-    Tick t, const ConvoyQuery& query, const std::vector<uint32_t>* selected,
-    bool* clustered, SnapshotScratch* scratch) {
-  std::vector<Point>& points = scratch->points;
-  std::vector<ObjectId>& ids = scratch->ids;
-  points.clear();
-  ids.clear();
+void RowSnapshots::Gather(Tick t, const std::vector<uint32_t>* selected,
+                          std::vector<Point>* points,
+                          std::vector<ObjectId>* ids) {
+  points->clear();
+  ids->clear();
   // O_t: every gathered object contributes its (possibly virtual,
   // linearly interpolated) location.
   const auto gather = [&](size_t r) {
     const std::optional<Point> pos =
         InterpolateForward(rows_[r], t, &cursors_[r]);
     if (!pos.has_value()) return;
-    points.push_back(*pos);
-    ids.push_back(rows_[r].id());
+    points->push_back(*pos);
+    ids->push_back(rows_[r].id());
   };
   if (selected != nullptr) {
     for (const uint32_t r : *selected) gather(r);
   } else {
     for (size_t r = 0; r < rows_.size(); ++r) gather(r);
   }
-  return ClusterSnapshot(points, ids, query, clustered, &scratch->dbscan);
 }
 
-std::vector<std::vector<ObjectId>> SnapshotClusters(
-    const SnapshotStore& store, Tick t, const ConvoyQuery& query,
-    bool* clustered, DbscanScratch* scratch, bool* grid_cache_hit) {
-  if (clustered != nullptr) *clustered = false;
+bool SnapshotClusters(const SnapshotStore& store, Tick t,
+                      const ConvoyQuery& query, DbscanScratch* scratch,
+                      FlatClusters* out, bool* grid_cache_hit) {
   const SnapshotView view = store.At(t);
-  if (view.size < query.m) return {};
+  if (view.size < query.m) {
+    out->AddStep(ClusterSpans());
+    return false;
+  }
   // Hold the shared_ptr across the scan: the store may evict the grid
   // from its cache mid-query (eps-sweep bound), never from under us.
   const std::shared_ptr<const GridIndex> grid =
       store.GridFor(t, query.e, grid_cache_hit);
   const Clustering clustering =
       Dbscan(view.xs, view.ys, view.size, *grid, query.e, query.m, scratch);
-  if (clustered != nullptr) *clustered = true;
-  return ClustersToObjectIds(clustering, view.ids);
+  out->AddStep(clustering.clusters, view.ids);
+  return true;
 }
 
 std::vector<Convoy> FinalizeCmcResult(const std::vector<Candidate>& completed,
@@ -141,32 +109,51 @@ void TraceTrackerTally(TraceSession* trace, const TrackerTally& tally) {
 
 namespace {
 
-// CMC's per-tick loop — the one tracker loop of every batch CMC entry
-// point, generic over how a tick's clusters are produced (the row gather
-// or the SnapshotStore's columnar views), so the candidate algebra can
-// never diverge between them. `make_cluster_at(scratch)` returns a
-// clusterer `cluster_at(t, &clustered)` for ascending ticks, working in
-// `scratch`; it returns the tick's clusters in either form the tracker
-// reads (owned lists, or a ClusterSpans view of memoized storage that
-// outlives the sweep).
-//
-// The ticks fan out through OrderedParallelFor: at one thread one
-// clusterer, in the caller's scratch, serves every tick on the caller's
-// thread; otherwise each contiguous worker chunk clusters its ticks with
-// its own clusterer and arena. Consumption (the tracker, stats) runs only
-// on the caller's thread in tick order, and the counters folded while
-// clustering are per-tick integer tallies, so every output and count is
-// identical at every thread count.
-template <typename Clusters>
-struct TickClusters {
-  Clusters clusters;
+// Tick begin + i, in unsigned arithmetic: i never exceeds the domain.
+Tick TickAt(Tick begin, size_t i) {
+  return static_cast<Tick>(static_cast<uint64_t>(begin) + i);
+}
+
+// One tick as a sweep's producer hands it on: step `step` of `*steps` —
+// the chunk arena's storage, which `owner` keeps alive until the tick is
+// consumed, or a held window, which outlives the sweep.
+struct SweptTick {
+  const FlatClusters* steps = nullptr;
+  size_t step = 0;
+  std::shared_ptr<const FlatClusters> owner;
   bool clustered = false;
 };
 
+// Tick t read in place from a window holding it.
+SweptTick HeldTick(const WindowClusters& window, Tick t) {
+  SweptTick tick;
+  tick.steps = &window.ticks;
+  tick.step = static_cast<size_t>(t - window.begin);
+  return tick;
+}
+
+// Runs `cluster(out)`, which appends one tick's step to `out`, on the
+// arena's cluster storage, reusing it once no produced tick refers to it.
+template <typename Cluster>
+SweptTick ClusterInto(SnapshotScratch* scratch, Cluster&& cluster) {
+  std::shared_ptr<FlatClusters>& storage = scratch->clusters;
+  if (storage.use_count() == 1) storage->Clear();
+  const bool clustered = cluster(storage.get());
+  return SweptTick{storage.get(), storage->NumSteps() - 1, storage, clustered};
+}
+
+// The one tick loop of every snapshot sweep. `make_cluster_at(scratch)`
+// returns a clusterer `cluster_at(t) -> SweptTick` for ascending ticks,
+// working in `scratch`: the caller's at one thread, one per worker chunk
+// of OrderedParallelFor otherwise. Consumption (stats, `consume`) runs on
+// the caller's thread in tick order, and the counters folded while
+// clustering are per-tick integer tallies, so every output and count is
+// identical at every thread count.
 template <typename MakeClusterAt>
 void SweepImpl(Tick begin_tick, Tick end_tick, size_t threads,
-               CmcSweep* sweep, DiscoveryStats* stats, TraceSession* trace,
-               SnapshotScratch* scratch, MakeClusterAt&& make_cluster_at) {
+               SnapshotScratch* scratch, DiscoveryStats* stats,
+               TraceSession* trace, MakeClusterAt&& make_cluster_at,
+               const TickConsumer& consume) {
   // Unsigned: the tick count of a domain at either end of the tick range
   // must not overflow.
   const size_t total_ticks =
@@ -175,6 +162,7 @@ void SweepImpl(Tick begin_tick, Tick end_tick, size_t threads,
                                 static_cast<uint64_t>(begin_tick)) +
                 1
           : 0;
+  threads = ResolveThreadCount(threads);
   OrderedParallelFor(
       total_ticks, threads, kSmallUnits,
       [&] {
@@ -184,40 +172,32 @@ void SweepImpl(Tick begin_tick, Tick end_tick, size_t threads,
         return std::make_pair(std::move(owned), std::move(cluster_at));
       },
       [&](auto& state, size_t i) {
-        bool clustered = false;
-        auto clusters =
-            state.second(begin_tick + static_cast<Tick>(i), &clustered);
-        return TickClusters<decltype(clusters)>{std::move(clusters),
-                                                clustered};
+        return state.second(TickAt(begin_tick, i));
       },
-      [&](size_t i, auto tick) {
-        const Tick t = begin_tick + static_cast<Tick>(i);
+      [&](size_t i, SweptTick tick) {
         if (tick.clustered) {
           if (stats != nullptr) ++stats->num_clusterings;
           TraceCount(trace, TraceCounter::kSnapshotsClustered, 1);
         }
-        // Advancing with an empty cluster list retires every live
-        // candidate, which is exactly what a tick with < m alive objects
-        // must do: the "consecutive time points" requirement breaks there.
-        sweep->tracker.Advance(tick.clusters, t, t, /*step_weight=*/1,
-                               &sweep->completed);
+        consume(TickAt(begin_tick, i), tick.steps->Step(tick.step));
       });
 }
 
 // The row path's clusterers for SweepImpl: each gathers through a fresh
-// RowSnapshots, so a worker chunk restarts the cursors at its first tick.
-// With a `memo` (SweepRows only, where one clusterer serves every tick in
-// order) a tick some cached window holds is read from it, not clustered,
-// and every tick is appended to the memo's record while that stays within
-// its limit.
-auto RowClusterers(const TrajectoryDatabase& db, const ConvoyQuery& query,
+// RowSnapshots, so a worker chunk restarts the cursors at its first tick,
+// and clusters the snapshot with `cluster`. With a `memo` (SweepRows only,
+// where one clusterer serves every tick in order) a tick some cached
+// window holds is read from it in place, not clustered, and every tick is
+// appended to the memo's record while that stays within its limit.
+auto RowClusterers(const TrajectoryDatabase& db,
+                   const SnapshotClusterer& cluster,
                    const RowSelector& rows_at, const SweepMemo* memo,
                    TraceSession* trace) {
-  return [&db, &query, &rows_at, memo, trace](SnapshotScratch* scratch) {
-    return [rows = RowSnapshots(db), &query, &rows_at, memo, trace, scratch,
+  return [&db, &cluster, &rows_at, memo, trace](SnapshotScratch* scratch) {
+    return [rows = RowSnapshots(db), &cluster, &rows_at, memo, trace, scratch,
             next = size_t{0},
             recording = memo != nullptr && memo->record != nullptr](
-               Tick t, bool* clustered) mutable {
+               Tick t) mutable {
       const WindowClusters* cached = nullptr;
       if (memo != nullptr) {
         const auto& windows = memo->cached;
@@ -226,24 +206,26 @@ auto RowClusterers(const TrajectoryDatabase& db, const ConvoyQuery& query,
           cached = windows[next];
         }
       }
-      std::vector<std::vector<ObjectId>> clusters;
+      SweptTick tick;
       if (cached != nullptr) {
-        *clustered = false;
-        clusters = ToVectors(cached->At(t));
+        tick = HeldTick(*cached, t);
       } else {
         ScopedSpan span(trace, "snapshot.cluster");
-        clusters = rows.Cluster(t, query, rows_at ? rows_at(t) : nullptr,
-                                clustered, scratch);
-        if (*clustered) TraceDbscanRun(trace, scratch->dbscan.tally);
+        rows.Gather(t, rows_at ? rows_at(t) : nullptr, &scratch->points,
+                    &scratch->ids);
+        tick = ClusterInto(scratch, [&](FlatClusters* out) {
+          return cluster(scratch->points, scratch->ids, &scratch->dbscan,
+                         out);
+        });
       }
       if (recording) {
-        memo->record->ticks.AddStep(clusters);
+        memo->record->ticks.AddStep(tick.steps->Step(tick.step));
         if (memo->record->ticks.Bytes() > memo->record_limit) {
           memo->record->ticks = FlatClusters();
           recording = false;
         }
       }
-      return clusters;
+      return tick;
     };
   };
 }
@@ -253,44 +235,71 @@ auto RowClusterers(const TrajectoryDatabase& db, const ConvoyQuery& query,
 auto StoreClusterers(const SnapshotStore& store, const ConvoyQuery& query,
                      TraceSession* trace) {
   return [&store, &query, trace](SnapshotScratch* scratch) {
-    return [&store, &query, trace, scratch](Tick t, bool* clustered) {
+    return [&store, &query, trace, scratch](Tick t) {
       ScopedSpan span(trace, "snapshot.cluster");
       bool grid_hit = false;
-      std::vector<std::vector<ObjectId>> clusters = SnapshotClusters(
-          store, t, query, clustered, &scratch->dbscan, &grid_hit);
-      if (*clustered) {
+      const SweptTick tick = ClusterInto(scratch, [&](FlatClusters* out) {
+        return SnapshotClusters(store, t, query, &scratch->dbscan, out,
+                                &grid_hit);
+      });
+      if (tick.clustered) {
         TraceDbscanRun(trace, scratch->dbscan.tally);
         TraceCount(trace,
                    grid_hit ? TraceCounter::kGridCacheHits
                             : TraceCounter::kGridCacheMisses,
                    1);
       }
-      return clusters;
+      return tick;
     };
   };
 }
 
-// One CMC run over [begin_tick, end_tick]: a fresh sweep through SweepImpl
-// at query.num_threads, finished as CMC ends, its wall time added to
+// Ends a CMC run begun at `total`: FinishSweep, its wall time added to
 // stats->total_seconds.
-template <typename MakeClusterAt>
-std::vector<Convoy> RunCmc(const ConvoyQuery& query, Tick begin_tick,
-                           Tick end_tick, const CmcOptions& options,
-                           DiscoveryStats* stats, const ExecHooks* hooks,
-                           SnapshotScratch* scratch,
-                           MakeClusterAt&& make_cluster_at) {
-  Stopwatch total;
-  SnapshotScratch local;
-  CmcSweep sweep(query.m, query.k);
-  SweepImpl(begin_tick, end_tick, ResolveThreadCount(query.num_threads),
-            &sweep, stats, TraceOf(hooks),
-            scratch != nullptr ? scratch : &local, make_cluster_at);
-  std::vector<Convoy> result = FinishSweep(&sweep, options, stats, hooks);
+std::vector<Convoy> FinishCmc(CmcSweep* sweep, const CmcOptions& options,
+                              DiscoveryStats* stats, const ExecHooks* hooks,
+                              const Stopwatch& total) {
+  std::vector<Convoy> result = FinishSweep(sweep, options, stats, hooks);
   if (stats != nullptr) stats->total_seconds += total.ElapsedSeconds();
   return result;
 }
 
 }  // namespace
+
+SnapshotClusterer DbscanClusterer(const ConvoyQuery& query,
+                                  const ExecHooks* hooks) {
+  TraceSession* const trace = TraceOf(hooks);
+  return [&query, trace](const std::vector<Point>& points,
+                         const std::vector<ObjectId>& ids,
+                         DbscanScratch* dbscan, FlatClusters* out) {
+    const bool clustered = ClusterSnapshot(points, ids, query, dbscan, out);
+    if (clustered) TraceDbscanRun(trace, dbscan->tally);
+    return clustered;
+  };
+}
+
+void SweepSnapshots(const TrajectoryDatabase& db, Tick begin_tick,
+                    Tick end_tick, size_t threads,
+                    const SnapshotClusterer& cluster,
+                    const TickConsumer& consume, DiscoveryStats* stats,
+                    const ExecHooks* hooks) {
+  SnapshotScratch scratch;
+  const RowSelector all_rows;
+  TraceSession* const trace = TraceOf(hooks);
+  SweepImpl(begin_tick, end_tick, threads, &scratch, stats, trace,
+            RowClusterers(db, cluster, all_rows, /*memo=*/nullptr, trace),
+            consume);
+}
+
+void SweepSnapshots(const SnapshotStore& store, const ConvoyQuery& query,
+                    Tick begin_tick, Tick end_tick,
+                    const TickConsumer& consume, DiscoveryStats* stats,
+                    const ExecHooks* hooks) {
+  SnapshotScratch scratch;
+  TraceSession* const trace = TraceOf(hooks);
+  SweepImpl(begin_tick, end_tick, query.num_threads, &scratch, stats, trace,
+            StoreClusterers(store, query, trace), consume);
+}
 
 std::vector<Convoy> FinishSweep(CmcSweep* sweep, const CmcOptions& options,
                                 DiscoveryStats* stats,
@@ -315,58 +324,60 @@ void SweepRows(const TrajectoryDatabase& db, const ConvoyQuery& query,
   SnapshotScratch local;
   if (scratch == nullptr) scratch = &local;
   TraceSession* const trace = TraceOf(hooks);
-  SweepImpl(begin_tick, end_tick, /*threads=*/1, sweep, stats, trace, scratch,
-            RowClusterers(db, query, rows_at, memo, trace));
+  const SnapshotClusterer dbscan = DbscanClusterer(query, hooks);
+  SweepImpl(begin_tick, end_tick, /*threads=*/1, scratch, stats, trace,
+            RowClusterers(db, dbscan, rows_at, memo, trace),
+            sweep->Consume());
 }
 
 void SweepCached(const WindowClusters& window, Tick begin_tick,
                  Tick end_tick, CmcSweep* sweep) {
   assert(window.Contains(begin_tick, end_tick));
   // Nothing is clustered, so nothing needs a scratch, stats or a trace.
-  SweepImpl(begin_tick, end_tick, /*threads=*/1, sweep, /*stats=*/nullptr,
-            /*trace=*/nullptr, /*scratch=*/nullptr,
+  SweepImpl(begin_tick, end_tick, /*threads=*/1, /*scratch=*/nullptr,
+            /*stats=*/nullptr, /*trace=*/nullptr,
             [&window](SnapshotScratch*) {
-              return [&window](Tick t, bool* clustered) {
-                *clustered = false;
-                return window.At(t);
-              };
-            });
+              return [&window](Tick t) { return HeldTick(window, t); };
+            },
+            sweep->Consume());
 }
 
 std::vector<Convoy> CmcRange(const TrajectoryDatabase& db,
                              const ConvoyQuery& query, Tick begin_tick,
                              Tick end_tick, const CmcOptions& options,
-                             DiscoveryStats* stats, const ExecHooks* hooks,
-                             SnapshotScratch* scratch) {
-  const RowSelector all_rows;
-  return RunCmc(query, begin_tick, end_tick, options, stats, hooks, scratch,
-                RowClusterers(db, query, all_rows, /*memo=*/nullptr,
-                              TraceOf(hooks)));
+                             DiscoveryStats* stats, const ExecHooks* hooks) {
+  const Stopwatch total;
+  CmcSweep sweep(query.m, query.k);
+  SweepSnapshots(db, begin_tick, end_tick, query.num_threads,
+                 DbscanClusterer(query, hooks), sweep.Consume(), stats, hooks);
+  return FinishCmc(&sweep, options, stats, hooks, total);
 }
 
 std::vector<Convoy> Cmc(const TrajectoryDatabase& db, const ConvoyQuery& query,
                         const CmcOptions& options, DiscoveryStats* stats,
-                        const ExecHooks* hooks, SnapshotScratch* scratch) {
+                        const ExecHooks* hooks) {
   if (db.Empty()) return {};
   return CmcRange(db, query, db.BeginTick(), db.EndTick(), options, stats,
-                  hooks, scratch);
+                  hooks);
 }
 
 std::vector<Convoy> CmcRange(const SnapshotStore& store,
                              const ConvoyQuery& query, Tick begin_tick,
                              Tick end_tick, const CmcOptions& options,
-                             DiscoveryStats* stats, const ExecHooks* hooks,
-                             SnapshotScratch* scratch) {
-  return RunCmc(query, begin_tick, end_tick, options, stats, hooks, scratch,
-                StoreClusterers(store, query, TraceOf(hooks)));
+                             DiscoveryStats* stats, const ExecHooks* hooks) {
+  const Stopwatch total;
+  CmcSweep sweep(query.m, query.k);
+  SweepSnapshots(store, query, begin_tick, end_tick, sweep.Consume(), stats,
+                 hooks);
+  return FinishCmc(&sweep, options, stats, hooks, total);
 }
 
 std::vector<Convoy> Cmc(const SnapshotStore& store, const ConvoyQuery& query,
                         const CmcOptions& options, DiscoveryStats* stats,
-                        const ExecHooks* hooks, SnapshotScratch* scratch) {
+                        const ExecHooks* hooks) {
   if (store.Empty()) return {};
   return CmcRange(store, query, store.begin_tick(), store.end_tick(), options,
-                  stats, hooks, scratch);
+                  stats, hooks);
 }
 
 }  // namespace convoy

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -27,16 +28,25 @@ struct CmcOptions {
   bool remove_dominated = true;
 };
 
-/// Scratch buffers a caller may reuse across ticks so the per-tick loops do
-/// not reallocate the snapshot, the grid index, or the DBSCAN working set
-/// every iteration. CMC's one-thread loop uses the caller's; its threaded
-/// loop holds one per worker chunk; ConvoyEngine::Execute passes one per
-/// CMC run. Contents never carry information between ticks (everything is
-/// reset per use), so reuse cannot change results.
+/// One sweep chunk's arena, reused across its ticks so the loop does not
+/// reallocate the snapshot, the grid index, the DBSCAN working set or the
+/// cluster storage every tick: the caller's at one thread (CuTS refinement
+/// holds one per worker chunk, the live refresh one per stream), one per
+/// worker chunk otherwise. Contents never carry information between
+/// ticks, so reuse cannot change results. Move-only: two arenas never
+/// share cluster storage.
 struct SnapshotScratch {
+  SnapshotScratch() = default;
+  SnapshotScratch(SnapshotScratch&&) = default;
+  SnapshotScratch& operator=(SnapshotScratch&&) = default;
+
   std::vector<Point> points;
   std::vector<ObjectId> ids;
   DbscanScratch dbscan;
+  /// The ticks this arena's clusterer wrote, shared with each tick handed
+  /// to the consumer so a worker chunk's ticks outlive the chunk; cleared
+  /// for reuse once no tick refers to it (at one thread, every tick).
+  std::shared_ptr<FlatClusters> clusters = std::make_shared<FlatClusters>();
 };
 
 /// CMC — Coherent Moving Cluster (paper Algorithm 1, Section 4): the exact
@@ -46,34 +56,22 @@ struct SnapshotScratch {
 /// from the previous tick; candidates that survive k consecutive ticks are
 /// convoys.
 ///
-/// Runs over the database's full time domain, gathering each tick's
-/// snapshot from the rows through forward interpolation cursors
-/// (RowSnapshots). query.num_threads sets the threads (0 = all hardware
-/// threads): at one, ticks are clustered one by one on the caller's
-/// thread; otherwise blocks of ticks are clustered concurrently through
-/// OrderedParallelFor (parallel/parallel_for.h), each worker chunk
-/// restarting the cursors, and the candidate tracker consumes every block
-/// sequentially in tick order. So the
-/// convoys, DiscoveryStats::num_clusterings and the traced counters are
-/// identical at every thread count.
-///
-/// `hooks` (optional, core/exec_hooks.h) carries the trace; results are
-/// unaffected. `scratch` (optional) supplies the per-tick arena of the
-/// one-thread loop; without one a call-local arena is used, so passing it
-/// only moves the allocation, never the result.
+/// SweepSnapshots over the database's time domain at query.num_threads,
+/// with DbscanClusterer and the candidate tracker (CmcSweep::Consume):
+/// the convoys, DiscoveryStats::num_clusterings and the traced counters
+/// are identical at every thread count. `hooks` (optional,
+/// core/exec_hooks.h) carries the trace; results are unaffected.
 std::vector<Convoy> Cmc(const TrajectoryDatabase& db, const ConvoyQuery& query,
                         const CmcOptions& options = {},
                         DiscoveryStats* stats = nullptr,
-                        const ExecHooks* hooks = nullptr,
-                        SnapshotScratch* scratch = nullptr);
+                        const ExecHooks* hooks = nullptr);
 
 /// Cmc restricted to ticks [begin_tick, end_tick].
 std::vector<Convoy> CmcRange(const TrajectoryDatabase& db,
                              const ConvoyQuery& query, Tick begin_tick,
                              Tick end_tick, const CmcOptions& options = {},
                              DiscoveryStats* stats = nullptr,
-                             const ExecHooks* hooks = nullptr,
-                             SnapshotScratch* scratch = nullptr);
+                             const ExecHooks* hooks = nullptr);
 
 /// Store-backed CMC: identical to Cmc(db, ...) over the database the store
 /// was built from, at every thread count — the store's per-tick columnar
@@ -84,16 +82,59 @@ std::vector<Convoy> CmcRange(const TrajectoryDatabase& db,
 std::vector<Convoy> Cmc(const SnapshotStore& store, const ConvoyQuery& query,
                         const CmcOptions& options = {},
                         DiscoveryStats* stats = nullptr,
-                        const ExecHooks* hooks = nullptr,
-                        SnapshotScratch* scratch = nullptr);
+                        const ExecHooks* hooks = nullptr);
 
 /// Store-backed range-restricted CMC, mirroring CmcRange(db, ...).
 std::vector<Convoy> CmcRange(const SnapshotStore& store,
                              const ConvoyQuery& query, Tick begin_tick,
                              Tick end_tick, const CmcOptions& options = {},
                              DiscoveryStats* stats = nullptr,
-                             const ExecHooks* hooks = nullptr,
-                             SnapshotScratch* scratch = nullptr);
+                             const ExecHooks* hooks = nullptr);
+
+/// A snapshot sweep's per-tick consume step: tick t's clusters, in tick
+/// order on the sweep's calling thread, valid for the call only.
+using TickConsumer = std::function<void(Tick t, const ClusterSpans& clusters)>;
+
+/// Clusters one gathered snapshot (`points` with aligned `ids`, database
+/// order) into one step of sorted object-id lists appended to `out`, in
+/// the calling chunk's `dbscan` arena; returns whether it clustered (too
+/// small a snapshot appends an empty step). Worker chunks call it
+/// concurrently, each with its own arena and storage.
+using SnapshotClusterer =
+    std::function<bool(const std::vector<Point>& points,
+                       const std::vector<ObjectId>& ids,
+                       DbscanScratch* dbscan, FlatClusters* out)>;
+
+/// CMC's and MC2's clusterer: ClusterSnapshot, each run's tally folded
+/// into the hooks' trace. `query` must outlive it.
+SnapshotClusterer DbscanClusterer(const ConvoyQuery& query,
+                                  const ExecHooks* hooks = nullptr);
+
+/// The one tick loop of the snapshot algorithms — CMC, CuTS refinement,
+/// the live refresh, MC2 and Flock: every tick of [begin_tick, end_tick],
+/// counted unsigned so a domain at either end of the tick range sweeps
+/// exactly its ticks, is gathered from the rows (RowSnapshots), clustered
+/// by `cluster` and handed to `consume`. Ticks are clustered at `threads`
+/// (ResolveThreadCount) through OrderedParallelFor, each worker chunk in
+/// its own arena with its own cursors; `consume` runs on the caller's
+/// thread in tick order, so what it computes is identical at every thread
+/// count. Each clustered tick counts one clustering in `stats` and in the
+/// trace, and each gathered one a "snapshot.cluster" span.
+void SweepSnapshots(const TrajectoryDatabase& db, Tick begin_tick,
+                    Tick end_tick, size_t threads,
+                    const SnapshotClusterer& cluster,
+                    const TickConsumer& consume,
+                    DiscoveryStats* stats = nullptr,
+                    const ExecHooks* hooks = nullptr);
+
+/// SweepSnapshots over the store's views and cached grids, at
+/// query.num_threads, clustering with SnapshotClusters: tick for tick what
+/// the row sweep computes with DbscanClusterer(query).
+void SweepSnapshots(const SnapshotStore& store, const ConvoyQuery& query,
+                    Tick begin_tick, Tick end_tick,
+                    const TickConsumer& consume,
+                    DiscoveryStats* stats = nullptr,
+                    const ExecHooks* hooks = nullptr);
 
 /// The state CMC's per-tick loop carries from one tick to the next: the
 /// candidate tracker and the candidates completed so far. Cmc and CmcRange
@@ -104,6 +145,17 @@ std::vector<Convoy> CmcRange(const SnapshotStore& store,
 /// (core/incremental_cmc.h).
 struct CmcSweep {
   CmcSweep(size_t m, Tick k) : tracker(m, k) {}
+
+  /// CMC's consume step: advances the tracker over each tick's clusters.
+  /// No clusters retire every live candidate, which is exactly what a tick
+  /// with < m alive objects must do: the "consecutive time points"
+  /// requirement breaks there.
+  TickConsumer Consume() {
+    return [this](Tick t, const ClusterSpans& clusters) {
+      tracker.Advance(clusters, t, t, /*step_weight=*/1, &completed);
+    };
+  }
+
   CandidateTracker tracker;
   std::vector<Candidate> completed;
 };
@@ -148,12 +200,12 @@ struct SweepMemo {
   size_t record_limit = 0;
 };
 
-/// CMC's per-tick loop over the rows, for ticks [begin_tick, end_tick] of
-/// a caller-owned sweep; FinishSweep ends the sweep as CmcRange would. It
-/// always runs on the caller's thread, whatever query.num_threads says:
-/// `rows_at` is stateful, and its callers — CuTS refinement (one sweep per
-/// window, windows in parallel) and the live path — bring their own
-/// parallelism or none.
+/// SweepSnapshots with DBSCAN and a caller-owned CMC sweep as its consume
+/// step, for ticks [begin_tick, end_tick]; FinishSweep ends the sweep as
+/// CmcRange would. It always runs on the caller's thread, in `scratch`
+/// (optional), whatever query.num_threads says: `rows_at` is stateful, and
+/// its callers — CuTS refinement (one sweep per window, windows in
+/// parallel) and the live path — bring their own parallelism or none.
 ///
 /// Tick t clusters only the trajectories `rows_at(t)` names (every alive
 /// one when `rows_at` is empty or returns null), in database order. The
@@ -166,8 +218,8 @@ struct SweepMemo {
 /// counted — at ticks where fewer than m objects are selected.
 ///
 /// `memo` (optional) lets the sweep read ticks that `memo->cached` holds
-/// instead of clustering them (not counted either), and record every
-/// tick's clusters; the sweep advances exactly as without it.
+/// in place instead of clustering them (not counted either), and record
+/// every tick's clusters; the sweep advances exactly as without it.
 void SweepRows(const TrajectoryDatabase& db, const ConvoyQuery& query,
                Tick begin_tick, Tick end_tick, const RowSelector& rows_at,
                CmcSweep* sweep, DiscoveryStats* stats = nullptr,
@@ -176,10 +228,10 @@ void SweepRows(const TrajectoryDatabase& db, const ConvoyQuery& query,
                const SweepMemo* memo = nullptr);
 
 /// CMC's per-tick loop over ticks [begin_tick, end_tick] of a caller-owned
-/// sweep, every tick's clusters read from `window`, which must contain the
-/// range: the sweep advances exactly as the SweepRows run that recorded
-/// the window did over those ticks. It clusters nothing, so it counts no
-/// clustering.
+/// sweep, every tick's clusters read in place from `window`, which must
+/// contain the range: the sweep advances exactly as the SweepRows run that
+/// recorded the window did over those ticks. It clusters nothing, so it
+/// counts no clustering.
 void SweepCached(const WindowClusters& window, Tick begin_tick,
                  Tick end_tick, CmcSweep* sweep);
 
@@ -192,25 +244,23 @@ std::vector<Convoy> FinishSweep(CmcSweep* sweep, const CmcOptions& options,
                                 DiscoveryStats* stats = nullptr,
                                 const ExecHooks* hooks = nullptr);
 
-/// The row gather of CMC and MC2: clusters a database's snapshots at
-/// ascending ticks, gathering each from the rows through one forward
-/// interpolation cursor per trajectory (InterpolateForward), so a tick
-/// costs no binary search; positions are bit-identical to InterpolateAt.
-/// A fresh instance may start at any tick (its first gather
-/// binary-searches), which is how each worker chunk of a threaded CMC run
-/// restarts it.
+/// The row gather of the snapshot sweeps: gathers a database's snapshots
+/// at ascending ticks through one forward interpolation cursor per
+/// trajectory (InterpolateForward), so a tick costs no binary search;
+/// positions are bit-identical to InterpolateAt. Clustering is the
+/// caller's (a SnapshotClusterer). A fresh instance may start at any tick
+/// (its first gather binary-searches), which is how each worker chunk of a
+/// threaded sweep restarts it.
 class RowSnapshots {
  public:
   explicit RowSnapshots(const TrajectoryDatabase& db);
 
-  /// Clusters tick t (not before the previous call's tick) as
-  /// ClusterSnapshot does, over the trajectories `selected` names
-  /// (database indices, ascending) or, when null, over every trajectory
-  /// alive at t, in database order. The snapshot and the DBSCAN working
-  /// set live in `scratch`.
-  std::vector<std::vector<ObjectId>> Cluster(
-      Tick t, const ConvoyQuery& query, const std::vector<uint32_t>* selected,
-      bool* clustered, SnapshotScratch* scratch);
+  /// Replaces `points` and `ids` with tick t's snapshot (t not before the
+  /// previous call's tick): the trajectories `selected` names (database
+  /// indices, ascending) or, when null, every trajectory, each alive at t,
+  /// in database order.
+  void Gather(Tick t, const std::vector<uint32_t>* selected,
+              std::vector<Point>* points, std::vector<ObjectId>* ids);
 
  private:
   const std::vector<Trajectory>& rows_;
@@ -219,31 +269,28 @@ class RowSnapshots {
 
 /// One tick of store-backed CMC, for any tick in any order: clusters the
 /// store's columnar view of tick `t` over the store's cached grid index at
-/// query.e, each cluster a sorted object-id list — identical output to
-/// RowSnapshots::Cluster on the source database. Snapshots with fewer
-/// than m objects return an empty list without clustering. `clustered`
-/// (optional) reports whether DBSCAN actually ran, for stats accounting;
-/// `scratch` (optional) supplies the reusable DBSCAN working set.
+/// query.e, appending one step to `out` whose clusters are sorted object-id
+/// lists — the step DbscanClusterer(query) appends over the source
+/// database's row gather. Returns whether DBSCAN ran: a snapshot with
+/// fewer than m objects appends an empty step without clustering.
 /// `grid_cache_hit` (optional out) reports whether the store served the
-/// grid from its cache (meaningful only when `clustered` comes back true —
-/// under-m ticks never consult the cache).
-std::vector<std::vector<ObjectId>> SnapshotClusters(
-    const SnapshotStore& store, Tick t, const ConvoyQuery& query,
-    bool* clustered = nullptr, DbscanScratch* scratch = nullptr,
-    bool* grid_cache_hit = nullptr);
+/// grid from its cache (meaningful only when it clustered — under-m ticks
+/// never consult the cache).
+bool SnapshotClusters(const SnapshotStore& store, Tick t,
+                      const ConvoyQuery& query, DbscanScratch* scratch,
+                      FlatClusters* out, bool* grid_cache_hit = nullptr);
 
 /// Clusters one already-materialized snapshot (`points` with aligned
-/// `ids`): DBSCAN(query.e, query.m) over a fresh grid index, clusters
-/// returned as sorted object-id lists, snapshots smaller than m skipped.
-/// The snapshot path shared by RowSnapshots (batch CMC, MC2) and
-/// StreamingCmc — one implementation, so their per-tick semantics can
+/// `ids`): DBSCAN(query.e, query.m) over `scratch`'s grid index and
+/// working set, appended to `out` as one step of sorted object-id lists.
+/// Returns whether DBSCAN ran: a snapshot smaller than m appends an empty
+/// step. The snapshot clustering of the row sweeps (DbscanClusterer) and
+/// of StreamingCmc — one implementation, so their per-tick semantics can
 /// never drift apart.
-/// With `scratch`, the grid index and DBSCAN working set build into the
-/// caller's arena instead of allocating per snapshot.
-std::vector<std::vector<ObjectId>> ClusterSnapshot(
-    const std::vector<Point>& points, const std::vector<ObjectId>& ids,
-    const ConvoyQuery& query, bool* clustered = nullptr,
-    DbscanScratch* scratch = nullptr);
+bool ClusterSnapshot(const std::vector<Point>& points,
+                     const std::vector<ObjectId>& ids,
+                     const ConvoyQuery& query, DbscanScratch* scratch,
+                     FlatClusters* out);
 
 /// The shared tail of CMC: converts completed candidates to convoys and
 /// applies dominance pruning (or mere canonicalization, per `options`).

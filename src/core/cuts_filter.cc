@@ -50,11 +50,13 @@ std::vector<PartitionPolyline> BuildPartitionPolylines(
 
 namespace {
 
-// The result of clustering one time partition: the cluster object-id lists
-// the tracker consumes, plus per-partition stats so parallel runs can
-// aggregate them deterministically (in partition order).
+// The result of clustering one time partition: the object-id clusters the
+// tracker consumes, as one owned step (a partition clustered on a worker
+// outlives the worker's arena until it is consumed), plus per-partition
+// stats so parallel runs can aggregate them deterministically (in
+// partition order).
 struct PartitionClusters {
-  std::vector<std::vector<ObjectId>> cluster_objects;
+  FlatClusters clusters;
   PolylineClusterStats cluster_stats;
   size_t num_polylines = 0;
   bool clustered = false;
@@ -71,7 +73,10 @@ PartitionClusters ClusterPartition(
   BuildPolylineSoa(simplified, part_start, part_end,
                    options.use_actual_tolerance, delta_used, &scratch->soa);
   out.num_polylines = scratch->soa.NumPolylines();
-  if (out.num_polylines < query.m) return out;
+  if (out.num_polylines < query.m) {
+    out.clusters.AddStep(ClusterSpans());
+    return out;
+  }
 
   PolylineDbscanOptions cluster_options;
   cluster_options.eps = query.e;
@@ -86,13 +91,7 @@ PartitionClusters ClusterPartition(
   // partition's object-id clusters are disjoint sorted sets — the invariant
   // CandidateTracker::Advance's labeled single-pass intersection relies on
   // (overlap would silently demote it to the pairwise fallback).
-  for (const std::vector<size_t>& cluster : clustering.clusters) {
-    std::vector<ObjectId> ids;
-    ids.reserve(cluster.size());
-    for (const size_t idx : cluster) ids.push_back(scratch->soa.object[idx]);
-    std::sort(ids.begin(), ids.end());
-    out.cluster_objects.push_back(std::move(ids));
-  }
+  out.clusters.AddStep(clustering.clusters, scratch->soa.object.data());
   return out;
 }
 
@@ -162,13 +161,14 @@ FilterClusters ClusterPartitions(
         cluster_stats.box_pruned += part.cluster_stats.box_pruned;
         cluster_stats.segment_tests += part.cluster_stats.segment_tests;
         cluster_stats.mbr_rejects += part.cluster_stats.mbr_rejects;
-        out.partitions.AddStep(part.cluster_objects);
+        const ClusterSpans clusters = part.clusters.Step(0);
+        out.partitions.AddStep(clusters);
         // The partition's clusters are disjoint, so their union is their
         // concatenation.
         std::vector<ObjectId>& ids = out.members.ids;
         const size_t first = ids.size();
-        for (const std::vector<ObjectId>& cluster : part.cluster_objects) {
-          ids.insert(ids.end(), cluster.begin(), cluster.end());
+        for (size_t c = 0; c < clusters.size(); ++c) {
+          ids.insert(ids.end(), clusters[c].begin(), clusters[c].end());
         }
         std::sort(ids.begin() + static_cast<std::ptrdiff_t>(first),
                   ids.end());

@@ -281,11 +281,10 @@ std::vector<Convoy> ConvoyEngine::Dispatch(const QueryPlan& plan,
       // hand-built plan pays here). Over the store's budget there is none
       // and CMC gathers each tick from the rows; the results are
       // bit-identical either way (tests/store_parity_test.cc).
-      SnapshotScratch scratch;
       if (const std::shared_ptr<const SnapshotStore> store = Store(threads)) {
-        return Cmc(*store, plan.query, CmcOptions{}, stats, &hooks, &scratch);
+        return Cmc(*store, plan.query, CmcOptions{}, stats, &hooks);
       }
-      return Cmc(db_, plan.query, CmcOptions{}, stats, &hooks, &scratch);
+      return Cmc(db_, plan.query, CmcOptions{}, stats, &hooks);
     }
     case AlgorithmId::kCuts:
     case AlgorithmId::kCutsPlus:

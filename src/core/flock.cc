@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <span>
 
-#include "core/candidate.h"
-#include "traj/interpolate.h"
+#include "core/cmc.h"
 
 namespace convoy {
 
@@ -45,12 +45,14 @@ void CircleCenters(const Point& a, const Point& b, double r,
 
 }  // namespace
 
-std::vector<std::vector<ObjectId>> FlockSnapshotGroups(
-    const std::vector<Point>& positions, const std::vector<ObjectId>& ids,
-    double radius, size_t m) {
-  std::set<std::vector<ObjectId>> groups;
+bool FlockSnapshotGroups(const std::vector<Point>& positions,
+                         const std::vector<ObjectId>& ids, double radius,
+                         size_t m, FlatClusters* out) {
   const size_t n = positions.size();
-  if (n < m) return {};
+  if (n < m) {
+    out->AddStep(ClusterSpans());
+    return false;
+  }
 
   // Candidate disc centers: every point (disc centered on a lone cluster)
   // and the two radius-r circles through every close-enough pair. Any
@@ -67,6 +69,7 @@ std::vector<std::vector<ObjectId>> FlockSnapshotGroups(
     }
   }
 
+  std::set<std::vector<ObjectId>> groups;
   for (const Point& center : centers) {
     std::vector<ObjectId> members = DiscMembers(positions, ids, center,
                                                 radius);
@@ -74,52 +77,34 @@ std::vector<std::vector<ObjectId>> FlockSnapshotGroups(
   }
 
   // Keep only maximal groups (a disc group contained in another adds no
-  // information to the candidate tracker).
-  std::vector<std::vector<ObjectId>> result;
+  // information to the candidate tracker), in the set's order.
+  std::vector<std::span<const ObjectId>> maximal;
   for (const std::vector<ObjectId>& g : groups) {
-    bool maximal = true;
-    for (const std::vector<ObjectId>& other : groups) {
-      if (&g != &other && g.size() < other.size() &&
-          std::includes(other.begin(), other.end(), g.begin(), g.end())) {
-        maximal = false;
-        break;
-      }
-    }
-    if (maximal) result.push_back(g);
+    const bool contained = std::any_of(
+        groups.begin(), groups.end(), [&g](const std::vector<ObjectId>& other) {
+          return g.size() < other.size() &&
+                 std::includes(other.begin(), other.end(), g.begin(),
+                               g.end());
+        });
+    if (!contained) maximal.emplace_back(g);
   }
-  return result;
+  out->AddStep(maximal);
+  return true;
 }
 
 std::vector<Convoy> FlockDiscovery(const TrajectoryDatabase& db,
                                    const FlockQuery& query) {
   if (db.Empty()) return {};
-  CandidateTracker tracker(query.m, query.k);
-  std::vector<Candidate> completed;
-
-  std::vector<Point> snapshot;
-  std::vector<ObjectId> snapshot_ids;
-  for (Tick t = db.BeginTick(); t <= db.EndTick(); ++t) {
-    snapshot.clear();
-    snapshot_ids.clear();
-    for (const Trajectory& traj : db.trajectories()) {
-      const auto pos = InterpolateAt(traj, t);
-      if (!pos.has_value()) continue;
-      snapshot.push_back(*pos);
-      snapshot_ids.push_back(traj.id());
-    }
-    std::vector<std::vector<ObjectId>> groups;
-    if (snapshot.size() >= query.m) {
-      groups = FlockSnapshotGroups(snapshot, snapshot_ids, query.radius,
-                                   query.m);
-    }
-    tracker.Advance(groups, t, t, /*step_weight=*/1, &completed);
-  }
-  tracker.Flush(&completed);
-
-  std::vector<Convoy> result;
-  result.reserve(completed.size());
-  for (const Candidate& cand : completed) result.push_back(cand.ToConvoy());
-  return RemoveDominated(std::move(result));
+  CmcSweep sweep(query.m, query.k);
+  SweepSnapshots(
+      db, db.BeginTick(), db.EndTick(), /*threads=*/1,
+      [&query](const std::vector<Point>& points,
+               const std::vector<ObjectId>& ids, DbscanScratch*,
+               FlatClusters* out) {
+        return FlockSnapshotGroups(points, ids, query.radius, query.m, out);
+      },
+      sweep.Consume());
+  return FinishSweep(&sweep, CmcOptions{});
 }
 
 }  // namespace convoy

@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "core/candidate.h"
 #include "core/convoy_set.h"
 #include "geom/point.h"
 #include "traj/database.h"
@@ -19,18 +20,21 @@ struct FlockQuery {
   double radius = 1.0;
 };
 
-/// All maximal groups of >= m objects that fit in some radius-`radius`
-/// disc at tick positions interpolated like CMC's. Exact: uses the classic
-/// O(N^3) candidate-disc enumeration (every maximal disc group is realized
-/// by a disc through two points, or centered on one point). Exposed for
-/// tests and for the snapshot step of FlockDiscovery.
-std::vector<std::vector<ObjectId>> FlockSnapshotGroups(
-    const std::vector<Point>& positions, const std::vector<ObjectId>& ids,
-    double radius, size_t m);
+/// FlockDiscovery's snapshot clusterer (a SnapshotClusterer, core/cmc.h):
+/// appends every maximal group of >= m objects that fits in some
+/// radius-`radius` disc to `out` as one step, in lexicographic order.
+/// Exact: uses the classic O(N^3) candidate-disc enumeration (every maximal
+/// disc group is realized by a disc through two points, or centered on one
+/// point). Groups may overlap. Fewer than m positions append an empty step
+/// and return false.
+bool FlockSnapshotGroups(const std::vector<Point>& positions,
+                         const std::vector<ObjectId>& ids, double radius,
+                         size_t m, FlatClusters* out);
 
-/// Flock discovery over a trajectory database, with the same candidate
-/// bookkeeping across ticks as convoy discovery (so the *only* semantic
-/// difference from Cmc is disc containment versus density connection).
+/// Flock discovery: CMC's tick loop (SweepSnapshots, core/cmc.h) and
+/// candidate tracker with disc groups as the clusterer, so the *only*
+/// semantic difference from Cmc is disc containment versus density
+/// connection.
 ///
 /// This baseline exists to quantify the paper's Figure 1 "lossy flock"
 /// motivation: a linear formation whose extent exceeds the disc diameter is

@@ -137,15 +137,19 @@ std::vector<Convoy> IncrementalCmc::Refresh(IncrementalPlan plan,
   }
   // One SweepRows call per checkpoint interval: w.resume sits on the
   // checkpoint grid, and the state after each interval but the last is the
-  // next checkpoint.
+  // next checkpoint. Its end derives from the ticks left, so an interval
+  // at the top of the tick range cannot overflow.
   for (Tick from = w.resume;;) {
-    const Tick next = from + kCheckpointTicks;
-    const Tick to = std::min(next - 1, w.end);
+    const uint64_t left =
+        static_cast<uint64_t>(w.end) - static_cast<uint64_t>(from);
+    const Tick to = left < static_cast<uint64_t>(kCheckpointTicks)
+                        ? w.end
+                        : from + (kCheckpointTicks - 1);
     SweepRows(tail, query_, from, to, RowSelector{}, &sweep,
               /*stats=*/nullptr, /*hooks=*/nullptr, &scratch_);
     if (to == w.end) break;
-    SaveCheckpoint(next, sweep);
-    from = next;
+    from = to + 1;
+    SaveCheckpoint(from, sweep);
   }
   clustered_through_ = w.end;
   const double sweep_ms = sweep_watch.ElapsedSeconds() * 1e3;

@@ -32,7 +32,11 @@ struct Mc2Options {
 ///
 /// The same snapshot construction as CMC (virtual-point interpolation,
 /// DBSCAN with the query's e and m) is used so that the comparison isolates
-/// the semantic difference, not data preparation.
+/// the semantic difference, not data preparation: MC2 is CMC's tick loop
+/// (SweepSnapshots, core/cmc.h) with a chain step in place of the
+/// candidate tracker. Snapshots are clustered at query.num_threads; the
+/// chain step runs on the calling thread in tick order, so the reports are
+/// identical at every thread count.
 std::vector<Convoy> Mc2(const TrajectoryDatabase& db, const ConvoyQuery& query,
                         const Mc2Options& options = {});
 

@@ -31,10 +31,14 @@ Status StreamingCmc::BeginTick(Tick t) {
         "processed tick " + std::to_string(*last_processed_) +
         "; ticks must be fed in strictly increasing order");
   }
-  // Process skipped ticks as empty snapshots so that candidate lifetimes
-  // remain strictly consecutive.
-  if (last_processed_.has_value()) {
-    for (Tick gap = *last_processed_ + 1; gap < t; ++gap) AdvanceEmpty(gap);
+  // Skipped ticks are empty snapshots, so candidate lifetimes remain
+  // strictly consecutive. The first empty step retires every live
+  // candidate and an empty tracker stays empty over empty ticks, so one
+  // step stands for the whole gap, however far the jump. (t > last here,
+  // so t - 1 cannot overflow.)
+  if (last_processed_.has_value() && t - 1 > *last_processed_) {
+    tracker_.Advance(ClusterSpans(), *last_processed_ + 1,
+                     *last_processed_ + 1, /*step_weight=*/1, &completed_);
   }
   current_tick_ = t;
   snapshot_.clear();
@@ -55,10 +59,6 @@ Status StreamingCmc::Report(ObjectId id, const Point& position) {
   }
   snapshot_[id] = position;
   return Status::Ok();
-}
-
-void StreamingCmc::AdvanceEmpty(Tick t) {
-  tracker_.Advance(ClusterSpans(), t, t, /*step_weight=*/1, &completed_);
 }
 
 StatusOr<std::vector<Convoy>> StreamingCmc::EndTick() {
@@ -96,8 +96,8 @@ StatusOr<std::vector<Convoy>> StreamingCmc::EndTick() {
   // The snapshot path shared with batch CMC / MC2 (ClusterSnapshot): the
   // stream differs only in where the positions come from, never in how a
   // snapshot is clustered. Under-m ticks skip the gather entirely — on a
-  // sparse stream most ticks end here.
-  std::vector<std::vector<ObjectId>> clusters;
+  // sparse stream most ticks end here — and advance over no clusters.
+  ClusterSpans clusters;
   bool clustered = false;
   if (snapshot_.size() >= query_.m) {
     gather_points_.clear();
@@ -116,8 +116,10 @@ StatusOr<std::vector<Convoy>> StreamingCmc::EndTick() {
     for (const ObjectId id : gather_ids_) {
       gather_points_.push_back(snapshot_.find(id)->second);
     }
-    clusters = ClusterSnapshot(gather_points_, gather_ids_, query_,
-                               &clustered, &dbscan_scratch_);
+    clusters_.Clear();
+    clustered = ClusterSnapshot(gather_points_, gather_ids_, query_,
+                                &dbscan_scratch_, &clusters_);
+    clusters = clusters_.Step(0);
   }
   tracker_.Advance(clusters, t, t, /*step_weight=*/1, &completed_);
 

@@ -65,7 +65,9 @@ class StreamingCmc {
 
   /// Starts tick `t`. Ticks must be fed in strictly increasing order;
   /// skipped ticks are processed as empty snapshots (every candidate's
-  /// consecutiveness breaks there, as the definition requires).
+  /// consecutiveness breaks there, as the definition requires, and no
+  /// position is carried forward into them). A gap of any length costs one
+  /// tracker step.
   ///
   /// Errors (state unchanged): kInvalidArgument when `t` is not greater
   /// than the last processed tick or the query failed ValidateQuery;
@@ -121,7 +123,6 @@ class StreamingCmc {
   };
 
   std::vector<Convoy> DrainCompleted();
-  void AdvanceEmpty(Tick t);
 
   ConvoyQuery query_;
   Options options_;
@@ -138,6 +139,7 @@ class StreamingCmc {
   std::vector<Point> gather_points_;
   std::vector<ObjectId> gather_ids_;
   DbscanScratch dbscan_scratch_;
+  FlatClusters clusters_;
   TraceSession* trace_ = nullptr;
 };
 

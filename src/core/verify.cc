@@ -1,6 +1,7 @@
 #include "core/verify.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "cluster/dbscan.h"
 #include "traj/interpolate.h"
@@ -57,7 +58,12 @@ bool VerifyConvoy(const TrajectoryDatabase& db, const ConvoyQuery& query,
                   const Convoy& candidate) {
   if (candidate.objects.size() < query.m) return false;
   if (candidate.Lifetime() < query.k) return false;
-  for (Tick t = candidate.start_tick; t <= candidate.end_tick; ++t) {
+  if (candidate.end_tick < candidate.start_tick) return true;  // no tick
+  // By offset, so a convoy ending at INT64_MAX never steps past it.
+  const uint64_t first = static_cast<uint64_t>(candidate.start_tick);
+  const uint64_t last = static_cast<uint64_t>(candidate.end_tick) - first;
+  for (uint64_t offset = 0; offset <= last; ++offset) {
+    const Tick t = static_cast<Tick>(first + offset);
     if (!ObjectsConnectedAt(db, query, candidate.objects, t)) return false;
   }
   return true;

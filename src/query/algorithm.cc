@@ -6,11 +6,11 @@ AlgorithmCapabilities CapabilitiesOf(AlgorithmId id) {
   AlgorithmCapabilities caps;
   switch (id) {
     case AlgorithmId::kMc2:
-      // One single-threaded pass over the snapshots, with false positives
-      // and negatives by design.
+      // CMC's snapshot sweep with a chain step instead of the tracker,
+      // with false positives and negatives by design.
       caps.exact = false;
       caps.uses_snapshot_store = true;
-      return caps;
+      break;
     case AlgorithmId::kCmc:
       caps.uses_snapshot_store = true;
       break;

@@ -10,13 +10,4 @@ std::optional<Point> InterpolateAt(const Trajectory& traj, Tick t) {
   return InterpolateBetween(before, traj[*idx + 1], t);  // t <= EndTick
 }
 
-Trajectory Densify(const Trajectory& traj) {
-  Trajectory out(traj.id());
-  if (traj.Empty()) return out;
-  for (Tick t = traj.BeginTick(); t <= traj.EndTick(); ++t) {
-    out.Append(TimedPoint(*InterpolateAt(traj, t), t));
-  }
-  return out;
-}
-
 }  // namespace convoy

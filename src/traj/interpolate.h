@@ -58,12 +58,6 @@ inline std::optional<Point> InterpolateForward(const Trajectory& traj,
   return InterpolateBetween(before, samples[idx + 1], t);
 }
 
-/// Materializes a copy of `traj` with a sample at every tick of its
-/// lifetime, filling gaps by linear interpolation. Used by tests and by the
-/// "regular sampling" path of the dataset generators; CMC itself
-/// interpolates lazily and never builds this.
-Trajectory Densify(const Trajectory& traj);
-
 }  // namespace convoy
 
 #endif  // CONVOY_TRAJ_INTERPOLATE_H_

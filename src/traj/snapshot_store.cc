@@ -94,10 +94,14 @@ SnapshotStore SnapshotStore::Build(const TrajectoryDatabase& db,
       if (from > to) continue;
       const std::vector<TimedPoint>& samples = traj.samples();
       size_t idx = *traj.IndexAtOrBefore(from);
-      for (Tick t = from; t <= to; ++t) {
+      // Offsets within the block, so the tick after `to` is never formed.
+      const size_t last_offset = static_cast<size_t>(to - block_begin);
+      for (size_t offset = static_cast<size_t>(from - block_begin);
+           offset <= last_offset; ++offset) {
+        const Tick t = block_begin + static_cast<Tick>(offset);
         while (idx + 1 < samples.size() && samples[idx + 1].t <= t) ++idx;
         const TimedPoint& before = samples[idx];
-        const size_t slot = cursor[static_cast<size_t>(t - block_begin)]++;
+        const size_t slot = cursor[offset]++;
         const Point p = before.t == t
                             ? before.pos
                             : InterpolateBetween(before, samples[idx + 1], t);

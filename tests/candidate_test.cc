@@ -2,16 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/test_util.h"
+
 namespace convoy {
 namespace {
 
 using Clusters = std::vector<std::vector<ObjectId>>;
+using testutil::Step;
 
 TEST(IntersectSortedTest, Basics) {
-  EXPECT_EQ(IntersectSorted({1, 2, 3}, {2, 3, 4}),
-            (std::vector<ObjectId>{2, 3}));
-  EXPECT_TRUE(IntersectSorted({1, 2}, {3, 4}).empty());
-  EXPECT_TRUE(IntersectSorted({}, {1}).empty());
+  using Ids = std::vector<ObjectId>;
+  EXPECT_EQ(IntersectSorted(Ids{1, 2, 3}, Ids{2, 3, 4}), (Ids{2, 3}));
+  EXPECT_TRUE(IntersectSorted(Ids{1, 2}, Ids{3, 4}).empty());
+  EXPECT_TRUE(IntersectSorted(Ids{}, Ids{1}).empty());
 }
 
 // Reproduces the paper's Table 2 execution (m=2, k=3):
@@ -23,11 +26,11 @@ TEST(CandidateTrackerTest, PaperTable2Execution) {
   CandidateTracker tracker(2, 3);
   std::vector<Candidate> done;
 
-  tracker.Advance(Clusters{{1, 2, 3}}, 1, 1, 1, &done);
+  tracker.Advance(Step({{1, 2, 3}}), 1, 1, 1, &done);
   EXPECT_TRUE(done.empty());
-  tracker.Advance(Clusters{{1, 2, 3, 4}}, 2, 2, 1, &done);
+  tracker.Advance(Step({{1, 2, 3, 4}}), 2, 2, 1, &done);
   EXPECT_TRUE(done.empty());
-  tracker.Advance(Clusters{{5, 6}, {2, 3}}, 3, 3, 1, &done);
+  tracker.Advance(Step({{5, 6}, {2, 3}}), 3, 3, 1, &done);
   EXPECT_TRUE(done.empty());
 
   tracker.Flush(&done);
@@ -44,9 +47,9 @@ TEST(CandidateTrackerTest, PaperTable2Execution) {
 TEST(CandidateTrackerTest, CandidateDiesWhenClusterVanishes) {
   CandidateTracker tracker(2, 2);
   std::vector<Candidate> done;
-  tracker.Advance(Clusters{{1, 2}}, 0, 0, 1, &done);
-  tracker.Advance(Clusters{{1, 2}}, 1, 1, 1, &done);
-  tracker.Advance(Clusters{}, 2, 2, 1, &done);  // nothing at t=2
+  tracker.Advance(Step({{1, 2}}), 0, 0, 1, &done);
+  tracker.Advance(Step({{1, 2}}), 1, 1, 1, &done);
+  tracker.Advance(Step({}), 2, 2, 1, &done);  // nothing at t=2
   ASSERT_EQ(done.size(), 1u);
   EXPECT_EQ(done[0].end_tick, 1);
   EXPECT_EQ(done[0].lifetime, 2);
@@ -57,8 +60,8 @@ TEST(CandidateTrackerTest, CandidateDiesWhenClusterVanishes) {
 TEST(CandidateTrackerTest, ShortLivedCandidateNotReported) {
   CandidateTracker tracker(2, 3);
   std::vector<Candidate> done;
-  tracker.Advance(Clusters{{1, 2}}, 0, 0, 1, &done);
-  tracker.Advance(Clusters{}, 1, 1, 1, &done);
+  tracker.Advance(Step({{1, 2}}), 0, 0, 1, &done);
+  tracker.Advance(Step({}), 1, 1, 1, &done);
   EXPECT_TRUE(done.empty());  // lifetime 1 < k = 3
 }
 
@@ -67,8 +70,8 @@ TEST(CandidateTrackerTest, ClusterSplitSpawnsBothSuccessors) {
   // carry the original start tick.
   CandidateTracker tracker(2, 2);
   std::vector<Candidate> done;
-  tracker.Advance(Clusters{{1, 2, 3, 4}}, 0, 0, 1, &done);
-  tracker.Advance(Clusters{{1, 2}, {3, 4}}, 1, 1, 1, &done);
+  tracker.Advance(Step({{1, 2, 3, 4}}), 0, 0, 1, &done);
+  tracker.Advance(Step({{1, 2}, {3, 4}}), 1, 1, 1, &done);
   tracker.Flush(&done);
   ASSERT_EQ(done.size(), 2u);
   for (const Candidate& cand : done) {
@@ -83,8 +86,8 @@ TEST(CandidateTrackerTest, MergingClustersKeepBothLineages) {
   // its own candidate while both pair-lineages continue.
   CandidateTracker tracker(2, 2);
   std::vector<Candidate> done;
-  tracker.Advance(Clusters{{1, 2}, {3, 4}}, 0, 0, 1, &done);
-  tracker.Advance(Clusters{{1, 2, 3, 4}}, 1, 1, 1, &done);
+  tracker.Advance(Step({{1, 2}, {3, 4}}), 0, 0, 1, &done);
+  tracker.Advance(Step({{1, 2, 3, 4}}), 1, 1, 1, &done);
   tracker.Flush(&done);
   // Lineages: {1,2}@[0,1], {3,4}@[0,1]; the merged {1,2,3,4} began at t=1
   // with lifetime 1 < k so it is not reported.
@@ -98,12 +101,12 @@ TEST(CandidateTrackerTest, FreshClusterCandidateEvenWhenAssigned) {
   CandidateTracker tracker(2, 3);
   std::vector<Candidate> done;
   // Old candidate {1,2} exists from t=0.
-  tracker.Advance(Clusters{{1, 2}}, 0, 0, 1, &done);
+  tracker.Advance(Step({{1, 2}}), 0, 0, 1, &done);
   // At t=1 the cluster is {1,2,3,4}: extends {1,2} AND starts {1,2,3,4}.
-  tracker.Advance(Clusters{{1, 2, 3, 4}}, 1, 1, 1, &done);
+  tracker.Advance(Step({{1, 2, 3, 4}}), 1, 1, 1, &done);
   // From t=2 only {3,4} stay together for two more ticks.
-  tracker.Advance(Clusters{{3, 4}}, 2, 2, 1, &done);
-  tracker.Advance(Clusters{{3, 4}}, 3, 3, 1, &done);
+  tracker.Advance(Step({{3, 4}}), 2, 2, 1, &done);
+  tracker.Advance(Step({{3, 4}}), 3, 3, 1, &done);
   tracker.Flush(&done);
   // {3,4} lineage: born at t=1 inside {1,2,3,4} -> spans [1,3], lifetime 3.
   bool found = false;
@@ -121,10 +124,10 @@ TEST(CandidateTrackerTest, FreshClusterCandidateEvenWhenAssigned) {
 TEST(CandidateTrackerTest, DedupKeepsEarliestStart) {
   CandidateTracker tracker(2, 2);
   std::vector<Candidate> done;
-  tracker.Advance(Clusters{{1, 2, 3}}, 0, 0, 1, &done);
+  tracker.Advance(Step({{1, 2, 3}}), 0, 0, 1, &done);
   // {1,2} appears both as intersection of {1,2,3} with cluster {1,2} and as
   // the fresh cluster {1,2}; one candidate must remain, starting at 0.
-  tracker.Advance(Clusters{{1, 2}}, 1, 1, 1, &done);
+  tracker.Advance(Step({{1, 2}}), 1, 1, 1, &done);
   EXPECT_EQ(tracker.LiveCount(), 1u);
   tracker.Flush(&done);
   ASSERT_EQ(done.size(), 1u);
@@ -138,11 +141,11 @@ TEST(CandidateTrackerTest, EmitOnShrinkReportsMaximalConvoy) {
   // only {1,2}; emit-on-shrink must surface {1,2,3}@[0,2] as well.
   CandidateTracker tracker(2, 3);
   std::vector<Candidate> done;
-  tracker.Advance(Clusters{{1, 2, 3}}, 0, 0, 1, &done);
-  tracker.Advance(Clusters{{1, 2, 3}}, 1, 1, 1, &done);
-  tracker.Advance(Clusters{{1, 2, 3}}, 2, 2, 1, &done);
+  tracker.Advance(Step({{1, 2, 3}}), 0, 0, 1, &done);
+  tracker.Advance(Step({{1, 2, 3}}), 1, 1, 1, &done);
+  tracker.Advance(Step({{1, 2, 3}}), 2, 2, 1, &done);
   EXPECT_TRUE(done.empty());
-  tracker.Advance(Clusters{{1, 2}}, 3, 3, 1, &done);
+  tracker.Advance(Step({{1, 2}}), 3, 3, 1, &done);
   ASSERT_EQ(done.size(), 1u);
   EXPECT_EQ(done[0].objects, (std::vector<ObjectId>{1, 2, 3}));
   EXPECT_EQ(done[0].start_tick, 0);
@@ -160,9 +163,9 @@ TEST(CandidateTrackerTest, NoShrinkEmitWhenIntactSuccessorExists) {
   // it whole: no emission (the intact lineage will carry it further).
   CandidateTracker tracker(2, 1);
   std::vector<Candidate> done;
-  tracker.Advance(Clusters{{1, 2, 3}}, 0, 0, 1, &done);
+  tracker.Advance(Step({{1, 2, 3}}), 0, 0, 1, &done);
   done.clear();
-  tracker.Advance(Clusters{{1, 2, 3, 4}, {1, 2}}, 1, 1, 1, &done);
+  tracker.Advance(Step({{1, 2, 3, 4}, {1, 2}}), 1, 1, 1, &done);
   // k = 1 would emit on shrink immediately; since an intact successor
   // exists, nothing is emitted at this step.
   EXPECT_TRUE(done.empty());
@@ -172,8 +175,8 @@ TEST(CandidateTrackerTest, StepWeightForPartitions) {
   // The CuTS filter advances by lambda per partition.
   CandidateTracker tracker(2, 6);
   std::vector<Candidate> done;
-  tracker.Advance(Clusters{{1, 2}}, 0, 3, 4, &done);   // partition [0,3]
-  tracker.Advance(Clusters{{1, 2}}, 4, 7, 4, &done);   // partition [4,7]
+  tracker.Advance(Step({{1, 2}}), 0, 3, 4, &done);   // partition [0,3]
+  tracker.Advance(Step({{1, 2}}), 4, 7, 4, &done);   // partition [4,7]
   tracker.Flush(&done);
   ASSERT_EQ(done.size(), 1u);
   EXPECT_EQ(done[0].lifetime, 8);
@@ -184,19 +187,19 @@ TEST(CandidateTrackerTest, StepWeightForPartitions) {
 TEST(CandidateTrackerTest, MinObjectsEnforced) {
   CandidateTracker tracker(3, 1);
   std::vector<Candidate> done;
-  tracker.Advance(Clusters{{1, 2}}, 0, 0, 1, &done);  // too small
+  tracker.Advance(Step({{1, 2}}), 0, 0, 1, &done);  // too small
   EXPECT_EQ(tracker.LiveCount(), 0u);
-  tracker.Advance(Clusters{{1, 2, 3}}, 1, 1, 1, &done);
+  tracker.Advance(Step({{1, 2, 3}}), 1, 1, 1, &done);
   EXPECT_EQ(tracker.LiveCount(), 1u);
 }
 
 TEST(CandidateTrackerTest, IntersectionBelowMKillsLineage) {
   CandidateTracker tracker(3, 2);
   std::vector<Candidate> done;
-  tracker.Advance(Clusters{{1, 2, 3}}, 0, 0, 1, &done);
+  tracker.Advance(Step({{1, 2, 3}}), 0, 0, 1, &done);
   // Only 2 common objects: the lineage dies (lifetime 1 < k), the new
   // cluster {2,3,9} starts fresh.
-  tracker.Advance(Clusters{{2, 3, 9}}, 1, 1, 1, &done);
+  tracker.Advance(Step({{2, 3, 9}}), 1, 1, 1, &done);
   EXPECT_TRUE(done.empty());
   tracker.Flush(&done);
   EXPECT_TRUE(done.empty());  // fresh cluster lifetime 1 < k
@@ -214,15 +217,15 @@ TEST(CandidateTrackerTest, RestoredTrackerContinuesIdentically) {
     std::vector<Candidate> reference_done;
     for (size_t i = 0; i < split; ++i) {
       const Tick t = static_cast<Tick>(i);
-      reference.Advance(steps[i], t, t, 1, &reference_done);
+      reference.Advance(Step(steps[i]), t, t, 1, &reference_done);
     }
     CandidateTracker restored(2, 2);
     restored.Restore(reference.live());
     std::vector<Candidate> restored_done = reference_done;
     for (size_t i = split; i < steps.size(); ++i) {
       const Tick t = static_cast<Tick>(i);
-      reference.Advance(steps[i], t, t, 1, &reference_done);
-      restored.Advance(steps[i], t, t, 1, &restored_done);
+      reference.Advance(Step(steps[i]), t, t, 1, &reference_done);
+      restored.Advance(Step(steps[i]), t, t, 1, &restored_done);
       ASSERT_EQ(restored.live().size(), reference.live().size());
     }
     reference.Flush(&reference_done);

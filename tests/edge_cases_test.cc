@@ -297,38 +297,97 @@ TEST(EdgeCaseTest, SimplifyZigZagWithZeroDelta) {
 // Four objects 0.5 apart, sampled at every tick of [INT64_MAX - 40,
 // INT64_MAX - 1]: a store block, filter partition or refinement window
 // whose end is computed as start + length overflows there.
-TEST(EdgeCaseTest, TopOfTickRangeEveryPathMatchesCmc) {
-  std::vector<std::vector<double>> xs(4);
-  for (std::vector<double>& row : xs) {
-    for (int t = 0; t < 40; ++t) row.push_back(static_cast<double>(t));
-  }
-  const TrajectoryDatabase db =
-      FromXRows(xs, 0.5, std::numeric_limits<Tick>::max() - 40);
-  const ConvoyQuery query{2, 5, 2.0};
-  const std::vector<Convoy> want = Cmc(db, query);
-  ASSERT_EQ(want.size(), 1u);
-  EXPECT_EQ(want[0].objects, (std::vector<ObjectId>{0, 1, 2, 3}));
-  const auto check = [&](const std::vector<Convoy>& got,
-                         const std::string& what) {
-    EXPECT_EQ(got, want) << what;
-    for (const Convoy& convoy : got) {
-      EXPECT_TRUE(VerifyConvoy(db, query, convoy)) << what;
+// A stream replay of `db` — every tick's interpolated positions fed in
+// order — returning every convoy it closes, dominance-pruned. The ticks
+// are stepped by offset, so a database ending at INT64_MAX replays too.
+std::vector<Convoy> StreamReplay(const TrajectoryDatabase& db,
+                                 const ConvoyQuery& query) {
+  StreamingCmc stream(query);
+  std::vector<Convoy> closed;
+  const uint64_t last = static_cast<uint64_t>(db.EndTick()) -
+                        static_cast<uint64_t>(db.BeginTick());
+  for (uint64_t offset = 0; offset <= last; ++offset) {
+    const Tick t = static_cast<Tick>(
+        static_cast<uint64_t>(db.BeginTick()) + offset);
+    EXPECT_TRUE(stream.BeginTick(t).ok());
+    for (const Trajectory& traj : db.trajectories()) {
+      if (const auto pos = InterpolateAt(traj, t)) {
+        EXPECT_TRUE(stream.Report(traj.id(), *pos).ok());
+      }
     }
-  };
-
-  const ConvoyEngine engine(db);
-  for (const AlgorithmChoice choice :
-       {AlgorithmChoice::kAuto, AlgorithmChoice::kCmc, AlgorithmChoice::kCuts,
-        AlgorithmChoice::kCutsPlus, AlgorithmChoice::kCutsStar,
-        AlgorithmChoice::kMc2}) {
-    check(testutil::RunQuery(engine, query, choice).convoys(),
-          std::string(ToString(choice)));
+    const auto ended = stream.EndTick();
+    closed.insert(closed.end(), ended->begin(), ended->end());
   }
-  for (const Tick lambda : {Tick{-1}, Tick{7}}) {
-    CutsFilterOptions options;
-    options.lambda = lambda;
-    check(Cuts(db, query, CutsVariant::kCutsStar, options),
-          "Cuts(), lambda " + std::to_string(lambda));
+  const auto finished = stream.Finish();
+  closed.insert(closed.end(), finished->begin(), finished->end());
+  return RemoveDominated(std::move(closed));
+}
+
+// Four objects 0.5 apart at every tick of [INT64_MAX - 40, last], for a
+// last tick of INT64_MAX - 1 and of INT64_MAX itself: every tick loop,
+// partition, window and checkpoint interval ends at the top of the tick
+// range there. Every path must return promptly with CMC's answer, and
+// every answer must verify.
+TEST(EdgeCaseTest, TopOfTickRangeEveryPathMatchesCmc) {
+  for (const int ticks : {40, 41}) {
+    std::vector<std::vector<double>> xs(4);
+    for (std::vector<double>& row : xs) {
+      for (int t = 0; t < ticks; ++t) row.push_back(static_cast<double>(t));
+    }
+    const TrajectoryDatabase db =
+        FromXRows(xs, 0.5, std::numeric_limits<Tick>::max() - 40);
+    SCOPED_TRACE("last tick INT64_MAX - " +
+                 std::to_string(std::numeric_limits<Tick>::max() -
+                                db.EndTick()));
+    const ConvoyQuery query{2, 5, 2.0};
+    const std::vector<Convoy> want = Cmc(db, query);
+    ASSERT_EQ(want.size(), 1u);
+    EXPECT_EQ(want[0].objects, (std::vector<ObjectId>{0, 1, 2, 3}));
+    EXPECT_EQ(want[0].end_tick, db.EndTick());
+    const auto check = [&](const std::vector<Convoy>& got,
+                           const std::string& what) {
+      EXPECT_EQ(got, want) << what;
+      for (const Convoy& convoy : got) {
+        EXPECT_TRUE(VerifyConvoy(db, query, convoy)) << what;
+      }
+    };
+
+    const ConvoyEngine engine(db);
+    for (const AlgorithmChoice choice :
+         {AlgorithmChoice::kAuto, AlgorithmChoice::kCmc,
+          AlgorithmChoice::kCuts, AlgorithmChoice::kCutsPlus,
+          AlgorithmChoice::kCutsStar, AlgorithmChoice::kMc2}) {
+      check(testutil::RunQuery(engine, query, choice).convoys(),
+            std::string(ToString(choice)));
+    }
+    for (const Tick lambda : {Tick{-1}, Tick{7}}) {
+      CutsFilterOptions options;
+      options.lambda = lambda;
+      check(Cuts(db, query, CutsVariant::kCutsStar, options),
+            "Cuts(), lambda " + std::to_string(lambda));
+    }
+    check(FlockDiscovery(db, FlockQuery{query.m, query.k, 1.0}),
+          "FlockDiscovery");
+    check(StreamReplay(db, query), "StreamingCmc replay");
+
+    // The live refresh, first over the rows up to 20 ticks before the end
+    // and then over all of them, so the second refresh resumes from a
+    // checkpoint near the top of the range.
+    const auto rows_through = [&db](Tick last) {
+      RowTable rows;
+      for (const Trajectory& traj : db.trajectories()) {
+        for (const TimedPoint& p : traj.samples()) {
+          if (p.t <= last) AcceptReport(&rows, traj.id(), p.pos, p.t);
+        }
+      }
+      return rows;
+    };
+    IncrementalCmc live(query);
+    const RowTable partial = rows_through(db.EndTick() - 20);
+    EXPECT_EQ(live.Refresh(live.Plan(partial)),
+              Cmc(testutil::FromRowTable(partial), query));
+    const RowTable rows = rows_through(db.EndTick());
+    check(live.Refresh(live.Plan(rows)), "IncrementalCmc");
   }
 }
 

@@ -10,10 +10,24 @@ namespace {
 
 using testutil::FromXRows;
 
+// FlockSnapshotGroups' step, read back as object-id lists.
+std::vector<std::vector<ObjectId>> Groups(const std::vector<Point>& pts,
+                                          const std::vector<ObjectId>& ids,
+                                          double radius, size_t m) {
+  FlatClusters flat;
+  FlockSnapshotGroups(pts, ids, radius, m, &flat);
+  const ClusterSpans step = flat.Step(0);
+  std::vector<std::vector<ObjectId>> groups;
+  for (size_t g = 0; g < step.size(); ++g) {
+    groups.emplace_back(step[g].begin(), step[g].end());
+  }
+  return groups;
+}
+
 TEST(FlockSnapshotTest, CompactGroupFound) {
   const std::vector<Point> pts = {Point(0, 0), Point(1, 0), Point(0.5, 0.8)};
   const std::vector<ObjectId> ids = {1, 2, 3};
-  const auto groups = FlockSnapshotGroups(pts, ids, 1.0, 3);
+  const auto groups = Groups(pts, ids, 1.0, 3);
   ASSERT_EQ(groups.size(), 1u);
   EXPECT_EQ(groups[0], (std::vector<ObjectId>{1, 2, 3}));
 }
@@ -27,7 +41,7 @@ TEST(FlockSnapshotTest, LineLongerThanDiameterSplits) {
     pts.emplace_back(static_cast<double>(i), 0.0);
     ids.push_back(static_cast<ObjectId>(i));
   }
-  const auto groups = FlockSnapshotGroups(pts, ids, 1.0, 3);
+  const auto groups = Groups(pts, ids, 1.0, 3);
   for (const auto& g : groups) {
     EXPECT_LT(g.size(), 4u) << "a radius-1 disc cannot hold a 3-long line";
   }
@@ -40,13 +54,13 @@ TEST(FlockSnapshotTest, LineLongerThanDiameterSplits) {
 }
 
 TEST(FlockSnapshotTest, TooFewPoints) {
-  EXPECT_TRUE(FlockSnapshotGroups({Point(0, 0)}, {1}, 1.0, 2).empty());
+  EXPECT_TRUE(Groups({Point(0, 0)}, {1}, 1.0, 2).empty());
 }
 
 TEST(FlockSnapshotTest, DiscNeedNotBeCenteredOnObject) {
   // Two points 1.9 apart with radius 1: no disc centered on either point
   // covers both, but a disc centered between them does.
-  const auto groups = FlockSnapshotGroups({Point(0, 0), Point(1.9, 0)},
+  const auto groups = Groups({Point(0, 0), Point(1.9, 0)},
                                           {5, 6}, 1.0, 2);
   ASSERT_EQ(groups.size(), 1u);
   EXPECT_EQ(groups[0], (std::vector<ObjectId>{5, 6}));
@@ -54,7 +68,7 @@ TEST(FlockSnapshotTest, DiscNeedNotBeCenteredOnObject) {
 
 TEST(FlockSnapshotTest, GroupsAreMaximal) {
   // A tight pair plus a third point coverable together with either.
-  const auto groups = FlockSnapshotGroups(
+  const auto groups = Groups(
       {Point(0, 0), Point(0.2, 0), Point(0.4, 0)}, {1, 2, 3}, 1.0, 2);
   ASSERT_EQ(groups.size(), 1u);
   EXPECT_EQ(groups[0].size(), 3u);

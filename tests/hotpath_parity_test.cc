@@ -226,7 +226,7 @@ TEST(HotpathParityTest, CandidateTrackerMatchesReferenceOnRandomStreams) {
       std::vector<std::vector<ObjectId>> clusters =
           rng.Chance(0.15) ? std::vector<std::vector<ObjectId>>{}
                            : RandomDisjointClusters(rng, 40);
-      ours.Advance(clusters, t, t, 1, &ours_done);
+      ours.Advance(testutil::Step(clusters), t, t, 1, &ours_done);
       ref.Advance(clusters, t, t, 1, &ref_done);
       ASSERT_EQ(ours.LiveCount(), ref.LiveCount()) << "seed " << seed;
     }
@@ -250,8 +250,8 @@ TEST(HotpathParityTest, CandidateTrackerOverlappingClustersFallback) {
       {{1, 2, 3}},                     // disjoint again
   };
   for (size_t t = 0; t < steps.size(); ++t) {
-    ours.Advance(steps[t], static_cast<Tick>(t), static_cast<Tick>(t), 1,
-                 &ours_done);
+    ours.Advance(testutil::Step(steps[t]), static_cast<Tick>(t),
+                 static_cast<Tick>(t), 1, &ours_done);
     ref.Advance(steps[t], static_cast<Tick>(t), static_cast<Tick>(t), 1,
                 &ref_done);
   }

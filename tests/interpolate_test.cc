@@ -84,32 +84,5 @@ TEST(InterpolateTest, UnevenGaps) {
   EXPECT_EQ(*InterpolateAt(traj, 8), Point(3, 5));
 }
 
-TEST(DensifyTest, FillsEveryTick) {
-  Trajectory traj(9);
-  traj.Append(0, 0, 0);
-  traj.Append(4, 8, 4);
-  const Trajectory dense = Densify(traj);
-  EXPECT_EQ(dense.id(), 9u);
-  EXPECT_EQ(dense.Size(), 5u);
-  for (Tick t = 0; t <= 4; ++t) {
-    ASSERT_TRUE(dense.LocationAt(t).has_value());
-    EXPECT_EQ(*dense.LocationAt(t),
-              Point(static_cast<double>(t), 2.0 * static_cast<double>(t)));
-  }
-}
-
-TEST(DensifyTest, EmptyStaysEmpty) {
-  EXPECT_TRUE(Densify(Trajectory(1)).Empty());
-}
-
-TEST(DensifyTest, IdempotentOnDensePath) {
-  Trajectory traj(2);
-  for (Tick t = 0; t < 10; ++t) {
-    traj.Append(static_cast<double>(t), 0.0, t);
-  }
-  const Trajectory dense = Densify(traj);
-  EXPECT_EQ(dense.Size(), traj.Size());
-}
-
 }  // namespace
 }  // namespace convoy

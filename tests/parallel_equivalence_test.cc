@@ -13,6 +13,7 @@
 #include "core/cmc.h"
 #include "core/cuts.h"
 #include "core/engine.h"
+#include "core/mc2.h"
 #include "obs/trace.h"
 #include "tests/test_util.h"
 #include "traj/snapshot_store.h"
@@ -176,6 +177,33 @@ TEST(ParallelEquivalenceTest, CmcAcrossBlocksAndGapsIsIdentical) {
                                 ", " + std::to_string(threads) + " thread(s)";
       ExpectSameObservation(got_full, full, "Cmc over " + where);
       ExpectSameObservation(got_range, range, "CmcRange over " + where);
+    }
+  }
+}
+
+// MC2 clusters through CMC's sweep at query.num_threads and chains the
+// clusters on the calling thread in tick order, so its reports are the
+// same at every thread count, over the rows and over the store — across
+// block boundaries and sampling gaps too.
+TEST(ParallelEquivalenceTest, Mc2MatchesSerialOverRowsAndStore) {
+  std::vector<TrajectoryDatabase> dbs;
+  for (const uint64_t seed : {11u, 22u}) dbs.push_back(MakeDb(seed));
+  Rng rng(606);
+  dbs.push_back(RandomClumpyDb(rng, /*num_objects=*/24, /*ticks=*/700,
+                               /*world=*/40.0, /*step=*/0.5,
+                               /*keep_prob=*/0.3));
+  for (size_t d = 0; d < dbs.size(); ++d) {
+    const TrajectoryDatabase& db = dbs[d];
+    ConvoyQuery query{3, 4, 4.0};
+    const std::vector<Convoy> serial = Mc2(db, query);
+    EXPECT_FALSE(serial.empty()) << "database " << d;
+    const SnapshotStore store = SnapshotStore::Build(db);
+    for (const size_t threads : kThreadCounts) {
+      query.num_threads = threads;
+      EXPECT_EQ(Mc2(db, query), serial)
+          << "rows, database " << d << ", " << threads << " thread(s)";
+      EXPECT_EQ(Mc2(store, query), serial)
+          << "store, database " << d << ", " << threads << " thread(s)";
     }
   }
 }

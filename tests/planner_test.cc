@@ -294,7 +294,7 @@ TEST(PlannerTest, PlanSurfaceIsPinnedPerChoice) {
        "  lambda:      n/a\n"
        "  estimated work: 300 snapshot clustering(s), ~7131 "
        "object-clustering units (exact columnar alive counts)\n"
-       "  capabilities: approximate\n",
+       "  capabilities: approximate, threads\n",
        R"("plan":{"algorithm":"MC2","requested":"MC2",)"
        R"("query":{"m":3,"k":6,"e":4,"threads":1},"cache":"n/a",)"
        R"("exact":false,"database":{"objects":30,"ticks":300,"points":7131},)"

@@ -505,7 +505,7 @@ std::vector<Candidate> ReferenceFilterCandidates(
         clusters.push_back(std::move(ids));
       }
     }
-    tracker.Advance(clusters, ps, pe, lambda, &candidates);
+    tracker.Advance(testutil::Step(clusters), ps, pe, lambda, &candidates);
   }
   tracker.Flush(&candidates);
   return candidates;

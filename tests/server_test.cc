@@ -257,6 +257,35 @@ TEST(IngestStreamTest, WrongTickBatchNakedAndRecoverable) {
   EXPECT_EQ(closed[0].end_tick, 1);
 }
 
+// A client may jump its stream far ahead: the gap costs one tracker step,
+// so the worker acks the jump at once and keeps processing the ticks
+// after it.
+TEST(IngestStreamTest, FarTickJumpAckedAndStreamContinues) {
+  RecordingSink sink;
+  IngestStream stream(MakeBegin(1, 2, 2, 1.0), 8, &sink, nullptr);
+  const Tick far = 1'000'000'000'000'000;  // 10^15
+  uint64_t seq = 0;
+  for (const Tick t : {Tick{0}, Tick{1}, far, far + 1, far + 2}) {
+    if (t != far) {
+      MustSubmit(stream, BatchItem(++seq, t, {{1, 0, 0}, {2, 0, 0.5}}));
+    }
+    MustSubmit(stream, EndTickItem(++seq, t));
+  }
+  MustSubmit(stream, FinishItem(++seq));
+  const std::vector<AckMsg> acks = sink.WaitForAcks(seq);
+  for (const AckMsg& ack : acks) EXPECT_EQ(ack.code, 0) << ack.seq;
+
+  std::vector<Convoy> closed;
+  for (const EventMsg& event : sink.events()) {
+    if (static_cast<EventKind>(event.kind) == EventKind::kConvoyClosed) {
+      closed.push_back(event.convoy);
+    }
+  }
+  ASSERT_EQ(closed.size(), 2u);
+  EXPECT_EQ(closed[0], (Convoy{{1, 2}, 0, 1}));
+  EXPECT_EQ(closed[1], (Convoy{{1, 2}, far + 1, far + 2}));
+}
+
 TEST(IngestStreamTest, ItemsAfterFinishNaked) {
   RecordingSink sink;
   IngestStream stream(MakeBegin(1, 2, 2, 1.0), 8, &sink, nullptr);

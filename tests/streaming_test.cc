@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "core/cmc.h"
+#include "obs/trace.h"
 #include "tests/test_util.h"
 #include "traj/interpolate.h"
 
@@ -90,6 +94,64 @@ TEST(StreamingCmcTest, SkippedTicksBreakConsecutiveness) {
   EXPECT_EQ(closed[0].end_tick, 2);
   // The restarted pair has only 1 tick so far.
   EXPECT_TRUE(stream.Finish().value().empty());
+}
+
+// A gap is one empty step however long: it closes what explicitly empty
+// ticks close, with and without carry-forward. A skipped tick carries no
+// position, so the feed goes silent for the carry window before its gap.
+TEST(StreamingCmcTest, GapClosesWhatExplicitEmptyTicksClose) {
+  for (const Tick carry : {Tick{0}, Tick{2}}) {
+    SCOPED_TRACE("carry_forward_ticks " + std::to_string(carry));
+    StreamingCmc::Options options;
+    options.carry_forward_ticks = carry;
+    // The pair {0, 1} travels over ticks [0, 5], is silent while a lone
+    // object 9 reports for `carry` ticks, and travels again after ten
+    // ticks that the gap stream skips and the explicit one feeds empty.
+    const Tick gap_begin = 6 + carry;
+    const Tick gap_end = gap_begin + 9;
+    const auto run = [&](bool skip_gap) {
+      StreamingCmc stream(ConvoyQuery{2, 3, 1.0}, options);
+      std::vector<Convoy> closed;
+      for (Tick t = 0; t <= gap_end + 6; ++t) {
+        const bool in_gap = t >= gap_begin && t <= gap_end;
+        if (in_gap && skip_gap) continue;
+        EXPECT_TRUE(stream.BeginTick(t).ok());
+        if (t < 6 || t > gap_end) {
+          EXPECT_TRUE(stream.Report(0, Point(0, 0)).ok());
+          EXPECT_TRUE(stream.Report(1, Point(0, 0.5)).ok());
+        } else if (!in_gap) {
+          EXPECT_TRUE(stream.Report(9, Point(100, 100)).ok());
+        }
+        const auto ended = stream.EndTick();
+        closed.insert(closed.end(), ended->begin(), ended->end());
+      }
+      const auto finished = stream.Finish();
+      closed.insert(closed.end(), finished->begin(), finished->end());
+      return closed;
+    };
+    const std::vector<Convoy> explicit_ticks = run(/*skip_gap=*/false);
+    EXPECT_EQ(run(/*skip_gap=*/true), explicit_ticks);
+    ASSERT_EQ(explicit_ticks.size(), 2u);
+    EXPECT_EQ(explicit_ticks[0], (Convoy{{0, 1}, 0, 5 + carry}));
+    EXPECT_EQ(explicit_ticks[1], (Convoy{{0, 1}, gap_end + 1, gap_end + 6}));
+  }
+}
+
+// A jump to the top of the tick range costs one tracker step, not one per
+// skipped tick.
+TEST(StreamingCmcTest, FarTickJumpIsOneStep) {
+  TraceSession trace;
+  StreamingCmc stream(ConvoyQuery{2, 2, 1.0});
+  stream.set_trace(&trace);
+  for (const Tick t : {Tick{0}, std::numeric_limits<Tick>::max()}) {
+    ASSERT_TRUE(stream.BeginTick(t).ok());
+    ASSERT_TRUE(stream.Report(0, Point(0, 0)).ok());
+    ASSERT_TRUE(stream.Report(1, Point(0, 0.5)).ok());
+    EXPECT_TRUE(stream.EndTick().value().empty());  // lifetime 1 < k
+  }
+  EXPECT_TRUE(stream.Finish().value().empty());
+  // Tick 0, the gap, and INT64_MAX.
+  EXPECT_EQ(trace.counter(TraceCounter::kTrackerSteps), 3u);
 }
 
 TEST(StreamingCmcTest, SilentObjectVanishesWithoutCarry) {

@@ -5,6 +5,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/candidate.h"
 #include "core/engine.h"
 #include "core/incremental_cmc.h"
 #include "traj/database.h"
@@ -87,6 +88,19 @@ inline TrajectoryDatabase FromRowTable(const RowTable& rows) {
   for (const auto& [id, samples] : rows) db.Add(Trajectory(id, samples));
   return db;
 }
+
+/// One tracker step's clusters written as a brace list:
+/// tracker.Advance(Step({{1, 2}, {3, 4}}), t, t, 1, &done). Holds them as
+/// the one step of a FlatClusters and reads as that step's ClusterSpans,
+/// the form every clusterer hands its consumer.
+struct Step {
+  Step(const std::vector<std::vector<ObjectId>>& clusters) {  // NOLINT
+    flat.AddStep(clusters);
+  }
+  operator ClusterSpans() const { return flat.Step(0); }  // NOLINT
+
+  FlatClusters flat;
+};
 
 /// Lowercase hex of a byte string, for pinning encodings as literals.
 inline std::string Hex(std::string_view bytes) {

@@ -320,31 +320,37 @@ expect_exit 4 "garbage-only input" \
 printf '0,0,nan,1\n0,1,1,1\n0,2,2,2\n1,0,0,0\n' > "${SMOKE_DIR}/nanrow.csv"
 expect_exit 0 "NaN row skipped, rest discovered" \
   "${CLI}" --input "${SMOKE_DIR}/nanrow.csv" --m 2 --k 2 --e 8.0
-# Four objects 0.5 apart at every tick of [INT64_MAX - 40, INT64_MAX - 1]:
-# store blocks, filter partitions and refinement windows end near the top
-# of the tick range there. Each run is capped by `ulimit -v`, so a
-# partition loop that overflows and never ends fails fast instead of
-# exhausting the host's memory; each must exit 0 with every convoy
-# verified.
+# Four objects 0.5 apart at every tick of [INT64_MAX - 40, last], once
+# with last = INT64_MAX - 1 and once with last = INT64_MAX: tick loops,
+# store blocks, filter partitions and refinement windows end at the top of
+# the tick range there. Every algorithm runs on both, each capped by
+# `timeout 60` (a tick loop that overflows and never ends) and by
+# `ulimit -v` (one that allocates without bound); each must exit 0 with
+# every convoy verified.
 TOP_TICK=9223372036854775807
-for ((back = 40; back >= 1; --back)); do
-  for o in 0 1 2 3; do
-    echo "${o},$((TOP_TICK - back)),$((40 - back)),$((o / 2)).$((o % 2 * 5))"
+for top_last in 1 0; do
+  for ((back = 40; back >= top_last; --back)); do
+    for o in 0 1 2 3; do
+      echo "${o},$((TOP_TICK - back)),$((40 - back)),$((o / 2)).$((o % 2 * 5))"
+    done
+  done > "${SMOKE_DIR}/top${top_last}.csv"
+  for top_algo in "auto" "cmc" "cuts" "cuts+" "cuts*" "cuts* --lambda 7" \
+                  "mc2"; do
+    TOP_OUT="${SMOKE_DIR}/top.out"
+    TOP_EXIT=0
+    # shellcheck disable=SC2086  # ${top_algo} is the algorithm and its flags
+    (ulimit -v 2000000; timeout 60 "${CLI}" \
+       --input "${SMOKE_DIR}/top${top_last}.csv" --m 2 --k 5 --e 2 --verify \
+       --algo ${top_algo}) > "${TOP_OUT}" 2>&1 || TOP_EXIT=$?
+    TOP_CASE="--algo ${top_algo}, last tick INT64_MAX - ${top_last}"
+    if [[ "${TOP_EXIT}" != 0 ]] || grep -q "FAILED VERIFICATION" "${TOP_OUT}" \
+       || ! grep -q "verified" "${TOP_OUT}"; then
+      echo "FAIL: top-of-range repro (${TOP_CASE}): exit ${TOP_EXIT}"
+      cat "${TOP_OUT}"
+      exit 1
+    fi
+    echo "ok: top-of-range repro (${TOP_CASE}) -> exit 0, verified"
   done
-done > "${SMOKE_DIR}/top.csv"
-for top_algo in "auto" "cuts* --lambda 7"; do
-  TOP_OUT="${SMOKE_DIR}/top.out"
-  TOP_EXIT=0
-  # shellcheck disable=SC2086  # ${top_algo} is the algorithm and its flags
-  (ulimit -v 2000000; "${CLI}" --input "${SMOKE_DIR}/top.csv" --m 2 --k 5 \
-     --e 2 --verify --algo ${top_algo}) > "${TOP_OUT}" 2>&1 || TOP_EXIT=$?
-  if [[ "${TOP_EXIT}" != 0 ]] || grep -q "FAILED VERIFICATION" "${TOP_OUT}" \
-     || ! grep -q "verified" "${TOP_OUT}"; then
-    echo "FAIL: top-of-range repro (--algo ${top_algo}): exit ${TOP_EXIT}"
-    cat "${TOP_OUT}"
-    exit 1
-  fi
-  echo "ok: top-of-range repro (--algo ${top_algo}) -> exit 0, verified"
 done
 
 echo "== planner EXPLAIN smoke =="
