@@ -267,14 +267,14 @@ void BM_PolylineNeighborTest(benchmark::State& state) {
   const Trajectory tb = MakeWalk(7, 200);
   const SimplifiedTrajectory sa = DpStar(ta, 1.0);
   const SimplifiedTrajectory sb = DpStar(tb, 1.0);
-  PartitionPolyline a;
+  reference::PartitionPolyline a;
   a.object = 0;
   for (size_t i = 0; i < sa.NumSegments(); ++i) {
     a.segments.push_back(sa.GetSegment(i));
     a.tolerances.push_back(sa.SegmentTolerance(i));
   }
   a.FinalizeBounds();
-  PartitionPolyline b;
+  reference::PartitionPolyline b;
   b.object = 1;
   for (size_t i = 0; i < sb.NumSegments(); ++i) {
     b.segments.push_back(sb.GetSegment(i));
@@ -286,7 +286,7 @@ void BM_PolylineNeighborTest(benchmark::State& state) {
   opts.min_pts = 2;
   opts.distance = SegmentDistanceKind::kDStar;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(PolylinesAreNeighbors(a, b, opts));
+    benchmark::DoNotOptimize(reference::PolylinesAreNeighbors(a, b, opts));
   }
 }
 BENCHMARK(BM_PolylineNeighborTest);

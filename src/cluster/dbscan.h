@@ -83,7 +83,7 @@ Clustering Dbscan(const std::vector<Point>& points, const GridIndex& index,
 
 /// Columnar overload over parallel coordinate arrays — the SnapshotStore's
 /// per-tick structure-of-arrays layout — with a prebuilt index over the
-/// same coordinates in the same order (e.g. SnapshotStore::GridFor).
+/// same coordinates in the same order (SnapshotClusters, core/cmc.h).
 /// Results are identical to the Point-vector overloads: the probe points
 /// are bitwise the same and expansion order depends only on index order.
 Clustering Dbscan(const double* xs, const double* ys, size_t n,

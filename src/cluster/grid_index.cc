@@ -4,8 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "simd/dist_kernels.h"
-
 namespace convoy {
 
 namespace {
@@ -32,14 +30,7 @@ int32_t UnpackCellY(uint64_t key) {
 
 GridIndex::GridIndex(const std::vector<Point>& points, double cell_size) {
   Assign(points, cell_size);
-  // One-shot build: drop the per-point key buffer so instances that live on
-  // (the store's grid cache) carry only the CSR arrays.
-  key_scratch_ = {};
-}
-
-GridIndex::GridIndex(const double* xs, const double* ys, size_t n,
-                     double cell_size) {
-  Assign(xs, ys, n, cell_size);
+  // One-shot build: an instance that lives on carries only the CSR arrays.
   key_scratch_ = {};
 }
 
@@ -167,10 +158,11 @@ std::vector<size_t> GridIndex::WithinRadius(const Point& probe,
 
 void GridIndex::ScanRange(size_t lo, size_t hi, const Point& probe, double r2,
                           std::vector<size_t>* out) const {
-  // The SIMD kernel runs the exact compares of the old scalar loop here and
-  // appends the same indices in the same order (see simd/dist_kernels.h).
-  simd::RadiusScan(sx_.data(), sy_.data(), point_of_.data(), lo, hi, probe.x,
-                   probe.y, r2, out);
+  for (size_t j = lo; j < hi; ++j) {
+    const double dx = sx_[j] - probe.x;
+    const double dy = sy_[j] - probe.y;
+    if (dx * dx + dy * dy <= r2) out->push_back(point_of_[j]);
+  }
 }
 
 void GridIndex::NeighborsOfInto(size_t i, const Point& probe, double radius,

@@ -44,17 +44,13 @@ class GridIndex {
   /// cell — queries stay exhaustive, only their cost changes.
   GridIndex(const std::vector<Point>& points, double cell_size);
 
-  /// Columnar overload: the same index built from parallel coordinate
-  /// arrays (the SnapshotStore's per-tick layout). Internal state — and
-  /// therefore every query answer, including result order — is identical
-  /// to the Point-vector constructor over the same coordinates in the
-  /// same order.
-  GridIndex(const double* xs, const double* ys, size_t n, double cell_size);
-
   /// Rebuilds the index in place, reusing the CSR arrays' capacity — the
   /// arena path for callers that build one index per snapshot in a hot
-  /// loop (ClusterSnapshot). State after Assign is identical to a freshly
-  /// constructed index over the same input.
+  /// loop (ClusterSnapshot, SnapshotClusters). State after Assign is
+  /// identical to a freshly constructed index over the same input; the
+  /// columnar overload (the SnapshotStore's per-tick layout) builds the
+  /// same state as the Point-vector one over the same coordinates in the
+  /// same order, so every query answer, result order included, agrees.
   void Assign(const double* xs, const double* ys, size_t n, double cell_size);
   void Assign(const std::vector<Point>& points, double cell_size);
 
@@ -90,16 +86,6 @@ class GridIndex {
   /// Number of occupied grid cells (distinct cell keys).
   size_t NumCells() const { return cell_keys_.size(); }
 
-  /// The index's memory footprint in array slots (one slot per element of
-  /// the CSR arrays — comparable to the SnapshotStore's columnar-slot
-  /// unit). The store's grid cache budgets on this, so cached grids are
-  /// charged for what they actually hold rather than a per-point proxy.
-  size_t FootprintSlots() const {
-    return sx_.size() + sy_.size() + point_of_.size() + cell_keys_.size() +
-           cell_starts_.size() + key_scratch_.size() + cell_of_point_.size() +
-           row_lo_.size() + row_hi_.size();
-  }
-
  private:
   using CellKey = uint64_t;
   /// Shared build: applies the degenerate-cell-size fallback and fills the
@@ -130,8 +116,7 @@ class GridIndex {
   /// reads them linearly instead of gathering through point_of_.
   std::vector<double> sx_, sy_;
   /// Per-point (cell key, point index) pairs, kept between Assign calls
-  /// as build scratch; the one-shot constructors release it (cached store
-  /// grids should not carry build buffers).
+  /// as build scratch; the one-shot constructor releases it.
   std::vector<std::pair<CellKey, uint32_t>> key_scratch_;
 
   /// NeighborsOfInto acceleration, built only when the grid has more than

@@ -94,7 +94,7 @@ void BuildPolylineSoa(const std::vector<SimplifiedTrajectory>& simplified,
     const size_t first_segment = out->x0.size();
     if (simp.NumSegments() == 0) {
       // Single-sample trajectory: a degenerate zero-length segment keeps
-      // the object visible to the filter (same as BuildPartitionPolylines).
+      // the object visible to the filter (as the reference gather does).
       if (simp.NumVertices() != 1) continue;
       const TimedPoint& v = simp.vertices().front();
       if (v.t < part_start || v.t > part_end) continue;
@@ -174,8 +174,9 @@ Clustering PolylineDbscanSoa(const PolylineDbscanOptions& opts,
     }
   }
 
-  // Expansion: the same FIFO walk as PolylineDbscan, over scratch-backed
-  // label/frontier storage (a vector with a head index is deque order).
+  // Expansion: the same FIFO walk as the reference TRAJ-DBSCAN, over
+  // scratch-backed label/frontier storage (a vector with a head index is
+  // deque order).
   constexpr uint32_t kUnvisited = 0xFFFFFFFF;
   constexpr uint32_t kNoise = 0xFFFFFFFE;
   std::vector<uint32_t>& label = scratch->label;

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "cluster/dbscan.h"
 #include "cluster/polyline_dbscan.h"
 #include "simd/dist_kernels.h"
 #include "simplify/simplified_trajectory.h"
@@ -15,7 +16,8 @@ namespace convoy {
 /// (scan order — polyline by polyline, ascending in time within each), and
 /// `seg_start` delimits each polyline's slice. This is the layout the SIMD
 /// distance kernels consume; semantically it carries exactly the same data
-/// as a vector<PartitionPolyline> (property-tested bit-for-bit).
+/// as the reference path's vector<PartitionPolyline>
+/// (tests/reference_impl.h; property-tested bit-for-bit).
 struct PolylineSoa {
   // Per polyline (NumPolylines() entries; seg_start has one extra).
   std::vector<ObjectId> object;
@@ -50,9 +52,9 @@ struct PolylineSoa {
 };
 
 /// Builds the partition's polylines directly into SoA form. Selection and
-/// values mirror BuildPartitionPolylines exactly: same segment ranges, same
-/// degenerate single-vertex handling, same tolerance choice, and bounds that
-/// are bit-identical to PartitionPolyline::FinalizeBounds.
+/// values mirror the reference partition gather (tests/reference_impl.h)
+/// exactly: same segment ranges, same degenerate single-vertex handling,
+/// same tolerance choice, and bit-identical bounds.
 void BuildPolylineSoa(const std::vector<SimplifiedTrajectory>& simplified,
                       Tick part_start, Tick part_end,
                       bool use_actual_tolerance, double delta_used,
@@ -72,7 +74,8 @@ struct PolylineDbscanScratch {
 
 /// TRAJ-DBSCAN over the SoA layout, dispatching the neighborhood tests to
 /// the SIMD kernels. Produces clusters (of polyline indices) identical to
-/// PolylineDbscan on the equivalent vector<PartitionPolyline> input — the
+/// the reference TRAJ-DBSCAN on the equivalent vector<PartitionPolyline>
+/// input (tests/reference_impl.h) — the
 /// kernels are bit-identical to the reference merge scan, candidate pairs
 /// are enumerated in the same ascending order, and the expansion replays
 /// the same FIFO walk. `stats` additionally receives `mbr_rejects`, which

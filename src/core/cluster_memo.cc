@@ -26,6 +26,14 @@ ClusterMemoKey ClusterMemoKey::Of(const CutsFilterOptions& options,
   return key;
 }
 
+ClusterMemoKey ClusterMemoKey::Snapshots(const ConvoyQuery& query) {
+  ClusterMemoKey key;
+  key.lambda = 0;
+  key.e_bits = std::bit_cast<uint64_t>(query.e);
+  key.m = query.m;
+  return key;
+}
+
 std::shared_ptr<const FilterClusters> ClusterMemo::Filter(
     const ClusterMemoKey& key) {
   std::lock_guard<std::mutex> lock(mu_);

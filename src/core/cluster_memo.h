@@ -17,11 +17,13 @@
 
 namespace convoy {
 
-/// What one CuTS query's clusterings depend on: the resolved filter
+/// What one query's clusterings depend on. For CuTS: the resolved filter
 /// (simplifier, distance bound, delta, lambda and the two pruning toggles)
-/// and the query's e and m. Not k — only the candidate tracker reads k —
-/// and not the thread count, which changes no clustering. delta and e are
-/// keyed on their bit patterns, as the simplification cache keys delta.
+/// and the query's e and m. For CMC and MC2, which share their per-tick
+/// DBSCAN: e and m alone (Snapshots). Not k — only the candidate tracker
+/// reads k — and not the thread count, which changes no clustering. delta
+/// and e are keyed on their bit patterns, as the simplification cache
+/// keys delta.
 struct ClusterMemoKey {
   SimplifierKind simplifier = SimplifierKind::kDp;
   SegmentDistanceKind distance = SegmentDistanceKind::kDll;
@@ -37,6 +39,11 @@ struct ClusterMemoKey {
   static ClusterMemoKey Of(const CutsFilterOptions& options,
                            const ConvoyQuery& query);
 
+  /// The key of the snapshot sweeps' clusters at query's e and m. Its
+  /// lambda is 0, which no CuTS key has (they key a resolved, positive
+  /// lambda).
+  static ClusterMemoKey Snapshots(const ConvoyQuery& query);
+
   auto operator<=>(const ClusterMemoKey&) const = default;
 };
 
@@ -47,11 +54,13 @@ struct ClusterMemoKey {
 /// the budget keeps a few keys of such a database.
 inline constexpr size_t kClusterMemoBytesPerPoint = 32;
 
-/// ConvoyEngine's memo of CuTS clusterings, per ClusterMemoKey: the
-/// filter's partition clusterings (FilterClusters) and the refinement
-/// windows' per-tick clusterings (WindowClusters) of earlier queries, so a
-/// later query at the same key clusters only what the memo lacks and
-/// re-runs only the k-dependent candidate tracker.
+/// ConvoyEngine's memo of clusterings, per ClusterMemoKey: the CuTS
+/// filter's partition clusterings (FilterClusters), the refinement
+/// windows' per-tick clusterings (WindowClusters), and the whole-domain
+/// per-tick clusterings of CMC and MC2 sweeps (one WindowClusters under a
+/// Snapshots key) of earlier queries, so a later query at the same key
+/// clusters only what the memo lacks and re-runs only the k-dependent
+/// tracker.
 ///
 /// Refinement windows nest within a key. Candidates at a larger k are a
 /// subset of those at a smaller k (the tracker's live set evolves the
@@ -128,8 +137,8 @@ class ClusterMemo {
 };
 
 /// One query's access to a ClusterMemo: the memo and the key its
-/// clusterings are filed under. What CutsFilterWithMemo and
-/// CutsRefineWithMemo take.
+/// clusterings are filed under — the optional last argument of
+/// CutsFilterPresimplified, CutsRefine, Cmc and Mc2.
 struct MemoSlot {
   ClusterMemo* memo = nullptr;
   ClusterMemoKey key;

@@ -7,7 +7,7 @@
 #include <utility>
 
 #include "cluster/dbscan.h"
-#include "cluster/grid_index.h"
+#include "core/cluster_memo.h"
 #include "obs/trace.h"
 #include "parallel/parallel_for.h"
 #include "traj/interpolate.h"
@@ -58,18 +58,16 @@ void RowSnapshots::Gather(Tick t, const std::vector<uint32_t>* selected,
 
 bool SnapshotClusters(const SnapshotStore& store, Tick t,
                       const ConvoyQuery& query, DbscanScratch* scratch,
-                      FlatClusters* out, bool* grid_cache_hit) {
+                      FlatClusters* out) {
   const SnapshotView view = store.At(t);
   if (view.size < query.m) {
     out->AddStep(ClusterSpans());
     return false;
   }
-  // Hold the shared_ptr across the scan: the store may evict the grid
-  // from its cache mid-query (eps-sweep bound), never from under us.
-  const std::shared_ptr<const GridIndex> grid =
-      store.GridFor(t, query.e, grid_cache_hit);
-  const Clustering clustering =
-      Dbscan(view.xs, view.ys, view.size, *grid, query.e, query.m, scratch);
+  scratch->grid.Assign(view.xs, view.ys, view.size, query.e);
+  const Clustering clustering = Dbscan(view.xs, view.ys, view.size,
+                                       scratch->grid, query.e, query.m,
+                                       scratch);
   out->AddStep(clustering.clusters, view.ids);
   return true;
 }
@@ -114,6 +112,15 @@ Tick TickAt(Tick begin, size_t i) {
   return static_cast<Tick>(static_cast<uint64_t>(begin) + i);
 }
 
+// The number of ticks in [begin, end], unsigned: the count of a domain at
+// either end of the tick range must not overflow.
+size_t TickCount(Tick begin, Tick end) {
+  return begin <= end ? static_cast<size_t>(static_cast<uint64_t>(end) -
+                                            static_cast<uint64_t>(begin)) +
+                            1
+                      : 0;
+}
+
 // One tick as a sweep's producer hands it on: step `step` of `*steps` —
 // the chunk arena's storage, which `owner` keeps alive until the tick is
 // consumed, or a held window, which outlives the sweep.
@@ -145,26 +152,20 @@ SweptTick ClusterInto(SnapshotScratch* scratch, Cluster&& cluster) {
 // The one tick loop of every snapshot sweep. `make_cluster_at(scratch)`
 // returns a clusterer `cluster_at(t) -> SweptTick` for ascending ticks,
 // working in `scratch`: the caller's at one thread, one per worker chunk
-// of OrderedParallelFor otherwise. Consumption (stats, `consume`) runs on
-// the caller's thread in tick order, and the counters folded while
-// clustering are per-tick integer tallies, so every output and count is
-// identical at every thread count.
+// of OrderedParallelFor otherwise. Consumption (stats, the memo's record,
+// `consume`) runs on the caller's thread in tick order, and the counters
+// folded while clustering are per-tick integer tallies, so every output,
+// count and record is identical at every thread count.
 template <typename MakeClusterAt>
 void SweepImpl(Tick begin_tick, Tick end_tick, size_t threads,
                SnapshotScratch* scratch, DiscoveryStats* stats,
                TraceSession* trace, MakeClusterAt&& make_cluster_at,
-               const TickConsumer& consume) {
-  // Unsigned: the tick count of a domain at either end of the tick range
-  // must not overflow.
-  const size_t total_ticks =
-      begin_tick <= end_tick
-          ? static_cast<size_t>(static_cast<uint64_t>(end_tick) -
-                                static_cast<uint64_t>(begin_tick)) +
-                1
-          : 0;
+               const TickConsumer& consume,
+               const SweepMemo* memo = nullptr) {
+  WindowClusters* record = memo != nullptr ? memo->record : nullptr;
   threads = ResolveThreadCount(threads);
   OrderedParallelFor(
-      total_ticks, threads, kSmallUnits,
+      TickCount(begin_tick, end_tick), threads, kSmallUnits,
       [&] {
         std::unique_ptr<SnapshotScratch> owned;
         if (threads > 1) owned = std::make_unique<SnapshotScratch>();
@@ -179,79 +180,92 @@ void SweepImpl(Tick begin_tick, Tick end_tick, size_t threads,
           if (stats != nullptr) ++stats->num_clusterings;
           TraceCount(trace, TraceCounter::kSnapshotsClustered, 1);
         }
-        consume(TickAt(begin_tick, i), tick.steps->Step(tick.step));
+        const ClusterSpans clusters = tick.steps->Step(tick.step);
+        if (record != nullptr) {
+          record->ticks.AddStep(clusters);
+          if (record->ticks.Bytes() > memo->record_limit) {
+            record->ticks = FlatClusters();
+            record = nullptr;
+          }
+        }
+        consume(TickAt(begin_tick, i), clusters);
       });
 }
 
 // The row path's clusterers for SweepImpl: each gathers through a fresh
 // RowSnapshots, so a worker chunk restarts the cursors at its first tick,
-// and clusters the snapshot with `cluster`. With a `memo` (SweepRows only,
-// where one clusterer serves every tick in order) a tick some cached
-// window holds is read from it in place, not clustered, and every tick is
-// appended to the memo's record while that stays within its limit.
+// and clusters the snapshot with `cluster`. A tick one of the `cached`
+// windows holds is read from it in place, not clustered.
 auto RowClusterers(const TrajectoryDatabase& db,
                    const SnapshotClusterer& cluster,
-                   const RowSelector& rows_at, const SweepMemo* memo,
+                   const RowSelector& rows_at,
+                   std::span<const WindowClusters* const> cached,
                    TraceSession* trace) {
-  return [&db, &cluster, &rows_at, memo, trace](SnapshotScratch* scratch) {
-    return [rows = RowSnapshots(db), &cluster, &rows_at, memo, trace, scratch,
-            next = size_t{0},
-            recording = memo != nullptr && memo->record != nullptr](
-               Tick t) mutable {
-      const WindowClusters* cached = nullptr;
-      if (memo != nullptr) {
-        const auto& windows = memo->cached;
-        while (next < windows.size() && windows[next]->end() < t) ++next;
-        if (next < windows.size() && windows[next]->begin <= t) {
-          cached = windows[next];
-        }
+  return [&db, &cluster, &rows_at, cached, trace](SnapshotScratch* scratch) {
+    return [rows = RowSnapshots(db), &cluster, &rows_at, cached, trace,
+            scratch, next = size_t{0}](Tick t) mutable {
+      while (next < cached.size() && cached[next]->end() < t) ++next;
+      if (next < cached.size() && cached[next]->begin <= t) {
+        return HeldTick(*cached[next], t);
       }
-      SweptTick tick;
-      if (cached != nullptr) {
-        tick = HeldTick(*cached, t);
-      } else {
-        ScopedSpan span(trace, "snapshot.cluster");
-        rows.Gather(t, rows_at ? rows_at(t) : nullptr, &scratch->points,
-                    &scratch->ids);
-        tick = ClusterInto(scratch, [&](FlatClusters* out) {
-          return cluster(scratch->points, scratch->ids, &scratch->dbscan,
-                         out);
-        });
-      }
-      if (recording) {
-        memo->record->ticks.AddStep(tick.steps->Step(tick.step));
-        if (memo->record->ticks.Bytes() > memo->record_limit) {
-          memo->record->ticks = FlatClusters();
-          recording = false;
-        }
-      }
-      return tick;
+      ScopedSpan span(trace, "snapshot.cluster");
+      rows.Gather(t, rows_at ? rows_at(t) : nullptr, &scratch->points,
+                  &scratch->ids);
+      return ClusterInto(scratch, [&](FlatClusters* out) {
+        return cluster(scratch->points, scratch->ids, &scratch->dbscan, out);
+      });
     };
   };
 }
 
-// The store path's clusterers for SweepImpl: the store's columnar views
-// and cached grids, any tick in any order.
+// The store path's clusterers for SweepImpl: the store's columnar views,
+// any tick in any order.
 auto StoreClusterers(const SnapshotStore& store, const ConvoyQuery& query,
                      TraceSession* trace) {
   return [&store, &query, trace](SnapshotScratch* scratch) {
     return [&store, &query, trace, scratch](Tick t) {
       ScopedSpan span(trace, "snapshot.cluster");
-      bool grid_hit = false;
       const SweptTick tick = ClusterInto(scratch, [&](FlatClusters* out) {
-        return SnapshotClusters(store, t, query, &scratch->dbscan, out,
-                                &grid_hit);
+        return SnapshotClusters(store, t, query, &scratch->dbscan, out);
       });
-      if (tick.clustered) {
-        TraceDbscanRun(trace, scratch->dbscan.tally);
-        TraceCount(trace,
-                   grid_hit ? TraceCounter::kGridCacheHits
-                            : TraceCounter::kGridCacheMisses,
-                   1);
-      }
+      if (tick.clustered) TraceDbscanRun(trace, scratch->dbscan.tally);
       return tick;
     };
   };
+}
+
+// SweepSnapshots' memo step over [begin_tick, end_tick]: with no `memo`
+// (or no tick), `sweep(nullptr)` clusters every tick. A held window
+// containing the range is read in place instead (a hit). Otherwise
+// `sweep(record)` clusters every tick into `record`, and the whole range
+// is published (a miss).
+template <typename Sweep>
+void SweepThroughMemo(const MemoSlot* memo, Tick begin_tick, Tick end_tick,
+                      const TickConsumer& consume, TraceSession* trace,
+                      Sweep&& sweep) {
+  if (memo == nullptr || end_tick < begin_tick) {
+    sweep(nullptr);
+    return;
+  }
+  for (const auto& held : memo->memo->Windows(memo->key)) {
+    if (!held->Contains(begin_tick, end_tick)) continue;
+    TraceCount(trace, TraceCounter::kClusterMemoHits, 1);
+    SweepCached(*held, begin_tick, end_tick, consume);
+    return;
+  }
+  TraceCount(trace, TraceCounter::kClusterMemoMisses, 1);
+  auto recorded = std::make_shared<WindowClusters>();
+  recorded->begin = begin_tick;
+  SweepMemo record;
+  record.record = recorded.get();
+  record.record_limit = memo->memo->budget();
+  sweep(&record);
+  // A record emptied at its byte limit holds fewer ticks than the range
+  // and is not kept.
+  if (recorded->ticks.NumSteps() == TickCount(begin_tick, end_tick)) {
+    recorded->ticks.ShrinkToFit();
+    memo->memo->PublishWindow(memo->key, std::move(recorded));
+  }
 }
 
 // Ends a CMC run begun at `total`: FinishSweep, its wall time added to
@@ -282,23 +296,32 @@ void SweepSnapshots(const TrajectoryDatabase& db, Tick begin_tick,
                     Tick end_tick, size_t threads,
                     const SnapshotClusterer& cluster,
                     const TickConsumer& consume, DiscoveryStats* stats,
-                    const ExecHooks* hooks) {
-  SnapshotScratch scratch;
-  const RowSelector all_rows;
+                    const ExecHooks* hooks, const MemoSlot* memo) {
   TraceSession* const trace = TraceOf(hooks);
-  SweepImpl(begin_tick, end_tick, threads, &scratch, stats, trace,
-            RowClusterers(db, cluster, all_rows, /*memo=*/nullptr, trace),
-            consume);
+  SweepThroughMemo(
+      memo, begin_tick, end_tick, consume, trace,
+      [&](const SweepMemo* record) {
+        SnapshotScratch scratch;
+        const RowSelector all_rows;
+        SweepImpl(begin_tick, end_tick, threads, &scratch, stats, trace,
+                  RowClusterers(db, cluster, all_rows, /*cached=*/{}, trace),
+                  consume, record);
+      });
 }
 
 void SweepSnapshots(const SnapshotStore& store, const ConvoyQuery& query,
                     Tick begin_tick, Tick end_tick,
                     const TickConsumer& consume, DiscoveryStats* stats,
-                    const ExecHooks* hooks) {
-  SnapshotScratch scratch;
+                    const ExecHooks* hooks, const MemoSlot* memo) {
   TraceSession* const trace = TraceOf(hooks);
-  SweepImpl(begin_tick, end_tick, query.num_threads, &scratch, stats, trace,
-            StoreClusterers(store, query, trace), consume);
+  SweepThroughMemo(memo, begin_tick, end_tick, consume, trace,
+                   [&](const SweepMemo* record) {
+                     SnapshotScratch scratch;
+                     SweepImpl(begin_tick, end_tick, query.num_threads,
+                               &scratch, stats, trace,
+                               StoreClusterers(store, query, trace), consume,
+                               record);
+                   });
 }
 
 std::vector<Convoy> FinishSweep(CmcSweep* sweep, const CmcOptions& options,
@@ -324,14 +347,16 @@ void SweepRows(const TrajectoryDatabase& db, const ConvoyQuery& query,
   SnapshotScratch local;
   if (scratch == nullptr) scratch = &local;
   TraceSession* const trace = TraceOf(hooks);
+  const SweepMemo no_memo;
+  if (memo == nullptr) memo = &no_memo;
   const SnapshotClusterer dbscan = DbscanClusterer(query, hooks);
   SweepImpl(begin_tick, end_tick, /*threads=*/1, scratch, stats, trace,
-            RowClusterers(db, dbscan, rows_at, memo, trace),
-            sweep->Consume());
+            RowClusterers(db, dbscan, rows_at, memo->cached, trace),
+            sweep->Consume(), memo);
 }
 
 void SweepCached(const WindowClusters& window, Tick begin_tick,
-                 Tick end_tick, CmcSweep* sweep) {
+                 Tick end_tick, const TickConsumer& consume) {
   assert(window.Contains(begin_tick, end_tick));
   // Nothing is clustered, so nothing needs a scratch, stats or a trace.
   SweepImpl(begin_tick, end_tick, /*threads=*/1, /*scratch=*/nullptr,
@@ -339,45 +364,48 @@ void SweepCached(const WindowClusters& window, Tick begin_tick,
             [&window](SnapshotScratch*) {
               return [&window](Tick t) { return HeldTick(window, t); };
             },
-            sweep->Consume());
+            consume);
 }
 
 std::vector<Convoy> CmcRange(const TrajectoryDatabase& db,
                              const ConvoyQuery& query, Tick begin_tick,
                              Tick end_tick, const CmcOptions& options,
-                             DiscoveryStats* stats, const ExecHooks* hooks) {
+                             DiscoveryStats* stats, const ExecHooks* hooks,
+                             const MemoSlot* memo) {
   const Stopwatch total;
   CmcSweep sweep(query.m, query.k);
   SweepSnapshots(db, begin_tick, end_tick, query.num_threads,
-                 DbscanClusterer(query, hooks), sweep.Consume(), stats, hooks);
+                 DbscanClusterer(query, hooks), sweep.Consume(), stats, hooks,
+                 memo);
   return FinishCmc(&sweep, options, stats, hooks, total);
 }
 
 std::vector<Convoy> Cmc(const TrajectoryDatabase& db, const ConvoyQuery& query,
                         const CmcOptions& options, DiscoveryStats* stats,
-                        const ExecHooks* hooks) {
+                        const ExecHooks* hooks, const MemoSlot* memo) {
   if (db.Empty()) return {};
   return CmcRange(db, query, db.BeginTick(), db.EndTick(), options, stats,
-                  hooks);
+                  hooks, memo);
 }
 
 std::vector<Convoy> CmcRange(const SnapshotStore& store,
                              const ConvoyQuery& query, Tick begin_tick,
                              Tick end_tick, const CmcOptions& options,
-                             DiscoveryStats* stats, const ExecHooks* hooks) {
+                             DiscoveryStats* stats, const ExecHooks* hooks,
+                             const MemoSlot* memo) {
   const Stopwatch total;
   CmcSweep sweep(query.m, query.k);
   SweepSnapshots(store, query, begin_tick, end_tick, sweep.Consume(), stats,
-                 hooks);
+                 hooks, memo);
   return FinishCmc(&sweep, options, stats, hooks, total);
 }
 
 std::vector<Convoy> Cmc(const SnapshotStore& store, const ConvoyQuery& query,
                         const CmcOptions& options, DiscoveryStats* stats,
-                        const ExecHooks* hooks) {
+                        const ExecHooks* hooks, const MemoSlot* memo) {
   if (store.Empty()) return {};
   return CmcRange(store, query, store.begin_tick(), store.end_tick(), options,
-                  stats, hooks);
+                  stats, hooks, memo);
 }
 
 }  // namespace convoy

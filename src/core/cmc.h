@@ -19,6 +19,7 @@
 namespace convoy {
 
 class TraceSession;
+struct MemoSlot;
 
 /// Options for the Coherent Moving Cluster algorithm.
 struct CmcOptions {
@@ -60,36 +61,40 @@ struct SnapshotScratch {
 /// with DbscanClusterer and the candidate tracker (CmcSweep::Consume):
 /// the convoys, DiscoveryStats::num_clusterings and the traced counters
 /// are identical at every thread count. `hooks` (optional,
-/// core/exec_hooks.h) carries the trace; results are unaffected.
+/// core/exec_hooks.h) carries the trace; results are unaffected. `memo`
+/// (optional) serves the ticks' clusters from, or publishes them to, a
+/// clustering memo, as SweepSnapshots describes.
 std::vector<Convoy> Cmc(const TrajectoryDatabase& db, const ConvoyQuery& query,
                         const CmcOptions& options = {},
                         DiscoveryStats* stats = nullptr,
-                        const ExecHooks* hooks = nullptr);
+                        const ExecHooks* hooks = nullptr,
+                        const MemoSlot* memo = nullptr);
 
 /// Cmc restricted to ticks [begin_tick, end_tick].
 std::vector<Convoy> CmcRange(const TrajectoryDatabase& db,
                              const ConvoyQuery& query, Tick begin_tick,
                              Tick end_tick, const CmcOptions& options = {},
                              DiscoveryStats* stats = nullptr,
-                             const ExecHooks* hooks = nullptr);
+                             const ExecHooks* hooks = nullptr,
+                             const MemoSlot* memo = nullptr);
 
 /// Store-backed CMC: identical to Cmc(db, ...) over the database the store
 /// was built from, at every thread count — the store's per-tick columnar
 /// views reproduce the row gather bit for bit — but skips all per-tick
-/// re-derivation (interpolation, alive-object scans) and reuses the
-/// store's cached per-tick grid indexes at query.e instead of rebuilding
-/// them every call.
+/// re-derivation (interpolation, alive-object scans).
 std::vector<Convoy> Cmc(const SnapshotStore& store, const ConvoyQuery& query,
                         const CmcOptions& options = {},
                         DiscoveryStats* stats = nullptr,
-                        const ExecHooks* hooks = nullptr);
+                        const ExecHooks* hooks = nullptr,
+                        const MemoSlot* memo = nullptr);
 
 /// Store-backed range-restricted CMC, mirroring CmcRange(db, ...).
 std::vector<Convoy> CmcRange(const SnapshotStore& store,
                              const ConvoyQuery& query, Tick begin_tick,
                              Tick end_tick, const CmcOptions& options = {},
                              DiscoveryStats* stats = nullptr,
-                             const ExecHooks* hooks = nullptr);
+                             const ExecHooks* hooks = nullptr,
+                             const MemoSlot* memo = nullptr);
 
 /// A snapshot sweep's per-tick consume step: tick t's clusters, in tick
 /// order on the sweep's calling thread, valid for the call only.
@@ -120,21 +125,32 @@ SnapshotClusterer DbscanClusterer(const ConvoyQuery& query,
 /// thread in tick order, so what it computes is identical at every thread
 /// count. Each clustered tick counts one clustering in `stats` and in the
 /// trace, and each gathered one a "snapshot.cluster" span.
+///
+/// With a `memo` (core/cluster_memo.h), whose key must name the clusters
+/// `cluster` computes (DbscanClusterer at the key's e and m): when the
+/// memo holds a window containing the range, `consume` reads every tick
+/// from it (SweepCached) and nothing is clustered or counted — a hit.
+/// Otherwise every tick is clustered, recorded on the ordered consume
+/// pass, and the range is published as one window within the memo's
+/// budget — a miss. The trace counts which; `consume` sees the same
+/// clusters either way.
 void SweepSnapshots(const TrajectoryDatabase& db, Tick begin_tick,
                     Tick end_tick, size_t threads,
                     const SnapshotClusterer& cluster,
                     const TickConsumer& consume,
                     DiscoveryStats* stats = nullptr,
-                    const ExecHooks* hooks = nullptr);
+                    const ExecHooks* hooks = nullptr,
+                    const MemoSlot* memo = nullptr);
 
-/// SweepSnapshots over the store's views and cached grids, at
-/// query.num_threads, clustering with SnapshotClusters: tick for tick what
-/// the row sweep computes with DbscanClusterer(query).
+/// SweepSnapshots over the store's views, at query.num_threads, clustering
+/// with SnapshotClusters: tick for tick what the row sweep computes with
+/// DbscanClusterer(query), and through `memo` the same way.
 void SweepSnapshots(const SnapshotStore& store, const ConvoyQuery& query,
                     Tick begin_tick, Tick end_tick,
                     const TickConsumer& consume,
                     DiscoveryStats* stats = nullptr,
-                    const ExecHooks* hooks = nullptr);
+                    const ExecHooks* hooks = nullptr,
+                    const MemoSlot* memo = nullptr);
 
 /// The state CMC's per-tick loop carries from one tick to the next: the
 /// candidate tracker and the candidates completed so far. Cmc and CmcRange
@@ -167,9 +183,9 @@ struct CmcSweep {
 /// call.
 using RowSelector = std::function<const std::vector<uint32_t>*(Tick t)>;
 
-/// One CuTS refinement window's per-tick clusters, as the clustering memo
-/// keeps them (core/cluster_memo.h): step i of `ticks` holds tick
-/// begin + i.
+/// One window's per-tick clusters, as the clustering memo keeps them
+/// (core/cluster_memo.h) — a CuTS refinement window, or the whole range of
+/// a CMC or MC2 sweep: step i of `ticks` holds tick begin + i.
 struct WindowClusters {
   Tick begin = 0;
   FlatClusters ticks;
@@ -193,9 +209,10 @@ struct SweepMemo {
   /// the sweep would compute there.
   std::span<const WindowClusters* const> cached;
   /// When non-null, receives every tick's clusters in tick order, read or
-  /// clustered (the caller sets record->begin), so the caller can publish
-  /// the window — until it would hold more than `record_limit` bytes: it
-  /// is then emptied and receives nothing more.
+  /// clustered, on the sweep's ordered consume pass (the caller sets
+  /// record->begin), so the caller can publish the window — until it
+  /// would hold more than `record_limit` bytes: it is then emptied and
+  /// receives nothing more.
   WindowClusters* record = nullptr;
   size_t record_limit = 0;
 };
@@ -227,13 +244,12 @@ void SweepRows(const TrajectoryDatabase& db, const ConvoyQuery& query,
                SnapshotScratch* scratch = nullptr,
                const SweepMemo* memo = nullptr);
 
-/// CMC's per-tick loop over ticks [begin_tick, end_tick] of a caller-owned
-/// sweep, every tick's clusters read in place from `window`, which must
-/// contain the range: the sweep advances exactly as the SweepRows run that
-/// recorded the window did over those ticks. It clusters nothing, so it
-/// counts no clustering.
+/// The tick loop over ticks [begin_tick, end_tick], every tick's clusters
+/// read in place from `window`, which must contain the range: `consume`
+/// sees exactly what it saw in the sweep that recorded the window. It
+/// clusters nothing, so it counts no clustering.
 void SweepCached(const WindowClusters& window, Tick begin_tick,
-                 Tick end_tick, CmcSweep* sweep);
+                 Tick end_tick, const TickConsumer& consume);
 
 /// Ends a sweep as CMC ends: flushes the tracker into sweep->completed
 /// (live candidates with lifetime >= k complete), folds the tracker's
@@ -268,17 +284,14 @@ class RowSnapshots {
 };
 
 /// One tick of store-backed CMC, for any tick in any order: clusters the
-/// store's columnar view of tick `t` over the store's cached grid index at
-/// query.e, appending one step to `out` whose clusters are sorted object-id
-/// lists — the step DbscanClusterer(query) appends over the source
-/// database's row gather. Returns whether DBSCAN ran: a snapshot with
-/// fewer than m objects appends an empty step without clustering.
-/// `grid_cache_hit` (optional out) reports whether the store served the
-/// grid from its cache (meaningful only when it clustered — under-m ticks
-/// never consult the cache).
+/// store's columnar view of tick `t` over `scratch`'s grid index and
+/// working set, appending one step to `out` whose clusters are sorted
+/// object-id lists — the step DbscanClusterer(query) appends over the
+/// source database's row gather. Returns whether DBSCAN ran: a snapshot
+/// with fewer than m objects appends an empty step without clustering.
 bool SnapshotClusters(const SnapshotStore& store, Tick t,
                       const ConvoyQuery& query, DbscanScratch* scratch,
-                      FlatClusters* out, bool* grid_cache_hit = nullptr);
+                      FlatClusters* out);
 
 /// Clusters one already-materialized snapshot (`points` with aligned
 /// `ids`): DBSCAN(query.e, query.m) over `scratch`'s grid index and
@@ -286,7 +299,7 @@ bool SnapshotClusters(const SnapshotStore& store, Tick t,
 /// Returns whether DBSCAN ran: a snapshot smaller than m appends an empty
 /// step. The snapshot clustering of the row sweeps (DbscanClusterer) and
 /// of StreamingCmc — one implementation, so their per-tick semantics can
-/// never drift apart.
+/// never drift apart; SnapshotClusters is its columnar twin.
 bool ClusterSnapshot(const std::vector<Point>& points,
                      const std::vector<ObjectId>& ids,
                      const ConvoyQuery& query, DbscanScratch* scratch,

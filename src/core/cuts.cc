@@ -1,6 +1,7 @@
 #include "core/cuts.h"
 
 #include "core/cuts_refine.h"
+#include "core/params.h"
 #include "util/stopwatch.h"
 
 namespace convoy {
@@ -42,7 +43,14 @@ std::vector<Convoy> Cuts(const TrajectoryDatabase& db,
                          DiscoveryStats* stats) {
   Stopwatch total;
   const CutsFilterOptions options = MakeFilterOptions(variant, base_options);
-  const CutsFilterResult filtered = CutsFilter(db, query, options, stats);
+  Stopwatch phase;
+  const double delta =
+      options.delta > 0.0 ? options.delta : ComputeDelta(db, query.e);
+  const std::vector<SimplifiedTrajectory> simplified =
+      SimplifyDatabase(db, delta, options.simplifier, query.num_threads);
+  if (stats != nullptr) stats->simplify_seconds += phase.ElapsedSeconds();
+  const CutsFilterResult filtered =
+      CutsFilterPresimplified(db, query, options, simplified, delta, stats);
   std::vector<Convoy> result = CutsRefine(db, query, filtered, stats);
   if (stats != nullptr) {
     stats->total_seconds = total.ElapsedSeconds();

@@ -16,38 +16,6 @@
 
 namespace convoy {
 
-std::vector<PartitionPolyline> BuildPartitionPolylines(
-    const std::vector<SimplifiedTrajectory>& simplified, Tick part_start,
-    Tick part_end, bool use_actual_tolerance, double delta_used) {
-  std::vector<PartitionPolyline> polylines;
-  for (const SimplifiedTrajectory& simp : simplified) {
-    PartitionPolyline poly;
-    poly.object = simp.id();
-    if (simp.NumSegments() == 0) {
-      // Single-sample trajectory: represent it as a degenerate zero-
-      // length segment so the filter can still see the object (a
-      // one-tick convoy through it must not be dismissed).
-      if (simp.NumVertices() != 1) continue;
-      const TimedPoint& v = simp.vertices().front();
-      if (v.t < part_start || v.t > part_end) continue;
-      poly.segments.push_back(TimedSegment(v, v));
-      poly.tolerances.push_back(0.0);
-    } else {
-      const auto range = simp.SegmentsIntersecting(part_start, part_end);
-      if (!range.has_value()) continue;
-      for (size_t s = range->first; s <= range->second; ++s) {
-        poly.segments.push_back(simp.GetSegment(s));
-        poly.tolerances.push_back(use_actual_tolerance
-                                      ? simp.SegmentTolerance(s)
-                                      : delta_used);
-      }
-    }
-    poly.FinalizeBounds();
-    polylines.push_back(std::move(poly));
-  }
-  return polylines;
-}
-
 namespace {
 
 // The result of clustering one time partition: the object-id clusters the
@@ -192,38 +160,12 @@ size_t FilterClusters::Bytes() const {
          members.ids.capacity() * sizeof(ObjectId);
 }
 
-CutsFilterResult CutsFilter(const TrajectoryDatabase& db,
-                            const ConvoyQuery& query,
-                            const CutsFilterOptions& options,
-                            DiscoveryStats* stats) {
-  if (db.Empty()) return CutsFilterResult{};
-
-  Stopwatch phase;
-  const double delta =
-      options.delta > 0.0 ? options.delta : ComputeDelta(db, query.e);
-  const std::vector<SimplifiedTrajectory> simplified =
-      SimplifyDatabase(db, delta, options.simplifier, query.num_threads);
-  if (stats != nullptr) stats->simplify_seconds += phase.ElapsedSeconds();
-
-  return CutsFilterPresimplified(db, query, options, simplified, delta, stats);
-}
-
 CutsFilterResult CutsFilterPresimplified(
     const TrajectoryDatabase& db, const ConvoyQuery& query,
     const CutsFilterOptions& options,
     const std::vector<SimplifiedTrajectory>& simplified, double delta_used,
-    DiscoveryStats* stats, const ExecHooks* hooks,
-    const SnapshotStore* store) {
-  return CutsFilterWithMemo(db, query, options, simplified, delta_used,
-                            /*memo=*/nullptr, stats, hooks, store);
-}
-
-CutsFilterResult CutsFilterWithMemo(
-    const TrajectoryDatabase& db, const ConvoyQuery& query,
-    const CutsFilterOptions& options,
-    const std::vector<SimplifiedTrajectory>& simplified, double delta_used,
-    const MemoSlot* memo, DiscoveryStats* stats, const ExecHooks* hooks,
-    const SnapshotStore* store) {
+    DiscoveryStats* stats, const ExecHooks* hooks, const SnapshotStore* store,
+    const MemoSlot* memo) {
   CutsFilterResult result;
   if (db.Empty()) return result;
   result.delta_used = delta_used;

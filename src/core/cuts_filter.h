@@ -42,7 +42,7 @@ struct CutsFilterOptions {
   bool use_box_pruning = true;
 
   /// No effect (see RefineMode): CuTS has one refinement, exact on every
-  /// input. Kept so that callers which still set it compile.
+  /// input. Kept while perfbench still reads it.
   RefineMode refine_mode = RefineMode::kProjected;
 };
 
@@ -103,59 +103,34 @@ struct CutsFilterResult {
   Tick lambda_used = 0;
 };
 
-/// Runs trajectory simplification and the partition-by-partition
-/// TRAJ-DBSCAN candidate generation of Algorithm 2. Every actual convoy is
-/// contained in some candidate (no false dismissal — the exactness the
-/// Lemma 1/2/3 bounds guarantee); candidates may be larger or spurious.
-/// The result also records each partition's clustered objects
-/// (PartitionMembers). The refinement step, CutsRefine(db, query, result),
-/// turns both into exactly CMC's convoys.
-CutsFilterResult CutsFilter(const TrajectoryDatabase& db,
-                            const ConvoyQuery& query,
-                            const CutsFilterOptions& options,
-                            DiscoveryStats* stats = nullptr);
-
-/// Gathers each object's sub-polyline for the partition
-/// [part_start, part_end]: the simplified segments whose time intervals
-/// intersect the partition (a segment spanning a boundary goes into both
-/// partitions, as in paper Figure 9(b)). The reference form of the
-/// filter's per-partition input; the filter builds the same data in SoA
-/// form (BuildPolylineSoa), and tests compare the two.
-std::vector<PartitionPolyline> BuildPartitionPolylines(
-    const std::vector<SimplifiedTrajectory>& simplified, Tick part_start,
-    Tick part_end, bool use_actual_tolerance, double delta_used);
-
-/// Variant that reuses already-simplified trajectories (index-aligned with
+/// The partition-by-partition TRAJ-DBSCAN candidate generation of
+/// Algorithm 2, over already-simplified trajectories (index-aligned with
 /// `db`, produced with `delta_used` and the simplifier matching
-/// `options.simplifier`), borrowed for the call. `ConvoyEngine` uses this
-/// to amortize the simplification cost across repeated queries. `hooks`
-/// (optional, core/exec_hooks.h) carries the trace; results are
+/// `options.simplifier`), borrowed for the call; Cuts() simplifies first.
+/// Every actual convoy is contained in some candidate (no false dismissal
+/// — the exactness the Lemma 1/2/3 bounds guarantee); candidates may be
+/// larger or spurious. The result also records each partition's clustered
+/// objects (PartitionMembers). The refinement step, CutsRefine(db, query,
+/// result), turns both into exactly CMC's convoys.
+///
+/// `hooks` (optional, core/exec_hooks.h) carries the trace; results are
 /// unaffected. `store` (optional; must be built from `db`) supplies the
 /// precomputed time domain, so partitioning skips the O(N)
 /// BeginTick/EndTick rescans; partition boundaries — and results — are
-/// identical either way.
+/// identical either way. `memo` (optional, core/cluster_memo.h) supplies
+/// the partitions' clusters when it holds them under its key, and
+/// receives them otherwise; the candidate tracker always runs, and the
+/// result is the same either way. `memo->key` must be
+/// ClusterMemoKey::Of(options, query) with options' delta equal to
+/// `delta_used` and lambda positive.
 class SnapshotStore;
+struct MemoSlot;
 CutsFilterResult CutsFilterPresimplified(
     const TrajectoryDatabase& db, const ConvoyQuery& query,
     const CutsFilterOptions& options,
     const std::vector<SimplifiedTrajectory>& simplified, double delta_used,
     DiscoveryStats* stats = nullptr, const ExecHooks* hooks = nullptr,
-    const SnapshotStore* store = nullptr);
-
-/// CutsFilterPresimplified through a clustering memo — ConvoyEngine's
-/// path. The partitions' clusters come from `memo` when it holds them
-/// under its key, and are clustered and published to it otherwise; the
-/// candidate tracker always runs. The result is the same either way.
-/// `memo->key` must be ClusterMemoKey::Of(options, query) with options'
-/// delta equal to `delta_used` and lambda positive. A null `memo` is
-/// CutsFilterPresimplified.
-struct MemoSlot;
-CutsFilterResult CutsFilterWithMemo(
-    const TrajectoryDatabase& db, const ConvoyQuery& query,
-    const CutsFilterOptions& options,
-    const std::vector<SimplifiedTrajectory>& simplified, double delta_used,
-    const MemoSlot* memo, DiscoveryStats* stats = nullptr,
-    const ExecHooks* hooks = nullptr, const SnapshotStore* store = nullptr);
+    const SnapshotStore* store = nullptr, const MemoSlot* memo = nullptr);
 
 }  // namespace convoy
 

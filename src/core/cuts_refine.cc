@@ -138,7 +138,7 @@ std::vector<Convoy> RefineWindows(const TrajectoryDatabase& db,
         if (overlapping.size() == 1 &&
             overlapping.front()->Contains(first, last)) {
           window.hit = true;
-          SweepCached(*overlapping.front(), first, last, &sweep);
+          SweepCached(*overlapping.front(), first, last, sweep.Consume());
         } else {
           std::vector<const WindowClusters*> inside;
           for (const auto& held_window : overlapping) {
@@ -200,18 +200,8 @@ std::vector<Convoy> RefineWindows(const TrajectoryDatabase& db,
 std::vector<Convoy> CutsRefine(const TrajectoryDatabase& db,
                                const ConvoyQuery& query,
                                const CutsFilterResult& filtered,
-                               DiscoveryStats* stats,
-                               const ExecHooks* hooks) {
-  return CutsRefineWithMemo(db, query, filtered, /*memo=*/nullptr, stats,
-                            hooks);
-}
-
-std::vector<Convoy> CutsRefineWithMemo(const TrajectoryDatabase& db,
-                                       const ConvoyQuery& query,
-                                       const CutsFilterResult& filtered,
-                                       const MemoSlot* memo,
-                                       DiscoveryStats* stats,
-                                       const ExecHooks* hooks) {
+                               DiscoveryStats* stats, const ExecHooks* hooks,
+                               const MemoSlot* memo) {
   return RefineWindows(db, query, filtered.candidates, &filtered.members,
                        memo, stats, query.num_threads, hooks);
 }

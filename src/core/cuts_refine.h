@@ -12,10 +12,12 @@
 namespace convoy {
 
 struct CutsFilterResult;
+struct MemoSlot;
 
 /// No effect. CuTS has one refinement (CutsRefine below), exact on every
-/// input; this enum and CutsFilterOptions::refine_mode remain only so that
-/// callers which still name a mode compile.
+/// input; this enum and CutsFilterOptions::refine_mode remain only because
+/// perfbench still names a mode. They go, with the candidate-only
+/// CutsRefine, once the benchmark stops calling them.
 enum class RefineMode {
   kProjected,
   kFullWindow,
@@ -49,30 +51,25 @@ enum class RefineMode {
 ///
 /// `hooks` (optional, core/exec_hooks.h) carries the trace, which the
 /// windows' sweeps record into; the result is unaffected.
-std::vector<Convoy> CutsRefine(const TrajectoryDatabase& db,
-                               const ConvoyQuery& query,
-                               const CutsFilterResult& filtered,
-                               DiscoveryStats* stats = nullptr,
-                               const ExecHooks* hooks = nullptr);
-
-/// CutsRefine through a clustering memo — ConvoyEngine's path. A window
+///
+/// `memo` (optional, core/cluster_memo.h) — ConvoyEngine's path: a window
 /// inside one the memo holds under its key (a hit) reads that window's
 /// clusters and clusters nothing; any other window (a miss) reads the held
 /// windows inside it, clusters its remaining ticks, and is published to
 /// the memo. The result is the same either way. `filtered` must come from
-/// the filter run under the same memo key. A null `memo` is CutsRefine.
-struct MemoSlot;
-std::vector<Convoy> CutsRefineWithMemo(const TrajectoryDatabase& db,
-                                       const ConvoyQuery& query,
-                                       const CutsFilterResult& filtered,
-                                       const MemoSlot* memo,
-                                       DiscoveryStats* stats = nullptr,
-                                       const ExecHooks* hooks = nullptr);
+/// the filter run under the same memo key.
+std::vector<Convoy> CutsRefine(const TrajectoryDatabase& db,
+                               const ConvoyQuery& query,
+                               const CutsFilterResult& filtered,
+                               DiscoveryStats* stats = nullptr,
+                               const ExecHooks* hooks = nullptr,
+                               const MemoSlot* memo = nullptr);
 
 /// Refinement from the candidates alone, without the filter's member
 /// sets: the same windows, each clustering every alive object per tick.
 /// Same result as the overload above, at the cost of the pruning; `mode`
-/// is ignored, and `threads` replaces query.num_threads.
+/// is ignored, and `threads` replaces query.num_threads. Only perfbench's
+/// decomposed pipeline still calls it.
 std::vector<Convoy> CutsRefine(const TrajectoryDatabase& db,
                                const ConvoyQuery& query,
                                const std::vector<Candidate>& candidates,

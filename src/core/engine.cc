@@ -201,6 +201,8 @@ StatusOr<QueryPlan> ConvoyEngine::Prepare(const ConvoyQuery& query,
   const std::optional<CutsVariant> variant = CutsVariantOf(plan.algorithm);
   if (!variant.has_value()) {
     // CMC and MC2 cluster one snapshot per tick; no tunables to resolve.
+    // The memo as this plan finds it: a hit holds every tick's clusters.
+    PeekMemo(ClusterMemoKey::Snapshots(query), &plan);
     plan.estimated_clusterings = static_cast<size_t>(domain);
     // A bound store has already materialized every per-tick alive count,
     // so the work unit is exact — the sum of snapshot sizes the hot path
@@ -252,14 +254,8 @@ StatusOr<QueryPlan> ConvoyEngine::Prepare(const ConvoyQuery& query,
                     : plan.filter.lambda;
   plan.filter.lambda = plan.lambda;
 
-  // The memo as this plan finds it; Prepare only looks, Execute fills it.
-  const ClusterMemo::Held held =
-      cluster_memo_.Peek(ClusterMemoKey::Of(plan.filter, query));
-  plan.cluster_memo = held.filter ? PlanCacheStatus::kHit
-                                  : PlanCacheStatus::kMiss;
-  plan.cluster_memo_windows = held.windows;
-  plan.cluster_memo_bytes = cluster_memo_.Bytes();
-  plan.cluster_memo_budget = cluster_memo_.budget();
+  // The memo as this plan finds it: a hit holds the filter clustering.
+  PeekMemo(ClusterMemoKey::Of(plan.filter, query), &plan);
 
   // ceil(domain / lambda), written so that lambda near the largest Tick
   // cannot overflow.
@@ -271,20 +267,36 @@ StatusOr<QueryPlan> ConvoyEngine::Prepare(const ConvoyQuery& query,
   return plan;
 }
 
+void ConvoyEngine::PeekMemo(const ClusterMemoKey& key,
+                            QueryPlan* plan) const {
+  // Prepare only looks; Execute fills the memo.
+  const ClusterMemo::Held held = cluster_memo_.Peek(key);
+  const bool hit = key.lambda > 0 ? held.filter : held.windows > 0;
+  plan->cluster_memo = hit ? PlanCacheStatus::kHit : PlanCacheStatus::kMiss;
+  plan->cluster_memo_windows = held.windows;
+  plan->cluster_memo_bytes = cluster_memo_.Bytes();
+  plan->cluster_memo_budget = cluster_memo_.budget();
+}
+
 std::vector<Convoy> ConvoyEngine::Dispatch(const QueryPlan& plan,
                                            const ExecHooks& hooks,
                                            DiscoveryStats* stats) const {
   const size_t threads = ResolveThreadCount(plan.query.num_threads);
+  // CMC and MC2 share their per-tick clusterings, filed under one key.
+  const MemoSlot snapshots{&cluster_memo_,
+                           ClusterMemoKey::Snapshots(plan.query)};
   switch (plan.algorithm) {
     case AlgorithmId::kCmc: {
       // The store is a cache hit in the steady state (Prepare built it; a
       // hand-built plan pays here). Over the store's budget there is none
       // and CMC gathers each tick from the rows; the results are
-      // bit-identical either way (tests/store_parity_test.cc).
+      // bit-identical either way (tests/store_parity_test.cc), and so are
+      // the clusters either path files in the memo.
       if (const std::shared_ptr<const SnapshotStore> store = Store(threads)) {
-        return Cmc(*store, plan.query, CmcOptions{}, stats, &hooks);
+        return Cmc(*store, plan.query, CmcOptions{}, stats, &hooks,
+                   &snapshots);
       }
-      return Cmc(db_, plan.query, CmcOptions{}, stats, &hooks);
+      return Cmc(db_, plan.query, CmcOptions{}, stats, &hooks, &snapshots);
     }
     case AlgorithmId::kCuts:
     case AlgorithmId::kCutsPlus:
@@ -310,17 +322,16 @@ std::vector<Convoy> ConvoyEngine::Dispatch(const QueryPlan& plan,
       const MemoSlot slot{&cluster_memo_,
                           ClusterMemoKey::Of(resolved, plan.query)};
       const MemoSlot* const memo = resolved.lambda > 0 ? &slot : nullptr;
-      const CutsFilterResult filtered = CutsFilterWithMemo(
-          db_, plan.query, plan.filter, *simplified, plan.delta, memo, stats,
-          &hooks, PeekStore().get());
-      return CutsRefineWithMemo(db_, plan.query, filtered, memo, stats,
-                                &hooks);
+      const CutsFilterResult filtered = CutsFilterPresimplified(
+          db_, plan.query, plan.filter, *simplified, plan.delta, stats,
+          &hooks, PeekStore().get(), memo);
+      return CutsRefine(db_, plan.query, filtered, stats, &hooks, memo);
     }
     case AlgorithmId::kMc2:
       if (const std::shared_ptr<const SnapshotStore> store = Store(threads)) {
-        return Mc2(*store, plan.query, plan.mc2);
+        return Mc2(*store, plan.query, plan.mc2, &hooks, &snapshots);
       }
-      return Mc2(db_, plan.query, plan.mc2);
+      return Mc2(db_, plan.query, plan.mc2, &hooks, &snapshots);
   }
   return {};
 }

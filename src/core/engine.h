@@ -45,11 +45,12 @@ namespace convoy {
 /// query shares with earlier ones:
 ///  - database statistics, and the delta guideline per e;
 ///  - the trajectory simplifications, per (simplifier, delta);
-///  - the snapshot store and its grids, for CMC and MC2 plans;
-///  - the CuTS clusterings, per ClusterMemoKey (filter, delta, lambda, e,
-///    m — not k): the filter's partition clusterings and the refinement
-///    windows' per-tick clusterings (core/cluster_memo.h), so a sweep over
-///    k clusters once per (e, m) and re-runs only the candidate tracker.
+///  - the snapshot store, for CMC and MC2 plans;
+///  - the clusterings, per ClusterMemoKey (core/cluster_memo.h) — not per
+///    k: for CuTS (filter, delta, lambda, e, m) the filter's partition
+///    clusterings and the refinement windows' per-tick clusterings; for
+///    CMC and MC2 (e, m) every tick's clusters, which the two share. So a
+///    sweep over k clusters once per (e, m) and re-runs only the tracker.
 ///    Answers are bit-identical to a run without the memo.
 ///
 /// Thread-safety: const after construction except for those caches. The
@@ -98,8 +99,8 @@ class ConvoyEngine {
     return cache_.size();
   }
 
-  /// The CuTS clustering memo (for tests / monitoring): its bytes, keys
-  /// and budget (kClusterMemoBytesPerPoint per stored point).
+  /// The clustering memo (for tests / monitoring): its bytes, keys and
+  /// budget (kClusterMemoBytesPerPoint per stored point).
   const ClusterMemo& cluster_memo() const { return cluster_memo_; }
 
   /// The engine's cached SnapshotStore: built on first use by a
@@ -155,8 +156,13 @@ class ConvoyEngine {
   std::vector<Convoy> Dispatch(const QueryPlan& plan, const ExecHooks& hooks,
                                DiscoveryStats* stats) const;
 
+  /// Records in `plan` what the clustering memo holds under `key`: a hit
+  /// when it holds the CuTS filter clustering (a CuTS key) or a window (a
+  /// Snapshots key), and the memo's bytes against its budget.
+  void PeekMemo(const ClusterMemoKey& key, QueryPlan* plan) const;
+
   TrajectoryDatabase db_;
-  /// CuTS clusterings of earlier queries; synchronized by its own mutex.
+  /// Clusterings of earlier queries; synchronized by its own mutex.
   mutable ClusterMemo cluster_memo_;
   /// Guards cache_, delta_cache_, db_stats_ and store_. The GUARDED_BY
   /// comments below are machine-checked by tools/lint (guarded-member):

@@ -37,6 +37,13 @@ class ChainTracker {
 
   void Advance(Tick t, const ClusterSpans& clusters);
 
+  /// The sweep's consume step: Advance at each tick.
+  TickConsumer Consume() {
+    return [this](Tick t, const ClusterSpans& clusters) {
+      Advance(t, clusters);
+    };
+  }
+
   std::vector<Convoy> Finish() {
     for (const Chain& chain : live_) Report(chain);
     live_.clear();
@@ -142,25 +149,23 @@ void ChainTracker::Advance(Tick t, const ClusterSpans& clusters) {
 }  // namespace
 
 std::vector<Convoy> Mc2(const TrajectoryDatabase& db, const ConvoyQuery& query,
-                        const Mc2Options& options) {
+                        const Mc2Options& options, const ExecHooks* hooks,
+                        const MemoSlot* memo) {
   if (db.Empty()) return {};
   ChainTracker chains(options);
   SweepSnapshots(db, db.BeginTick(), db.EndTick(), query.num_threads,
-                 DbscanClusterer(query),
-                 [&chains](Tick t, const ClusterSpans& clusters) {
-                   chains.Advance(t, clusters);
-                 });
+                 DbscanClusterer(query, hooks), chains.Consume(),
+                 /*stats=*/nullptr, hooks, memo);
   return chains.Finish();
 }
 
 std::vector<Convoy> Mc2(const SnapshotStore& store, const ConvoyQuery& query,
-                        const Mc2Options& options) {
+                        const Mc2Options& options, const ExecHooks* hooks,
+                        const MemoSlot* memo) {
   if (store.Empty()) return {};
   ChainTracker chains(options);
   SweepSnapshots(store, query, store.begin_tick(), store.end_tick(),
-                 [&chains](Tick t, const ClusterSpans& clusters) {
-                   chains.Advance(t, clusters);
-                 });
+                 chains.Consume(), /*stats=*/nullptr, hooks, memo);
   return chains.Finish();
 }
 

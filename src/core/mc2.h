@@ -4,10 +4,13 @@
 #include <vector>
 
 #include "core/convoy_set.h"
+#include "core/exec_hooks.h"
 #include "traj/database.h"
 #include "traj/snapshot_store.h"
 
 namespace convoy {
+
+struct MemoSlot;
 
 /// Options for the moving-cluster baseline.
 struct Mc2Options {
@@ -36,15 +39,21 @@ struct Mc2Options {
 /// (SweepSnapshots, core/cmc.h) with a chain step in place of the
 /// candidate tracker. Snapshots are clustered at query.num_threads; the
 /// chain step runs on the calling thread in tick order, so the reports are
-/// identical at every thread count.
+/// identical at every thread count. `hooks` (optional) carries the trace;
+/// `memo` (optional) serves or records the ticks' clusters as
+/// SweepSnapshots describes — CMC's at the same e and m.
 std::vector<Convoy> Mc2(const TrajectoryDatabase& db, const ConvoyQuery& query,
-                        const Mc2Options& options = {});
+                        const Mc2Options& options = {},
+                        const ExecHooks* hooks = nullptr,
+                        const MemoSlot* memo = nullptr);
 
 /// Store-backed MC2: identical reports over the database the store was
-/// built from, reading the columnar per-tick views and cached grid
-/// indexes instead of re-deriving every snapshot.
+/// built from, reading the columnar per-tick views instead of re-deriving
+/// every snapshot.
 std::vector<Convoy> Mc2(const SnapshotStore& store, const ConvoyQuery& query,
-                        const Mc2Options& options = {});
+                        const Mc2Options& options = {},
+                        const ExecHooks* hooks = nullptr,
+                        const MemoSlot* memo = nullptr);
 
 /// Accuracy of MC2 against the exact convoy result, as plotted in
 /// Figure 19: `false_positive_pct` is the share of MC2 reports that fail

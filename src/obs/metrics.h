@@ -13,7 +13,7 @@ namespace convoy {
 // Mirrors TraceCounter::kNumTraceCounters (static_assert'd in trace.cc);
 // kept as a plain constant so this header stays light enough for
 // query/result_set.h to include.
-inline constexpr size_t kQueryMetricsCounters = 42;
+inline constexpr size_t kQueryMetricsCounters = 40;
 
 /// A merged, immutable snapshot of one execution's trace: the deterministic
 /// counter totals, per-name span aggregates (wall-clock), and value-series

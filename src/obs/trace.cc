@@ -35,8 +35,6 @@ constexpr CounterInfo kCounterInfo[kNumTraceCounters] = {
     {"tracker.dedup_hits", false},
     {"tracker.completed", false},
     {"tracker.live_max", true},
-    {"store.grid_cache_hits", false},
-    {"store.grid_cache_misses", false},
     {"engine.simplify_cache_hits", false},
     {"engine.simplify_cache_misses", false},
     {"engine.delta_cache_hits", false},

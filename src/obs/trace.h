@@ -36,8 +36,6 @@ enum class TraceCounter : uint32_t {
   kTrackerDedupHits,         ///< offers that collapsed onto an existing set
   kTrackerCompleted,         ///< candidates retired with lifetime >= k
   kTrackerLiveMax,           ///< max live candidates after any step (max)
-  kGridCacheHits,            ///< SnapshotStore::GridFor served from cache
-  kGridCacheMisses,          ///< SnapshotStore::GridFor built a grid
   kSimplifyCacheHits,        ///< engine simplification cache hits
   kSimplifyCacheMisses,      ///< engine simplification cache misses
   kDeltaCacheHits,           ///< engine derived-delta memo hits
@@ -65,8 +63,9 @@ enum class TraceCounter : uint32_t {
   kServerLoadShed,           ///< ingest items NAKed kRetryAfter (high water)
   kServerLiveQueries,        ///< queries answered by the live incremental CMC
   kServerLiveTicksClustered, ///< ticks those queries' refreshes clustered
-  kClusterMemoHits,          ///< CuTS filter runs / refinement windows
-                             ///< served by the engine's clustering memo
+  kClusterMemoHits,          ///< CuTS filter runs / refinement windows and
+                             ///< CMC / MC2 sweeps served by the engine's
+                             ///< clustering memo
   kClusterMemoMisses,        ///< ... that clustered and published instead
   kNumTraceCounters          ///< sentinel, not a counter
 };

@@ -63,16 +63,23 @@ std::string QueryPlan::Explain() const {
         << (lambda_derived ? " (derived, Sec. 7.4 guideline)" : " (given)")
         << "\n";
     out << "  simplification cache: " << ToString(cache) << "\n";
-    out << "  clustering memo: " << ToString(cluster_memo) << " ("
-        << (cluster_memo == PlanCacheStatus::kHit ? "filter + " : "")
-        << cluster_memo_windows << " refinement window(s); "
-        << cluster_memo_bytes << " of " << cluster_memo_budget
-        << " bytes held)\n";
+  } else {
+    out << "  delta:       n/a\n  lambda:      n/a\n";
+  }
+  // A CuTS key holds the filter clustering and refinement windows; CMC's
+  // and MC2's key holds every tick.
+  out << "  clustering memo: " << ToString(cluster_memo) << " (";
+  if (caps.uses_simplification) {
+    out << (cluster_memo == PlanCacheStatus::kHit ? "filter + " : "")
+        << cluster_memo_windows << " refinement window(s); ";
+  }
+  out << cluster_memo_bytes << " of " << cluster_memo_budget
+      << " bytes held)\n";
+  if (caps.uses_simplification) {
     out << "  estimated work: " << estimated_clusterings
         << " partition clustering(s), ~" << estimated_work
         << " object-clustering units (refinement excluded)\n";
   } else {
-    out << "  delta:       n/a\n  lambda:      n/a\n";
     out << "  estimated work: " << estimated_clusterings
         << " snapshot clustering(s), ~" << estimated_work
         << " object-clustering units"

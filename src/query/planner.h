@@ -65,11 +65,11 @@ struct QueryPlan {
   /// Did parameter resolution hit the engine's simplification cache?
   PlanCacheStatus cache = PlanCacheStatus::kNotApplicable;
 
-  /// The engine's CuTS clustering memo as Prepare found it (CuTS family
-  /// only; Prepare only looks, Execute fills it): kHit when it held this
-  /// plan's filter clustering, the refinement windows it held under the
-  /// plan's key, and the bytes it held across all keys against its
-  /// budget.
+  /// The engine's clustering memo as Prepare found it (Prepare only
+  /// looks, Execute fills it): kHit when it held this plan's CuTS filter
+  /// clustering, or for CMC and MC2 every tick's clusters at (e, m); the
+  /// windows it held under the plan's key; and the bytes it held across
+  /// all keys against its budget.
   PlanCacheStatus cluster_memo = PlanCacheStatus::kNotApplicable;
   size_t cluster_memo_windows = 0;
   size_t cluster_memo_bytes = 0;

@@ -71,14 +71,4 @@ uint32_t BoxPruneSweep(const double* bminx, const double* bmaxx,
                              survivors);
 }
 
-void RadiusScan(const double* sx, const double* sy, const uint32_t* point_of,
-                size_t lo, size_t hi, double px, double py, double r2,
-                std::vector<size_t>* out) {
-  if (UseAvx2()) {
-    RadiusScanAvx2(sx, sy, point_of, lo, hi, px, py, r2, out);
-    return;
-  }
-  RadiusScanScalar(sx, sy, point_of, lo, hi, px, py, r2, out);
-}
-
 }  // namespace convoy::simd

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace convoy::simd {
 
@@ -46,7 +45,7 @@ struct PairCounters {
 /// rejects segment pairs whose MBRs are provably farther than the bound
 /// (by more than the combined rounding slack, so the decision can never
 /// contradict the exact distance test). The boolean result is identical to
-/// the reference merge scan in PolylinesAreNeighbors for every input.
+/// the reference merge scan (tests/reference_impl.h) for every input.
 bool PairSegmentsQualifyScalar(const SegmentSoa& segs, size_t a_begin,
                                size_t a_end, size_t b_begin, size_t b_end,
                                double eps, bool dstar, bool mbr_prune,
@@ -84,21 +83,6 @@ uint32_t BoxPruneSweep(const double* bminx, const double* bmaxx,
                        const double* btol, uint32_t b_begin, uint32_t b_end,
                        double aminx, double amaxx, double aminy, double amaxy,
                        double eps_plus_atol, uint32_t* survivors);
-
-/// The point-radius scan of GridIndex::ScanRange: appends point_of[j] for
-/// every j in [lo, hi) with (sx[j]-px)^2 + (sy[j]-py)^2 <= r2, in ascending
-/// j order. Scalar and AVX2 produce identical output (same compares, same
-/// order; the AVX2 path only batches the arithmetic).
-void RadiusScanScalar(const double* sx, const double* sy,
-                      const uint32_t* point_of, size_t lo, size_t hi,
-                      double px, double py, double r2,
-                      std::vector<size_t>* out);
-void RadiusScanAvx2(const double* sx, const double* sy,
-                    const uint32_t* point_of, size_t lo, size_t hi, double px,
-                    double py, double r2, std::vector<size_t>* out);
-void RadiusScan(const double* sx, const double* sy, const uint32_t* point_of,
-                size_t lo, size_t hi, double px, double py, double r2,
-                std::vector<size_t>* out);
 
 /// Parity-test surface: the raw per-lane distances (DLL, or D* when `dstar`)
 /// of query segment `a` against candidates [b_begin, b_begin + count),

@@ -372,34 +372,6 @@ uint32_t BoxPruneSweepAvx2(const double* bminx, const double* bmaxx,
   return count;
 }
 
-void RadiusScanAvx2(const double* sx, const double* sy,
-                    const uint32_t* point_of, size_t lo, size_t hi, double px,
-                    double py, double r2, std::vector<size_t>* out) {
-  size_t j = lo;
-  if (j + 4 <= hi) {
-    const __m256d vpx = _mm256_set1_pd(px);
-    const __m256d vpy = _mm256_set1_pd(py);
-    const __m256d vr2 = _mm256_set1_pd(r2);
-    for (; j + 4 <= hi; j += 4) {
-      const __m256d dx = _mm256_sub_pd(_mm256_loadu_pd(sx + j), vpx);
-      const __m256d dy = _mm256_sub_pd(_mm256_loadu_pd(sy + j), vpy);
-      const __m256d d2 =
-          _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy));
-      unsigned within = MaskOf(_mm256_cmp_pd(d2, vr2, _CMP_LE_OQ)) & 0xFu;
-      while (within != 0) {
-        const unsigned l = static_cast<unsigned>(__builtin_ctz(within));
-        within &= within - 1;
-        out->push_back(point_of[j + l]);
-      }
-    }
-  }
-  for (; j < hi; ++j) {
-    const double dx = sx[j] - px;
-    const double dy = sy[j] - py;
-    if (dx * dx + dy * dy <= r2) out->push_back(point_of[j]);
-  }
-}
-
 void DistanceBatchAvx2(const SegmentSoa& segs, size_t a, size_t b_begin,
                        size_t count, bool dstar, double* out) {
   const SegLanes q = Broadcast(segs, a);
@@ -437,12 +409,6 @@ uint32_t BoxPruneSweepAvx2(const double* bminx, const double* bmaxx,
   return BoxPruneSweepScalar(bminx, bmaxx, bminy, bmaxy, btol, b_begin, b_end,
                              aminx, amaxx, aminy, amaxy, eps_plus_atol,
                              survivors);
-}
-
-void RadiusScanAvx2(const double* sx, const double* sy,
-                    const uint32_t* point_of, size_t lo, size_t hi, double px,
-                    double py, double r2, std::vector<size_t>* out) {
-  RadiusScanScalar(sx, sy, point_of, lo, hi, px, py, r2, out);
 }
 
 void DistanceBatchAvx2(const SegmentSoa& segs, size_t a, size_t b_begin,

@@ -37,17 +37,6 @@ uint32_t BoxPruneSweepScalar(const double* bminx, const double* bmaxx,
   return count;
 }
 
-void RadiusScanScalar(const double* sx, const double* sy,
-                      const uint32_t* point_of, size_t lo, size_t hi,
-                      double px, double py, double r2,
-                      std::vector<size_t>* out) {
-  for (size_t j = lo; j < hi; ++j) {
-    const double dx = sx[j] - px;
-    const double dy = sy[j] - py;
-    if (dx * dx + dy * dy <= r2) out->push_back(point_of[j]);
-  }
-}
-
 void DistanceBatchScalar(const SegmentSoa& segs, size_t a, size_t b_begin,
                          size_t count, bool dstar, double* out) {
   for (size_t l = 0; l < count; ++l) {

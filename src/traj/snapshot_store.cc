@@ -1,15 +1,12 @@
 #include "traj/snapshot_store.h"
 
 #include <algorithm>
-#include <bit>
 #include <limits>
 
 #include "parallel/parallel_for.h"
 #include "traj/interpolate.h"
 
 namespace convoy {
-
-SnapshotStore::SnapshotStore() : grid_cache_(std::make_unique<GridCache>()) {}
 
 size_t SnapshotStore::EstimateColumnarSlots(const TrajectoryDatabase& db) {
   const Tick begin = db.BeginTick();
@@ -127,71 +124,6 @@ SnapshotView SnapshotStore::At(Tick t) const {
   view.ids = ids_.data() + lo;
   view.size = offsets_[s + 1] - lo;
   return view;
-}
-
-std::shared_ptr<const GridIndex> SnapshotStore::GridFor(
-    Tick t, double eps, bool* cache_hit) const {
-  const uint64_t eps_bits = std::bit_cast<uint64_t>(eps);
-  const std::pair<Tick, uint64_t> key{t, eps_bits};
-  std::unique_lock<std::mutex> lock(grid_cache_->mu);
-  const auto it = grid_cache_->grids.find(key);
-  if (it != grid_cache_->grids.end()) {
-    if (cache_hit != nullptr) *cache_hit = true;
-    return it->second;
-  }
-  if (cache_hit != nullptr) *cache_hit = false;
-  // Build outside the lock so concurrent misses on *other* ticks are not
-  // serialized behind this one; a racing miss on the same key recomputes
-  // and the first insert wins. Eviction is safe because callers hold the
-  // grid through the shared_ptr, never a raw reference into the map.
-  lock.unlock();
-  const SnapshotView view = At(t);
-  auto built = std::make_shared<const GridIndex>(view.xs, view.ys, view.size,
-                                                 eps);
-  lock.lock();
-  GridCache& cache = *grid_cache_;
-  const auto raced = cache.grids.find(key);
-  if (raced != cache.grids.end()) return raced->second;
-  // Retires every grid of the oldest cached eps. Safe while references
-  // are in flight: callers hold shared_ptrs, never map iterators.
-  const auto evict_oldest_eps = [&cache] {
-    const uint64_t evicted = cache.eps_order.front();
-    cache.eps_order.erase(cache.eps_order.begin());
-    for (auto entry = cache.grids.begin(); entry != cache.grids.end();) {
-      if (entry->first.second == evicted) {
-        cache.cached_slots -= entry->second->FootprintSlots();
-        entry = cache.grids.erase(entry);
-      } else {
-        entry = std::next(entry);
-      }
-    }
-  };
-  if (std::find(cache.eps_order.begin(), cache.eps_order.end(), eps_bits) ==
-      cache.eps_order.end()) {
-    // An eps sweep holds at most kMaxCachedEpsValues point-set copies
-    // instead of one per value ever tried.
-    if (cache.eps_order.size() >= kMaxCachedEpsValues) evict_oldest_eps();
-    cache.eps_order.push_back(eps_bits);
-  }
-  // Total cached grid slots stay within the same slot budget as the store
-  // itself, so the cache cannot multiply a near-budget store's footprint.
-  // Charged at the grids' actual CSR footprint (coordinate copies + index
-  // + cell arrays, ~3.5 slots per point) rather than a per-point proxy.
-  // Grids of the current eps are never evicted — in-flight sweeps keep
-  // their working set; older eps values go first.
-  while (cache.cached_slots + built->FootprintSlots() >
-             kSnapshotStoreSlotBudget &&
-         cache.eps_order.size() > 1 && cache.eps_order.front() != eps_bits) {
-    evict_oldest_eps();
-  }
-  cache.cached_slots += built->FootprintSlots();
-  cache.grids.emplace(key, built);
-  return built;
-}
-
-size_t SnapshotStore::GridCacheSize() const {
-  std::lock_guard<std::mutex> lock(grid_cache_->mu);
-  return grid_cache_->grids.size();
 }
 
 }  // namespace convoy

@@ -3,13 +3,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <utility>
 #include <vector>
 
-#include "cluster/grid_index.h"
 #include "geom/point.h"
 #include "traj/database.h"
 
@@ -45,28 +40,23 @@ struct SnapshotView {
 ///
 /// The row-oriented TrajectoryDatabase stores one polyline per object, so
 /// each discovery call re-derives every per-tick snapshot: interpolate the
-/// virtual points (paper Section 4), gather alive objects, and build a
-/// throw-away GridIndex — per tick, per query. The store pays that
-/// derivation once, in a single (optionally parallel) build pass:
+/// virtual points (paper Section 4) and gather the alive objects — per
+/// tick, per query. The store pays that derivation once, in a single
+/// (optionally parallel) build pass: per tick, contiguous `xs[]` / `ys[]`
+/// / `ids[]` arrays (CSR layout over the whole time domain), holding every
+/// object alive at the tick with its possibly-interpolated position —
+/// bit-identical to InterpolateAt, since the build applies the same
+/// arithmetic to the same samples. Each sweep builds a tick's grid in its
+/// own arena (SnapshotClusters, core/cmc.h); a repeated query at the same
+/// (e, m) is served by the engine's clustering memo (core/cluster_memo.h)
+/// and clusters nothing.
 ///
-///  * per tick, contiguous `xs[]` / `ys[]` / `ids[]` arrays (CSR layout
-///    over the whole time domain), holding every object alive at the tick
-///    with its possibly-interpolated position — bit-identical to
-///    InterpolateAt, since the build applies the same arithmetic to the
-///    same samples;
-///  * per-tick GridIndex instances built lazily at a requested eps and
-///    cached (thread-safe), so repeated queries at the same eps reuse
-///    indexes instead of rebuilding them every call.
-///
-/// Thread-safety: immutable after Build apart from the mutex-guarded grid
-/// cache, so concurrent readers (threaded CMC's workers, concurrent engine
-/// queries) need no external synchronization.
+/// Thread-safety: immutable after Build, so concurrent readers (threaded
+/// CMC's workers, concurrent engine queries) need no synchronization.
 class SnapshotStore {
  public:
   /// Empty store (no ticks); assign from Build to populate.
-  SnapshotStore();
-  SnapshotStore(SnapshotStore&&) noexcept = default;
-  SnapshotStore& operator=(SnapshotStore&&) noexcept = default;
+  SnapshotStore() = default;
 
   /// Builds the store from `db` in one pass over the trajectories,
   /// parallelized over tick blocks through OrderedParallelFor (0 = all
@@ -102,32 +92,6 @@ class SnapshotStore {
   /// The snapshot at tick t; an empty view outside the domain.
   SnapshotView At(Tick t) const;
 
-  /// The grid cache keeps indexes for at most this many distinct eps
-  /// values at a time (each cached GridIndex copies its tick's points, so
-  /// an unbounded eps sweep would otherwise grow memory linearly in the
-  /// number of eps values tried). Exceeding it — or exceeding
-  /// kSnapshotStoreSlotBudget total cached grid slots, charged at each
-  /// grid's actual CSR footprint (GridIndex::FootprintSlots — coordinate
-  /// copies, index array, cell keys/offsets), so the cache can never
-  /// dwarf the store it serves — evicts every grid of the oldest cached
-  /// eps; in-flight users keep theirs alive through the returned
-  /// shared_ptr, and the current eps is never evicted.
-  static constexpr size_t kMaxCachedEpsValues = 4;
-
-  /// The grid index over tick t's points with cell side `eps`, built on
-  /// first request and cached per (tick, eps) — identical to
-  /// `GridIndex(points, eps)` over the tick's snapshot, so DBSCAN results
-  /// are unchanged. Thread-safe; two threads missing the same key may
-  /// both build, the first insert wins. Never null. `cache_hit` (optional
-  /// out) reports whether the grid came from the cache — per-execution
-  /// hit/miss counts are deterministic on a fresh store, where each
-  /// (tick, eps) key is first touched exactly once per run.
-  std::shared_ptr<const GridIndex> GridFor(Tick t, double eps,
-                                           bool* cache_hit = nullptr) const;
-
-  /// Number of cached grid indexes (for tests / monitoring).
-  size_t GridCacheSize() const;
-
  private:
   size_t TickSlot(Tick t) const { return static_cast<size_t>(t - begin_tick_); }
 
@@ -138,21 +102,6 @@ class SnapshotStore {
   std::vector<double> xs_;
   std::vector<double> ys_;
   std::vector<ObjectId> ids_;
-
-  /// Lazily built per-(tick, eps) grid indexes, bounded to the
-  /// kMaxCachedEpsValues most recently introduced eps values (FIFO over
-  /// eps bit patterns). Behind a unique_ptr so the store stays movable
-  /// despite the mutex.
-  struct GridCache {
-    mutable std::mutex mu;
-    std::map<std::pair<Tick, uint64_t>, std::shared_ptr<const GridIndex>>
-        grids;                        // GUARDED_BY(mu)
-    /// Distinct eps, oldest first.
-    std::vector<uint64_t> eps_order;  // GUARDED_BY(mu)
-    /// Sum of FootprintSlots over cached grids.
-    size_t cached_slots = 0;          // GUARDED_BY(mu)
-  };
-  std::unique_ptr<GridCache> grid_cache_;
 };
 
 }  // namespace convoy

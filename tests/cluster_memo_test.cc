@@ -1,8 +1,9 @@
-// The engine's CuTS clustering memo (core/cluster_memo.h): a sweep over m
-// and k on one engine hits the memo and still answers exactly what CMC and
-// a fresh engine answer, at every thread count; hits cluster nothing;
-// eviction keeps the memo within its budget and the answers exact; and the
-// memo keeps each key's windows disjoint.
+// The engine's clustering memo (core/cluster_memo.h): a sweep over m and k
+// on one engine, CuTS*, CMC and MC2 plans interleaved, hits the memo and
+// still answers exactly what the free functions and a fresh engine answer,
+// at every thread count; hits cluster nothing; eviction keeps the memo
+// within its budget and the answers exact; and the memo keeps each key's
+// windows disjoint.
 
 #include "core/cluster_memo.h"
 
@@ -17,6 +18,7 @@
 
 #include "core/cmc.h"
 #include "core/engine.h"
+#include "core/mc2.h"
 #include "obs/trace.h"
 #include "tests/test_util.h"
 #include "util/random.h"
@@ -67,17 +69,32 @@ TrajectoryDatabase GroupsDb() {
   return db;
 }
 
-// Prepare + Execute of a CuTS* plan with lambda given (a derived lambda
-// follows k, and with it the key), traced into `trace`.
-ConvoyResultSet RunCutsStar(const ConvoyEngine& engine,
-                            const ConvoyQuery& query, TraceSession* trace) {
+// Prepare + Execute of a `choice` plan, traced into `trace`. A CuTS plan
+// gets lambda given (a derived lambda follows k, and with it the key).
+ConvoyResultSet RunPlan(const ConvoyEngine& engine, const ConvoyQuery& query,
+                        TraceSession* trace,
+                        AlgorithmChoice choice = AlgorithmChoice::kCutsStar) {
   CutsFilterOptions options;
   options.lambda = 4;
-  const QueryPlan plan =
-      engine.Prepare(query, AlgorithmChoice::kCutsStar, options).value();
+  const QueryPlan plan = engine.Prepare(query, choice, options).value();
   ExecHooks hooks;
   hooks.trace = trace;
   return engine.Execute(plan, hooks).value();
+}
+
+// The answer of a CMC or MC2 plan: the free function's over the rows.
+std::vector<Convoy> FreeAnswer(const TrajectoryDatabase& db,
+                               const ConvoyQuery& query,
+                               AlgorithmChoice choice) {
+  return choice == AlgorithmChoice::kMc2 ? Mc2(db, query) : Cmc(db, query);
+}
+
+std::vector<uint64_t> Counters(const TraceSession& trace) {
+  std::vector<uint64_t> counters;
+  for (size_t c = 0; c < kNumTraceCounters; ++c) {
+    counters.push_back(trace.counter(static_cast<TraceCounter>(c)));
+  }
+  return counters;
 }
 
 std::string Describe(const ConvoyQuery& query) {
@@ -87,12 +104,15 @@ std::string Describe(const ConvoyQuery& query) {
 
 // One engine answers a shuffled (m, k) grid in which k both rises (windows
 // shrink: hits) and falls (windows grow: misses that read the held windows
-// inside them), over GroupsDb and a random clumpy database. Every answer
-// equals Cmc() and a fresh engine's; the memo counters, the clusterings
-// and the memo's contents are the same at 1, 2 and 8 threads. m is 2 or
-// 4: DBSCAN clusters at m = 2 and 3 differ only in clusters of two
-// objects, which no m = 3 candidate can use. With `windows_grow`, some
-// miss must have read a held window inside it.
+// inside them), over GroupsDb and a random clumpy database. Each CuTS*
+// query is followed by a CMC or an MC2 plan at the same (m, k), so their
+// shared snapshot keys and the CuTS keys fill one budget and one LRU.
+// Every answer equals the free function's (Cmc() for CuTS* and CMC, Mc2()
+// for MC2) and a fresh engine's; the memo counters, the clusterings and
+// the memo's contents are the same at 1, 2 and 8 threads. m is 2 or 4:
+// DBSCAN clusters at m = 2 and 3 differ only in clusters of two objects,
+// which no m = 3 candidate can use. With `windows_grow`, some CuTS* miss
+// must have read a held window inside it.
 void SweepOnOneEngine(const TrajectoryDatabase& db, bool windows_grow) {
   const std::vector<std::pair<size_t, Tick>> grid = {
       {2, 16}, {4, 16}, {2, 2}, {4, 5}, {2, 8}, {4, 2},
@@ -109,18 +129,20 @@ void SweepOnOneEngine(const TrajectoryDatabase& db, bool windows_grow) {
     const ConvoyEngine engine(db);
     Tally tally;
     uint64_t fresh_clustered = 0;
+    uint64_t snapshot_hits = 0;
     bool read_inside = false;
-    for (const auto& [m, k] : grid) {
+    for (size_t q = 0; q < grid.size(); ++q) {
+      const auto [m, k] = grid[q];
       ConvoyQuery query{m, k, 4.0};
       query.num_threads = threads;
       TraceSession trace;
-      const ConvoyResultSet got = RunCutsStar(engine, query, &trace);
+      const ConvoyResultSet got = RunPlan(engine, query, &trace);
       EXPECT_EQ(got.convoys(), Cmc(db, query)) << Describe(query);
       if (m == 4) convoys += got.Count();
       const ConvoyEngine fresh(db);
       TraceSession fresh_trace;
       EXPECT_EQ(got.convoys(),
-                RunCutsStar(fresh, query, &fresh_trace).convoys())
+                RunPlan(fresh, query, &fresh_trace).convoys())
           << Describe(query);
       const uint64_t clustered =
           trace.counter(TraceCounter::kSnapshotsClustered);
@@ -131,8 +153,28 @@ void SweepOnOneEngine(const TrajectoryDatabase& db, bool windows_grow) {
       tally.misses += trace.counter(TraceCounter::kClusterMemoMisses);
       tally.clustered += clustered;
       fresh_clustered += fresh_ticks;
+
+      const AlgorithmChoice choice =
+          q % 2 == 0 ? AlgorithmChoice::kCmc : AlgorithmChoice::kMc2;
+      TraceSession snapshot_trace;
+      const ConvoyResultSet snapshot =
+          RunPlan(engine, query, &snapshot_trace, choice);
+      EXPECT_EQ(snapshot.convoys(), FreeAnswer(db, query, choice))
+          << ToString(choice) << " " << Describe(query);
+      const ConvoyEngine snapshot_fresh(db);
+      EXPECT_EQ(snapshot.convoys(),
+                RunPlan(snapshot_fresh, query, nullptr, choice).convoys())
+          << ToString(choice) << " " << Describe(query);
+      const uint64_t hits =
+          snapshot_trace.counter(TraceCounter::kClusterMemoHits);
+      snapshot_hits += hits;
+      tally.hits += hits;
+      tally.misses += snapshot_trace.counter(TraceCounter::kClusterMemoMisses);
+      tally.clustered +=
+          snapshot_trace.counter(TraceCounter::kSnapshotsClustered);
     }
     tally.bytes = engine.cluster_memo().Bytes();
+    EXPECT_GT(snapshot_hits, 0u) << threads;
     EXPECT_GT(tally.hits, 0u) << threads;
     EXPECT_GT(tally.misses, 0u) << threads;
     EXPECT_LT(tally.clustered, fresh_clustered) << threads;
@@ -168,13 +210,13 @@ TEST(ClusterMemoTest, RepeatedQueryClustersNothing) {
   const ConvoyEngine engine(SweepDb());
   const ConvoyQuery query{3, 4, 4.0};
   TraceSession first_trace;
-  const ConvoyResultSet first = RunCutsStar(engine, query, &first_trace);
+  const ConvoyResultSet first = RunPlan(engine, query, &first_trace);
   ASSERT_FALSE(first.convoys().empty());
   EXPECT_EQ(first_trace.counter(TraceCounter::kClusterMemoHits), 0u);
   EXPECT_GT(first.stats().num_clusterings, 0u);
 
   TraceSession trace;
-  const ConvoyResultSet again = RunCutsStar(engine, query, &trace);
+  const ConvoyResultSet again = RunPlan(engine, query, &trace);
   EXPECT_EQ(again.convoys(), first.convoys());
   EXPECT_EQ(trace.counter(TraceCounter::kClusterMemoMisses), 0u);
   // One filter lookup plus one per refinement window.
@@ -195,6 +237,97 @@ TEST(ClusterMemoTest, RepeatedQueryClustersNothing) {
       << plan.Explain();
 }
 
+// CMC and MC2 plans over the engine's store, and the free Cmc and Mc2 over
+// the rows through a memo (the engine's path when it declines the store):
+// the first run clusters every tick and publishes them; a re-run, and for
+// CMC a k change at the same (e, m), reads every tick from the memo — one
+// hit, nothing clustered. Every answer equals the free function's over the
+// rows without a memo, and every run's traced counters are the same at 1,
+// 2 and 8 threads.
+TEST(ClusterMemoTest, SnapshotPlansReExecuteFromTheMemo) {
+  const TrajectoryDatabase db = SweepDb();
+  std::vector<std::vector<uint64_t>> counters_per_thread_count;
+  for (const size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+    std::vector<uint64_t> counters;
+    ConvoyQuery query{3, 4, 4.0};
+    query.num_threads = threads;
+    ConvoyQuery longer = query;
+    longer.k = 8;
+    // Runs `run(trace)` traced, expecting `want`, and a memo hit when
+    // `warm`.
+    const auto check = [&](const std::string& what,
+                           const std::vector<Convoy>& want, bool warm,
+                           const auto& run) {
+      SCOPED_TRACE(what + ", " + std::to_string(threads) + " thread(s)");
+      TraceSession trace;
+      EXPECT_EQ(run(&trace), want);
+      EXPECT_EQ(trace.counter(TraceCounter::kClusterMemoHits), warm ? 1u : 0u);
+      EXPECT_EQ(trace.counter(TraceCounter::kClusterMemoMisses),
+                warm ? 0u : 1u);
+      const uint64_t clustered =
+          trace.counter(TraceCounter::kSnapshotsClustered);
+      EXPECT_TRUE(warm ? clustered == 0 : clustered > 0) << clustered;
+      const std::vector<uint64_t> run_counters = Counters(trace);
+      counters.insert(counters.end(), run_counters.begin(),
+                      run_counters.end());
+    };
+    const std::vector<Convoy> cmc = Cmc(db, query);
+    const std::vector<Convoy> cmc_longer = Cmc(db, longer);
+    const std::vector<Convoy> mc2 = Mc2(db, query);
+    ASSERT_FALSE(cmc.empty());
+    ASSERT_FALSE(mc2.empty());
+
+    for (const AlgorithmChoice choice :
+         {AlgorithmChoice::kCmc, AlgorithmChoice::kMc2}) {
+      const ConvoyEngine engine(db);
+      const std::string name(ToString(choice));
+      const auto execute = [&](const ConvoyQuery& q) {
+        return [&engine, &choice, q](TraceSession* trace) {
+          const ConvoyResultSet result = RunPlan(engine, q, trace, choice);
+          return result.convoys();
+        };
+      };
+      const std::vector<Convoy>& want =
+          choice == AlgorithmChoice::kCmc ? cmc : mc2;
+      check(name + " first", want, false, execute(query));
+      ASSERT_NE(engine.Prepare(query, choice).value().Explain().find(
+                    "clustering memo: hit ("),
+                std::string::npos);
+      check(name + " again", want, true, execute(query));
+      if (choice == AlgorithmChoice::kCmc) {
+        check(name + " k change", cmc_longer, true, execute(longer));
+        EXPECT_EQ(RunPlan(engine, longer, nullptr, choice)
+                      .stats()
+                      .num_clusterings,
+                  0u);
+      }
+    }
+
+    ClusterMemo memo(kClusterMemoBytesPerPoint * db.Stats().total_points);
+    const MemoSlot slot{&memo, ClusterMemoKey::Snapshots(query)};
+    const auto cmc_rows = [&](const ConvoyQuery& q) {
+      return [&db, &slot, q](TraceSession* trace) {
+        ExecHooks hooks;
+        hooks.trace = trace;
+        return Cmc(db, q, {}, nullptr, &hooks, &slot);
+      };
+    };
+    const auto mc2_rows = [&db, &slot, &query](TraceSession* trace) {
+      ExecHooks hooks;
+      hooks.trace = trace;
+      return Mc2(db, query, {}, &hooks, &slot);
+    };
+    check("rows CMC first", cmc, false, cmc_rows(query));
+    check("rows CMC again", cmc, true, cmc_rows(query));
+    check("rows CMC k change", cmc_longer, true, cmc_rows(longer));
+    check("rows MC2 from CMC's clusters", mc2, true, mc2_rows);
+    counters_per_thread_count.push_back(std::move(counters));
+  }
+  for (size_t i = 1; i < counters_per_thread_count.size(); ++i) {
+    EXPECT_EQ(counters_per_thread_count[i], counters_per_thread_count[0]);
+  }
+}
+
 // More keys than the budget holds: least recently used keys are evicted,
 // the memo never exceeds its budget, and answers stay exact — also when an
 // evicted key is queried again.
@@ -212,7 +345,7 @@ TEST(ClusterMemoTest, EvictionKeepsBudgetAndAnswers) {
   size_t most_keys = 0;
   for (int pass = 0; pass < 2; ++pass) {
     for (const ConvoyQuery& query : queries) {
-      EXPECT_EQ(RunCutsStar(engine, query, nullptr).convoys(),
+      EXPECT_EQ(RunPlan(engine, query, nullptr).convoys(),
                 Cmc(db, query))
           << "e=" << query.e << " m=" << query.m << " pass " << pass;
       EXPECT_LE(engine.cluster_memo().Bytes(), budget);

@@ -16,6 +16,7 @@ namespace {
 
 using testutil::FromXRows;
 using testutil::RandomClumpyDb;
+using testutil::SimplifyAndFilter;
 
 TEST(CutsTest, VariantNames) {
   EXPECT_EQ(ToString(CutsVariant::kCuts), "CuTS");
@@ -205,7 +206,7 @@ TEST(CutsTest, DensityChainThroughObjectInNoCandidate) {
     CutsFilterOptions options;
     options.lambda = 2;
     const CutsFilterResult filtered =
-        CutsFilter(db, query, MakeFilterOptions(variant, options));
+        SimplifyAndFilter(db, query, MakeFilterOptions(variant, options));
     for (const Candidate& cand : filtered.candidates) {
       for (const ObjectId id : cand.objects) {
         EXPECT_TRUE(id == kA || id == kC)
@@ -334,8 +335,8 @@ TEST(CutsTest, ActualToleranceNeverLoosensFilter) {
 
     DiscoveryStats stats_with;
     DiscoveryStats stats_without;
-    (void)CutsFilter(db, query, with, &stats_with);
-    (void)CutsFilter(db, query, without, &stats_without);
+    (void)SimplifyAndFilter(db, query, with, &stats_with);
+    (void)SimplifyAndFilter(db, query, without, &stats_without);
     EXPECT_LE(stats_with.refinement_unit, stats_without.refinement_unit + 1e-6)
         << ToString(variant);
   }
@@ -374,7 +375,7 @@ TEST(CutsTest, CandidateOnlyRefinementMatchesPrunedRefinement) {
   for (const auto variant :
        {CutsVariant::kCuts, CutsVariant::kCutsPlus, CutsVariant::kCutsStar}) {
     const CutsFilterResult filtered =
-        CutsFilter(db, query, MakeFilterOptions(variant));
+        SimplifyAndFilter(db, query, MakeFilterOptions(variant));
     DiscoveryStats pruned_stats;
     const auto pruned = CutsRefine(db, query, filtered, &pruned_stats);
     DiscoveryStats full_stats;
@@ -396,7 +397,7 @@ TEST(CutsTest, FilterRecordsPartitionMembers) {
   const ConvoyQuery query{3, 6, 4.0};
   CutsFilterOptions options = MakeFilterOptions(CutsVariant::kCutsStar);
   options.lambda = 4;
-  const CutsFilterResult filtered = CutsFilter(db, query, options);
+  const CutsFilterResult filtered = SimplifyAndFilter(db, query, options);
   const PartitionMembers& members = filtered.members;
   EXPECT_EQ(members.begin, db.BeginTick());
   EXPECT_EQ(members.length, 4);

@@ -23,6 +23,7 @@ namespace {
 
 using testutil::RandomClumpyDb;
 using testutil::RunQuery;
+using testutil::SimplifyAndFilter;
 
 constexpr size_t kThreadCounts[] = {1, 2, 8};
 
@@ -149,8 +150,6 @@ TEST(ParallelEquivalenceTest, CmcAcrossBlocksAndGapsIsIdentical) {
   const auto observe_all = [&](bool use_store) {
     return std::pair{
         ObserveCmc([&](DiscoveryStats* stats, const ExecHooks* hooks) {
-          // A fresh store per run, so its grid cache starts cold and the
-          // hit/miss counters compare across runs.
           if (use_store) {
             return Cmc(SnapshotStore::Build(db), query, {}, stats, hooks);
           }
@@ -221,8 +220,8 @@ TEST(ParallelEquivalenceTest, ParallelCutsStatsCountEveryClustering) {
     DiscoveryStats serial_stats;
     const auto serial = Cuts(db, query, variant, options, &serial_stats);
     DiscoveryStats filter_stats;
-    (void)CutsFilter(db, query, MakeFilterOptions(variant, options),
-                     &filter_stats);
+    (void)SimplifyAndFilter(db, query, MakeFilterOptions(variant, options),
+                            &filter_stats);
     // Refinement clustered something, so a dropped count would show.
     EXPECT_GT(serial_stats.num_clusterings, filter_stats.num_clusterings);
     for (const size_t threads : kThreadCounts) {
@@ -246,12 +245,13 @@ TEST(ParallelEquivalenceTest, CutsFilterMatchesSerialExactly) {
          {CutsVariant::kCuts, CutsVariant::kCutsStar}) {
       const CutsFilterOptions options = MakeFilterOptions(variant);
       query.num_threads = 1;
-      const CutsFilterResult serial = CutsFilter(db, query, options);
+      const CutsFilterResult serial = SimplifyAndFilter(db, query, options);
       const std::vector<SimplifiedTrajectory> serial_simplified =
           SimplifyDatabase(db, serial.delta_used, options.simplifier, 1);
       for (const size_t threads : kThreadCounts) {
         query.num_threads = threads;
-        const CutsFilterResult parallel = CutsFilter(db, query, options);
+        const CutsFilterResult parallel =
+            SimplifyAndFilter(db, query, options);
         EXPECT_EQ(parallel.delta_used, serial.delta_used);
         EXPECT_EQ(parallel.lambda_used, serial.lambda_used);
         ASSERT_EQ(parallel.candidates.size(), serial.candidates.size())

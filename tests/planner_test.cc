@@ -209,6 +209,7 @@ TEST(PlannerTest, PlanSurfaceIsPinnedPerChoice) {
        "  snapshot store: built (300 ticks, 7131 columnar points)\n"
        "  delta:       n/a\n"
        "  lambda:      n/a\n"
+       "  clustering memo: miss (0 of 228192 bytes held)\n"
        "  estimated work: 300 snapshot clustering(s), ~7131 "
        "object-clustering units (exact columnar alive counts)\n"
        "  capabilities: exact, threads\n",
@@ -292,6 +293,7 @@ TEST(PlannerTest, PlanSurfaceIsPinnedPerChoice) {
        "  snapshot store: built (300 ticks, 7131 columnar points)\n"
        "  delta:       n/a\n"
        "  lambda:      n/a\n"
+       "  clustering memo: miss (0 of 228192 bytes held)\n"
        "  estimated work: 300 snapshot clustering(s), ~7131 "
        "object-clustering units (exact columnar alive counts)\n"
        "  capabilities: approximate, threads\n",
@@ -299,7 +301,7 @@ TEST(PlannerTest, PlanSurfaceIsPinnedPerChoice) {
        R"("query":{"m":3,"k":6,"e":4,"threads":1},"cache":"n/a",)"
        R"("exact":false,"database":{"objects":30,"ticks":300,"points":7131},)"
        R"("estimated_clusterings":300,"estimated_work":7131})",
-       {"algorithm.mc2", "execute", "prepare"}},
+       {"algorithm.mc2", "execute", "prepare", "snapshot.cluster"}},
   };
   CutsFilterOptions options;
   options.delta = 1.25;

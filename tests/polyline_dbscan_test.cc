@@ -1,12 +1,20 @@
-#include "cluster/polyline_dbscan.h"
+// The reference TRAJ-DBSCAN path (tests/reference_impl.h) that the
+// library's SoA filter is held bit-identical to: its neighbour test and
+// clustering on hand-built polylines.
 
 #include <gtest/gtest.h>
 
+#include "cluster/polyline_dbscan.h"
 #include "geom/distance.h"
+#include "tests/reference_impl.h"
 #include "util/random.h"
 
 namespace convoy {
 namespace {
+
+using reference::PartitionPolyline;
+using reference::PolylineDbscan;
+using reference::PolylinesAreNeighbors;
 
 PartitionPolyline MakeLine(ObjectId id, double y, Tick t0, Tick t1,
                            double tolerance = 0.0) {

@@ -25,11 +25,17 @@
 #include "geom/distance.h"
 #include "simd/dist_kernels.h"
 #include "simplify/simplifier.h"
+#include "tests/reference_impl.h"
 #include "tests/test_util.h"
 #include "util/random.h"
 
 namespace convoy {
 namespace {
+
+using reference::BuildPartitionPolylines;
+using reference::PartitionPolyline;
+using reference::PolylineDbscan;
+using reference::PolylinesAreNeighbors;
 
 uint64_t Bits(double v) {
   uint64_t b = 0;
@@ -340,37 +346,6 @@ TEST(PolylineParity, BoxPruneSweepBitIdentical) {
         }
       }
     }
-  }
-}
-
-// The point-radius scan behind GridIndex::ScanRange: identical output,
-// identical order, including eps-boundary and duplicate points.
-TEST(PolylineParity, RadiusScanBitIdentical) {
-  if (!Avx2Callable()) GTEST_SKIP() << "AVX2 compiled but not supported";
-  Rng rng(7);
-  std::vector<double> sx;
-  std::vector<double> sy;
-  std::vector<uint32_t> point_of;
-  for (uint32_t i = 0; i < 257; ++i) {  // odd size: exercises the tail
-    sx.push_back(rng.Uniform(0, 20));
-    sy.push_back(rng.Uniform(0, 20));
-    point_of.push_back(1000 + i);
-  }
-  // Duplicates and exact-boundary points.
-  sx.push_back(10.0); sy.push_back(10.0); point_of.push_back(1);
-  sx.push_back(10.0); sy.push_back(10.0); point_of.push_back(2);
-  sx.push_back(13.0); sy.push_back(14.0); point_of.push_back(3);  // d = 5
-  for (int probe = 0; probe < 50; ++probe) {
-    const double px = probe == 0 ? 10.0 : rng.Uniform(0, 20);
-    const double py = probe == 0 ? 10.0 : rng.Uniform(0, 20);
-    const double r = probe == 0 ? 5.0 : rng.Uniform(0.1, 8.0);
-    std::vector<size_t> got_scalar;
-    std::vector<size_t> got_vec;
-    simd::RadiusScanScalar(sx.data(), sy.data(), point_of.data(), 0,
-                           sx.size(), px, py, r * r, &got_scalar);
-    simd::RadiusScanAvx2(sx.data(), sy.data(), point_of.data(), 0, sx.size(),
-                         px, py, r * r, &got_vec);
-    ASSERT_EQ(got_scalar, got_vec) << "probe " << probe;
   }
 }
 

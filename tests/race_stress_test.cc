@@ -13,14 +13,15 @@
 #include <cstdint>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
-#include "cluster/grid_index.h"
 #include "core/cmc.h"
 #include "core/cuts.h"
 #include "core/cuts_filter.h"
 #include "core/engine.h"
+#include "core/mc2.h"
 #include "core/params.h"
 #include "core/streaming.h"
 #include "datagen/stream_feed.h"
@@ -30,7 +31,6 @@
 #include "server/server.h"
 #include "server/session.h"
 #include "tests/test_util.h"
-#include "traj/snapshot_store.h"
 #include "util/random.h"
 
 namespace convoy {
@@ -174,60 +174,49 @@ TEST(RaceStressTest, ConcurrentCutsFilterSharedSimplification) {
   EXPECT_EQ(mismatches.load(), 0);
 }
 
-// GridFor builders racing readers during eviction churn: more distinct eps
-// values than kMaxCachedEpsValues cycle through the cache while another
-// thread polls GridCacheSize. Returned grids must stay usable even after
-// their eps is evicted (shared_ptr keeps them alive).
-TEST(RaceStressTest, GridCacheEvictionVsConcurrentReaders) {
+// CMC and MC2 plans on one engine, from several threads, over more
+// (e, m) keys than the clustering memo's budget holds: publishes, hits and
+// evictions race, and a window one thread reads may be evicted by another
+// (the shared_ptr keeps it alive). Every answer must equal the free
+// function's over the rows.
+TEST(RaceStressTest, SnapshotMemoPublishAndEvictionVsConcurrentQueries) {
   Rng rng(42);
   const TrajectoryDatabase db = RandomClumpyDb(rng, 25, 20, 40.0, 1.0);
-  const SnapshotStore store = SnapshotStore::Build(db);
-  ASSERT_FALSE(store.Empty());
-
-  // Twice the cache bound, so steady-state request traffic keeps evicting.
-  const size_t num_eps = 2 * SnapshotStore::kMaxCachedEpsValues;
-  const size_t max_cached =
-      SnapshotStore::kMaxCachedEpsValues * store.NumTicks();
-  std::atomic<bool> stop{false};
-  std::atomic<uint64_t> gridfor_calls{0};
-  std::atomic<uint64_t> hits{0};
-  std::atomic<uint64_t> misses{0};
-  std::atomic<int> failures{0};
-
-  std::vector<std::thread> builders;
-  for (int t = 0; t < 2; ++t) {
-    builders.emplace_back([&, t] {
-      for (int round = 0; round < 40; ++round) {
-        for (size_t e = 0; e < num_eps; ++e) {
-          const double eps = 2.0 + 0.5 * static_cast<double>(e);
-          const Tick tick =
-              store.begin_tick() +
-              static_cast<Tick>((round + t) % static_cast<int>(
-                                    std::max<size_t>(store.NumTicks(), 1)));
-          bool cache_hit = false;
-          const std::shared_ptr<const GridIndex> grid =
-              store.GridFor(tick, eps, &cache_hit);
-          gridfor_calls.fetch_add(1);
-          (cache_hit ? hits : misses).fetch_add(1);
-          if (grid == nullptr) failures.fetch_add(1);
+  const ConvoyEngine engine(db);
+  std::vector<ConvoyQuery> queries;
+  for (const size_t m : {size_t{2}, size_t{3}}) {
+    for (int i = 0; i < 6; ++i) queries.push_back({m, 3, 2.0 + 0.5 * i});
+  }
+  std::vector<std::string> want_cmc;
+  std::vector<std::string> want_mc2;
+  for (const ConvoyQuery& query : queries) {
+    want_cmc.push_back(Fingerprint(Cmc(db, query)));
+    want_mc2.push_back(Fingerprint(Mc2(db, query)));
+  }
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 3; ++round) {
+        for (size_t q = 0; q < queries.size(); ++q) {
+          const size_t i = (q + 5 * t) % queries.size();
+          const bool mc2 = (i + t + static_cast<size_t>(round)) % 2 == 1;
+          const std::vector<Convoy> got =
+              testutil::RunQuery(engine, queries[i],
+                                 mc2 ? AlgorithmChoice::kMc2
+                                     : AlgorithmChoice::kCmc)
+                  .convoys();
+          if (Fingerprint(got) != (mc2 ? want_mc2[i] : want_cmc[i])) {
+            mismatches.fetch_add(1);
+          }
         }
       }
     });
   }
-  std::thread reader([&] {
-    while (!stop.load()) {
-      if (store.GridCacheSize() > max_cached) failures.fetch_add(1);
-    }
-  });
-  for (std::thread& th : builders) th.join();
-  stop.store(true);
-  reader.join();
-
-  EXPECT_EQ(failures.load(), 0);
-  // Every GridFor was either a hit or a miss.
-  EXPECT_EQ(hits.load() + misses.load(), gridfor_calls.load());
-  EXPECT_GT(misses.load(), 0u);
-  EXPECT_LE(store.GridCacheSize(), max_cached);
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_LE(engine.cluster_memo().Bytes(), engine.cluster_memo().budget());
+  EXPECT_GT(engine.cluster_memo().NumKeys(), 0u);
 }
 
 // TraceSession merged reads racing the recording threads: recorders spin

@@ -1,16 +1,18 @@
 #ifndef CONVOY_TESTS_REFERENCE_IMPL_H_
 #define CONVOY_TESTS_REFERENCE_IMPL_H_
 
-// Retained reference implementations of the hot-path structures that PR 5
-// rebuilt (flat-CSR GridIndex, arena DBSCAN, label-intersection
-// CandidateTracker): the pre-rewrite unordered_map-of-buckets grid, the
-// deque-frontier DBSCAN with per-call allocations, and the
-// set_intersection + std::map candidate step. They are deliberately the
-// old code, kept verbatim where possible, so
+// Retained reference implementations of the hot-path structures the
+// library has since rebuilt (flat-CSR GridIndex, arena DBSCAN,
+// label-intersection CandidateTracker, the SoA polyline filter): the
+// unordered_map-of-buckets grid, the deque-frontier DBSCAN with per-call
+// allocations, the set_intersection + std::map candidate step, and the
+// per-object PartitionPolyline path of the CuTS filter (merge-scan
+// neighbour test and adjacency-table TRAJ-DBSCAN). They are deliberately
+// the old code, kept verbatim where possible, so
 //
-//  * tests/hotpath_parity_test.cc can assert the optimized paths are
-//    bit-identical to first-principles implementations on adversarial
-//    inputs, and
+//  * tests/hotpath_parity_test.cc and tests/polyline_parity_test.cc can
+//    assert the optimized paths are bit-identical to first-principles
+//    implementations on adversarial inputs, and
 //  * bench/micro_components.cc and the BENCH_hotpath.json section of
 //    bench/scalability can report old-vs-new shape speedups from inside
 //    one binary.
@@ -24,11 +26,17 @@
 #include <deque>
 #include <map>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cluster/dbscan.h"
+#include "cluster/polyline_dbscan.h"
 #include "core/candidate.h"
+#include "geom/box.h"
+#include "geom/distance.h"
 #include "geom/point.h"
+#include "geom/segment.h"
+#include "simplify/simplified_trajectory.h"
 
 namespace convoy::reference {
 
@@ -222,6 +230,189 @@ class ReferenceCandidateTracker {
   Tick k_;
   std::vector<Candidate> live_;
 };
+
+/// One object's sub-polyline inside a time partition: the line segments of
+/// its simplified trajectory whose time intervals intersect the partition,
+/// each with the tolerance the filter should account for (the per-segment
+/// *actual* tolerance, or the global delta when the actual-tolerance
+/// optimization is disabled — paper Figure 14 compares the two). The
+/// library builds the same data in SoA form (BuildPolylineSoa).
+struct PartitionPolyline {
+  ObjectId object = 0;
+  std::vector<TimedSegment> segments;  ///< ascending, contiguous in time
+  std::vector<double> tolerances;      ///< one per segment
+  Box bbox;                            ///< spatial bound of all segments
+  double max_tolerance = 0.0;          ///< delta_max over `tolerances`
+
+  /// Recomputes bbox and max_tolerance from the segment lists.
+  void FinalizeBounds() {
+    bbox = Box();
+    max_tolerance = 0.0;
+    for (const TimedSegment& seg : segments) {
+      bbox.Extend(seg.start.pos);
+      bbox.Extend(seg.end.pos);
+    }
+    for (const double tol : tolerances) {
+      max_tolerance = std::max(max_tolerance, tol);
+    }
+  }
+};
+
+/// The e-neighborhood test for two partition polylines: true if
+/// omega(q, i) <= e, i.e. some pair of time-overlapping segments satisfies
+///   dist(l'_q, l'_i) <= e + tol(l'_q) + tol(l'_i)
+/// (Lemma 1 for DLL, Lemma 3 for D*). This is the condition under which the
+/// original trajectories can possibly come within distance e of each other
+/// at some shared tick, so keeping such pairs guarantees no false dismissal.
+inline bool PolylinesAreNeighbors(const PartitionPolyline& q,
+                                  const PartitionPolyline& i,
+                                  const PolylineDbscanOptions& opts,
+                                  PolylineClusterStats* stats = nullptr) {
+  if (stats != nullptr) ++stats->pair_tests;
+
+  // Lemma 2 at the polyline level: if even the closest points of the two
+  // bounding boxes are farther than e plus both maximum tolerances, no
+  // segment pair can qualify.
+  if (opts.use_box_pruning) {
+    if (Dmin(q.bbox, i.bbox) > opts.eps + q.max_tolerance + i.max_tolerance) {
+      if (stats != nullptr) ++stats->box_pruned;
+      return false;
+    }
+  }
+
+  // Merge-scan the two time-sorted segment lists so only time-overlapping
+  // pairs are examined (the omega definition ranges over exactly those).
+  size_t a = 0;
+  size_t b = 0;
+  while (a < q.segments.size() && b < i.segments.size()) {
+    const TimedSegment& sq = q.segments[a];
+    const TimedSegment& si = i.segments[b];
+    const TickOverlap ov = OverlapTicks(sq, si);
+    if (ov.valid) {
+      if (stats != nullptr) ++stats->segment_tests;
+      const double bound = opts.eps + q.tolerances[a] + i.tolerances[b];
+      const double dist = opts.distance == SegmentDistanceKind::kDll
+                              ? DLL(sq.Spatial(), si.Spatial())
+                              : DStar(sq, si);
+      if (dist <= bound) return true;
+    }
+    // Advance the segment that ends earlier; ties advance both.
+    if (sq.EndTick() < si.EndTick()) {
+      ++a;
+    } else if (si.EndTick() < sq.EndTick()) {
+      ++b;
+    } else {
+      ++a;
+      ++b;
+    }
+  }
+  return false;
+}
+
+/// TRAJ-DBSCAN (paper Section 5.2/5.3): density-connected clustering of the
+/// sub-polylines of one time partition under the neighborhood test above.
+/// Returns clusters of input indices; unclustered polylines are noise.
+inline Clustering PolylineDbscan(
+    const std::vector<PartitionPolyline>& polylines,
+    const PolylineDbscanOptions& opts, PolylineClusterStats* stats = nullptr) {
+  Clustering result;
+  const size_t n = polylines.size();
+  if (n == 0) return result;
+
+  // Partitions hold at most one polyline per object (a few hundred), so an
+  // explicit adjacency table is affordable and lets the DBSCAN expansion
+  // reuse each symmetric omega evaluation.
+  std::vector<std::vector<size_t>> adjacency(n);
+  for (size_t a = 0; a < n; ++a) {
+    for (size_t b = a + 1; b < n; ++b) {
+      if (PolylinesAreNeighbors(polylines[a], polylines[b], opts, stats)) {
+        adjacency[a].push_back(b);
+        adjacency[b].push_back(a);
+      }
+    }
+  }
+
+  constexpr uint32_t kUnvisited = 0xFFFFFFFF;
+  constexpr uint32_t kNoise = 0xFFFFFFFE;
+  std::vector<uint32_t> label(n, kUnvisited);
+  std::deque<size_t> frontier;
+
+  // |NH(p)| counts p itself, mirroring the point DBSCAN.
+  const auto is_core = [&](size_t p) {
+    return adjacency[p].size() + 1 >= opts.min_pts;
+  };
+
+  for (size_t seed = 0; seed < n; ++seed) {
+    if (label[seed] != kUnvisited) continue;
+    if (!is_core(seed)) {
+      label[seed] = kNoise;
+      continue;
+    }
+    const uint32_t cluster_id = static_cast<uint32_t>(result.clusters.size());
+    result.clusters.emplace_back();
+    label[seed] = cluster_id;
+    result.clusters.back().push_back(seed);
+
+    frontier.assign(adjacency[seed].begin(), adjacency[seed].end());
+    while (!frontier.empty()) {
+      const size_t p = frontier.front();
+      frontier.pop_front();
+      if (label[p] == kNoise) {
+        label[p] = cluster_id;  // border polyline
+        result.clusters.back().push_back(p);
+        continue;
+      }
+      if (label[p] != kUnvisited) continue;
+      label[p] = cluster_id;
+      result.clusters.back().push_back(p);
+      if (is_core(p)) {
+        for (const size_t nb : adjacency[p]) {
+          if (label[nb] == kUnvisited || label[nb] == kNoise) {
+            frontier.push_back(nb);
+          }
+        }
+      }
+    }
+  }
+  return result;
+}
+
+/// Gathers each object's sub-polyline for the partition
+/// [part_start, part_end]: the simplified segments whose time intervals
+/// intersect the partition (a segment spanning a boundary goes into both
+/// partitions, as in paper Figure 9(b)). The reference form of the
+/// filter's per-partition input; BuildPolylineSoa builds the same data.
+inline std::vector<PartitionPolyline> BuildPartitionPolylines(
+    const std::vector<SimplifiedTrajectory>& simplified, Tick part_start,
+    Tick part_end, bool use_actual_tolerance, double delta_used) {
+  std::vector<PartitionPolyline> polylines;
+  for (const SimplifiedTrajectory& simp : simplified) {
+    PartitionPolyline poly;
+    poly.object = simp.id();
+    if (simp.NumSegments() == 0) {
+      // Single-sample trajectory: represent it as a degenerate zero-
+      // length segment so the filter can still see the object (a
+      // one-tick convoy through it must not be dismissed).
+      if (simp.NumVertices() != 1) continue;
+      const TimedPoint& v = simp.vertices().front();
+      if (v.t < part_start || v.t > part_end) continue;
+      poly.segments.push_back(TimedSegment(v, v));
+      poly.tolerances.push_back(0.0);
+    } else {
+      const auto range = simp.SegmentsIntersecting(part_start, part_end);
+      if (!range.has_value()) continue;
+      for (size_t s = range->first; s <= range->second; ++s) {
+        poly.segments.push_back(simp.GetSegment(s));
+        poly.tolerances.push_back(use_actual_tolerance
+                                      ? simp.SegmentTolerance(s)
+                                      : delta_used);
+      }
+    }
+    poly.FinalizeBounds();
+    polylines.push_back(std::move(poly));
+  }
+  return polylines;
+}
 
 }  // namespace convoy::reference
 

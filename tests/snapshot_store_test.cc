@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cluster/grid_index.h"
 #include "traj/interpolate.h"
 #include "tests/test_util.h"
 
@@ -161,57 +162,23 @@ TEST(SnapshotStoreTest, BuildAcrossFillBlocksMatchesLegacyGather) {
   }
 }
 
-TEST(SnapshotStoreTest, GridForCachesPerTickAndEps) {
+// A grid assigned from a tick's columnar view (SnapshotClusters' arena
+// build) answers exactly like a fresh index over the same snapshot.
+TEST(SnapshotStoreTest, ColumnarGridAnswersLikePointGrid) {
   Rng rng(9);
   const TrajectoryDatabase db = RandomClumpyDb(rng, 12, 20, 40.0, 1.0);
   const SnapshotStore store = SnapshotStore::Build(db);
-  EXPECT_EQ(store.GridCacheSize(), 0u);
-  const auto a = store.GridFor(3, 2.0);
-  const auto b = store.GridFor(3, 2.0);
-  EXPECT_EQ(a.get(), b.get());  // cached: same instance, not a rebuild
-  EXPECT_EQ(store.GridCacheSize(), 1u);
-  const auto c = store.GridFor(3, 4.0);  // other eps: new entry
-  EXPECT_NE(a.get(), c.get());
-  const auto d = store.GridFor(4, 2.0);  // other tick: new entry
-  EXPECT_NE(a.get(), d.get());
-  EXPECT_EQ(store.GridCacheSize(), 3u);
-
-  // The cached index answers exactly like a fresh index over the same
-  // snapshot.
   const SnapshotView view = store.At(3);
+  ASSERT_GT(view.size, 0u);
+  GridIndex columnar;
+  columnar.Assign(view.xs, view.ys, view.size, 2.0);
   std::vector<Point> points;
   for (size_t i = 0; i < view.size; ++i) points.push_back(view.At(i));
   const GridIndex fresh(points, 2.0);
   for (size_t i = 0; i < view.size; ++i) {
-    EXPECT_EQ(a->WithinRadius(view.At(i), 2.0),
+    EXPECT_EQ(columnar.WithinRadius(view.At(i), 2.0),
               fresh.WithinRadius(points[i], 2.0));
   }
-}
-
-TEST(SnapshotStoreTest, GridCacheEvictsOldestEpsBeyondBudget) {
-  Rng rng(13);
-  const TrajectoryDatabase db = RandomClumpyDb(rng, 8, 12, 30.0, 1.0);
-  const SnapshotStore store = SnapshotStore::Build(db);
-  const Tick t0 = store.begin_tick();
-
-  // Two ticks at eps=1, then one grid for each further eps up to the
-  // budget: 5 entries across kMaxCachedEpsValues distinct eps.
-  const auto eps1_grid = store.GridFor(t0, 1.0);
-  (void)store.GridFor(t0 + 1, 1.0);
-  for (size_t i = 1; i < SnapshotStore::kMaxCachedEpsValues; ++i) {
-    (void)store.GridFor(t0, 1.0 + static_cast<double>(i));
-  }
-  EXPECT_EQ(store.GridCacheSize(),
-            SnapshotStore::kMaxCachedEpsValues + 1);
-
-  // One eps beyond the budget retires every eps=1 grid (the oldest).
-  (void)store.GridFor(t0, 99.0);
-  EXPECT_EQ(store.GridCacheSize(), SnapshotStore::kMaxCachedEpsValues);
-  // The evicted grid stays usable through the shared_ptr we still hold,
-  // and re-requesting it builds a fresh instance.
-  EXPECT_GT(eps1_grid->NumPoints(), 0u);
-  const auto rebuilt = store.GridFor(t0, 1.0);
-  EXPECT_NE(rebuilt.get(), eps1_grid.get());
 }
 
 TEST(SnapshotStoreTest, EstimateColumnarSlotsMatchesBuild) {

@@ -210,7 +210,7 @@ TEST(StoreParityTest, EmptyDatabaseThroughEngine) {
   EXPECT_EQ(result->Count(), 0u);
 }
 
-// Concurrent engine queries share one store build and one grid cache.
+// Concurrent engine queries share one store build and one clustering memo.
 TEST(StoreParityTest, ConcurrentStoreAccessIsSafeAndIdentical) {
   const TrajectoryDatabase db = MakeDb(71);
   const ConvoyEngine engine(db);

@@ -8,6 +8,7 @@
 #include "core/candidate.h"
 #include "core/engine.h"
 #include "core/incremental_cmc.h"
+#include "core/params.h"
 #include "traj/database.h"
 #include "util/random.h"
 
@@ -79,6 +80,21 @@ inline ConvoyResultSet RunQuery(const ConvoyEngine& engine,
                                 const CutsFilterOptions& options = {}) {
   const QueryPlan plan = engine.Prepare(query, choice, options).value();
   return engine.Execute(plan).value();
+}
+
+/// The CuTS filter over `db` as Cuts() runs it: the trajectories
+/// simplified at options.delta (ComputeDelta when not positive), then
+/// CutsFilterPresimplified.
+inline CutsFilterResult SimplifyAndFilter(const TrajectoryDatabase& db,
+                                          const ConvoyQuery& query,
+                                          const CutsFilterOptions& options,
+                                          DiscoveryStats* stats = nullptr) {
+  const double delta =
+      options.delta > 0.0 ? options.delta : ComputeDelta(db, query.e);
+  const std::vector<SimplifiedTrajectory> simplified =
+      SimplifyDatabase(db, delta, options.simplifier, query.num_threads);
+  return CutsFilterPresimplified(db, query, options, simplified, delta,
+                                 stats);
 }
 
 /// A database over a row table (core/incremental_cmc.h): the input a

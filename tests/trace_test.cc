@@ -307,8 +307,9 @@ TEST(TraceEngineTest, CounterTotalsBitIdenticalAcrossThreadCounts) {
 }
 
 // The engine's caches report through each run's own trace: a warm
-// re-Execute of a CMC plan is served from the store's grid cache alone,
-// and a second CuTS* Prepare at the same e hits the simplification cache.
+// re-Execute of a CMC plan is served by the clustering memo alone and
+// clusters nothing, and a second CuTS* Prepare at the same e hits the
+// simplification cache.
 TEST(TraceEngineTest, CacheTrafficShowsInEachRunsTrace) {
   Rng rng(11);
   const TrajectoryDatabase db = RandomClumpyDb(rng, 30, 20, 40.0, 1.0);
@@ -323,11 +324,14 @@ TEST(TraceEngineTest, CacheTrafficShowsInEachRunsTrace) {
   };
   TraceSession cold;
   execute_traced(&cold);
-  EXPECT_GT(cold.counter(TraceCounter::kGridCacheMisses), 0u);
+  EXPECT_EQ(cold.counter(TraceCounter::kClusterMemoMisses), 1u);
+  EXPECT_EQ(cold.counter(TraceCounter::kClusterMemoHits), 0u);
+  EXPECT_GT(cold.counter(TraceCounter::kSnapshotsClustered), 0u);
   TraceSession warm;
   execute_traced(&warm);
-  EXPECT_GT(warm.counter(TraceCounter::kGridCacheHits), 0u);
-  EXPECT_EQ(warm.counter(TraceCounter::kGridCacheMisses), 0u);
+  EXPECT_EQ(warm.counter(TraceCounter::kClusterMemoHits), 1u);
+  EXPECT_EQ(warm.counter(TraceCounter::kClusterMemoMisses), 0u);
+  EXPECT_EQ(warm.counter(TraceCounter::kSnapshotsClustered), 0u);
 
   // The simplification cache is CuTS-family territory: the first Prepare
   // misses, the second hits.
@@ -360,15 +364,17 @@ TEST(TraceEngineTest, ExplainAnalyzeRendersMetricsOrHint) {
   EXPECT_NE(untraced->ExplainAnalyze().find("no trace attached"),
             std::string::npos);
 
-  // Traced: counters and spans appear.
+  // Traced: counters and spans appear. A fresh engine, so the run
+  // clusters rather than reading the memo the untraced run filled.
+  const ConvoyEngine fresh(db);
   TraceSession trace;
-  const auto traced_plan = engine.Prepare(ConvoyQuery{3, 3, 5.0},
-                                          AlgorithmChoice::kCmc, {}, {},
-                                          &trace);
+  const auto traced_plan = fresh.Prepare(ConvoyQuery{3, 3, 5.0},
+                                         AlgorithmChoice::kCmc, {}, {},
+                                         &trace);
   ASSERT_TRUE(traced_plan.ok());
   ExecHooks hooks;
   hooks.trace = &trace;
-  const auto traced = engine.Execute(*traced_plan, hooks);
+  const auto traced = fresh.Execute(*traced_plan, hooks);
   ASSERT_TRUE(traced.ok());
   EXPECT_TRUE(traced->metrics().enabled);
   const std::string text = traced->ExplainAnalyze();
@@ -394,7 +400,7 @@ TEST(TraceEngineTest, ResultSetJsonCarriesValidMetricsBlock) {
   SaveResultSetJson(*result, report);
   const std::string json = report.str();
   EXPECT_NE(json.find("\"metrics\":{\"enabled\":true"), std::string::npos);
-  EXPECT_NE(json.find("\"store.grid_cache_hits\""), std::string::npos)
+  EXPECT_NE(json.find("\"engine.cluster_memo_hits\""), std::string::npos)
       << "counter catalog missing from metrics JSON";
   EXPECT_TRUE(JsonChecker(json).Valid()) << json;
 }

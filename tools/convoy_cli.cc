@@ -94,9 +94,8 @@ void PrintUsage() {
       "or chrome://tracing). --report includes the same metrics as JSON.\n"
       "--repeat N re-executes the prepared plan N times, checks that\n"
       "each run returns the first run's convoys, and reports first-run\n"
-      "vs warm-run latency (the clustering memo for the CuTS family, the\n"
-      "snapshot store's cached grids for CMC and MC2 make warm runs\n"
-      "cheaper).\n\n"
+      "vs warm-run latency (the engine's clustering memo serves warm\n"
+      "runs of every algorithm, which then cluster nothing).\n\n"
       "Generate a synthetic dataset:\n"
       "  convoy_cli --generate trucklike|cattlelike|carlike|taxilike\n"
       "             --output data.csv [--seed N] [--scale S]\n\n"
@@ -380,10 +379,10 @@ int main(int argc, char** argv) {
 
   if (opts.repeat > 1) {
     // Warm re-executions of the same prepared plan: the engine's caches
-    // are hot — the snapshot store and its grids for CMC and MC2, the
-    // clustering memo for the CuTS family — so this is the per-query cost
-    // of the build-once-query-many shape. Each must return the first
-    // run's convoys exactly.
+    // are hot — the snapshot store for CMC and MC2, the clustering memo
+    // for every algorithm — so this is the per-query cost of the
+    // build-once-query-many shape. Each must return the first run's
+    // convoys exactly.
     convoy::Stopwatch warm_watch;
     for (size_t i = 1; i < opts.repeat; ++i) {
       const auto warm = engine.Execute(*plan);
@@ -394,26 +393,14 @@ int main(int argc, char** argv) {
     }
     const double warm_avg =
         warm_watch.ElapsedSeconds() / static_cast<double>(opts.repeat - 1);
-    std::cout << "timing: ";
-    // Name what makes the warm runs faster: for the CuTS family the
-    // clustering memo (warm runs cluster nothing and re-run only the
-    // candidate tracker), for a store-backed plan the store's grid cache.
-    if (plan->cluster_memo != convoy::PlanCacheStatus::kNotApplicable) {
-      std::cout << "first run " << first_seconds * 1e3
-                << " ms (clustering memo "
-                << (plan->cluster_memo == convoy::PlanCacheStatus::kHit
-                        ? "warm"
-                        : "cold")
-                << "), ";
-    } else if (plan->store_cache != convoy::PlanCacheStatus::kNotApplicable) {
-      std::cout << "store build " << plan->store_build_seconds * 1e3
-                << " ms (at prepare), first run " << first_seconds * 1e3
-                << " ms (cold grid cache), ";
-    } else {
-      std::cout << "first run " << first_seconds * 1e3
-                << " ms (row-oriented path), ";
-    }
-    std::cout << "warm avg " << warm_avg * 1e3 << " ms over "
+    // The clustering memo is what makes the warm runs faster: they
+    // cluster nothing and re-run only the tracker.
+    std::cout << "timing: first run " << first_seconds * 1e3
+              << " ms (clustering memo "
+              << (plan->cluster_memo == convoy::PlanCacheStatus::kHit
+                      ? "warm"
+                      : "cold")
+              << "), warm avg " << warm_avg * 1e3 << " ms over "
               << opts.repeat - 1 << " re-execution(s)\n";
   }
 

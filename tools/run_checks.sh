@@ -142,7 +142,7 @@ ctest --test-dir "${RELEASE_BUILD_DIR}" --output-on-failure -j "$(nproc)"
 echo "== TSan smoke (race-stress + trace suites under ThreadSanitizer) =="
 # The full suite runs under TSan in the dedicated CI job; locally this leg
 # builds the thread-focused tests only, so the hot race surfaces (engine
-# caches, grid-cache eviction, live trace reads, streaming ticks) are
+# caches, clustering-memo eviction, live trace reads, streaming ticks) are
 # verified on every run without tripling the wall time.
 TSAN_BUILD_DIR="${BUILD_DIR}-tsan"
 cmake -B "${TSAN_BUILD_DIR}" -S "${REPO_ROOT}" -DCONVOY_SANITIZE=thread \
@@ -225,12 +225,12 @@ fi
 
 # Two queries: the smoke query, which finds no convoy on this dataset, and
 # one that finds some, so the comparison is not between two empty answers.
-# For cuts* a third run repeats the query three times on one engine:
-# --repeat exits non-zero unless every warm run, served by the clustering
-# memo, returns the first run's convoys, and that first run must equal the
-# one-thread answer.
+# A third run repeats the query three times on one engine: --repeat exits
+# non-zero unless every warm run, served by the clustering memo, returns
+# the first run's convoys, and that first run must equal the one-thread
+# answer.
 for query in "--m 3 --k 60 --e 8.0" "--m 2 --k 5 --e 30"; do
-  for algo in "cuts*" cmc; do
+  for algo in "cuts*" cmc mc2; do
     # shellcheck disable=SC2086  # ${query} is several flags
     "${CLI}" --input "${SMOKE_DIR}/data.csv" ${query} \
              --algo "${algo}" --threads 1 --results "${SMOKE_DIR}/t1.csv" \
@@ -245,18 +245,15 @@ for query in "--m 3 --k 60 --e 8.0" "--m 2 --k 5 --e 30"; do
       exit 1
     fi
     echo "ok: ${algo} (${query}) identical for --threads 1 and --threads 2"
-    if [[ "${algo}" == "cuts*" ]]; then
-      # shellcheck disable=SC2086
-      "${CLI}" --input "${SMOKE_DIR}/data.csv" ${query} \
-               --algo "${algo}" --threads 2 --repeat 3 \
-               --results "${SMOKE_DIR}/t2r.csv" > /dev/null
-      if ! diff -q "${SMOKE_DIR}/t1.csv" "${SMOKE_DIR}/t2r.csv" \
-           > /dev/null; then
-        echo "FAIL: ${algo} (${query}) --repeat 3 differs from --threads 1"
-        exit 1
-      fi
-      echo "ok: ${algo} (${query}) --repeat 3 warm runs identical"
+    # shellcheck disable=SC2086
+    "${CLI}" --input "${SMOKE_DIR}/data.csv" ${query} \
+             --algo "${algo}" --threads 2 --repeat 3 \
+             --results "${SMOKE_DIR}/t2r.csv" > /dev/null
+    if ! diff -q "${SMOKE_DIR}/t1.csv" "${SMOKE_DIR}/t2r.csv" > /dev/null; then
+      echo "FAIL: ${algo} (${query}) --repeat 3 differs from --threads 1"
+      exit 1
     fi
+    echo "ok: ${algo} (${query}) --repeat 3 warm runs identical"
   done
 done
 
